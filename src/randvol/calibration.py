@@ -3,8 +3,9 @@
 The objective is the unweighted sum of squared implied-vol differences
 against the retained market quotes.  Free parameters are optimized
 unconstrained through bound-respecting transforms (log for positives,
-scaled tanh for correlation and the exponent), with a multistart
-derivative-free simplex search.  Randomized fits additionally seed from
+scaled tanh for correlation and the exponent), with multistart bounded
+least squares on the residual vector (trust-region reflective,
+finite-difference Jacobian).  Randomized fits additionally seed from
 a plain prefit embedded at the degenerate boundary of the randomizer,
 which makes the randomized family dominate its nested plain model by
 construction.
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Literal, Optional
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 from .errors import CalibrationError, RandvolError
 from .parametrizations import (
@@ -162,14 +163,6 @@ def variance_of_randomizer(spec: DistributionSpec) -> float:
 # free-parameter layout and transforms
 # ---------------------------------------------------------------------------
 
-def _to_log(x: float) -> float:
-    return math.log(x)
-
-
-def _from_log(y: float) -> float:
-    return math.exp(y)
-
-
 def _to_tanh(bound: float) -> Callable[[float], float]:
     return lambda x: math.atanh(min(max(x / bound, -0.999999), 0.999999))
 
@@ -191,16 +184,16 @@ def _free_parameters(cfg: FitConfig) -> list[_FreeParam]:
     params: list[_FreeParam] = []
     if cfg.model == "flat":
         if cfg.randomizer in ("none", "spot-lognormal"):
-            params.append(_FreeParam("sigma", _to_log, _from_log, log_vol))
+            params.append(_FreeParam("sigma", math.log, math.exp, log_vol))
         elif cfg.randomizer == "sigma-lognormal":
             params.append(_FreeParam("mu", lambda x: x, lambda y: y, log_vol))
-            params.append(_FreeParam("nu", _to_log, _from_log, (math.log(0.01), math.log(0.8))))
+            params.append(_FreeParam("nu", math.log, math.exp, (math.log(0.01), math.log(0.8))))
         else:
             raise ValueError(f"randomizer {cfg.randomizer!r} incompatible with the flat model")
     elif cfg.model == "sabr":
         if cfg.randomizer == "sigma-lognormal":
             raise ValueError("sigma randomization applies to the flat model only")
-        params.append(_FreeParam("alpha", _to_log, _from_log, (math.log(0.05), math.log(1.0))))
+        params.append(_FreeParam("alpha", math.log, math.exp, (math.log(0.05), math.log(1.0))))
         if "beta" not in cfg.fixed:
             params.append(
                 _FreeParam(
@@ -212,14 +205,14 @@ def _free_parameters(cfg: FitConfig) -> list[_FreeParam]:
             )
         params.append(_FreeParam("rho", _to_tanh(RHO_MAX), _from_tanh(RHO_MAX), (-1.2, 1.2)))
         if cfg.randomizer == "gamma-gamma":
-            params.append(_FreeParam("k", _to_log, _from_log, (math.log(0.5), math.log(8.0))))
-            params.append(_FreeParam("theta", _to_log, _from_log, (math.log(0.02), math.log(2.0))))
+            params.append(_FreeParam("k", math.log, math.exp, (math.log(0.5), math.log(8.0))))
+            params.append(_FreeParam("theta", math.log, math.exp, (math.log(0.02), math.log(2.0))))
         else:
-            params.append(_FreeParam("gamma", _to_log, _from_log, (math.log(0.05), math.log(4.0))))
+            params.append(_FreeParam("gamma", math.log, math.exp, (math.log(0.05), math.log(4.0))))
     else:
         raise ValueError(f"unknown model {cfg.model!r}")
     if cfg.randomizer == "spot-lognormal":
-        params.append(_FreeParam("nu", _to_log, _from_log, (math.log(5e-3), math.log(0.4))))
+        params.append(_FreeParam("nu", math.log, math.exp, (math.log(5e-3), math.log(0.4))))
     return [p for p in params if p.name not in cfg.fixed]
 
 
@@ -265,12 +258,23 @@ def model_vols(
     return implied_vol_grid(rs, expiry, strikes, engine=engine, quiet=quiet)
 
 
+def minimize(residuals, start, budget: int):
+    """Trust-region least squares from ``start`` within ``budget`` evaluations."""
+    # max_nfev leaves out the len(start) finite-difference evaluations of each Jacobian
+    return least_squares(
+        residuals, start, method="trf", max_nfev=max(budget // (len(start) + 1), 1),
+        xtol=1e-12, ftol=1e-14, gtol=1e-14,
+    )
+
+
 def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
     """Fit one expiry slice, minimizing the sum of squared vol differences.
 
-    Runs ``cfg.multistart`` simplex searches from a Latin grid over the
-    transformed parameter space (plus a degenerate embedding of a plain
-    prefit for randomized configurations) and returns the best result.
+    Runs ``cfg.multistart`` least-squares searches on the vol residuals
+    from a Latin grid over the transformed parameter space (plus a
+    degenerate embedding of a plain prefit for randomized configurations)
+    and returns the best result.  ``cfg.budget`` caps the objective
+    evaluations of each search, finite-difference Jacobian included.
     """
     expiries = quotes.expiries()
     if len(expiries) != 1:
@@ -287,16 +291,23 @@ def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
     engine = cfg.resolved_engine()
     ctx = quotes.ctx
 
-    def objective(vector) -> float:
+    def residuals(vector) -> Optional[np.ndarray]:
         try:
             values = _values_from_vector(cfg, free, vector)
             params = build_slice_params(cfg, values, ctx)
             model = model_vols(params, ctx, expiry, strikes, engine, quiet=True)
         except (RandvolError, ValueError, OverflowError):
-            return float("inf")
-        if not np.all(np.isfinite(model)):
-            return float("inf")
-        return float(np.sum((model - market) ** 2))
+            return None
+        return model - market if np.all(np.isfinite(model)) else None
+
+    def objective(vector) -> float:
+        diff = residuals(vector)
+        return float("inf") if diff is None else float(np.sum(diff**2))
+
+    def penalized(vector) -> np.ndarray:
+        # a failed point reads as 100 vol points off at every quote: the trust region backs off
+        diff = residuals(vector)
+        return np.ones_like(market) if diff is None else diff
 
     rng = np.random.default_rng(cfg.seed)
     starts = _latin_starts(rng, [p.start_range for p in free], cfg.multistart)
@@ -315,19 +326,17 @@ def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
     for start in starts:
         if not math.isfinite(objective(start)):
             continue
-        result = minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={"maxfev": cfg.budget, "xatol": 1e-10, "fatol": 1e-14},
-        )
-        candidates.append((float(result.fun), np.asarray(result.x), bool(result.success)))
+        result = minimize(penalized, start, cfg.budget)
+        candidates.append((objective(result.x), np.asarray(result.x), bool(result.success)))
 
     finite = [c for c in candidates if math.isfinite(c[0])]
     if not finite:
         raise CalibrationError("no multistart point produced a finite objective")
-    best_sse, best_x, _ = min(finite, key=lambda c: c[0])
-    best = _result_from_vector(cfg, free, best_x, quotes, expiry, strikes, market, engine, best_sse)
+    # on a tie, prefer a converged search over the unsearched embedding
+    best_sse, best_x, best_converged = min(finite, key=lambda c: (c[0], not c[2]))
+    best = _result_from_vector(
+        cfg, free, best_x, quotes, expiry, strikes, market, engine, best_sse, best_converged
+    )
     if not any(ok for _, _, ok in finite):
         raise CalibrationError(
             f"optimizer did not converge within budget {cfg.budget}", best=best
@@ -335,7 +344,9 @@ def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
     return best
 
 
-def _result_from_vector(cfg, free, vector, quotes, expiry, strikes, market, engine, sse) -> FitResult:
+def _result_from_vector(
+    cfg, free, vector, quotes, expiry, strikes, market, engine, sse, converged
+) -> FitResult:
     values = _values_from_vector(cfg, free, vector)
     params = build_slice_params(cfg, values, quotes.ctx)
     model = model_vols(params, quotes.ctx, expiry, strikes, engine)
@@ -350,7 +361,7 @@ def _result_from_vector(cfg, free, vector, quotes, expiry, strikes, market, engi
         mse=float(sse) / len(strikes),
         residuals=residuals,
         randomizer_variance=variance,
-        converged=True,
+        converged=converged,
     )
 
 

@@ -4,9 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +12,7 @@ import numpy as np
 from . import bench as bench_mod
 from .arbitrage import SliceSet, check_butterfly, check_calendar, default_strike_grid, interp_total_variance
 from .calibration import fit_slice
-from .errors import RandvolError
+from .errors import CalibrationError, RandvolError
 from .parametrizations import params_from_json
 from .pricing import MarketContext, OptionKey, OptionType, bs_price
 from .quotes import load_quotes, parse_config
@@ -154,19 +152,16 @@ def _cmd_fit(args) -> int:
     quotes = load_quotes(args.quotes, cfg.market)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    expiries = quotes.expiries()
-
-    def fit_one(expiry):
-        return fit_slice(quotes.at_expiry(expiry), cfg.fit)
-
-    workers = int(os.environ.get("RANDVOL_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fit_one, expiries))
-    else:
-        results = [fit_one(t) for t in expiries]
-
-    for expiry, result in zip(expiries, results):
+    failed = 0
+    for expiry in quotes.expiries():
+        try:
+            result = fit_slice(quotes.at_expiry(expiry), cfg.fit)
+        except CalibrationError as exc:
+            print(f"error: T={expiry:.6f}: {exc}", file=sys.stderr)
+            failed += 1
+            result = exc.best
+            if result is None:
+                continue
         tag = f"{expiry:.6f}".rstrip("0").rstrip(".").replace(".", "_")
         (out_dir / f"fit_T{tag}.json").write_text(
             json.dumps(result.to_json(), indent=2) + "\n", encoding="utf-8"
@@ -176,7 +171,7 @@ def _cmd_fit(args) -> int:
             for t, k, res in result.residuals:
                 handle.write(f"{t:.10g},{k:.10g},{res:.12g}\n")
         print(f"T={expiry:.6f}: sse={result.sse:.6e} mse={result.mse:.6e}")
-    return 0
+    return 2 if failed else 0
 
 
 def _cmd_price(args) -> int:

@@ -181,12 +181,8 @@ def eval_vol_at_nodes(
             raise ParameterDomainError("gamma nodes must be nonnegative")
         tau = key.expiry - ctx.t0
         fwd = ctx.forward(key.expiry)
-        return np.array(
-            [
-                float(hagan_vol(fwd, key.strike, tau, base.alpha, base.beta, base.rho, g))
-                for g in nodes
-            ]
-        )
+        vols = hagan_vol(fwd, np.full((1, 1), key.strike), tau, base.alpha, base.beta, base.rho, nodes)
+        return np.array(np.broadcast_to(vols, (1, nodes.size))[0])
     return np.full(nodes.shape, eval_vol(params.base, ctx, key))
 
 

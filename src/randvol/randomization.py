@@ -134,11 +134,8 @@ def _node_vol_matrix(rs: RandomizedSlice, expiry: float, strikes: np.ndarray) ->
 
         tau = expiry - rs.ctx.t0
         fwd = rs.ctx.forward(expiry)
-        cols = [
-            np.atleast_1d(hagan_vol(fwd, strikes, tau, base.alpha, base.beta, base.rho, g))
-            for g in nodes
-        ]
-        return np.column_stack(cols)
+        vols = hagan_vol(fwd, strikes[:, None], tau, base.alpha, base.beta, base.rho, nodes[None, :])
+        return np.broadcast_to(vols, (strikes.size, nodes.size))
     eta = eval_vol_curve(rs.params.base, rs.ctx, expiry, strikes)
     return np.broadcast_to(eta[:, None], (strikes.size, nodes.size))
 

@@ -4,16 +4,19 @@ import math
 import numpy as np
 import pytest
 
+from randvol import calibration
 from randvol.calibration import (
     FitConfig,
     Quote,
     QuoteSet,
     build_slice_params,
     fit_slice,
+    minimize,
     model_vols,
     select_liquid,
     variance_of_randomizer,
 )
+from randvol.errors import CalibrationError
 from randvol.parametrizations import FlatParams, RandomizerSpec, SabrParams, SliceParams
 from randvol.pricing import MarketContext, OptionType
 from randvol.quadrature import DiscreteGiven, Gamma, LogNormal, SpotLogNormal
@@ -109,8 +112,6 @@ class TestFitSlice:
     def test_needs_enough_quotes(self):
         quotes = make_quotes(1.0, [100.0], [0.2])
         cfg = FitConfig(model="sabr", randomizer="gamma-gamma")
-        from randvol.errors import CalibrationError
-
         with pytest.raises(CalibrationError):
             fit_slice(quotes, cfg)
 
@@ -124,6 +125,21 @@ class TestFitSlice:
         )
         with pytest.raises(ValueError):
             fit_slice(quotes, FitConfig(model="flat", randomizer="none", fixed={}))
+
+
+class TestMinimize:
+    @pytest.mark.parametrize("budget", [3, 10, 40])
+    def test_budget_counts_jacobian_evaluations(self, budget):
+        # Rosenbrock residuals take dozens of iterations from (-1.2, 1)
+        calls = []
+
+        def residuals(x):
+            calls.append(1)
+            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+        result = minimize(residuals, [-1.2, 1.0], budget)
+        assert len(calls) <= budget
+        assert not result.success
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +170,25 @@ class TestRandomizedSabrFit:
     def test_reproduces_quotes(self, fitted_randomized):
         result, _, _ = fitted_randomized
         assert result.mse < 1e-8
+        assert result.converged
+
+    def test_evaluation_count(self, randomized_sabr_fixture, monkeypatch):
+        # least squares on the residual vector needs about 900 model
+        # evaluations here, prefit included; a simplex search on the SSE
+        # needs over 10,000
+        quotes, _ = randomized_sabr_fixture
+        calls = []
+        real = calibration.model_vols
+        monkeypatch.setattr(calibration, "model_vols", lambda *a, **k: calls.append(1) or real(*a, **k))
+        fit_slice(quotes, FitConfig(model="sabr", randomizer="gamma-gamma", n_q=2, seed=3))
+        assert len(calls) <= 2000
+
+    def test_tiny_budget_reports_not_converged(self, randomized_sabr_fixture):
+        quotes, _ = randomized_sabr_fixture
+        with pytest.raises(CalibrationError) as info:
+            fit_slice(quotes, FitConfig(model="sabr", randomizer="none", seed=3, budget=3))
+        assert info.value.best is not None
+        assert info.value.best.converged is False
 
     def test_plain_sabr_fits_worse(self, fitted_randomized, randomized_sabr_fixture):
         result, _, _ = fitted_randomized

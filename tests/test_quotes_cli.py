@@ -240,6 +240,28 @@ class TestCli:
         assert blob["sse"] < 1e-10
         assert res_files[0].read_text().splitlines()[0] == "expiry,strike,residual"
 
+    def test_fit_failed_slices_still_written(self, tmp_path, capsys):
+        rows = [
+            f"{date},{k},C,0.2,5\n"
+            for date in ("2024-09-20", "2024-10-29")
+            for k in np.linspace(80, 120, 9)
+        ]
+        quotes = write_quotes(tmp_path / "q.csv", rows)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "spot = 100\nrate = 0.0\ntrade_date = 2024-07-31\n"
+            "model = flat\nrandomizer = none\nmultistart = 4\nbudget = 3\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "fits"
+        rc = main(["fit", "--quotes", str(quotes), "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert rc == 2
+        fit_files = sorted(out_dir.glob("fit_T*.json"))
+        assert len(fit_files) == 2 and len(list(out_dir.glob("residuals_T*.csv"))) == 2
+        assert all(json.loads(f.read_text())["converged"] is False for f in fit_files)
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 2
+
     def test_fit_roundtrip_through_iv(self, tmp_path, capsys):
         # fitted params re-priced on the quote grid reproduce the residuals
         rows = [f"2024-10-29,{k},C,0.25,5\n" for k in np.linspace(85, 115, 7)]

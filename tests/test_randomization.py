@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from randvol.errors import ParameterDomainError
-from randvol.parametrizations import FlatParams, RandomizerSpec, SabrParams, SliceParams
+from randvol.parametrizations import FlatParams, RandomizerSpec, SabrParams, SliceParams, hagan_vol
 from randvol.pricing import MarketContext, OptionKey, OptionType, bs_price, implied_vol_brent
-from randvol.quadrature import DiscreteGiven, LogNormal, SpotLogNormal
+from randvol.quadrature import DiscreteGiven, Gamma, LogNormal, SpotLogNormal
 from randvol.randomization import (
     DeterministicSlice,
+    _node_vol_matrix,
     count_local_maxima,
     density,
     implied_vol_grid,
@@ -61,6 +62,29 @@ class TestRandomize:
     def test_plain_slice_needs_deterministic_wrapper(self):
         with pytest.raises(ValueError):
             randomize(SliceParams(FlatParams(0.2)), CTX)
+
+
+class TestNodeVolMatrix:
+    @pytest.mark.parametrize(
+        "alpha,dist,n_q",
+        [
+            (0.25, Gamma(3.0, 0.5), 3),
+            (0.25, DiscreteGiven(((0.5, 0.0), (0.5, 3.0))), 2),
+            (0.0, Gamma(3.0, 0.5), 2),
+        ],
+        ids=["gamma-rule", "zero-gamma-node", "zero-alpha"],
+    )
+    def test_gamma_slice_equals_per_node_loop(self, alpha, dist, n_q):
+        base = SabrParams(alpha=alpha, beta=0.9, rho=-0.135, gamma=1.5)
+        rs = randomize(SliceParams(base, RandomizerSpec("gamma", dist, n_q)), CTX)
+        expiry = 0.25
+        strikes = np.linspace(70.0, 140.0, 29)
+        tau = expiry - CTX.t0
+        want = np.column_stack([
+            hagan_vol(CTX.forward(expiry), strikes, tau, base.alpha, base.beta, base.rho, g)
+            for g in rs.rule.nodes
+        ])
+        np.testing.assert_array_equal(_node_vol_matrix(rs, expiry, strikes), want)
 
 
 class TestRandomizedPrice:
