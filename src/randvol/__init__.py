@@ -34,7 +34,6 @@ from .parametrizations import (
     SabrParams,
     SliceParams,
     eval_vol,
-    eval_vol_at_nodes,
     hagan_vol,
     params_from_json,
     params_to_json,
@@ -60,7 +59,6 @@ from .quadrature import (
 )
 from .randomization import (
     DensityCurve,
-    DeterministicSlice,
     RandomizedSlice,
     density,
     implied_vol_grid,

@@ -76,10 +76,10 @@ class ArbReport:
 
 @dataclass(frozen=True)
 class SliceSet:
-    """Expiry-ordered collection of slices (randomized or plain).
+    """Expiry-ordered collection of slices.
 
     Each entry is (expiry, surface) where the surface exposes
-    ``implied_vol(expiry, strike)`` and ``call_price(expiry, strike)``.
+    ``implied_vol(expiry, strike, engine=...)``.
     """
 
     slices: tuple
@@ -225,11 +225,3 @@ def interp_total_variance(
     w_hi = hi_slice.implied_vol(t_hi, strike, engine=engine) ** 2 * t_hi
     return math.sqrt(((1.0 - a) * w_lo + a * w_hi) / expiry)
 
-
-def interpolated_vol_fn(slice_set: SliceSet, engine: str = "brent") -> Callable[[float, float], float]:
-    """Convenience closure over interp_total_variance for surface sampling."""
-
-    def vol(expiry: float, strike: float) -> float:
-        return interp_total_variance(slice_set, expiry, strike, engine=engine)
-
-    return vol

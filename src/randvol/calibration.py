@@ -26,7 +26,6 @@ from .parametrizations import (
     RandomizerSpec,
     SabrParams,
     SliceParams,
-    eval_vol_curve,
 )
 from .pricing import MarketContext, OptionType
 from .quadrature import DiscreteGiven, DistributionSpec, Gamma, LogNormal, SpotLogNormal
@@ -252,8 +251,6 @@ def model_vols(
     quiet: bool = False,
 ) -> np.ndarray:
     """Model implied vols on a strike grid for plain or randomized parameters."""
-    if params.randomizer is None:
-        return eval_vol_curve(params.base, ctx, expiry, strikes)
     rs = randomize(params, ctx)
     return implied_vol_grid(rs, expiry, strikes, engine=engine, quiet=quiet)
 

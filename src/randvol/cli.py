@@ -16,13 +16,7 @@ from .errors import CalibrationError, RandvolError
 from .parametrizations import params_from_json
 from .pricing import MarketContext, OptionKey, OptionType, bs_price
 from .quotes import load_quotes, parse_config
-from .randomization import (
-    DeterministicSlice,
-    density,
-    implied_vol_grid,
-    randomize,
-    randomized_prices,
-)
+from .randomization import density, implied_vol_grid, parse_engine, randomize, randomized_prices
 
 
 def main(argv=None) -> int:
@@ -103,12 +97,6 @@ def _add_market_args(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--rate", type=float, default=0.0)
 
 
-def _surface(params, ctx):
-    if params.randomizer is None:
-        return DeterministicSlice(params.base, ctx)
-    return randomize(params, ctx)
-
-
 def _load_params_file(path, spot):
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if "slices" in data:
@@ -179,29 +167,21 @@ def _cmd_price(args) -> int:
     params = _load_params_file(args.params, args.spot)
     if isinstance(params, list):
         raise ValueError("price expects a single-slice params file")
+    rs = randomize(params, ctx)
+    exact = parse_engine(args.engine)[0] == "brent"
     lines = ["expiry,strike,price"]
-    if params.randomizer is None:
-        from .parametrizations import eval_vol
-
-        for expiry, strikes in _resolve_points(args):
-            for k in strikes:
-                key = OptionKey(expiry, float(k), OptionType.CALL)
-                value = bs_price(ctx, key, eval_vol(params.base, ctx, key))
-                lines.append(f"{expiry:.10g},{k:.10g},{value:.12g}")
-    else:
-        rs = randomize(params, ctx)
-        for expiry, strikes in _resolve_points(args):
-            # the root-finder engine round-trips to the exact mixture price,
-            # so take that directly; expansion engines price off their vols
-            if args.engine == "brent":
-                values = randomized_prices(rs, expiry, strikes)
-            else:
-                vols = implied_vol_grid(rs, expiry, strikes, engine=args.engine)
-                values = [
-                    bs_price(ctx, OptionKey(expiry, float(k), OptionType.CALL), float(v))
-                    for k, v in zip(strikes, vols)
-                ]
-            lines += [f"{expiry:.10g},{k:.10g},{v:.12g}" for k, v in zip(strikes, values)]
+    for expiry, strikes in _resolve_points(args):
+        # the root-finder engine round-trips to the exact mixture price,
+        # so take that directly; expansion engines price off their vols
+        if exact:
+            values = randomized_prices(rs, expiry, strikes)
+        else:
+            vols = implied_vol_grid(rs, expiry, strikes, engine=args.engine)
+            values = [
+                bs_price(ctx, OptionKey(expiry, float(k), OptionType.CALL), float(v))
+                for k, v in zip(strikes, vols)
+            ]
+        lines += [f"{expiry:.10g},{k:.10g},{v:.12g}" for k, v in zip(strikes, values)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -211,13 +191,10 @@ def _cmd_iv(args) -> int:
     params = _load_params_file(args.params, args.spot)
     if isinstance(params, list):
         raise ValueError("iv expects a single-slice params file")
-    surface = _surface(params, ctx)
+    rs = randomize(params, ctx)
     lines = ["expiry,strike,iv"]
     for expiry, strikes in _resolve_points(args):
-        if isinstance(surface, DeterministicSlice):
-            values = [surface.implied_vol(expiry, float(k)) for k in strikes]
-        else:
-            values = implied_vol_grid(surface, expiry, strikes, engine=args.engine)
+        values = implied_vol_grid(rs, expiry, strikes, engine=args.engine)
         lines += [f"{expiry:.10g},{k:.10g},{v:.12g}" for k, v in zip(strikes, values)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -228,8 +205,6 @@ def _cmd_density(args) -> int:
     params = _load_params_file(args.params, args.spot)
     if isinstance(params, list):
         raise ValueError("density expects a single-slice params file")
-    if params.randomizer is None:
-        raise ValueError("density needs a randomized slice; plain slices are lognormal")
     rs = randomize(params, ctx)
     fwd = ctx.forward(args.expiry)
     k_lo = args.k_min if args.k_min is not None else 0.3 * fwd
@@ -252,18 +227,13 @@ def _cmd_check_arb(args) -> int:
         if args.expiry is None:
             raise ValueError("single-slice params need --expiry")
         loaded = [(args.expiry, loaded)]
-    surfaces = [(expiry, _surface(params, ctx)) for expiry, params in loaded]
+    surfaces = [(expiry, randomize(params, ctx)) for expiry, params in loaded]
 
     report = None
-    for expiry, surface in surfaces:
+    for expiry, rs in surfaces:
         grid = default_strike_grid(ctx, expiry, args.grid_points, args.grid_lo, args.grid_hi)
-        if isinstance(surface, DeterministicSlice):
-            price_fn = lambda t, ks, s=surface: np.array([s.call_price(t, float(k)) for k in np.atleast_1d(ks)])
-            spot_randomized = False
-        else:
-            price_fn = lambda t, ks, s=surface: randomized_prices(s, t, ks)
-            spot_randomized = surface.target == "spot"
-        fragment = check_butterfly(price_fn, expiry, grid, ctx, check_intrinsic=not spot_randomized)
+        price_fn = lambda t, ks, s=rs: randomized_prices(s, t, ks)
+        fragment = check_butterfly(price_fn, expiry, grid, ctx, check_intrinsic=rs.target != "spot")
         report = fragment if report is None else report.merge(fragment)
     if len(surfaces) >= 2:
         shared = default_strike_grid(ctx, surfaces[0][0], 51, 0.7, 1.4)
@@ -277,7 +247,7 @@ def _cmd_interp(args) -> int:
     loaded = _load_params_file(args.params, args.spot)
     if not isinstance(loaded, list):
         raise ValueError("interp expects a {'slices': [...]} params file")
-    slice_set = SliceSet(tuple((t, _surface(p, ctx)) for t, p in loaded))
+    slice_set = SliceSet(tuple((t, randomize(p, ctx)) for t, p in loaded))
     vol = interp_total_variance(slice_set, args.expiry, args.strike)
     print(f"{vol:.10g}")
     return 0

@@ -16,8 +16,8 @@ a root-finding oracle on that implicit function.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Literal, Optional
+from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -29,34 +29,6 @@ SPOT_ORDERS = (0, 1, 2, 3, 4)
 
 
 @dataclass(frozen=True)
-class ParameterExpansionAux:
-    """Auxiliary quantities of the even-order (parameter) expansion."""
-
-    sigma0: float
-    sigma2: float
-    sigma4: float
-    h: tuple[float, ...]
-    e: tuple[float, ...]
-    node_vols: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class SpotExpansionAux:
-    """Auxiliary quantities of the spot expansion."""
-
-    eta: float
-    beta_n: tuple[float, ...]
-    d_plus: tuple[float, ...]
-    d_minus: tuple[float, ...]
-    d0_plus: float
-    d0_minus: float
-    sigma_n: tuple[float, ...]
-    sigma_prime_n: tuple[float, ...]
-    sigma_prime_0: float
-    sigma_tilde_n: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class ExpansionTerms:
     """Taylor coefficients of the randomized implied vol at one (T, K)."""
 
@@ -65,19 +37,6 @@ class ExpansionTerms:
     strike: float
     order: int
     coefficients: tuple[float, ...]
-    aux: Optional[object] = None
-
-    def to_json(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "expiry": self.expiry,
-            "strike": self.strike,
-            "order": self.order,
-            "coefficients": list(self.coefficients),
-        }
-        if self.aux is not None:
-            out["aux"] = asdict(self.aux)
-        return out
 
 
 def parameter_coefficients(weights, node_vols, tau, order: int = 6):
@@ -85,8 +44,8 @@ def parameter_coefficients(weights, node_vols, tau, order: int = 6):
 
     ``node_vols`` has the quadrature axis last and broadcasts against
     ``tau``; a batch of points is a (points, n_q) array against a
-    (points,) tau.  Returns (coeffs, aux) where coeffs stacks
-    (P0, P2, P4, P6) along the leading axis.
+    (points,) tau.  Returns the coefficients (P0, P2, P4, P6) stacked
+    along the leading axis.
     """
     if order not in PARAMETER_ORDERS:
         raise ValueError(f"parameter expansion supports orders {PARAMETER_ORDERS}, got {order}")
@@ -131,9 +90,7 @@ def parameter_coefficients(weights, node_vols, tau, order: int = 6):
         + np.sum(lam * e / h**5 * (3.0 - 16.0 * h**2 + 31.0 * h**4), axis=-1)
     ) / (32.0 * sqrt_tau)
 
-    coeffs = np.stack([p0, p2, p4, p6])
-    aux = {"sigma0": sig0, "sigma2": sig2, "sigma4": sig4, "h": h, "e": e}
-    return coeffs, aux
+    return np.stack([p0, p2, p4, p6])
 
 
 # Hermite-polynomial derivatives of the standard normal density:
@@ -183,7 +140,7 @@ def spot_coefficients(weights, nodes, s0, base_vol, tau, order: int = 4):
 
     ``base_vol`` and ``tau`` broadcast against each other (batch of
     points); the quadrature nodes are shared across the batch.  Returns
-    (coeffs, aux) with coeffs stacking (P0, P1, P2, P3, P4).
+    the coefficients (P0, P1, P2, P3, P4) stacked along the leading axis.
     """
     if order not in SPOT_ORDERS:
         raise ValueError(f"spot expansion supports orders {SPOT_ORDERS}, got {order}")
@@ -250,20 +207,7 @@ def spot_coefficients(weights, nodes, s0, base_vol, tau, order: int = 4):
         - 4.0 * f_partial(0, 2) * p1 * p3
     ) / f_y
 
-    coeffs = np.stack([p0, p1, p2, p3, p4])
-    aux = {
-        "beta_n": beta,
-        "d_plus": d_plus,
-        "d_minus": d_minus,
-        "d0": 0.5 * p0 * sqrt_tau,
-        "sigma_n": sig_n,
-        "sigma_prime_n": -norm_pdf(d_minus),
-        "sigma_prime_0": -norm_cdf(-0.5 * p0 * sqrt_tau)
-        + norm_pdf(0.5 * p0 * sqrt_tau)
-        * (1.0 / (p0 * sqrt_tau) - sqrt_tau * p1 - 0.25 * p0 * p1**2 * tau**1.5),
-        "sigma_tilde_n": np.exp(-(beta**2) / (2.0 * tau[..., None] * eta[..., None] ** 2)),
-    }
-    return coeffs, aux
+    return np.stack([p0, p1, p2, p3, p4])
 
 
 def evaluate_polynomial(kind: str, coefficients, m, order: int):
@@ -304,27 +248,13 @@ def eval_expansion(terms: ExpansionTerms, m: float) -> float:
 
 def expand_parameter(randomized_slice, key, order: int = 6) -> ExpansionTerms:
     """Expansion terms of a parameter-randomized slice at one (T, K)."""
-    from .parametrizations import eval_vol_at_nodes
+    from .randomization import _node_vol_matrix
 
     rs = randomized_slice
     tau = key.expiry - rs.ctx.t0
-    eta = eval_vol_at_nodes(rs.params, rs.ctx, key, rs.rule)
-    coeffs, aux = parameter_coefficients(rs.rule.weights, eta, tau, order=order)
-    return ExpansionTerms(
-        kind="parameter",
-        expiry=key.expiry,
-        strike=key.strike,
-        order=order,
-        coefficients=tuple(float(c) for c in coeffs),
-        aux=ParameterExpansionAux(
-            sigma0=float(aux["sigma0"]),
-            sigma2=float(aux["sigma2"]),
-            sigma4=float(aux["sigma4"]),
-            h=tuple(aux["h"].tolist()),
-            e=tuple(aux["e"].tolist()),
-            node_vols=tuple(eta.tolist()),
-        ),
-    )
+    eta = _node_vol_matrix(rs, key.expiry, np.array([key.strike]))[0]
+    coeffs = parameter_coefficients(rs.rule.weights, eta, tau, order=order)
+    return ExpansionTerms("parameter", key.expiry, key.strike, order, tuple(float(c) for c in coeffs))
 
 
 def expand_spot(randomized_slice, key, order: int = 4) -> ExpansionTerms:
@@ -334,26 +264,5 @@ def expand_spot(randomized_slice, key, order: int = 4) -> ExpansionTerms:
     rs = randomized_slice
     tau = key.expiry - rs.ctx.t0
     eta = eval_vol(rs.params.base, rs.ctx, key)
-    coeffs, aux = spot_coefficients(
-        rs.rule.weights, rs.rule.nodes, rs.ctx.s0, eta, tau, order=order
-    )
-    d0 = float(aux["d0"])
-    return ExpansionTerms(
-        kind="spot",
-        expiry=key.expiry,
-        strike=key.strike,
-        order=order,
-        coefficients=tuple(float(c) for c in coeffs),
-        aux=SpotExpansionAux(
-            eta=eta,
-            beta_n=tuple(aux["beta_n"].tolist()),
-            d_plus=tuple(np.atleast_1d(aux["d_plus"]).tolist()),
-            d_minus=tuple(np.atleast_1d(aux["d_minus"]).tolist()),
-            d0_plus=d0,
-            d0_minus=-d0,
-            sigma_n=tuple(np.atleast_1d(aux["sigma_n"]).tolist()),
-            sigma_prime_n=tuple(np.atleast_1d(aux["sigma_prime_n"]).tolist()),
-            sigma_prime_0=float(aux["sigma_prime_0"]),
-            sigma_tilde_n=tuple(np.atleast_1d(aux["sigma_tilde_n"]).tolist()),
-        ),
-    )
+    coeffs = spot_coefficients(rs.rule.weights, rs.rule.nodes, rs.ctx.s0, eta, tau, order=order)
+    return ExpansionTerms("spot", key.expiry, key.strike, order, tuple(float(c) for c in coeffs))

@@ -18,7 +18,6 @@ from .quadrature import (
     DistributionSpec,
     Gamma,
     LogNormal,
-    QuadratureRule,
     SpotLogNormal,
 )
 
@@ -142,11 +141,7 @@ def hagan_vol(forward, strikes, tau: float, alpha: float, beta: float, rho: floa
 
 def eval_vol(base: BaseParams, ctx: MarketContext, key: OptionKey) -> float:
     """Implied volatility of the base (non-randomized) parametrization."""
-    if isinstance(base, FlatParams):
-        return base.sigma
-    tau = key.expiry - ctx.t0
-    fwd = ctx.forward(key.expiry)
-    return float(hagan_vol(fwd, key.strike, tau, base.alpha, base.beta, base.rho, base.gamma))
+    return float(eval_vol_curve(base, ctx, key.expiry, [key.strike])[0])
 
 
 def eval_vol_curve(base: BaseParams, ctx: MarketContext, expiry: float, strikes) -> np.ndarray:
@@ -157,33 +152,6 @@ def eval_vol_curve(base: BaseParams, ctx: MarketContext, expiry: float, strikes)
     tau = expiry - ctx.t0
     fwd = ctx.forward(expiry)
     return np.atleast_1d(hagan_vol(fwd, strikes, tau, base.alpha, base.beta, base.rho, base.gamma))
-
-
-def eval_vol_at_nodes(
-    params: SliceParams, ctx: MarketContext, key: OptionKey, rule: QuadratureRule
-) -> np.ndarray:
-    """Node volatilities: the base evaluated with the randomized parameter at each node.
-
-    For spot randomization the parametrization does not move with the
-    nodes, so every node carries the single base volatility.
-    """
-    rnd = params.randomizer
-    if rnd is None:
-        raise ValueError("slice has no randomizer")
-    nodes = rule.nodes
-    if rnd.target == "sigma":
-        if np.any(nodes < 0):
-            raise ParameterDomainError("sigma nodes must be nonnegative")
-        return np.array(nodes, dtype=float)
-    if rnd.target == "gamma":
-        base = params.base
-        if np.any(nodes < 0):
-            raise ParameterDomainError("gamma nodes must be nonnegative")
-        tau = key.expiry - ctx.t0
-        fwd = ctx.forward(key.expiry)
-        vols = hagan_vol(fwd, np.full((1, 1), key.strike), tau, base.alpha, base.beta, base.rho, nodes)
-        return np.array(np.broadcast_to(vols, (1, nodes.size))[0])
-    return np.full(nodes.shape, eval_vol(params.base, ctx, key))
 
 
 # ---------------------------------------------------------------------------

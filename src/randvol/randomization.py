@@ -15,21 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ExpansionRangeError, ParameterDomainError
-from .parametrizations import (
-    BaseParams,
-    SliceParams,
-    eval_vol,
-    eval_vol_curve,
-)
-from .pricing import (
-    MarketContext,
-    OptionKey,
-    OptionType,
-    bs_call_values,
-    implied_vol_brent,
-    log_moneyness,
-)
+from .errors import ParameterDomainError
+from .parametrizations import BaseParams, FlatParams, RandomizerSpec, SliceParams, eval_vol_curve
+from .pricing import MarketContext, OptionKey, OptionType, bs_call_values, implied_vol_brent
 from .quadrature import DiscreteGiven, QuadratureRule, quadrature_for
 
 logger = logging.getLogger("randvol")
@@ -69,28 +57,8 @@ class RandomizedSlice:
     def expansion_kind(self) -> str:
         return "spot" if self.target == "spot" else "parameter"
 
-    def call_price(self, expiry: float, strike: float) -> float:
-        return randomized_price(self, OptionKey(expiry, strike, OptionType.CALL))
-
     def implied_vol(self, expiry: float, strike: float, engine: str = "brent") -> float:
         return randomized_iv(self, OptionKey(expiry, strike), engine=engine)
-
-
-@dataclass(frozen=True)
-class DeterministicSlice:
-    """Plain (non-randomized) base parametrization behind the same interface."""
-
-    base: BaseParams
-    ctx: MarketContext
-
-    def call_price(self, expiry: float, strike: float) -> float:
-        key = OptionKey(expiry, strike, OptionType.CALL)
-        from .pricing import bs_price
-
-        return bs_price(self.ctx, key, eval_vol(self.base, self.ctx, key))
-
-    def implied_vol(self, expiry: float, strike: float, engine: str = "brent") -> float:
-        return eval_vol(self.base, self.ctx, OptionKey(expiry, strike))
 
 
 def randomize(
@@ -98,13 +66,13 @@ def randomize(
 ) -> RandomizedSlice:
     """Build the quadrature rule for a slice and validate the mixing invariants.
 
-    Spot randomization requires the rule mean to sit on the market spot;
-    an off-center explicit discrete rule is rejected unless
-    ``recenter_spot`` asks for its nodes to be rescaled onto the spot.
+    A plain slice (no randomizer) becomes a one-node rule: a point mass at
+    sigma (flat base) or gamma (SABR base).  Spot randomization requires
+    the rule mean to sit on the market spot; an off-center explicit
+    discrete rule is rejected unless ``recenter_spot`` asks for its nodes
+    to be rescaled onto the spot.
     """
-    rnd = params.randomizer
-    if rnd is None:
-        raise ValueError("slice has no randomizer; use DeterministicSlice instead")
+    rnd = params.randomizer or _point_mass(params.base)
     rule = quadrature_for(rnd.dist, rnd.n_q)
     if rnd.target == "spot":
         mean = rule.mean()
@@ -119,7 +87,14 @@ def randomize(
             raise ParameterDomainError("spot nodes must be strictly positive")
     elif np.any(rule.nodes < 0):
         raise ParameterDomainError(f"{rnd.target} nodes must be nonnegative")
-    return RandomizedSlice(params, rule, ctx)
+    return RandomizedSlice(SliceParams(params.base, rnd), rule, ctx)
+
+
+def _point_mass(base: BaseParams) -> RandomizerSpec:
+    """The one-node rule of a plain slice: all mass at sigma (flat) or gamma (SABR)."""
+    if isinstance(base, FlatParams):
+        return RandomizerSpec("sigma", DiscreteGiven(((1.0, base.sigma),)), 1)
+    return RandomizerSpec("gamma", DiscreteGiven(((1.0, base.gamma),)), 1)
 
 
 def _node_vol_matrix(rs: RandomizedSlice, expiry: float, strikes: np.ndarray) -> np.ndarray:
@@ -173,35 +148,9 @@ def randomized_iv(
     key: OptionKey,
     engine: str = "brent",
     m_max: float = DEFAULT_M_MAX,
-    warm_start: Optional[float] = None,
 ) -> float:
-    """Implied volatility of the randomized price at one (T, K)."""
-    method, order = parse_engine(engine)
-    call_key = OptionKey(key.expiry, key.strike, OptionType.CALL)
-    if method == "brent":
-        price = randomized_price(rs, call_key)
-        return implied_vol_brent(rs.ctx, call_key, price, warm_start=warm_start)
-
-    from .expansion import eval_expansion, expand_parameter, expand_spot
-
-    m = log_moneyness(rs.ctx, call_key)
-    if abs(m) <= m_max:
-        if rs.expansion_kind == "parameter":
-            terms = expand_parameter(rs, call_key, order=6 if order is None else order)
-        else:
-            terms = expand_spot(rs, call_key, order=4 if order is None else order)
-        try:
-            return eval_expansion(terms, m)
-        except ExpansionRangeError:
-            pass
-    logger.warning(
-        "expansion guard tripped at (T=%s, K=%s, m=%.4f); falling back to Brent",
-        key.expiry,
-        key.strike,
-        m,
-    )
-    price = randomized_price(rs, call_key)
-    return implied_vol_brent(rs.ctx, call_key, price, warm_start=warm_start)
+    """Implied volatility of the randomized price at one (T, K): a one-point grid call."""
+    return float(implied_vol_grid(rs, key.expiry, [key.strike], engine, m_max)[0])
 
 
 def implied_vol_grid(
@@ -214,29 +163,34 @@ def implied_vol_grid(
 ) -> np.ndarray:
     """Implied vols on a strike grid; the expansion path is fully vectorized.
 
-    Points outside the expansion validity region (|m| > m_max or a
-    nonpositive polynomial value) escalate to the root finder; ``quiet``
+    A one-node rule prices a single Black-Scholes value, whose implied vol
+    is the node vol itself; it is returned exactly on every engine.
+    Otherwise points outside the expansion validity region (|m| > m_max or
+    a nonpositive polynomial value) escalate to the root finder; ``quiet``
     demotes the escalation log to debug level (used by the calibrator,
     whose exploratory evaluations trip the guard routinely).
     """
     strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
     method, order = parse_engine(engine)
     tau = expiry - rs.ctx.t0
-    m = np.log(rs.ctx.s0 / strikes) + rs.ctx.r * tau
-
+    if tau <= 0:
+        raise ValueError(f"expiry {expiry} must exceed the reference time {rs.ctx.t0}")
+    if rs.rule.size == 1:
+        return _node_vol_matrix(rs, expiry, strikes)[:, 0].copy()
     if method == "brent":
         return _brent_grid(rs, expiry, strikes)
 
     from .expansion import evaluate_polynomial, parameter_coefficients, spot_coefficients
 
+    m = np.log(rs.ctx.s0 / strikes) + rs.ctx.r * tau
     if rs.expansion_kind == "parameter":
         order = 6 if order is None else order
         vols = _node_vol_matrix(rs, expiry, strikes)
-        coeffs, _ = parameter_coefficients(rs.rule.weights, vols, np.full(strikes.size, tau), order)
+        coeffs = parameter_coefficients(rs.rule.weights, vols, np.full(strikes.size, tau), order)
     else:
         order = 4 if order is None else order
         eta = eval_vol_curve(rs.params.base, rs.ctx, expiry, strikes)
-        coeffs, _ = spot_coefficients(
+        coeffs = spot_coefficients(
             rs.rule.weights, rs.rule.nodes, rs.ctx.s0, eta, np.full(strikes.size, tau), order
         )
     values = evaluate_polynomial(rs.expansion_kind, coeffs, m, order)

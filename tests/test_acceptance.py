@@ -17,7 +17,6 @@ from randvol.parametrizations import FlatParams, RandomizerSpec, SabrParams, Sli
 from randvol.pricing import MarketContext, OptionKey, OptionType, implied_vol_brent
 from randvol.quadrature import Gamma, LogNormal, SpotLogNormal, moments, quadrature_for
 from randvol.randomization import (
-    DeterministicSlice,
     count_local_maxima,
     density,
     implied_vol_grid,
@@ -287,8 +286,8 @@ def test_criterion_10_total_variance_interpolation():
     ctx = MarketContext(s0=100.0, r=0.0)
     slice_set = SliceSet(
         (
-            (1.0, DeterministicSlice(FlatParams(0.2), ctx)),
-            (2.0, DeterministicSlice(FlatParams(0.25), ctx)),
+            (1.0, randomize(SliceParams(FlatParams(0.2)), ctx)),
+            (2.0, randomize(SliceParams(FlatParams(0.25)), ctx)),
         )
     )
     mid = interp_total_variance(slice_set, 1.5, 100.0)

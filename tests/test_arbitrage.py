@@ -15,7 +15,7 @@ from randvol.errors import ExtrapolationError
 from randvol.parametrizations import FlatParams, RandomizerSpec, SabrParams, SliceParams
 from randvol.pricing import MarketContext, OptionKey, bs_price
 from randvol.quadrature import Gamma
-from randvol.randomization import DeterministicSlice, randomize, randomized_prices
+from randvol.randomization import randomize, randomized_prices
 
 CTX = MarketContext(s0=100.0, r=0.02)
 
@@ -75,8 +75,8 @@ class TestButterfly:
 class TestCalendar:
     def test_equal_flat_slices_pass(self):
         entries = (
-            (0.5, DeterministicSlice(FlatParams(0.2), CTX)),
-            (1.0, DeterministicSlice(FlatParams(0.2), CTX)),
+            (0.5, randomize(SliceParams(FlatParams(0.2)), CTX)),
+            (1.0, randomize(SliceParams(FlatParams(0.2)), CTX)),
         )
         grid = np.linspace(70.0, 140.0, 15)
         report = check_calendar(SliceSet(entries), grid)
@@ -84,8 +84,8 @@ class TestCalendar:
 
     def test_decreasing_total_variance_flagged(self):
         entries = (
-            (0.5, DeterministicSlice(FlatParams(0.3), CTX)),
-            (1.0, DeterministicSlice(FlatParams(0.1), CTX)),
+            (0.5, randomize(SliceParams(FlatParams(0.3)), CTX)),
+            (1.0, randomize(SliceParams(FlatParams(0.1)), CTX)),
         )
         report = check_calendar(SliceSet(entries), np.linspace(70.0, 140.0, 15))
         assert not report.passed
@@ -112,14 +112,14 @@ class TestCalendar:
         assert report.passed
 
     def test_needs_two_slices(self):
-        entries = ((0.5, DeterministicSlice(FlatParams(0.2), CTX)),)
+        entries = ((0.5, randomize(SliceParams(FlatParams(0.2)), CTX)),)
         with pytest.raises(ValueError):
             check_calendar(SliceSet(entries), np.linspace(70, 140, 10))
 
     def test_slice_set_ordering_enforced(self):
         entries = (
-            (1.0, DeterministicSlice(FlatParams(0.2), CTX)),
-            (0.5, DeterministicSlice(FlatParams(0.2), CTX)),
+            (1.0, randomize(SliceParams(FlatParams(0.2)), CTX)),
+            (0.5, randomize(SliceParams(FlatParams(0.2)), CTX)),
         )
         with pytest.raises(ValueError):
             SliceSet(entries)
@@ -128,7 +128,7 @@ class TestCalendar:
 class TestInterpolation:
     def flat_set(self, vols=(0.2, 0.25), expiries=(1.0, 2.0)):
         return SliceSet(
-            tuple((t, DeterministicSlice(FlatParams(v), CTX)) for t, v in zip(expiries, vols))
+            tuple((t, randomize(SliceParams(FlatParams(v)), CTX)) for t, v in zip(expiries, vols))
         )
 
     def test_endpoints_exact(self):

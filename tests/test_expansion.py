@@ -61,13 +61,13 @@ class TestParameterExpansion:
     def test_single_node_exact(self):
         # higher coefficients cancel through 1/sigma0^5-sized terms, so the
         # float residue grows with the order
-        coeffs, _ = parameter_coefficients(np.array([1.0]), np.array([0.2]), 1.0)
+        coeffs = parameter_coefficients(np.array([1.0]), np.array([0.2]), 1.0)
         np.testing.assert_allclose(coeffs[0], 0.2, rtol=1e-15)
         for coeff, atol in zip(coeffs[1:], (1e-13, 1e-12, 1e-10)):
             assert abs(coeff) < atol
 
     def test_equal_nodes_degenerate(self):
-        coeffs, _ = parameter_coefficients(
+        coeffs = parameter_coefficients(
             np.array([0.5, 0.5]), np.array([0.25, 0.25]), 2.0
         )
         np.testing.assert_allclose(coeffs[0], 0.25, rtol=1e-15)
@@ -109,27 +109,21 @@ class TestParameterExpansion:
         rs = fig3_slice()
         taus = np.array([0.5, 1.0, 2.0])
         vols = np.broadcast_to(rs.rule.nodes, (3, rs.rule.size))
-        batch, _ = parameter_coefficients(rs.rule.weights, vols, taus)
+        batch = parameter_coefficients(rs.rule.weights, vols, taus)
         for i, tau in enumerate(taus):
-            single, _ = parameter_coefficients(rs.rule.weights, rs.rule.nodes, tau)
+            single = parameter_coefficients(rs.rule.weights, rs.rule.nodes, tau)
             np.testing.assert_allclose(batch[:, i], single, rtol=1e-14)
 
 
 class TestSpotExpansion:
     def test_nodes_at_spot_collapse(self):
         # all nodes equal to the spot: no randomization, flat implied vol
-        coeffs, _ = spot_coefficients(
+        coeffs = spot_coefficients(
             np.array([0.5, 0.5]), np.array([100.0, 100.0]), 100.0, 0.2, 1.0
         )
         np.testing.assert_allclose(coeffs[0], 0.2, rtol=1e-14)
         np.testing.assert_allclose(coeffs[1], 0.0, atol=1e-14)
         np.testing.assert_allclose(coeffs[2], 0.0, atol=1e-12)
-
-    def test_symmetric_nodes_aux(self):
-        _, aux = spot_coefficients(np.array([1.0]), np.array([100.0]), 100.0, 0.3, 4.0)
-        np.testing.assert_allclose(aux["beta_n"], [0.0], atol=0)
-        np.testing.assert_allclose(aux["d_plus"], [0.5 * 0.3 * 2.0], rtol=1e-14)
-        np.testing.assert_allclose(aux["d_minus"], [-0.5 * 0.3 * 2.0], rtol=1e-14)
 
     @pytest.mark.parametrize("nu", [0.03, 0.05, 0.07])
     def test_coefficients_match_finite_differences(self, nu):
@@ -198,11 +192,3 @@ class TestEvalExpansion:
         t4 = evaluate_polynomial("parameter", coeffs, m, 4)
         assert t2 == pytest.approx(0.2 + 0.1 / 2 * m**2, rel=1e-15)
         assert t4 == pytest.approx(t2 - 0.7 / 24 * m**4, rel=1e-15)
-
-    def test_json_contains_aux(self):
-        rs = fig3_slice()
-        terms = expand_parameter(rs, OptionKey(2.0, 100.0))
-        blob = terms.to_json()
-        assert blob["kind"] == "parameter"
-        assert len(blob["coefficients"]) == 4
-        assert "sigma0" in blob["aux"]

@@ -10,13 +10,13 @@ from randvol.parametrizations import (
     SabrParams,
     SliceParams,
     eval_vol,
-    eval_vol_at_nodes,
     hagan_vol,
     params_from_json,
     params_to_json,
 )
 from randvol.pricing import MarketContext, OptionKey
-from randvol.quadrature import DiscreteGiven, Gamma, LogNormal, QuadratureRule, SpotLogNormal, quadrature_for
+from randvol.quadrature import DiscreteGiven, Gamma, LogNormal, SpotLogNormal, quadrature_for
+from randvol.randomization import _node_vol_matrix, randomize
 
 CTX = MarketContext(s0=100.0, r=0.0)
 
@@ -108,23 +108,25 @@ class TestEvalVol:
         assert got == pytest.approx(want, rel=1e-13)
 
 
+def node_vols(params, key):
+    """Node volatilities of a randomized slice at one (T, K)."""
+    return _node_vol_matrix(randomize(params, CTX), key.expiry, np.array([key.strike]))[0]
+
+
 class TestEvalVolAtNodes:
     def test_flat_sigma_identity(self):
         params = SliceParams(
             FlatParams(0.2),
             RandomizerSpec("sigma", DiscreteGiven(((0.5, 0.1), (0.5, 0.3))), 2),
         )
-        rule = QuadratureRule(np.array([0.5, 0.5]), np.array([0.1, 0.3]))
-        np.testing.assert_array_equal(
-            eval_vol_at_nodes(params, CTX, OptionKey(1.0, 100.0), rule), [0.1, 0.3]
-        )
+        np.testing.assert_array_equal(node_vols(params, OptionKey(1.0, 100.0)), [0.1, 0.3])
 
     def test_sabr_gamma_nodes_match_scalar_eval(self):
         rnd = RandomizerSpec("gamma", Gamma(3.0, 0.5), 3)
         params = SliceParams(SabrParams(0.25, 0.9, -0.135, 1.5), rnd)
         rule = quadrature_for(rnd.dist, rnd.n_q)
         key = OptionKey(0.4, 92.0)
-        got = eval_vol_at_nodes(params, CTX, key, rule)
+        got = node_vols(params, key)
         want = [
             eval_vol(SabrParams(0.25, 0.9, -0.135, g), CTX, key) for g in rule.nodes
         ]
@@ -133,27 +135,22 @@ class TestEvalVolAtNodes:
     def test_one_node_rule_mean(self):
         rnd = RandomizerSpec("gamma", Gamma(3.0, 0.5), 1)
         params = SliceParams(SabrParams(0.25, 0.9, -0.135, 1.5), rnd)
-        rule = quadrature_for(rnd.dist, 1)
         key = OptionKey(0.4, 105.0)
-        got = eval_vol_at_nodes(params, CTX, key, rule)
+        got = node_vols(params, key)
         assert got[0] == pytest.approx(eval_vol(SabrParams(0.25, 0.9, -0.135, 1.5), CTX, key), rel=1e-12)
 
     def test_spot_target_repeats_base_vol(self):
         rnd = RandomizerSpec("spot", SpotLogNormal(100.0, 0.1), 2)
         params = SliceParams(FlatParams(0.2), rnd)
-        rule = quadrature_for(rnd.dist, 2)
-        np.testing.assert_array_equal(
-            eval_vol_at_nodes(params, CTX, OptionKey(1.0, 100.0), rule), [0.2, 0.2]
-        )
+        np.testing.assert_array_equal(node_vols(params, OptionKey(1.0, 100.0)), [0.2, 0.2])
 
     def test_negative_discrete_node_rejected(self):
         params = SliceParams(
             FlatParams(0.2),
             RandomizerSpec("sigma", DiscreteGiven(((0.5, -0.1), (0.5, 0.3))), 2),
         )
-        rule = QuadratureRule(np.array([0.5, 0.5]), np.array([-0.1, 0.3]))
         with pytest.raises(ParameterDomainError):
-            eval_vol_at_nodes(params, CTX, OptionKey(1.0, 100.0), rule)
+            node_vols(params, OptionKey(1.0, 100.0))
 
 
 class TestJson:

@@ -167,6 +167,29 @@ class TestCli:
         assert out[0] == "expiry,strike,price"
         assert float(out[1].split(",")[2]) > 0
 
+    def test_price_engine_name_is_case_insensitive(self, sigma_params_file, capsys):
+        common = [
+            "price", "--spot", "100", "--rate", "0",
+            "--params", str(sigma_params_file),
+            "--expiry", "0.5", "--strikes", "130",
+        ]
+        assert main([*common, "--engine", "brent"]) == 0
+        exact = capsys.readouterr().out
+        assert main([*common, "--engine", "Brent"]) == 0
+        assert capsys.readouterr().out == exact
+
+    def test_density_of_plain_flat_slice(self, tmp_path, capsys):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"type": "flat", "sigma": 0.2}), encoding="utf-8")
+        rc = main([
+            "density", "--spot", "100", "--rate", "0.02",
+            "--params", str(path), "--expiry", "1.0", "--out", str(tmp_path / "d.csv"),
+        ])
+        assert rc == 0
+        stats = dict(item.split("=") for item in capsys.readouterr().err.split())
+        assert float(stats["mass"]) == pytest.approx(1.0, abs=1e-3)
+        assert float(stats["mean"]) == pytest.approx(100.0 * math.exp(0.02), rel=1e-3)
+
     def test_density_diagnostics_on_stderr(self, tmp_path, sigma_params_file, capsys):
         out = tmp_path / "d.csv"
         rc = main([

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from randvol.errors import ParameterDomainError
-from randvol.parametrizations import FlatParams, RandomizerSpec, SabrParams, SliceParams, hagan_vol
+from randvol.parametrizations import FlatParams, RandomizerSpec, SabrParams, SliceParams, eval_vol_curve, hagan_vol
 from randvol.pricing import MarketContext, OptionKey, OptionType, bs_price, implied_vol_brent
 from randvol.quadrature import DiscreteGiven, Gamma, LogNormal, SpotLogNormal
 from randvol.randomization import (
-    DeterministicSlice,
     _node_vol_matrix,
     count_local_maxima,
     density,
@@ -59,9 +58,21 @@ class TestRandomize:
         with pytest.raises(ParameterDomainError):
             randomize(params, CTX)
 
-    def test_plain_slice_needs_deterministic_wrapper(self):
-        with pytest.raises(ValueError):
-            randomize(SliceParams(FlatParams(0.2)), CTX)
+    @pytest.mark.parametrize(
+        "base,target",
+        [(FlatParams(0.2), "sigma"), (SabrParams(0.3, 0.9, -0.3, 1.0), "gamma")],
+        ids=["flat", "sabr"],
+    )
+    @pytest.mark.parametrize("engine", ["brent", "expansion:6"])
+    def test_plain_slice_is_one_node_rule(self, base, target, engine):
+        rs = randomize(SliceParams(base), CTX)
+        assert rs.rule.size == 1
+        assert rs.target == target
+        strikes = np.linspace(40.0, 250.0, 43)
+        np.testing.assert_array_equal(
+            implied_vol_grid(rs, 0.5, strikes, engine=engine),
+            eval_vol_curve(base, CTX, 0.5, strikes),
+        )
 
 
 class TestNodeVolMatrix:
@@ -183,6 +194,19 @@ class TestRandomizedIv:
         via_brent = randomized_iv(rs, key, engine="brent")
         assert via_guard == pytest.approx(via_brent, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "plain,engine",
+        [(False, "brent"), (False, "expansion:6"), (True, "expansion:6")],
+        ids=["brent", "expansion", "one-node"],
+    )
+    def test_expired_expiry_rejected(self, plain, engine):
+        if plain:
+            rs = randomize(SliceParams(FlatParams(0.2)), CTX)
+        else:
+            rs = sigma_mixture([(0.5, 0.1), (0.5, 0.3)])
+        with pytest.raises(ValueError, match="must exceed"):
+            implied_vol_grid(rs, CTX.t0, [90.0, 110.0], engine=engine)
+
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             parse_engine("newton")
@@ -256,8 +280,10 @@ class TestDensity:
 
 
 class TestDeterministicSlice:
+    """A plain slice is priced and inverted as a one-node rule."""
+
     def test_call_price_and_vol(self):
-        s = DeterministicSlice(SabrParams(0.3, 0.9, -0.3, 1.0), CTX)
+        s = randomize(SliceParams(SabrParams(0.3, 0.9, -0.3, 1.0)), CTX)
         vol = s.implied_vol(0.5, 95.0)
         key = OptionKey(0.5, 95.0)
-        assert s.call_price(0.5, 95.0) == pytest.approx(bs_price(CTX, key, vol), rel=1e-14)
+        assert randomized_price(s, key) == pytest.approx(bs_price(CTX, key, vol), rel=1e-14)
