@@ -79,7 +79,7 @@ class SliceSet:
     """Expiry-ordered collection of slices.
 
     Each entry is (expiry, surface) where the surface exposes
-    ``implied_vol(expiry, strike, engine=...)``.
+    ``implied_vol(expiry, strikes, engine=...)`` over an array of strikes.
     """
 
     slices: tuple
@@ -183,10 +183,7 @@ def check_calendar(
         raise ValueError("calendar check needs at least two slices")
     grid = np.asarray(strike_grid, dtype=float)
     report = ArbReport()
-    variances = [
-        np.array([surface.implied_vol(t, float(k), engine=engine) ** 2 * t for k in grid])
-        for t, surface in slice_set.slices
-    ]
+    variances = [surface.implied_vol(t, grid, engine=engine) ** 2 * t for t, surface in slice_set.slices]
     for (t_lo, _), (t_hi, _), w_lo, w_hi in zip(
         slice_set.slices, slice_set.slices[1:], variances, variances[1:]
     ):
@@ -197,13 +194,12 @@ def check_calendar(
     return report
 
 
-def interp_total_variance(
-    slice_set: SliceSet, expiry: float, strike: float, engine: str = "brent"
-) -> float:
+def interp_total_variance(slice_set: SliceSet, expiry: float, strike, engine: str = "brent"):
     """Implied vol at (expiry, strike) by linear interpolation in total variance.
 
     With a such that T = (1-a) T_i + a T_j for the bracketing slices,
-    returns sqrt(((1-a) w_i + a w_j) / T).  Extrapolation is refused.
+    returns sqrt(((1-a) w_i + a w_j) / T), elementwise for an array of
+    strikes.  Extrapolation is refused.
     """
     expiries = slice_set.expiries
     if expiry < expiries[0] or expiry > expiries[-1]:
@@ -223,5 +219,5 @@ def interp_total_variance(
     a = (expiry - t_lo) / (t_hi - t_lo)
     w_lo = lo_slice.implied_vol(t_lo, strike, engine=engine) ** 2 * t_lo
     w_hi = hi_slice.implied_vol(t_hi, strike, engine=engine) ** 2 * t_hi
-    return math.sqrt(((1.0 - a) * w_lo + a * w_hi) / expiry)
+    return np.sqrt(((1.0 - a) * w_lo + a * w_hi) / expiry)
 

@@ -288,14 +288,19 @@ def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
     engine = cfg.resolved_engine()
     ctx = quotes.ctx
 
+    memo: dict[bytes, Optional[np.ndarray]] = {}  # probes, searches and final SSEs revisit points
+
     def residuals(vector) -> Optional[np.ndarray]:
-        try:
-            values = _values_from_vector(cfg, free, vector)
-            params = build_slice_params(cfg, values, ctx)
-            model = model_vols(params, ctx, expiry, strikes, engine, quiet=True)
-        except (RandvolError, ValueError, OverflowError):
-            return None
-        return model - market if np.all(np.isfinite(model)) else None
+        key = np.asarray(vector, dtype=float).tobytes()
+        if key not in memo:
+            try:
+                values = _values_from_vector(cfg, free, vector)
+                params = build_slice_params(cfg, values, ctx)
+                model = model_vols(params, ctx, expiry, strikes, engine, quiet=True)
+            except (RandvolError, ValueError, OverflowError):
+                model = None
+            memo[key] = model - market if model is not None and np.all(np.isfinite(model)) else None
+        return memo[key]
 
     def objective(vector) -> float:
         diff = residuals(vector)
@@ -331,35 +336,22 @@ def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
         raise CalibrationError("no multistart point produced a finite objective")
     # on a tie, prefer a converged search over the unsearched embedding
     best_sse, best_x, best_converged = min(finite, key=lambda c: (c[0], not c[2]))
-    best = _result_from_vector(
-        cfg, free, best_x, quotes, expiry, strikes, market, engine, best_sse, best_converged
+    params = build_slice_params(cfg, _values_from_vector(cfg, free, best_x), ctx)
+    variance = 0.0 if params.randomizer is None else variance_of_randomizer(params.randomizer.dist)
+    best = FitResult(
+        params=params,
+        expiry=expiry,
+        sse=float(best_sse),
+        mse=float(best_sse) / len(strikes),
+        residuals=[(expiry, float(k), float(d)) for k, d in zip(strikes, residuals(best_x))],
+        randomizer_variance=variance,
+        converged=best_converged,
     )
     if not any(ok for _, _, ok in finite):
         raise CalibrationError(
             f"optimizer did not converge within budget {cfg.budget}", best=best
         )
     return best
-
-
-def _result_from_vector(
-    cfg, free, vector, quotes, expiry, strikes, market, engine, sse, converged
-) -> FitResult:
-    values = _values_from_vector(cfg, free, vector)
-    params = build_slice_params(cfg, values, quotes.ctx)
-    model = model_vols(params, quotes.ctx, expiry, strikes, engine)
-    residuals = [
-        (expiry, float(k), float(m - q)) for k, m, q in zip(strikes, model, market)
-    ]
-    variance = 0.0 if params.randomizer is None else variance_of_randomizer(params.randomizer.dist)
-    return FitResult(
-        params=params,
-        expiry=expiry,
-        sse=float(sse),
-        mse=float(sse) / len(strikes),
-        residuals=residuals,
-        randomizer_variance=variance,
-        converged=converged,
-    )
 
 
 def _plain_config(cfg: FitConfig) -> FitConfig:

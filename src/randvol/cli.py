@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -14,7 +15,7 @@ from .arbitrage import SliceSet, check_butterfly, check_calendar, default_strike
 from .calibration import fit_slice
 from .errors import CalibrationError, RandvolError
 from .parametrizations import params_from_json
-from .pricing import MarketContext, OptionKey, OptionType, bs_price
+from .pricing import MarketContext, bs_call_values
 from .quotes import load_quotes, parse_config
 from .randomization import density, implied_vol_grid, parse_engine, randomize, randomized_prices
 
@@ -32,6 +33,7 @@ def main(argv=None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="randvol", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -177,10 +179,7 @@ def _cmd_price(args) -> int:
             values = randomized_prices(rs, expiry, strikes)
         else:
             vols = implied_vol_grid(rs, expiry, strikes, engine=args.engine)
-            values = [
-                bs_price(ctx, OptionKey(expiry, float(k), OptionType.CALL), float(v))
-                for k, v in zip(strikes, vols)
-            ]
+            values = bs_call_values(ctx.s0, ctx.r, expiry - ctx.t0, strikes, vols)
         lines += [f"{expiry:.10g},{k:.10g},{v:.12g}" for k, v in zip(strikes, values)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0

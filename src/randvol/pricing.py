@@ -1,4 +1,4 @@
-"""Black-Scholes pricing, log-moneyness, and the implied-vol root-finding oracle."""
+"""Black-Scholes pricing, log-moneyness, the vectorized implied-vol inversion and its scalar oracle."""
 from __future__ import annotations
 
 import math
@@ -15,6 +15,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BRACKET_LO = 1e-9
 _BRACKET_HI = 5.0
 _BRACKET_EXPANSIONS = 3
+_EPS = np.finfo(float).eps
+_NEWTON_MAX_ITER = 50
 
 
 class OptionType(str, Enum):
@@ -113,6 +115,57 @@ def bs_call_values(s0, r: float, tau: float, strikes, sigmas) -> np.ndarray:
         values = s0 * ndtr(d1) - k * df * ndtr(d2)
     intrinsic = np.maximum(s0 - k * df, 0.0)
     return np.where(st > 0, values, intrinsic)
+
+
+def implied_vols(ctx: MarketContext, expiry: float, strikes, call_prices) -> np.ndarray:
+    """Implied vols of call prices on a strike grid by one vectorized Newton pass.
+
+    Newton runs on log b in log s, where b is the out-of-the-money part of
+    the price normalized by sqrt(s0 K df) and s = sigma sqrt(tau) (after
+    Jaeckel, "Let's Be Rational", 2015); log b is concave in s.  A step
+    that leaves the bracket bisects.  A point settles when its price
+    residual is within a few rounding errors of the price evaluation, or
+    its bracket is a few ulps wide; the rest, among them prices outside
+    (intrinsic, s0), are NaN.
+    """
+    tau = _check_expiry(ctx, expiry)
+    strikes, prices = np.broadcast_arrays(
+        np.asarray(strikes, dtype=float), np.asarray(call_prices, dtype=float)
+    )
+    df = math.exp(-ctx.r * tau)
+    intrinsic = np.maximum(ctx.s0 - strikes * df, 0.0)
+    out = np.full(strikes.shape, np.nan)
+    idx = np.flatnonzero((prices > intrinsic) & (prices < ctx.s0))
+    theta = -np.abs(np.log(ctx.s0 / strikes.flat[idx]) + ctx.r * tau)
+    target = (prices.flat[idx] - intrinsic.flat[idx]) / np.sqrt(ctx.s0 * strikes.flat[idx] * df)
+    e = np.exp(0.5 * theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # start at the smaller inverse of b's asymptotes, with e = exp(theta/2):
+        # 2 pi |theta| 3^-1.5 N(theta/(sqrt(3) s))^3 as s -> 0, e - (e + 1/e) N(-s/2) as s -> oo
+        low = theta / (math.sqrt(3.0) * ndtri(np.cbrt(3.0**1.5 * target / (2.0 * math.pi * -theta))))
+        high = -2.0 * ndtri((e - target) / (e + 1.0 / e))
+    s = np.minimum(np.where(low > 0, low, np.inf), np.where(high > 0, high, np.inf))
+    s, lo, hi = np.where(s < np.inf, s, 1.0), np.zeros(idx.size), np.full(idx.size, np.inf)
+    for _ in range(_NEWTON_MAX_ITER):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            d1 = theta / s + 0.5 * s
+            t1, vega = e * ndtr(d1), e * norm_pdf(d1)
+            b = t1 - ndtr(d1 - s) / e
+            g = np.log(b / target)
+            # a Newton step on log b in log s, of at least one ulp so that a bracket can close
+            step = -g * b / (vega * s)
+            s_new = s * np.exp(np.copysign(np.maximum(np.abs(step), 2.0 * _EPS), step))
+        lo, hi = np.where(g > 0, lo, s), np.where(g > 0, s, hi)
+        # t1 + vega (|d1| + s) bounds the rounding error of b in units of eps
+        noise = t1 + vega * (np.abs(d1) + s)
+        done = (np.abs(b - target) <= 4.0 * _EPS * noise) | (hi - lo <= 4.0 * _EPS * lo)
+        out.flat[idx[done]] = s[done]
+        bisect = np.where(hi < np.inf, 0.5 * (lo + hi), 2.0 * lo)
+        s = np.where((s_new > lo) & (s_new < hi), s_new, bisect)
+        idx, theta, e, target, s, lo, hi = (a[~done] for a in (idx, theta, e, target, s, lo, hi))
+        if idx.size == 0:
+            break
+    return out / math.sqrt(tau)
 
 
 def implied_vol_brent(

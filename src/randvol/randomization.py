@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .parametrizations import BaseParams, FlatParams, RandomizerSpec, SliceParams, eval_vol_curve
-from .pricing import MarketContext, OptionKey, OptionType, bs_call_values, implied_vol_brent
+from .pricing import MarketContext, OptionKey, OptionType, bs_call_values, implied_vol_brent, implied_vols
 from .quadrature import DiscreteGiven, QuadratureRule, quadrature_for
 
 logger = logging.getLogger("randvol")
@@ -57,8 +57,10 @@ class RandomizedSlice:
     def expansion_kind(self) -> str:
         return "spot" if self.target == "spot" else "parameter"
 
-    def implied_vol(self, expiry: float, strike: float, engine: str = "brent") -> float:
-        return randomized_iv(self, OptionKey(expiry, strike), engine=engine)
+    def implied_vol(self, expiry: float, strikes, engine: str = "brent"):
+        """Implied vols at ``strikes``: a float for a scalar, an array for an array."""
+        vols = implied_vol_grid(self, expiry, strikes, engine=engine)
+        return float(vols[0]) if np.ndim(strikes) == 0 else vols
 
 
 def randomize(
@@ -161,12 +163,12 @@ def implied_vol_grid(
     m_max: float = DEFAULT_M_MAX,
     quiet: bool = False,
 ) -> np.ndarray:
-    """Implied vols on a strike grid; the expansion path is fully vectorized.
+    """Implied vols on a strike grid, vectorized on every engine.
 
     A one-node rule prices a single Black-Scholes value, whose implied vol
     is the node vol itself; it is returned exactly on every engine.
     Otherwise points outside the expansion validity region (|m| > m_max or
-    a nonpositive polynomial value) escalate to the root finder; ``quiet``
+    a nonpositive polynomial value) escalate to the exact inversion; ``quiet``
     demotes the escalation log to debug level (used by the calibrator,
     whose exploratory evaluations trip the guard routinely).
     """
@@ -199,7 +201,7 @@ def implied_vol_grid(
     if np.any(escalate):
         logger.log(
             logging.DEBUG if quiet else logging.WARNING,
-            "expansion guard tripped at %d of %d grid points; falling back to Brent",
+            "expansion guard tripped at %d of %d grid points; falling back to the exact inversion",
             int(escalate.sum()),
             strikes.size,
         )
@@ -208,13 +210,11 @@ def implied_vol_grid(
 
 
 def _brent_grid(rs: RandomizedSlice, expiry: float, strikes: np.ndarray) -> np.ndarray:
+    """Exact vols of the mixture prices; scalar Brent answers or refuses what the vector pass leaves."""
     prices = randomized_prices(rs, expiry, strikes)
-    out = np.empty(strikes.size)
-    warm = None
-    for i, (k, price) in enumerate(zip(strikes, prices)):
-        key = OptionKey(expiry, float(k), OptionType.CALL)
-        out[i] = implied_vol_brent(rs.ctx, key, float(price), warm_start=warm)
-        warm = out[i]
+    out = implied_vols(rs.ctx, expiry, strikes, prices)
+    for i in np.flatnonzero(np.isnan(out)):
+        out[i] = implied_vol_brent(rs.ctx, OptionKey(expiry, float(strikes[i])), float(prices[i]))
     return out
 
 

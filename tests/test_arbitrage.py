@@ -111,6 +111,20 @@ class TestCalendar:
         report = check_calendar(SliceSet(tuple(entries)), np.linspace(50.0, 150.0, 25))
         assert report.passed
 
+    def test_one_implied_vol_call_per_slice(self):
+        class CountingSlice:
+            def __init__(self, sigma):
+                self.rs, self.calls = randomize(SliceParams(FlatParams(sigma)), CTX), 0
+
+            def implied_vol(self, expiry, strikes, engine="brent"):
+                self.calls += 1
+                return self.rs.implied_vol(expiry, strikes, engine=engine)
+
+        slices = [CountingSlice(0.2), CountingSlice(0.21), CountingSlice(0.22)]
+        entries = tuple(zip((0.5, 1.0, 1.5), slices))
+        assert check_calendar(SliceSet(entries), np.linspace(70.0, 140.0, 15)).passed
+        assert [s.calls for s in slices] == [1, 1, 1]
+
     def test_needs_two_slices(self):
         entries = ((0.5, randomize(SliceParams(FlatParams(0.2)), CTX)),)
         with pytest.raises(ValueError):

@@ -175,13 +175,16 @@ class TestRandomizedSabrFit:
     def test_evaluation_count(self, randomized_sabr_fixture, monkeypatch):
         # least squares on the residual vector needs about 900 model
         # evaluations here, prefit included; a simplex search on the SSE
-        # needs over 10,000
+        # needs over 10,000; no parameter point is evaluated twice
         quotes, _ = randomized_sabr_fixture
         calls = []
         real = calibration.model_vols
-        monkeypatch.setattr(calibration, "model_vols", lambda *a, **k: calls.append(1) or real(*a, **k))
+        monkeypatch.setattr(
+            calibration, "model_vols", lambda *a, **k: calls.append(repr(a[0])) or real(*a, **k)
+        )
         fit_slice(quotes, FitConfig(model="sabr", randomizer="gamma-gamma", n_q=2, seed=3))
         assert len(calls) <= 2000
+        assert len(set(calls)) == len(calls)
 
     def test_tiny_budget_reports_not_converged(self, randomized_sabr_fixture):
         quotes, _ = randomized_sabr_fixture

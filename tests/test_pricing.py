@@ -1,12 +1,13 @@
-"""Tests for Black-Scholes pricing and the implied-vol root finder."""
+"""Tests for Black-Scholes pricing, the vectorized implied-vol inversion and its Brent oracle."""
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from randvol.errors import NoImpliedVolError
+from randvol.parametrizations import FlatParams, RandomizerSpec, SliceParams
 from randvol.pricing import (
     MarketContext,
     OptionKey,
@@ -14,8 +15,11 @@ from randvol.pricing import (
     bs_call_values,
     bs_price,
     implied_vol_brent,
+    implied_vols,
     log_moneyness,
 )
+from randvol.quadrature import DiscreteGiven
+from randvol.randomization import implied_vol_grid, randomize
 
 CTX = MarketContext(s0=100.0, r=0.0)
 
@@ -131,6 +135,69 @@ class TestImpliedVol:
         price = bs_price(CTX, key, 0.4)
         vol = implied_vol_brent(CTX, key, price, rtol=1e-15)
         assert vol == pytest.approx(0.4, abs=1e-12)
+
+
+def vega_times_vol(ctx, tau, strikes, sigma):
+    total = sigma * math.sqrt(tau)
+    d1 = (np.log(ctx.s0 / strikes) + ctx.r * tau) / total + 0.5 * total
+    return ctx.s0 * np.exp(-0.5 * d1**2) / math.sqrt(2.0 * math.pi) * total
+
+
+def strike_grid(ctx, tau, lo, hi):
+    return ctx.forward(tau) * np.geomspace(lo, hi, 41)
+
+
+class TestImpliedVols:
+    @given(st.floats(0.01, 3.0), st.floats(0.02, 5.0), st.floats(-0.05, 0.1))
+    @settings(max_examples=100, deadline=None)
+    def test_roundtrip_settles_every_point(self, sigma, tau, rate):
+        ctx = MarketContext(s0=100.0, r=rate)
+        strikes = strike_grid(ctx, tau, 0.3, 3.0)
+        prices = bs_call_values(ctx.s0, rate, tau, strikes, sigma)
+        # a price that rounds onto a bound has no implied vol
+        intrinsic = np.maximum(ctx.s0 - strikes * math.exp(-rate * tau), 0.0)
+        inside = (prices > intrinsic) & (prices < ctx.s0)
+        strikes, prices = strikes[inside], prices[inside]
+        vols = implied_vols(ctx, tau, strikes, prices)
+        assert not np.any(np.isnan(vols))
+        gap = np.abs(bs_call_values(ctx.s0, rate, tau, strikes, vols) - prices)
+        # deep in the money the price itself is only known to a few ulps of the spot
+        gap = np.maximum(gap - 4.0 * np.finfo(float).eps * ctx.s0, 0.0)
+        assert np.all(gap <= 1e-8 * vega_times_vol(ctx, tau, strikes, vols))
+
+    @given(st.floats(0.01, 3.0), st.floats(0.1, 5.0))
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_brent(self, sigma, tau):
+        ctx = MarketContext(s0=100.0, r=0.02)
+        strikes = strike_grid(ctx, tau, 0.5, 2.0)
+        # only where a few ulps of the spot in the price move the vol by < 1e-9
+        strikes = strikes[vega_times_vol(ctx, tau, strikes, sigma) > 1e-6 * ctx.s0]
+        assume(strikes.size > 0)
+        prices = bs_call_values(ctx.s0, ctx.r, tau, strikes, sigma)
+        vols = implied_vols(ctx, tau, strikes, prices)
+        oracle = [
+            implied_vol_brent(ctx, OptionKey(tau, float(k)), float(p), rtol=1e-15)
+            for k, p in zip(strikes, prices)
+        ]
+        np.testing.assert_allclose(vols, oracle, rtol=1e-8)
+
+    def test_prices_outside_the_bounds_unsettled(self):
+        strikes = np.array([80.0, 100.0, 120.0, 100.0])
+        prices = np.array([20.0, 100.0, 0.0, np.nan])
+        assert np.all(np.isnan(implied_vols(CTX, 1.0, strikes, prices)))
+
+    @pytest.mark.parametrize(
+        "nodes,expiry,strike",
+        [((0.01, 0.02), 0.05, 50.0), ((60.0, 80.0), 4.0, 100.0)],
+        ids=["at-intrinsic", "at-spot"],
+    )
+    def test_grid_raises_where_no_vol_exists(self, nodes, expiry, strike):
+        # the mixture price rounds onto a bound: exactly intrinsic, or exactly s0
+        rule = DiscreteGiven(((0.5, nodes[0]), (0.5, nodes[1])))
+        params = SliceParams(FlatParams(nodes[0]), RandomizerSpec("sigma", rule, 2))
+        rs = randomize(params, CTX)
+        with pytest.raises(NoImpliedVolError, match="no implied volatility exists"):
+            implied_vol_grid(rs, expiry, [strike], engine="brent")
 
 
 class TestLogMoneyness:

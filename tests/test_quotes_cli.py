@@ -8,8 +8,10 @@ import pytest
 
 from randvol.cli import main
 from randvol.errors import QuoteFormatError
-from randvol.pricing import OptionType
+from randvol.parametrizations import params_from_json
+from randvol.pricing import MarketContext, OptionKey, OptionType, bs_price
 from randvol.quotes import MarketConfig, load_quotes, parse_config, year_fraction
+from randvol.randomization import implied_vol_grid, randomize
 
 MARKET = MarketConfig(spot=5522.3, rate=0.053, trade_date=dt.date(2024, 7, 31))
 
@@ -166,6 +168,27 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "expiry,strike,price"
         assert float(out[1].split(",")[2]) > 0
+
+    def test_price_expansion_matches_per_point_black_scholes(self, sigma_params_file, capsys):
+        common = ["--spot", "100", "--rate", "0.02", "--params", str(sigma_params_file),
+                  "--expiry", "0.75", "--k-min", "60", "--k-max", "170", "--n-strikes", "23"]
+        assert main(["price", *common, "--engine", "expansion:6"]) == 0
+        got = np.array([float(r.split(",")[2]) for r in capsys.readouterr().out.splitlines()[1:]])
+        ctx = MarketContext(s0=100.0, r=0.02)
+        strikes = np.linspace(60.0, 170.0, 23)
+        rs = randomize(params_from_json(json.loads(sigma_params_file.read_text()), spot=100.0), ctx)
+        vols = implied_vol_grid(rs, 0.75, strikes, engine="expansion:6")
+        want = [bs_price(ctx, OptionKey(0.75, float(k)), float(v)) for k, v in zip(strikes, vols)]
+        # 12 significant digits are written: up to 5e-12 relative rounding
+        np.testing.assert_allclose(got, want, rtol=1e-11)
+
+    def test_two_commands_in_one_process(self, sigma_params_file, capsys):
+        assert main(["price", "--spot", "100", "--params", str(sigma_params_file),
+                     "--expiry", "1.0", "--strikes", "100"]) == 0
+        assert capsys.readouterr().out.startswith("expiry,strike,price\n")
+        assert main(["iv", "--spot", "100", "--params", str(sigma_params_file),
+                     "--expiry", "1.0", "--strikes", "90,110", "--engine", "expansion:4"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
 
     def test_price_engine_name_is_case_insensitive(self, sigma_params_file, capsys):
         common = [
