@@ -10,16 +10,13 @@ class MomentOverflowError(RandvolError):
 
 
 class GramMatrixError(RandvolError):
-    """Cholesky factorization of the moment Gram matrix failed.
+    """Cholesky factorization of the moment Gram matrix failed, or a built
+    rule does not reproduce its distribution's moments.
 
     Either the moment sequence is inconsistent (not a valid moment
     sequence) or the requested quadrature size exhausts the numerical
     precision of the moments.
     """
-
-
-class EigenConvergenceError(RandvolError):
-    """The tridiagonal QL iteration did not converge."""
 
 
 class NoImpliedVolError(RandvolError):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import quad
+from scipy.special import roots_genlaguerre
 
 from randvol.errors import GramMatrixError, MomentOverflowError
 from randvol.quadrature import (
@@ -20,7 +22,7 @@ from randvol.quadrature import (
     moments,
     quadrature_for,
 )
-from randvol.quadrature import _tridiagonal_eigen_first_components
+from randvol.quadrature import _recurrence
 
 
 def lognormal_moment_by_quadrature(mu, nu, order):
@@ -183,16 +185,71 @@ class TestQuadratureFor:
         np.testing.assert_array_equal(again.nodes, rule.nodes)
 
 
-class TestTridiagonalQL:
-    def test_against_dense_eigensolver(self, rng):
-        for _ in range(100):
-            n = int(rng.integers(1, 12))
-            d = rng.normal(size=n)
-            e = rng.uniform(0.05, 2.0, size=max(n - 1, 0))
-            values, first = _tridiagonal_eigen_first_components(d, e)
-            dense = np.diag(d)
-            if n > 1:
-                dense += np.diag(e, 1) + np.diag(e, -1)
-            ref_values, ref_vectors = np.linalg.eigh(dense)
-            np.testing.assert_allclose(values, ref_values, atol=1e-12 * max(1, np.abs(d).max()))
-            np.testing.assert_allclose(first**2, ref_vectors[0, :] ** 2, atol=1e-12)
+def lognormal_nodes_by_stieltjes(nu, n_q, points=120):
+    """Independent oracle: Gauss nodes of log X ~ N(0, nu^2) from the
+    discretized Stieltjes procedure on a Gauss-Hermite rule in log X."""
+    t, w = hermegauss(points)
+    x = np.exp(nu * t)
+    w = w / w.sum()
+    alpha = np.empty(n_q)
+    beta = np.empty(n_q - 1)
+    p_prev, p = np.zeros(points), np.ones(points)
+    norm_prev = 1.0
+    for j in range(n_q):
+        norm = np.dot(w, p * p)
+        alpha[j] = np.dot(w, x * p * p) / norm
+        if j:
+            beta[j - 1] = norm / norm_prev
+        p_prev, p = p, (x - alpha[j]) * p - (beta[j - 1] * p_prev if j else 0.0)
+        norm_prev = norm
+    off = np.sqrt(beta)
+    return np.linalg.eigvalsh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
+
+
+class TestClosedFormRecurrences:
+    # the Hankel route loses about a digit per order at k = 7.5, so it is
+    # an oracle only up to n_q = 4 there
+    @pytest.mark.parametrize(
+        "unit,max_nq",
+        [
+            (Gamma(0.5, 1.0), 6),
+            (Gamma(3.0, 1.0), 6),
+            (Gamma(7.5, 1.0), 4),
+            (LogNormal(0.0, 0.25), 6),
+            (LogNormal(0.0, 0.4), 6),
+            (LogNormal(0.0, 0.6), 6),
+        ],
+    )
+    def test_match_hankel_route(self, unit, max_nq):
+        for n_q in range(1, max_nq + 1):
+            ws = build_workspace(moments(unit, 2 * n_q), n_q)
+            alpha, beta = _recurrence(unit, n_q)
+            np.testing.assert_allclose(alpha, ws.alpha, rtol=1e-10)
+            np.testing.assert_allclose(beta, ws.beta, rtol=1e-10)
+
+    @pytest.mark.parametrize("k", [0.5, 1.775, 3.0, 7.5])
+    def test_gamma_rule_matches_scipy_laguerre(self, k):
+        theta = 0.7
+        for n_q in range(1, MAX_NQ + 1):
+            nodes, weights = roots_genlaguerre(n_q, k - 1.0)
+            rule = quadrature_for(Gamma(k, theta), n_q)
+            np.testing.assert_allclose(rule.nodes, theta * nodes, rtol=1e-12)
+            np.testing.assert_allclose(rule.weights, weights / weights.sum(), rtol=1e-12)
+
+    @pytest.mark.parametrize("nu", [0.05, 0.1])
+    def test_small_nu_lognormal_nodes_match_stieltjes(self, nu):
+        rule = quadrature_for(LogNormal(0.0, nu), 8)
+        np.testing.assert_allclose(rule.nodes, lognormal_nodes_by_stieltjes(nu, 8), rtol=1e-12)
+
+    def test_spot_rule_is_scaled_lognormal_rule(self):
+        s0, nu = 1496.45, 0.3
+        rule = quadrature_for(SpotLogNormal(s0, nu), 5)
+        unit = quadrature_for(LogNormal(0.0, nu), 5)
+        np.testing.assert_array_equal(rule.weights, unit.weights)
+        np.testing.assert_allclose(rule.nodes, unit.nodes * s0 * math.exp(-0.5 * nu**2), rtol=1e-14)
+
+    def test_large_nu_fails_loudly(self):
+        with pytest.raises(MomentOverflowError):
+            quadrature_for(LogNormal(0.0, 2.5), MAX_NQ)
+        with pytest.raises(GramMatrixError, match="reproduce moment"):
+            quadrature_for(LogNormal(0.0, 2.0), 6)

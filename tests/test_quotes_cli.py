@@ -144,6 +144,26 @@ class TestCli:
         iv_b = np.array([float(r.split(",")[2]) for r in out_b.read_text().splitlines()[1:]])
         assert np.max(np.abs(iv_a - iv_b)) < 1e-3
 
+    def test_iv_small_nu_eight_node_slice(self, tmp_path, capsys):
+        # nu = 0.05 at n_q = 8 is beyond the Hankel moment route's precision
+        params = {
+            "type": "flat",
+            "sigma": 0.2,
+            "randomizer": {
+                "target": "sigma",
+                "dist": {"family": "lognormal", "mu": math.log(0.2), "nu": 0.05},
+                "n_q": 8,
+            },
+        }
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params), encoding="utf-8")
+        rc = main([
+            "iv", "--spot", "100", "--rate", "0.02", "--params", str(path),
+            "--expiry", "0.5", "--strikes", "80,100,120",
+        ])
+        assert rc == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
     def test_points_file_input(self, tmp_path, sigma_params_file, capsys):
         points = tmp_path / "pts.csv"
         points.write_text("expiry,strike\n0.5,95\n0.5,105\n1.0,100\n", encoding="utf-8")
