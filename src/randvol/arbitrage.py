@@ -98,6 +98,25 @@ class SliceSet:
         return [t for t, _ in self.slices]
 
 
+def _checked_grid(strike_grid, what: str) -> np.ndarray:
+    """The strike grid as an array; refuses fewer than _MIN_GRID strikes or a non-increasing grid."""
+    grid = np.asarray(strike_grid, dtype=float)
+    if grid.size < _MIN_GRID:
+        raise ValueError(f"{what} grid too coarse: need >= {_MIN_GRID} strikes")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError(f"{what} grid must be strictly increasing")
+    return grid
+
+
+def _second_difference(grid: np.ndarray, prices: np.ndarray) -> np.ndarray:
+    """Non-uniform three-point second derivative of prices at the interior strikes."""
+    h1 = grid[1:-1] - grid[:-2]
+    h2 = grid[2:] - grid[1:-1]
+    return 2.0 * (prices[:-2] * h2 - prices[1:-1] * (h1 + h2) + prices[2:] * h1) / (
+        h1 * h2 * (h1 + h2)
+    )
+
+
 def default_strike_grid(ctx: MarketContext, expiry: float, n: int = 201,
                         lo: float = 0.3, hi: float = 3.0) -> np.ndarray:
     """Log-spaced strikes over [lo*F, hi*F] around the forward."""
@@ -125,20 +144,12 @@ def check_butterfly(
     probe for them (``check_intrinsic=False``); their no-arbitrage
     content is the per-expiry density, which the other checks cover.
     """
-    grid = np.asarray(strike_grid, dtype=float)
-    if grid.size < _MIN_GRID:
-        raise ValueError(f"butterfly grid too coarse: need >= {_MIN_GRID} strikes")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("strike grid must be strictly increasing")
+    grid = _checked_grid(strike_grid, "butterfly")
     tol = _BUTTERFLY_RTOL * ctx.s0
     report = ArbReport()
     prices = np.asarray(price_fn(expiry, grid), dtype=float)
 
-    h1 = grid[1:-1] - grid[:-2]
-    h2 = grid[2:] - grid[1:-1]
-    second = 2.0 * (prices[:-2] * h2 - prices[1:-1] * (h1 + h2) + prices[2:] * h1) / (
-        h1 * h2 * (h1 + h2)
-    )
+    second = _second_difference(grid, prices)
     for idx in np.nonzero(second < -tol)[0]:
         report.butterfly_violations.append(
             ButterflyViolation(expiry, float(grid[idx + 1]), float(second[idx]))

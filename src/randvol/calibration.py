@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Literal, Optional
+from typing import Callable, Literal, Optional, get_args
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -29,7 +29,7 @@ from .parametrizations import (
 )
 from .pricing import MarketContext, OptionType
 from .quadrature import DiscreteGiven, DistributionSpec, Gamma, LogNormal, SpotLogNormal
-from .randomization import implied_vol_grid, randomize
+from .randomization import implied_vol_grid, parse_engine, randomize
 
 ModelName = Literal["flat", "sabr"]
 RandomizerName = Literal["none", "sigma-lognormal", "gamma-gamma", "spot-lognormal"]
@@ -97,15 +97,17 @@ class FitConfig:
     randomizer: RandomizerName = "gamma-gamma"
     n_q: int = 2
     fixed: dict = field(default_factory=lambda: {"beta": 0.9})
-    engine: Optional[str] = None
+    engine: str = "expansion"
     budget: int = 2000
     multistart: int = 8
     seed: int = 0
 
-    def resolved_engine(self) -> str:
-        if self.engine is not None:
-            return self.engine
-        return "expansion:4" if self.randomizer == "spot-lognormal" else "expansion:6"
+    def __post_init__(self):
+        if self.model not in get_args(ModelName):
+            raise ValueError(f"unknown model {self.model!r}")
+        if self.randomizer not in get_args(RandomizerName):
+            raise ValueError(f"unknown randomizer {self.randomizer!r}")
+        parse_engine(self.engine)
 
 
 @dataclass
@@ -189,7 +191,7 @@ def _free_parameters(cfg: FitConfig) -> list[_FreeParam]:
             params.append(_FreeParam("nu", math.log, math.exp, (math.log(0.01), math.log(0.8))))
         else:
             raise ValueError(f"randomizer {cfg.randomizer!r} incompatible with the flat model")
-    elif cfg.model == "sabr":
+    else:
         if cfg.randomizer == "sigma-lognormal":
             raise ValueError("sigma randomization applies to the flat model only")
         params.append(_FreeParam("alpha", math.log, math.exp, (math.log(0.05), math.log(1.0))))
@@ -208,8 +210,6 @@ def _free_parameters(cfg: FitConfig) -> list[_FreeParam]:
             params.append(_FreeParam("theta", math.log, math.exp, (math.log(0.02), math.log(2.0))))
         else:
             params.append(_FreeParam("gamma", math.log, math.exp, (math.log(0.05), math.log(4.0))))
-    else:
-        raise ValueError(f"unknown model {cfg.model!r}")
     if cfg.randomizer == "spot-lognormal":
         params.append(_FreeParam("nu", math.log, math.exp, (math.log(5e-3), math.log(0.4))))
     return [p for p in params if p.name not in cfg.fixed]
@@ -233,7 +233,7 @@ def build_slice_params(cfg: FitConfig, values: dict, ctx: MarketContext) -> Slic
         gamma_mean = values.get("gamma", values.get("k", 0.0) * values.get("theta", 0.0))
         base = SabrParams(
             alpha=values["alpha"],
-            beta=values.get("beta", 0.9),
+            beta=values["beta"],
             rho=values["rho"],
             gamma=gamma_mean,
         )
@@ -285,7 +285,6 @@ def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
         )
     strikes = np.array([q.strike for q in quotes.quotes])
     market = np.array([q.iv for q in quotes.quotes])
-    engine = cfg.resolved_engine()
     ctx = quotes.ctx
 
     memo: dict[bytes, Optional[np.ndarray]] = {}  # probes, searches and final SSEs revisit points
@@ -296,7 +295,7 @@ def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
             try:
                 values = _values_from_vector(cfg, free, vector)
                 params = build_slice_params(cfg, values, ctx)
-                model = model_vols(params, ctx, expiry, strikes, engine, quiet=True)
+                model = model_vols(params, ctx, expiry, strikes, cfg.engine, quiet=True)
             except (RandvolError, ValueError, OverflowError):
                 model = None
             memo[key] = model - market if model is not None and np.all(np.isfinite(model)) else None
@@ -355,7 +354,7 @@ def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
 
 
 def _plain_config(cfg: FitConfig) -> FitConfig:
-    return replace(cfg, randomizer="none", engine=None, multistart=max(cfg.multistart // 2, 4))
+    return replace(cfg, randomizer="none", multistart=max(cfg.multistart // 2, 4))
 
 
 def _degenerate_embedding(cfg: FitConfig, free, plain: FitResult):

@@ -217,22 +217,14 @@ def evaluate_polynomial(kind: str, coefficients, m, order: int):
     scalars or per-point arrays (leading coefficient axis).
     """
     c = np.asarray(coefficients, dtype=float)
-    m = np.asarray(m, dtype=float)
-    if kind == "parameter":
-        arg = m * m
-        terms = [(c[p // 2] / f, p) for p, f in ((6, 720.0), (4, 24.0), (2, 2.0)) if order >= p]
-    else:
-        arg = m
-        terms = [(c[p] / math.factorial(p), p) for p in range(order, 0, -1)]
-    if not terms:
-        return np.broadcast_to(c[0], m.shape).copy() if m.shape else c[0] * np.ones_like(m)
+    step = 2 if kind == "parameter" else 1  # the parameter polynomial is even in m
+    arg = np.asarray(m, dtype=float) ** step
+    powers = range(order - order % step, -1, -step)
     acc = np.empty_like(arg)
-    acc[...] = terms[0][0]
-    for coef, _ in terms[1:]:
+    acc[...] = c[powers[0] // step] / math.factorial(powers[0])
+    for p in powers[1:]:
         acc *= arg
-        acc += coef
-    acc *= arg
-    acc += c[0]
+        acc += c[p // step] / math.factorial(p)
     return acc
 
 

@@ -18,7 +18,6 @@ precision raises instead of returning a bad rule.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -144,15 +143,6 @@ class QuadratureRule:
     def scaled(self, factor: float) -> "QuadratureRule":
         """Rule for the scaled variable factor * X (weights unchanged)."""
         return QuadratureRule(self.weights, self.nodes * factor)
-
-    def to_json(self) -> dict:
-        return {"weights": self.weights.tolist(), "nodes": self.nodes.tolist()}
-
-    @classmethod
-    def from_json(cls, data) -> "QuadratureRule":
-        if isinstance(data, str):
-            data = json.loads(data)
-        return cls(np.asarray(data["weights"], dtype=float), np.asarray(data["nodes"], dtype=float))
 
 
 @dataclass(frozen=True)

@@ -95,28 +95,18 @@ class RunConfig:
 
     market: MarketConfig
     fit: FitConfig = field(default_factory=FitConfig)
-    m_max: float = 0.5
-    grid_lo: float = 0.3
-    grid_hi: float = 3.0
-    grid_points: int = 201
 
 
-_CONFIG_KEYS = {
-    "spot",
-    "rate",
-    "trade_date",
-    "model",
-    "randomizer",
-    "n_q",
-    "beta",
-    "engine",
-    "budget",
-    "multistart",
-    "seed",
-    "m_max",
-    "grid_lo",
-    "grid_hi",
-    "grid_points",
+_MARKET_KEYS = ("spot", "rate", "trade_date")
+# FitConfig keys a file may set, with their converters; FitConfig holds the defaults
+_FIT_KEYS = {
+    "model": str,
+    "randomizer": str,
+    "engine": str,
+    "n_q": int,
+    "budget": int,
+    "multistart": int,
+    "seed": int,
 }
 
 
@@ -131,11 +121,11 @@ def parse_config(path) -> RunConfig:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in {*_MARKET_KEYS, "beta", *_FIT_KEYS}:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         entries[key] = value.strip()
 
-    for required in ("spot", "rate", "trade_date"):
+    for required in _MARKET_KEYS:
         if required not in entries:
             raise ValueError(f"config is missing the required key {required!r}")
     market = MarketConfig(
@@ -143,22 +133,7 @@ def parse_config(path) -> RunConfig:
         rate=float(entries["rate"]),
         trade_date=dt.date.fromisoformat(entries["trade_date"]),
     )
-    fixed = {"beta": float(entries.get("beta", 0.9))}
-    fit = FitConfig(
-        model=entries.get("model", "sabr"),
-        randomizer=entries.get("randomizer", "gamma-gamma"),
-        n_q=int(entries.get("n_q", 2)),
-        fixed=fixed,
-        engine=entries.get("engine"),
-        budget=int(entries.get("budget", 2000)),
-        multistart=int(entries.get("multistart", 8)),
-        seed=int(entries.get("seed", 0)),
-    )
-    return RunConfig(
-        market=market,
-        fit=fit,
-        m_max=float(entries.get("m_max", 0.5)),
-        grid_lo=float(entries.get("grid_lo", 0.3)),
-        grid_hi=float(entries.get("grid_hi", 3.0)),
-        grid_points=int(entries.get("grid_points", 201)),
-    )
+    fit = {key: convert(entries[key]) for key, convert in _FIT_KEYS.items() if key in entries}
+    if "beta" in entries:
+        fit["fixed"] = {"beta": float(entries["beta"])}
+    return RunConfig(market=market, fit=FitConfig(**fit))

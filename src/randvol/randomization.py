@@ -15,9 +15,12 @@ from typing import Optional
 
 import numpy as np
 
+from .arbitrage import _checked_grid, _second_difference
 from .errors import ParameterDomainError
 from .parametrizations import BaseParams, FlatParams, RandomizerSpec, SliceParams, eval_vol_curve
-from .pricing import MarketContext, OptionKey, OptionType, bs_call_values, implied_vol_brent, implied_vols
+from .pricing import (
+    MarketContext, OptionKey, OptionType, _check_expiry, bs_call_values, implied_vol_brent, implied_vols,
+)
 from .quadrature import DiscreteGiven, QuadratureRule, quadrature_for
 
 logger = logging.getLogger("randvol")
@@ -27,7 +30,6 @@ logger = logging.getLogger("randvol")
 DEFAULT_M_MAX = 0.5
 
 _SPOT_CENTER_RTOL = 1e-8
-_MIN_DENSITY_GRID = 50
 
 
 def parse_engine(engine: str) -> tuple[str, Optional[int]]:
@@ -120,9 +122,7 @@ def _node_vol_matrix(rs: RandomizedSlice, expiry: float, strikes: np.ndarray) ->
 def randomized_prices(rs: RandomizedSlice, expiry: float, strikes) -> np.ndarray:
     """Mixture call prices on a strike grid (vectorized)."""
     strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
-    tau = expiry - rs.ctx.t0
-    if tau <= 0:
-        raise ValueError(f"expiry {expiry} must exceed the reference time {rs.ctx.t0}")
+    tau = _check_expiry(rs.ctx, expiry)
     vols = _node_vol_matrix(rs, expiry, strikes)
     if rs.target == "spot":
         values = bs_call_values(rs.rule.nodes, rs.ctx.r, tau, strikes[:, None], vols)
@@ -174,9 +174,7 @@ def implied_vol_grid(
     """
     strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
     method, order = parse_engine(engine)
-    tau = expiry - rs.ctx.t0
-    if tau <= 0:
-        raise ValueError(f"expiry {expiry} must exceed the reference time {rs.ctx.t0}")
+    tau = _check_expiry(rs.ctx, expiry)
     if rs.rule.size == 1:
         return _node_vol_matrix(rs, expiry, strikes)[:, 0].copy()
     if method == "brent":
@@ -227,15 +225,8 @@ class DensityCurve:
     mass: float
     mean: float
 
-    def to_csv(self, target) -> None:
-        """Write 'strike,density' rows; target is a path or a text stream."""
-        if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-            with open(target, "w", encoding="utf-8") as handle:
-                self._write(handle)
-        else:
-            self._write(target)
-
-    def _write(self, handle: io.TextIOBase) -> None:
+    def to_csv(self, handle: io.TextIOBase) -> None:
+        """Write 'strike,density' rows to a text stream."""
         handle.write("strike,density\n")
         for k, p in zip(self.strikes, self.values):
             handle.write(f"{k:.10g},{p:.12g}\n")
@@ -248,19 +239,10 @@ def density(rs: RandomizedSlice, expiry: float, grid) -> DensityCurve:
     be wide enough (roughly [0.3 F, 3 F] or more) for the mass and mean
     diagnostics to be meaningful.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < _MIN_DENSITY_GRID:
-        raise ValueError(f"density grid too coarse: need >= {_MIN_DENSITY_GRID} strikes")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("density grid must be strictly increasing")
+    grid = _checked_grid(grid, "density")
     tau = expiry - rs.ctx.t0
     prices = randomized_prices(rs, expiry, grid)
-    h1 = grid[1:-1] - grid[:-2]
-    h2 = grid[2:] - grid[1:-1]
-    second = 2.0 * (prices[:-2] * h2 - prices[1:-1] * (h1 + h2) + prices[2:] * h1) / (
-        h1 * h2 * (h1 + h2)
-    )
-    values = math.exp(rs.ctx.r * tau) * second
+    values = math.exp(rs.ctx.r * tau) * _second_difference(grid, prices)
     strikes = grid[1:-1]
     mass = float(np.trapezoid(values, strikes))
     mean = float(np.trapezoid(strikes * values, strikes) / mass)

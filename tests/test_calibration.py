@@ -127,6 +127,27 @@ class TestFitSlice:
             fit_slice(quotes, FitConfig(model="flat", randomizer="none", fixed={}))
 
 
+class TestFitConfig:
+    @pytest.mark.parametrize(
+        "params,order",
+        [
+            (SliceParams(SabrParams(0.25, 0.9, -0.2, 1.5), RandomizerSpec("gamma", Gamma(3.0, 0.5), 2)), 6),
+            (SliceParams(SabrParams(0.3, 0.9, -0.2, 1.0), RandomizerSpec("spot", SpotLogNormal(100.0, 0.05), 2)), 4),
+        ],
+    )
+    def test_default_engine_is_the_per_kind_expansion(self, params, order):
+        rs = randomize(params, CTX)
+        strikes = np.linspace(80.0, 125.0, 31)
+        np.testing.assert_array_equal(
+            implied_vol_grid(rs, 0.25, strikes, engine=FitConfig().engine),
+            implied_vol_grid(rs, 0.25, strikes, engine=f"expansion:{order}"),
+        )
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ValueError, match="'heston'"):
+            FitConfig(model="heston")
+
+
 class TestMinimize:
     @pytest.mark.parametrize("budget", [3, 10, 40])
     def test_budget_counts_jacobian_evaluations(self, budget):
@@ -235,7 +256,7 @@ class TestRandomizedSabrFit:
             values = _values_from_vector(cfg, free, start)
             try:
                 params = build_slice_params(cfg, values, quotes.ctx)
-                model = model_vols(params, quotes.ctx, expiry, strikes, cfg.resolved_engine())
+                model = model_vols(params, quotes.ctx, expiry, strikes, cfg.engine)
             except Exception:
                 continue
             sse_start = float(np.sum((model - market) ** 2))

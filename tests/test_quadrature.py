@@ -15,7 +15,6 @@ from randvol.quadrature import (
     DiscreteGiven,
     Gamma,
     LogNormal,
-    QuadratureRule,
     SpotLogNormal,
     build_workspace,
     golub_welsch,
@@ -177,12 +176,6 @@ class TestQuadratureFor:
         mom = moments(spec, 2 * n_q)
         for i in range(2 * n_q):
             np.testing.assert_allclose(rule.moment(i), mom[i], rtol=1e-8)
-
-    def test_json_roundtrip(self):
-        rule = quadrature_for(Gamma(3.0, 0.5), 3)
-        again = QuadratureRule.from_json(rule.to_json())
-        np.testing.assert_array_equal(again.weights, rule.weights)
-        np.testing.assert_array_equal(again.nodes, rule.nodes)
 
 
 def lognormal_nodes_by_stieltjes(nu, n_q, points=120):

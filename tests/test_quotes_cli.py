@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from randvol.calibration import FitConfig
 from randvol.cli import main
 from randvol.errors import QuoteFormatError
 from randvol.parametrizations import params_from_json
@@ -16,6 +17,12 @@ from randvol.randomization import implied_vol_grid, randomize
 MARKET = MarketConfig(spot=5522.3, rate=0.053, trade_date=dt.date(2024, 7, 31))
 
 QUOTE_HEADER = "expiry_date,strike,type,iv,open_interest\n"
+MARKET_LINES = "spot = 100\nrate = 0.0\ntrade_date = 2024-07-31\n"
+# a misspelled fit setting, and the value its error must name
+MISSPELLED = [
+    pytest.param("engine = expansoin:6", "expansoin:6", id="engine"),
+    pytest.param("randomizer = gama-gamma", "gama-gamma", id="randomizer"),
+]
 
 
 def write_quotes(path, rows):
@@ -109,6 +116,36 @@ class TestRunConfig:
         path.write_text("spot = 1\nrate = 0\n")
         with pytest.raises(ValueError, match="trade_date"):
             parse_config(path)
+
+    @pytest.mark.parametrize("key", ["m_max", "grid_lo", "grid_hi", "grid_points"])
+    def test_keys_nothing_reads_rejected(self, tmp_path, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{MARKET_LINES}{key} = 1\n")
+        with pytest.raises(ValueError, match="unknown key"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("line,bad", MISSPELLED)
+    def test_misspelled_value_rejected(self, tmp_path, line, bad):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{MARKET_LINES}{line}\n")
+        with pytest.raises(ValueError, match=bad):
+            parse_config(path)
+
+    def test_market_only_config_takes_fit_defaults(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(MARKET_LINES)
+        assert parse_config(path).fit == FitConfig()
+
+    def test_every_fit_key_lands_in_fit_config(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            MARKET_LINES + "model = flat\nrandomizer = spot-lognormal\nengine = brent\nn_q = 3\n"
+            "beta = 0.7\nbudget = 500\nmultistart = 5\nseed = 7\n"
+        )
+        assert parse_config(path).fit == FitConfig(
+            model="flat", randomizer="spot-lognormal", engine="brent", n_q=3,
+            fixed={"beta": 0.7}, budget=500, multistart=5, seed=7,
+        )
 
 
 @pytest.fixture
@@ -305,6 +342,17 @@ class TestCli:
         assert blob["params"]["sigma"] == pytest.approx(0.2, abs=1e-6)
         assert blob["sse"] < 1e-10
         assert res_files[0].read_text().splitlines()[0] == "expiry,strike,residual"
+
+    @pytest.mark.parametrize("line,bad", MISSPELLED)
+    def test_fit_misspelled_config_fails_before_fitting(self, tmp_path, capsys, line, bad):
+        quotes = write_quotes(tmp_path / "q.csv", [f"2024-10-29,{k},C,0.2,5\n" for k in (90, 100, 110)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{MARKET_LINES}{line}\n", encoding="utf-8")
+        out_dir = tmp_path / "fits"
+        rc = main(["fit", "--quotes", str(quotes), "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert bad in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_fit_failed_slices_still_written(self, tmp_path, capsys):
         rows = [
