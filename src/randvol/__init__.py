@@ -22,12 +22,7 @@ from .calibration import (
     select_liquid,
     variance_of_randomizer,
 )
-from .expansion import (
-    ExpansionTerms,
-    eval_expansion,
-    expand_parameter,
-    expand_spot,
-)
+from .expansion import evaluate_polynomial
 from .parametrizations import (
     FlatParams,
     RandomizerSpec,
@@ -61,6 +56,7 @@ from .randomization import (
     DensityCurve,
     RandomizedSlice,
     density,
+    expansion_coefficients,
     implied_vol_grid,
     randomize,
     randomized_iv,

@@ -79,7 +79,7 @@ class SliceSet:
     """Expiry-ordered collection of slices.
 
     Each entry is (expiry, surface) where the surface exposes
-    ``implied_vol(expiry, strikes, engine=...)`` over an array of strikes.
+    ``implied_vol(expiry, strikes)`` over an array of strikes.
     """
 
     slices: tuple
@@ -186,7 +186,6 @@ def check_butterfly(
 def check_calendar(
     slice_set: SliceSet,
     strike_grid,
-    engine: str = "brent",
     tol: float = _CALENDAR_TOL,
 ) -> ArbReport:
     """Flag decreasing total implied variance between adjacent slices."""
@@ -194,7 +193,7 @@ def check_calendar(
         raise ValueError("calendar check needs at least two slices")
     grid = np.asarray(strike_grid, dtype=float)
     report = ArbReport()
-    variances = [surface.implied_vol(t, grid, engine=engine) ** 2 * t for t, surface in slice_set.slices]
+    variances = [surface.implied_vol(t, grid) ** 2 * t for t, surface in slice_set.slices]
     for (t_lo, _), (t_hi, _), w_lo, w_hi in zip(
         slice_set.slices, slice_set.slices[1:], variances, variances[1:]
     ):
@@ -205,7 +204,7 @@ def check_calendar(
     return report
 
 
-def interp_total_variance(slice_set: SliceSet, expiry: float, strike, engine: str = "brent"):
+def interp_total_variance(slice_set: SliceSet, expiry: float, strike):
     """Implied vol at (expiry, strike) by linear interpolation in total variance.
 
     With a such that T = (1-a) T_i + a T_j for the bracketing slices,
@@ -224,11 +223,11 @@ def interp_total_variance(slice_set: SliceSet, expiry: float, strike, engine: st
         t_lo, lo_slice = slice_set.slices[-1]
         t_hi, hi_slice = slice_set.slices[-1]
     if expiry == t_lo:
-        return lo_slice.implied_vol(t_lo, strike, engine=engine)
+        return lo_slice.implied_vol(t_lo, strike)
     if expiry == t_hi:
-        return hi_slice.implied_vol(t_hi, strike, engine=engine)
+        return hi_slice.implied_vol(t_hi, strike)
     a = (expiry - t_lo) / (t_hi - t_lo)
-    w_lo = lo_slice.implied_vol(t_lo, strike, engine=engine) ** 2 * t_lo
-    w_hi = hi_slice.implied_vol(t_hi, strike, engine=engine) ** 2 * t_hi
+    w_lo = lo_slice.implied_vol(t_lo, strike) ** 2 * t_lo
+    w_hi = hi_slice.implied_vol(t_hi, strike) ** 2 * t_hi
     return np.sqrt(((1.0 - a) * w_lo + a * w_hi) / expiry)
 

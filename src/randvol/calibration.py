@@ -20,6 +20,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import CalibrationError, RandvolError
+from .expansion import expansion_order
 from .parametrizations import (
     RHO_MAX,
     FlatParams,
@@ -107,7 +108,9 @@ class FitConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.randomizer not in get_args(RandomizerName):
             raise ValueError(f"unknown randomizer {self.randomizer!r}")
-        parse_engine(self.engine)
+        method, order = parse_engine(self.engine)
+        if method == "expansion" and self.randomizer != "none":
+            expansion_order("spot" if self.randomizer == "spot-lognormal" else "parameter", order)
 
 
 @dataclass

@@ -164,12 +164,16 @@ def _cmd_fit(args) -> int:
     return 2 if failed else 0
 
 
-def _cmd_price(args) -> int:
-    ctx = MarketContext(s0=args.spot, r=args.rate)
+def _single_slice(args):
+    """The randomized slice of a single-slice params file."""
     params = _load_params_file(args.params, args.spot)
     if isinstance(params, list):
-        raise ValueError("price expects a single-slice params file")
-    rs = randomize(params, ctx)
+        raise ValueError(f"{args.command} expects a single-slice params file")
+    return randomize(params, MarketContext(s0=args.spot, r=args.rate))
+
+
+def _cmd_price(args) -> int:
+    rs = _single_slice(args)
     exact = parse_engine(args.engine)[0] == "brent"
     lines = ["expiry,strike,price"]
     for expiry, strikes in _resolve_points(args):
@@ -179,18 +183,14 @@ def _cmd_price(args) -> int:
             values = randomized_prices(rs, expiry, strikes)
         else:
             vols = implied_vol_grid(rs, expiry, strikes, engine=args.engine)
-            values = bs_call_values(ctx.s0, ctx.r, expiry - ctx.t0, strikes, vols)
+            values = bs_call_values(rs.ctx.s0, rs.ctx.r, expiry - rs.ctx.t0, strikes, vols)
         lines += [f"{expiry:.10g},{k:.10g},{v:.12g}" for k, v in zip(strikes, values)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_iv(args) -> int:
-    ctx = MarketContext(s0=args.spot, r=args.rate)
-    params = _load_params_file(args.params, args.spot)
-    if isinstance(params, list):
-        raise ValueError("iv expects a single-slice params file")
-    rs = randomize(params, ctx)
+    rs = _single_slice(args)
     lines = ["expiry,strike,iv"]
     for expiry, strikes in _resolve_points(args):
         values = implied_vol_grid(rs, expiry, strikes, engine=args.engine)
@@ -200,12 +200,8 @@ def _cmd_iv(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    ctx = MarketContext(s0=args.spot, r=args.rate)
-    params = _load_params_file(args.params, args.spot)
-    if isinstance(params, list):
-        raise ValueError("density expects a single-slice params file")
-    rs = randomize(params, ctx)
-    fwd = ctx.forward(args.expiry)
+    rs = _single_slice(args)
+    fwd = rs.ctx.forward(args.expiry)
     k_lo = args.k_min if args.k_min is not None else 0.3 * fwd
     k_hi = args.k_max if args.k_max is not None else 3.0 * fwd
     grid = np.exp(np.linspace(math.log(k_lo), math.log(k_hi), args.n_strikes))

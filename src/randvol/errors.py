@@ -32,7 +32,7 @@ class ParameterDomainError(RandvolError):
 
 
 class ExpansionRangeError(RandvolError):
-    """The expansion polynomial was evaluated outside its validity region."""
+    """The expansion coefficients cannot be formed: a nonpositive vol or node, or precision exhausted."""
 
 
 class CalibrationError(RandvolError):

@@ -16,8 +16,6 @@ a root-finding oracle on that implicit function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -28,18 +26,17 @@ PARAMETER_ORDERS = (0, 2, 4, 6)
 SPOT_ORDERS = (0, 1, 2, 3, 4)
 
 
-@dataclass(frozen=True)
-class ExpansionTerms:
-    """Taylor coefficients of the randomized implied vol at one (T, K)."""
+def expansion_order(kind: str, order: int | None = None) -> int:
+    """The order a ``kind`` expansion runs: its highest when ``order`` is None, else ``order`` checked."""
+    orders = PARAMETER_ORDERS if kind == "parameter" else SPOT_ORDERS
+    if order is None:
+        return orders[-1]
+    if order not in orders:
+        raise ValueError(f"{kind} expansion supports orders {orders}, got {order}")
+    return order
 
-    kind: Literal["parameter", "spot"]
-    expiry: float
-    strike: float
-    order: int
-    coefficients: tuple[float, ...]
 
-
-def parameter_coefficients(weights, node_vols, tau, order: int = 6):
+def parameter_coefficients(weights, node_vols, tau, order: int | None = None):
     """Even-order expansion coefficients for parameter randomization.
 
     ``node_vols`` has the quadrature axis last and broadcasts against
@@ -47,8 +44,7 @@ def parameter_coefficients(weights, node_vols, tau, order: int = 6):
     (points,) tau.  Returns the coefficients (P0, P2, P4, P6) stacked
     along the leading axis.
     """
-    if order not in PARAMETER_ORDERS:
-        raise ValueError(f"parameter expansion supports orders {PARAMETER_ORDERS}, got {order}")
+    expansion_order("parameter", order)
     lam = np.asarray(weights, dtype=float)
     eta = np.asarray(node_vols, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -135,15 +131,14 @@ def _bs_call_partials(s_total):
     }
 
 
-def spot_coefficients(weights, nodes, s0, base_vol, tau, order: int = 4):
+def spot_coefficients(weights, nodes, s0, base_vol, tau, order: int | None = None):
     """Expansion coefficients (orders 0..4) for spot randomization.
 
     ``base_vol`` and ``tau`` broadcast against each other (batch of
     points); the quadrature nodes are shared across the batch.  Returns
     the coefficients (P0, P1, P2, P3, P4) stacked along the leading axis.
     """
-    if order not in SPOT_ORDERS:
-        raise ValueError(f"spot expansion supports orders {SPOT_ORDERS}, got {order}")
+    expansion_order("spot", order)
     lam = np.asarray(weights, dtype=float)
     eta = np.asarray(base_vol, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -226,35 +221,3 @@ def evaluate_polynomial(kind: str, coefficients, m, order: int):
         acc *= arg
         acc += c[p // step] / math.factorial(p)
     return acc
-
-
-def eval_expansion(terms: ExpansionTerms, m: float) -> float:
-    """Evaluate the Taylor polynomial; a nonpositive result is out of range."""
-    value = float(evaluate_polynomial(terms.kind, terms.coefficients, m, terms.order))
-    if value <= 0.0:
-        raise ExpansionRangeError(
-            f"expansion value {value!r} at m={m!r} left the validity region"
-        )
-    return value
-
-
-def expand_parameter(randomized_slice, key, order: int = 6) -> ExpansionTerms:
-    """Expansion terms of a parameter-randomized slice at one (T, K)."""
-    from .randomization import _node_vol_matrix
-
-    rs = randomized_slice
-    tau = key.expiry - rs.ctx.t0
-    eta = _node_vol_matrix(rs, key.expiry, np.array([key.strike]))[0]
-    coeffs = parameter_coefficients(rs.rule.weights, eta, tau, order=order)
-    return ExpansionTerms("parameter", key.expiry, key.strike, order, tuple(float(c) for c in coeffs))
-
-
-def expand_spot(randomized_slice, key, order: int = 4) -> ExpansionTerms:
-    """Expansion terms of a spot-randomized slice at one (T, K)."""
-    from .parametrizations import eval_vol
-
-    rs = randomized_slice
-    tau = key.expiry - rs.ctx.t0
-    eta = eval_vol(rs.params.base, rs.ctx, key)
-    coeffs = spot_coefficients(rs.rule.weights, rs.rule.nodes, rs.ctx.s0, eta, tau, order=order)
-    return ExpansionTerms("spot", key.expiry, key.strike, order, tuple(float(c) for c in coeffs))

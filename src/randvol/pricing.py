@@ -17,6 +17,7 @@ _BRACKET_HI = 5.0
 _BRACKET_EXPANSIONS = 3
 _EPS = np.finfo(float).eps
 _NEWTON_MAX_ITER = 50
+_BRENT_MAX_ITER = 200
 
 
 class OptionType(str, Enum):
@@ -174,7 +175,6 @@ def implied_vol_brent(
     price: float,
     warm_start: float | None = None,
     rtol: float = 1e-8,
-    max_iter: int = 200,
 ) -> float:
     """Invert Black-Scholes for the volatility using Brent's method.
 
@@ -198,7 +198,7 @@ def implied_vol_brent(
 
     lo, hi = _bracket(objective, warm_start)
     try:
-        return float(brentq(objective, lo, hi, rtol=max(rtol, 9e-16), xtol=1e-15, maxiter=max_iter))
+        return float(brentq(objective, lo, hi, rtol=max(rtol, 9e-16), xtol=1e-15, maxiter=_BRENT_MAX_ITER))
     except RuntimeError as exc:  # pragma: no cover - brentq convergence failure
         raise RootFindError(f"Brent iteration did not converge: {exc}") from exc
 

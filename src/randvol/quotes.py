@@ -58,35 +58,26 @@ def load_quotes(path, market: MarketConfig) -> QuoteSet:
 def _parse_row(row: dict, market: MarketConfig, line: int) -> Quote:
     try:
         expiry_date = dt.date.fromisoformat(row["expiry_date"].strip())
-        strike = float(row["strike"])
-        kind = OptionType.parse(row["type"])
-        iv = float(row["iv"])
-        open_interest = int(row["open_interest"])
         trade_raw = (row.get("trade_date") or "").strip()
         trade_date = dt.date.fromisoformat(trade_raw) if trade_raw else market.trade_date
+        quote = Quote(
+            expiry=year_fraction(trade_date, expiry_date),
+            strike=float(row["strike"]),
+            iv=float(row["iv"]),
+            kind=OptionType.parse(row["type"]),
+            open_interest=int(row["open_interest"]),
+        )
     except (KeyError, ValueError, TypeError) as exc:
         raise QuoteFormatError(str(exc), line=line) from exc
-    if strike <= 0:
-        raise QuoteFormatError(f"strike must be positive, got {strike}", line=line)
-    if iv <= 0:
-        raise QuoteFormatError(f"iv must be positive, got {iv}", line=line)
-    if iv > _MAX_IV:
+    if quote.iv > _MAX_IV:
         raise QuoteFormatError(
-            f"iv {iv} looks like a percentage; quotes must be fractions", line=line
+            f"iv {quote.iv} looks like a percentage; quotes must be fractions", line=line
         )
     if expiry_date <= trade_date:
         raise QuoteFormatError(
             f"expiry {expiry_date} must be after the trade date {trade_date}", line=line
         )
-    if open_interest < 0:
-        raise QuoteFormatError(f"open interest must be nonnegative, got {open_interest}", line=line)
-    return Quote(
-        expiry=year_fraction(trade_date, expiry_date),
-        strike=strike,
-        iv=iv,
-        kind=kind,
-        open_interest=open_interest,
-    )
+    return quote
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import expansion
 from .arbitrage import _checked_grid, _second_difference
 from .errors import ParameterDomainError
 from .parametrizations import BaseParams, FlatParams, RandomizerSpec, SliceParams, eval_vol_curve
@@ -33,13 +34,13 @@ _SPOT_CENTER_RTOL = 1e-8
 
 
 def parse_engine(engine: str) -> tuple[str, Optional[int]]:
-    """Parse an engine string: 'brent' or 'expansion:N'."""
+    """Parse an engine string: 'brent', 'expansion' (the kind's highest order) or 'expansion:N'."""
     text = engine.strip().lower()
-    if text == "brent":
-        return "brent", None
-    if text.startswith("expansion"):
-        _, _, tail = text.partition(":")
-        return "expansion", int(tail) if tail else None
+    if text in ("brent", "expansion"):
+        return text, None
+    method, _, tail = text.partition(":")
+    if method == "expansion" and tail.isdecimal():
+        return method, int(tail)
     raise ValueError(f"unknown engine {engine!r}; expected 'brent' or 'expansion:N'")
 
 
@@ -180,20 +181,10 @@ def implied_vol_grid(
     if method == "brent":
         return _brent_grid(rs, expiry, strikes)
 
-    from .expansion import evaluate_polynomial, parameter_coefficients, spot_coefficients
-
+    order = expansion.expansion_order(rs.expansion_kind, order)
     m = np.log(rs.ctx.s0 / strikes) + rs.ctx.r * tau
-    if rs.expansion_kind == "parameter":
-        order = 6 if order is None else order
-        vols = _node_vol_matrix(rs, expiry, strikes)
-        coeffs = parameter_coefficients(rs.rule.weights, vols, np.full(strikes.size, tau), order)
-    else:
-        order = 4 if order is None else order
-        eta = eval_vol_curve(rs.params.base, rs.ctx, expiry, strikes)
-        coeffs = spot_coefficients(
-            rs.rule.weights, rs.rule.nodes, rs.ctx.s0, eta, np.full(strikes.size, tau), order
-        )
-    values = evaluate_polynomial(rs.expansion_kind, coeffs, m, order)
+    coeffs = expansion_coefficients(rs, expiry, strikes)
+    values = expansion.evaluate_polynomial(rs.expansion_kind, coeffs, m, order)
 
     escalate = (np.abs(m) > m_max) | (values <= 0.0)
     if np.any(escalate):
@@ -205,6 +196,21 @@ def implied_vol_grid(
         )
         values[escalate] = _brent_grid(rs, expiry, strikes[escalate])
     return values
+
+
+def expansion_coefficients(rs: RandomizedSlice, expiry: float, strikes) -> np.ndarray:
+    """Taylor coefficients of the implied vol in log-moneyness, one column per strike.
+
+    The rows are (P0, P2, P4, P6) for parameter randomization and
+    (P0, P1, P2, P3, P4) for spot randomization; evaluate them with
+    ``expansion.evaluate_polynomial``.
+    """
+    strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
+    tau = np.full(strikes.size, _check_expiry(rs.ctx, expiry))
+    vols = _node_vol_matrix(rs, expiry, strikes)
+    if rs.expansion_kind == "parameter":
+        return expansion.parameter_coefficients(rs.rule.weights, vols, tau)
+    return expansion.spot_coefficients(rs.rule.weights, rs.rule.nodes, rs.ctx.s0, vols[:, 0], tau)
 
 
 def _brent_grid(rs: RandomizedSlice, expiry: float, strikes: np.ndarray) -> np.ndarray:

@@ -12,13 +12,14 @@ import pytest
 from conftest import nth_derivative
 from randvol.arbitrage import SliceSet, check_butterfly, check_calendar, default_strike_grid, interp_total_variance
 from randvol.calibration import FitConfig, Quote, QuoteSet, fit_slice, variance_of_randomizer
-from randvol.expansion import eval_expansion, evaluate_polynomial, expand_parameter, expand_spot
+from randvol.expansion import evaluate_polynomial
 from randvol.parametrizations import FlatParams, RandomizerSpec, SabrParams, SliceParams
 from randvol.pricing import MarketContext, OptionKey, OptionType, implied_vol_brent
 from randvol.quadrature import Gamma, LogNormal, SpotLogNormal, moments, quadrature_for
 from randvol.randomization import (
     count_local_maxima,
     density,
+    expansion_coefficients,
     implied_vol_grid,
     randomize,
     randomized_price,
@@ -125,15 +126,14 @@ def test_criterion_03_parameter_expansion_vs_oracle():
     start = time.perf_counter()
     rs = fig3_slice()
     expiry = 2.0
-    key0 = OptionKey(expiry, rs.ctx.forward(expiry))
-    terms = expand_parameter(rs, key0, order=6)
+    coeffs = expansion_coefficients(rs, expiry, [rs.ctx.forward(expiry)])[:, 0]
     errors = {2: 0.0, 4: 0.0, 6: 0.0}
     for m in np.linspace(-0.3, 0.3, 61):
         strike = rs.ctx.s0 * math.exp(rs.ctx.r * expiry - m)
         key = OptionKey(expiry, strike)
         oracle = implied_vol_brent(rs.ctx, key, randomized_price(rs, key), rtol=1e-12)
         for order in errors:
-            value = evaluate_polynomial("parameter", terms.coefficients, m, order)
+            value = evaluate_polynomial("parameter", coeffs, m, order)
             errors[order] = max(errors[order], abs(value - oracle))
     assert errors[6] < 1e-3
     assert errors[6] <= errors[4] <= errors[2]
@@ -157,8 +157,7 @@ def test_criterion_04_spot_expansion_vs_oracle():
         )
         rs = randomize(params, ctx)
         expiry = 0.25
-        key0 = OptionKey(expiry, ctx.forward(expiry))
-        terms = expand_spot(rs, key0, order=4)
+        coeffs = expansion_coefficients(rs, expiry, [ctx.forward(expiry)])[:, 0]
 
         def oracle(m):
             strike = ctx.s0 * math.exp(ctx.r * expiry - m)
@@ -166,12 +165,12 @@ def test_criterion_04_spot_expansion_vs_oracle():
             return implied_vol_brent(ctx, key, randomized_price(rs, key), rtol=1e-15)
 
         for m in np.linspace(-0.2, 0.2, 41):
-            err = abs(eval_expansion(terms, m) - oracle(m))
+            err = abs(evaluate_polynomial("spot", coeffs, m, 4) - oracle(m))
             worst_poly = max(worst_poly, err)
             assert err < 5e-3
         for order in (1, 2, 3, 4):
             fd = nth_derivative(oracle, order, h=0.02, levels=3)
-            rel = abs(fd - terms.coefficients[order]) / abs(terms.coefficients[order])
+            rel = abs(fd - coeffs[order]) / abs(coeffs[order])
             worst_coeff = max(worst_coeff, rel)
             assert rel < 1e-2
     elapsed = time.perf_counter() - start
@@ -190,12 +189,10 @@ def test_criterion_05_atm_exactness():
         rs, expiry = random_slice(rng, kinds[i % 3])
         fwd = rs.ctx.forward(expiry)
         key = OptionKey(expiry, fwd)
-        if rs.expansion_kind == "parameter":
-            terms = expand_parameter(rs, key, order=6)
-        else:
-            terms = expand_spot(rs, key, order=4)
+        coeffs = expansion_coefficients(rs, expiry, [fwd])[:, 0]
+        order = 6 if rs.expansion_kind == "parameter" else 4
         oracle = implied_vol_brent(rs.ctx, key, randomized_price(rs, key), rtol=1e-15)
-        gap = abs(eval_expansion(terms, 0.0) - oracle)
+        gap = abs(evaluate_polynomial(rs.expansion_kind, coeffs, 0.0, order) - oracle)
         worst = max(worst, gap)
         assert gap < 1e-10, f"slice {i}: ATM gap {gap}"
     _report(5, f"50 slices, worst ATM gap {worst:.2e} (<1e-10)")

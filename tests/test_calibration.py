@@ -147,6 +147,20 @@ class TestFitConfig:
         with pytest.raises(ValueError, match="'heston'"):
             FitConfig(model="heston")
 
+    @pytest.mark.parametrize(
+        "kwargs,kind",
+        [
+            ({"randomizer": "spot-lognormal", "model": "flat", "engine": "expansion:6"}, "spot"),
+            ({"randomizer": "gamma-gamma", "engine": "expansion:5"}, "parameter"),
+        ],
+    )
+    def test_order_the_randomizer_cannot_run_rejected(self, kwargs, kind):
+        with pytest.raises(ValueError, match=f"{kind} expansion supports orders"):
+            FitConfig(**kwargs)
+
+    def test_one_node_fit_ignores_the_engine_order(self):
+        assert FitConfig(randomizer="none", engine="expansion:5").engine == "expansion:5"
+
 
 class TestMinimize:
     @pytest.mark.parametrize("budget", [3, 10, 40])

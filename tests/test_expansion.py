@@ -12,19 +12,11 @@ import pytest
 
 from conftest import nth_derivative
 from randvol.errors import ExpansionRangeError
-from randvol.expansion import (
-    ExpansionTerms,
-    eval_expansion,
-    evaluate_polynomial,
-    expand_parameter,
-    expand_spot,
-    parameter_coefficients,
-    spot_coefficients,
-)
+from randvol.expansion import evaluate_polynomial, parameter_coefficients, spot_coefficients
 from randvol.parametrizations import FlatParams, RandomizerSpec, SliceParams
 from randvol.pricing import MarketContext, OptionKey, implied_vol_brent
 from randvol.quadrature import LogNormal, SpotLogNormal
-from randvol.randomization import randomize, randomized_price
+from randvol.randomization import expansion_coefficients, randomize, randomized_price
 
 
 def fig3_slice(n_q=4):
@@ -43,6 +35,11 @@ def spot_slice(nu, sigma=0.2, tau=0.25, rate=0.02):
         FlatParams(sigma), RandomizerSpec("spot", SpotLogNormal(100.0, nu), 2)
     )
     return randomize(params, ctx)
+
+
+def atm_coefficients(rs, expiry):
+    """Expansion coefficients at the forward strike."""
+    return expansion_coefficients(rs, expiry, [rs.ctx.forward(expiry)])[:, 0]
 
 
 def exact_iv_of_m(rs, expiry):
@@ -77,9 +74,9 @@ class TestParameterExpansion:
     def test_coefficients_match_finite_differences(self):
         rs = fig3_slice()
         expiry = 2.0
-        terms = expand_parameter(rs, OptionKey(expiry, rs.ctx.forward(expiry)))
+        coeffs = atm_coefficients(rs, expiry)
         iv = exact_iv_of_m(rs, expiry)
-        for order, coeff in ((2, terms.coefficients[1]), (4, terms.coefficients[2]), (6, terms.coefficients[3])):
+        for order, coeff in ((2, coeffs[1]), (4, coeffs[2]), (6, coeffs[3])):
             fd = nth_derivative(iv, order, h=0.12, levels=4)
             assert fd == pytest.approx(coeff, rel=1e-3)
 
@@ -93,9 +90,8 @@ class TestParameterExpansion:
     def test_atm_value_is_p0(self):
         rs = fig3_slice()
         expiry = 2.0
-        key = OptionKey(expiry, rs.ctx.forward(expiry))
-        terms = expand_parameter(rs, key)
-        assert eval_expansion(terms, 0.0) == terms.coefficients[0]
+        coeffs = atm_coefficients(rs, expiry)
+        assert evaluate_polynomial("parameter", coeffs, 0.0, 6) == coeffs[0]
 
     def test_zero_node_vol_rejected(self):
         with pytest.raises(ExpansionRangeError):
@@ -129,22 +125,20 @@ class TestSpotExpansion:
     def test_coefficients_match_finite_differences(self, nu):
         rs = spot_slice(nu)
         expiry = 0.25
-        key = OptionKey(expiry, rs.ctx.forward(expiry))
-        terms = expand_spot(rs, key)
+        coeffs = atm_coefficients(rs, expiry)
         iv = exact_iv_of_m(rs, expiry)
         for order in (1, 2, 3, 4):
             fd = nth_derivative(iv, order, h=0.02, levels=3)
-            assert fd == pytest.approx(terms.coefficients[order], rel=1e-2)
+            assert fd == pytest.approx(coeffs[order], rel=1e-2)
 
     @pytest.mark.parametrize("nu", [0.03, 0.05, 0.07])
     def test_fourth_order_polynomial_tracks_oracle(self, nu):
         rs = spot_slice(nu)
         expiry = 0.25
-        key = OptionKey(expiry, rs.ctx.forward(expiry))
-        terms = expand_spot(rs, key)
+        coeffs = atm_coefficients(rs, expiry)
         iv = exact_iv_of_m(rs, expiry)
         worst = max(
-            abs(eval_expansion(terms, m) - iv(m)) for m in np.linspace(-0.2, 0.2, 41)
+            abs(evaluate_polynomial("spot", coeffs, m, 4) - iv(m)) for m in np.linspace(-0.2, 0.2, 41)
         )
         assert worst < 5e-3
 
@@ -152,15 +146,17 @@ class TestSpotExpansion:
         rs = spot_slice(0.08)
         expiry = 0.25
         key = OptionKey(expiry, rs.ctx.forward(expiry))
-        terms = expand_spot(rs, key)
+        coeffs = atm_coefficients(rs, expiry)
         price = randomized_price(rs, key)
         brent = implied_vol_brent(rs.ctx, key, price, rtol=1e-15)
-        assert abs(eval_expansion(terms, 0.0) - brent) < 1e-10
+        assert abs(evaluate_polynomial("spot", coeffs, 0.0, 4) - brent) < 1e-10
 
     def test_asymmetry(self):
         rs = spot_slice(0.08)
-        terms = expand_spot(rs, OptionKey(0.25, rs.ctx.forward(0.25)))
-        assert eval_expansion(terms, 0.05) != pytest.approx(eval_expansion(terms, -0.05), abs=1e-6)
+        coeffs = atm_coefficients(rs, 0.25)
+        assert evaluate_polynomial("spot", coeffs, 0.05, 4) != pytest.approx(
+            evaluate_polynomial("spot", coeffs, -0.05, 4), abs=1e-6
+        )
 
     def test_zero_base_vol_rejected(self):
         with pytest.raises(ExpansionRangeError):
@@ -173,17 +169,12 @@ class TestSpotExpansion:
 
 class TestEvalExpansion:
     def test_even_polynomial_symmetry(self):
-        terms = ExpansionTerms("parameter", 1.0, 100.0, 6, (0.2, 0.1, -0.7, 14.0))
-        assert eval_expansion(terms, 0.2) == eval_expansion(terms, -0.2)
+        coeffs = (0.2, 0.1, -0.7, 14.0)
+        right = evaluate_polynomial("parameter", coeffs, 0.2, 6)
+        assert right == evaluate_polynomial("parameter", coeffs, -0.2, 6)
 
     def test_m_zero_returns_p0(self):
-        terms = ExpansionTerms("spot", 1.0, 100.0, 4, (0.21, 0.05, -0.6, -5.0, 70.0))
-        assert eval_expansion(terms, 0.0) == 0.21
-
-    def test_nonpositive_value_guarded(self):
-        terms = ExpansionTerms("parameter", 1.0, 100.0, 2, (0.2, -40.0, 0.0, 0.0))
-        with pytest.raises(ExpansionRangeError):
-            eval_expansion(terms, 0.5)
+        assert evaluate_polynomial("spot", (0.21, 0.05, -0.6, -5.0, 70.0), 0.0, 4) == 0.21
 
     def test_order_truncation(self):
         coeffs = (0.2, 0.1, -0.7, 14.0)

@@ -21,7 +21,13 @@ MARKET_LINES = "spot = 100\nrate = 0.0\ntrade_date = 2024-07-31\n"
 # a misspelled fit setting, and the value its error must name
 MISSPELLED = [
     pytest.param("engine = expansoin:6", "expansoin:6", id="engine"),
+    pytest.param("engine = expansion6", "expansion6", id="engine-no-colon"),
     pytest.param("randomizer = gama-gamma", "gama-gamma", id="randomizer"),
+]
+# an expansion order the configured randomizer cannot run
+UNRUNNABLE_ORDER = [
+    pytest.param("model = flat\nrandomizer = spot-lognormal\nengine = expansion:6\n", id="spot-6"),
+    pytest.param("randomizer = gamma-gamma\nengine = expansion:5\n", id="parameter-5"),
 ]
 
 
@@ -49,6 +55,12 @@ class TestLoadQuotes:
 
     def test_zero_iv_rejected_with_line(self, tmp_path):
         rows = ["2024-08-16,5000,C,0.25,10\n", "2024-08-16,5500,C,0.0,10\n"]
+        with pytest.raises(QuoteFormatError, match="line 3"):
+            load_quotes(write_quotes(tmp_path / "q.csv", rows), MARKET)
+
+    @pytest.mark.parametrize("row", ["2024-08-16,5500,C,nan,10\n", "2024-08-16,nan,C,0.25,10\n"])
+    def test_nan_row_rejected_with_line(self, tmp_path, row):
+        rows = ["2024-08-16,5000,C,0.25,10\n", row]
         with pytest.raises(QuoteFormatError, match="line 3"):
             load_quotes(write_quotes(tmp_path / "q.csv", rows), MARKET)
 
@@ -352,6 +364,17 @@ class TestCli:
         rc = main(["fit", "--quotes", str(quotes), "--config", str(cfg), "--out-dir", str(out_dir)])
         assert rc == 2
         assert bad in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("lines", UNRUNNABLE_ORDER)
+    def test_fit_unrunnable_order_fails_before_fitting(self, tmp_path, capsys, lines):
+        quotes = write_quotes(tmp_path / "q.csv", [f"2024-10-29,{k},C,0.2,5\n" for k in (90, 100, 110)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MARKET_LINES + lines, encoding="utf-8")
+        out_dir = tmp_path / "fits"
+        rc = main(["fit", "--quotes", str(quotes), "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert "expansion supports orders" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_fit_failed_slices_still_written(self, tmp_path, capsys):

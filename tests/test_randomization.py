@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from randvol.errors import ParameterDomainError
+from randvol.expansion import evaluate_polynomial
 from randvol.parametrizations import FlatParams, RandomizerSpec, SabrParams, SliceParams, eval_vol_curve, hagan_vol
 from randvol.pricing import MarketContext, OptionKey, OptionType, bs_price, implied_vol_brent
 from randvol.quadrature import DiscreteGiven, Gamma, LogNormal, SpotLogNormal
@@ -13,6 +14,7 @@ from randvol.randomization import (
     _node_vol_matrix,
     count_local_maxima,
     density,
+    expansion_coefficients,
     implied_vol_grid,
     parse_engine,
     randomize,
@@ -194,6 +196,27 @@ class TestRandomizedIv:
         via_brent = randomized_iv(rs, key, engine="brent")
         assert via_guard == pytest.approx(via_brent, abs=1e-12)
 
+    def test_nonpositive_polynomial_falls_back_to_brent(self):
+        # order 4 at T = 0.1 dips below zero at |m| >= 0.42, inside m_max
+        ctx = MarketContext(s0=100.0, r=0.02)
+        nu = 0.2
+        params = SliceParams(
+            FlatParams(0.2),
+            RandomizerSpec("sigma", LogNormal(math.log(0.2) - 0.5 * nu**2, nu), 4),
+        )
+        rs = randomize(params, ctx)
+        expiry = 0.1
+        ms = np.linspace(-0.45, 0.45, 91)
+        strikes = ctx.s0 * np.exp(ctx.r * expiry - ms)
+        raw = evaluate_polynomial("parameter", expansion_coefficients(rs, expiry, strikes), ms, 4)
+        nonpositive = raw <= 0.0
+        assert nonpositive.sum() == 8
+        vols = implied_vol_grid(rs, expiry, strikes, engine="expansion:4")
+        np.testing.assert_array_equal(
+            vols[nonpositive], implied_vol_grid(rs, expiry, strikes[nonpositive], engine="brent")
+        )
+        assert np.all(vols > 0.0)
+
     @pytest.mark.parametrize(
         "plain,engine",
         [(False, "brent"), (False, "expansion:6"), (True, "expansion:6")],
@@ -208,8 +231,9 @@ class TestRandomizedIv:
             implied_vol_grid(rs, CTX.t0, [90.0, 110.0], engine=engine)
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            parse_engine("newton")
+        for engine in ("newton", "expansions", "expansion6", "expansion:"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                parse_engine(engine)
 
     def test_engine_strings(self):
         assert parse_engine("brent") == ("brent", None)
