@@ -5,7 +5,8 @@ against the retained market quotes.  Free parameters are optimized
 unconstrained through bound-respecting transforms (log for positives,
 scaled tanh for correlation and the exponent), with multistart bounded
 least squares on the residual vector (trust-region reflective,
-finite-difference Jacobian).  Randomized fits additionally seed from
+forward-difference Jacobian whose points are evaluated as one stacked
+model call).  Randomized fits additionally seed from
 a plain prefit embedded at the degenerate boundary of the randomizer,
 which makes the randomized family dominate its nested plain model by
 construction.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Literal, Optional, get_args
+from typing import Callable, Literal, Optional, Sequence, Union, get_args
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -45,10 +46,10 @@ class Quote:
     open_interest: int = 0
 
     def __post_init__(self):
-        if not self.iv > 0:
-            raise ValueError(f"quoted implied vol must be positive, got {self.iv}")
-        if not self.strike > 0:
-            raise ValueError(f"strike must be positive, got {self.strike}")
+        if not (self.iv > 0 and math.isfinite(self.iv)):
+            raise ValueError(f"quoted implied vol must be positive and finite, got {self.iv}")
+        if not (self.strike > 0 and math.isfinite(self.strike)):
+            raise ValueError(f"strike must be positive and finite, got {self.strike}")
         if self.open_interest < 0:
             raise ValueError("open interest must be nonnegative")
 
@@ -250,21 +251,77 @@ def build_slice_params(cfg: FitConfig, values: dict, ctx: MarketContext) -> Slic
 
 
 def model_vols(
-    params: SliceParams, ctx: MarketContext, expiry: float, strikes, engine: str,
+    params: Sequence[SliceParams], ctx: MarketContext, expiry: float, strikes, engine: str,
     quiet: bool = False,
 ) -> np.ndarray:
-    """Model implied vols on a strike grid for plain or randomized parameters."""
-    rs = randomize(params, ctx)
-    return implied_vol_grid(rs, expiry, strikes, engine=engine, quiet=quiet)
+    """Model implied vols on a strike grid, one row per parameter point: shape (P, n_strikes)."""
+    # a lone point goes as a lone slice, whose arrays lack the stack axis (the rows are equal bit for bit)
+    rs = randomize(params[0] if len(params) == 1 else tuple(params), ctx)
+    return implied_vol_grid(rs, expiry, strikes, engine=engine, quiet=quiet).reshape(len(params), -1)
 
 
-def minimize(residuals, start, budget: int):
-    """Trust-region least squares from ``start`` within ``budget`` evaluations."""
+def minimize(residuals, start, budget: int, jac: Union[str, Callable] = "2-point"):
+    """Trust-region least squares from ``start`` within ``budget`` evaluations (``jac`` as in least_squares)."""
     # max_nfev leaves out the len(start) finite-difference evaluations of each Jacobian
     return least_squares(
-        residuals, start, method="trf", max_nfev=max(budget // (len(start) + 1), 1),
+        residuals, start, jac=jac, method="trf", max_nfev=max(budget // (len(start) + 1), 1),
         xtol=1e-12, ftol=1e-14, gtol=1e-14,
     )
+
+
+class _SliceObjective:
+    """Vol residuals of one slice, memoized per parameter point so that none is evaluated twice.
+
+    A point maps to None where the model failed or gave a non-finite vol.
+    `evaluate` serves many points with one stacked model call; if that
+    raises, it goes point by point, so only the failing points read None.
+    """
+
+    def __init__(self, quotes: QuoteSet, cfg: FitConfig, free: list):
+        self.cfg, self.free, self.ctx, self.expiry = cfg, free, quotes.ctx, quotes.expiries()[0]
+        self.strikes = np.array([q.strike for q in quotes.quotes])
+        self.market = np.array([q.iv for q in quotes.quotes])
+        self.memo: dict[bytes, Optional[np.ndarray]] = {}
+
+    def evaluate(self, vectors) -> None:
+        fresh = {k: v for v in vectors if (k := np.asarray(v, dtype=float).tobytes()) not in self.memo}
+        if not fresh:
+            return
+        try:
+            params = [build_slice_params(self.cfg, _values_from_vector(self.cfg, self.free, v), self.ctx)
+                      for v in fresh.values()]
+            model = model_vols(params, self.ctx, self.expiry, self.strikes, self.cfg.engine, quiet=True)
+        except (RandvolError, ValueError, OverflowError):
+            if len(fresh) > 1:
+                for v in fresh.values():
+                    self.evaluate([v])
+                return
+            model = [None]
+        for key, row in zip(fresh, model):
+            self.memo[key] = row - self.market if row is not None and np.all(np.isfinite(row)) else None
+
+    def residuals(self, vector) -> Optional[np.ndarray]:
+        self.evaluate([vector])
+        return self.memo[np.asarray(vector, dtype=float).tobytes()]
+
+    def objective(self, vector) -> float:
+        diff = self.residuals(vector)
+        return float("inf") if diff is None else float(np.sum(diff**2))
+
+    def penalized(self, vector) -> np.ndarray:
+        # a failed point reads as 100 vol points off at every quote: the trust region backs off
+        diff = self.residuals(vector)
+        return np.ones_like(self.market) if diff is None else diff
+
+    def jacobian(self, vector) -> np.ndarray:
+        """least_squares' '2-point' Jacobian bit for bit, its n points evaluated as one batch."""
+        x = np.asarray(vector, dtype=float)
+        h = np.finfo(float).eps ** 0.5 * ((x >= 0).astype(float) * 2 - 1) * np.maximum(1.0, np.abs(x))
+        points = np.tile(x, (x.size, 1))
+        points[np.diag_indices(x.size)] = x + h
+        self.evaluate(points)
+        f0 = self.penalized(x)
+        return np.array([(self.penalized(p) - f0) / ((x[i] + h[i]) - x[i]) for i, p in enumerate(points)]).T
 
 
 def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
@@ -275,48 +332,23 @@ def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
     degenerate embedding of a plain prefit for randomized configurations)
     and returns the best result.  ``cfg.budget`` caps the objective
     evaluations of each search, finite-difference Jacobian included.
+    The starting probes are evaluated as one batch, and so are the
+    points of each Jacobian.
     """
     expiries = quotes.expiries()
     if len(expiries) != 1:
         raise ValueError(f"fit_slice expects quotes at exactly one expiry, got {expiries}")
-    expiry = expiries[0]
     free = _free_parameters(cfg)
     if len(quotes) < len(free):
         raise CalibrationError(
             f"need at least {len(free)} quotes to fit {len(free)} free parameters, "
             f"got {len(quotes)}"
         )
-    strikes = np.array([q.strike for q in quotes.quotes])
-    market = np.array([q.iv for q in quotes.quotes])
-    ctx = quotes.ctx
-
-    memo: dict[bytes, Optional[np.ndarray]] = {}  # probes, searches and final SSEs revisit points
-
-    def residuals(vector) -> Optional[np.ndarray]:
-        key = np.asarray(vector, dtype=float).tobytes()
-        if key not in memo:
-            try:
-                values = _values_from_vector(cfg, free, vector)
-                params = build_slice_params(cfg, values, ctx)
-                model = model_vols(params, ctx, expiry, strikes, cfg.engine, quiet=True)
-            except (RandvolError, ValueError, OverflowError):
-                model = None
-            memo[key] = model - market if model is not None and np.all(np.isfinite(model)) else None
-        return memo[key]
-
-    def objective(vector) -> float:
-        diff = residuals(vector)
-        return float("inf") if diff is None else float(np.sum(diff**2))
-
-    def penalized(vector) -> np.ndarray:
-        # a failed point reads as 100 vol points off at every quote: the trust region backs off
-        diff = residuals(vector)
-        return np.ones_like(market) if diff is None else diff
+    problem = _SliceObjective(quotes, cfg, free)
 
     rng = np.random.default_rng(cfg.seed)
     starts = _latin_starts(rng, [p.start_range for p in free], cfg.multistart)
-    candidates: list[tuple[float, np.ndarray, bool]] = []
-
+    embedded = None
     if cfg.randomizer != "none":
         try:
             plain = fit_slice(quotes, _plain_config(cfg))
@@ -325,27 +357,31 @@ def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
         embedded = _degenerate_embedding(cfg, free, plain) if plain is not None else None
         if embedded is not None:
             starts = np.vstack([starts, embedded])
-            candidates.append((objective(embedded), np.asarray(embedded), False))
+    problem.evaluate(starts)
+    candidates: list[tuple[float, np.ndarray, bool]] = []
+    if embedded is not None:
+        candidates.append((problem.objective(embedded), np.asarray(embedded), False))
 
     for start in starts:
-        if not math.isfinite(objective(start)):
+        if not math.isfinite(problem.objective(start)):
             continue
-        result = minimize(penalized, start, cfg.budget)
-        candidates.append((objective(result.x), np.asarray(result.x), bool(result.success)))
+        result = minimize(problem.penalized, start, cfg.budget, jac=problem.jacobian)
+        candidates.append((problem.objective(result.x), np.asarray(result.x), bool(result.success)))
 
     finite = [c for c in candidates if math.isfinite(c[0])]
     if not finite:
         raise CalibrationError("no multistart point produced a finite objective")
     # on a tie, prefer a converged search over the unsearched embedding
     best_sse, best_x, best_converged = min(finite, key=lambda c: (c[0], not c[2]))
-    params = build_slice_params(cfg, _values_from_vector(cfg, free, best_x), ctx)
+    params = build_slice_params(cfg, _values_from_vector(cfg, free, best_x), problem.ctx)
     variance = 0.0 if params.randomizer is None else variance_of_randomizer(params.randomizer.dist)
+    strikes = problem.strikes
     best = FitResult(
         params=params,
-        expiry=expiry,
+        expiry=problem.expiry,
         sse=float(best_sse),
         mse=float(best_sse) / len(strikes),
-        residuals=[(expiry, float(k), float(d)) for k, d in zip(strikes, residuals(best_x))],
+        residuals=[(problem.expiry, float(k), float(d)) for k, d in zip(strikes, problem.residuals(best_x))],
         randomizer_variance=variance,
         converged=best_converged,
     )

@@ -48,42 +48,46 @@ def parameter_coefficients(weights, node_vols, tau, order: int | None = None):
     lam = np.asarray(weights, dtype=float)
     eta = np.asarray(node_vols, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    if np.any(eta <= 0):
+    if (eta <= 0).any():
         raise ExpansionRangeError("parameter expansion requires strictly positive node vols")
     sqrt_tau = np.sqrt(tau)
 
     h = 0.5 * eta * sqrt_tau[..., None]
-    big_a = np.sum(lam * norm_cdf(h), axis=-1)
-    if np.any(big_a >= 1.0):
+    big_a = (lam * norm_cdf(h)).sum(-1)
+    if (big_a >= 1.0).any():
         raise ExpansionRangeError("weighted normal CDF sum reached 1; precision exhausted")
     p0 = 2.0 / sqrt_tau * norm_ppf(big_a)
 
     sig0 = 0.5 * p0 * sqrt_tau
-    e = np.exp(0.5 * (sig0[..., None] ** 2 - h**2))
-    p2 = (-1.0 / sig0 + np.sum(lam * e / h, axis=-1)) / (2.0 * sqrt_tau)
+    # repeated subterms are formed once; each is the same operation on the same operands
+    sig0_2, sig0_4, h_2 = sig0**2, sig0**4, h**2
+    lam_e = lam * np.exp(0.5 * (sig0_2[..., None] - h_2))
+    p2 = (-1.0 / sig0 + (lam_e / h).sum(-1)) / (2.0 * sqrt_tau)
 
     sig2 = p0 * p2 * tau
+    sig2_2, sig2_6 = sig2**2, 6.0 * sig2
     p4 = (
-        (1.0 + 6.0 * sig2 + sig0**2 * (-7.0 - 6.0 * sig2 + 3.0 * sig2**2)) / sig0**3
-        + np.sum(lam * e / h**3 * (-1.0 + 7.0 * h**2), axis=-1)
+        (1.0 + sig2_6 + sig0_2 * (-7.0 - sig2_6 + 3.0 * sig2_2)) / sig0**3
+        + (lam_e / h**3 * (-1.0 + 7.0 * h_2)).sum(-1)
     ) / (8.0 * sqrt_tau)
 
     sig4 = p0 * p4 * tau
+    sig2_45, sig4_60 = 45.0 * sig2, 60.0 * sig4
     p6 = (
         (
             -3.0
-            - 45.0 * sig2
-            + sig0**2 * (90.0 * sig2 + 60.0 * sig4)
-            + sig0**4 * sig2 * (45.0 * sig2 + 60.0 * sig4 - 15.0 * sig2**2)
-            + 16.0 * sig0**2
-            - 90.0 * sig2**2
-            - 31.0 * sig0**4
-            - 45.0 * sig0**2 * sig2**2
-            - sig0**4 * (15.0 * sig2 + 60.0 * sig4)
-            + 15.0 * sig0**2 * sig2**3
+            - sig2_45
+            + sig0_2 * (90.0 * sig2 + sig4_60)
+            + sig0_4 * sig2 * (sig2_45 + sig4_60 - 15.0 * sig2_2)
+            + 16.0 * sig0_2
+            - 90.0 * sig2_2
+            - 31.0 * sig0_4
+            - 45.0 * sig0_2 * sig2_2
+            - sig0_4 * (15.0 * sig2 + sig4_60)
+            + 15.0 * sig0_2 * sig2**3
         )
         / sig0**5
-        + np.sum(lam * e / h**5 * (3.0 - 16.0 * h**2 + 31.0 * h**4), axis=-1)
+        + (lam_e / h**5 * (3.0 - 16.0 * h_2 + 31.0 * h**4)).sum(-1)
     ) / (32.0 * sqrt_tau)
 
     return np.stack([p0, p2, p4, p6])

@@ -98,45 +98,60 @@ class SliceParams:
             )
 
 
-def hagan_vol(forward, strikes, tau: float, alpha: float, beta: float, rho: float, gamma: float):
-    """SABR implied volatility; vectorized over strikes.
+def hagan_vol(forward, strikes, tau: float, alpha, beta, rho, gamma):
+    """SABR implied volatility; broadcasts over strikes and arrays of parameters.
 
     The ratio z/x(z) switches to its Taylor series below |z| = 1e-6,
     where direct evaluation of log(.)/z loses all precision; the series
-    limit at the forward strike is exactly 1.
+    limit at the forward strike is exactly 1.  A zero alpha gives a zero
+    vol.  The terms in alpha, beta and rho alone are formed point by point
+    in Python floats, so arrays of parameters give bit for bit the vols of
+    scalar calls.
     """
     k = np.asarray(strikes, dtype=float)
-    scalar = k.ndim == 0
-    k = np.atleast_1d(k)
-    if np.any(k <= 0):
+    if (k <= 0).any():
         raise ParameterDomainError("strikes must be positive")
-    if alpha == 0.0:
-        out = np.zeros_like(k)
-        return float(out[0]) if scalar else out
+    points = np.broadcast(alpha, beta, rho)
+    rows = [_sabr_terms(float(a), float(b), float(r)) for a, b, r in points]
+    # a single point keeps its terms as floats: the arithmetic, and the cost, of a scalar call
+    terms = rows[0] if points.size == 1 else np.array(rows).T.reshape((-1,) + points.shape)
+    live, alpha, rho, fk_exp, omb, rho_2, rho_half, one_m_rho, c12, c24, d24, d1920, d24_alpha2, rho_beta = terms
 
     log_fk = np.log(forward / k)
-    fk_pow = (forward * k) ** ((1.0 - beta) / 2.0)
+    fk_pow = _power(forward * k, fk_exp)
     z = (gamma / alpha) * fk_pow * log_fk
     small = np.abs(z) < _Z_SERIES_CUTOFF
     z_safe = np.where(small, 1.0, z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        x_of_z = np.log((np.sqrt(1.0 - 2.0 * rho * z_safe + z_safe**2) + z_safe - rho) / (1.0 - rho))
-        ratio = np.where(
-            small,
-            1.0 - 0.5 * rho * z + (2.0 - 3.0 * rho**2) / 12.0 * z**2,
-            z_safe / x_of_z,
-        )
-    one_m_beta = 1.0 - beta
-    denom = fk_pow * (
-        1.0 + one_m_beta**2 / 24.0 * log_fk**2 + one_m_beta**4 / 1920.0 * log_fk**4
-    )
+        x_of_z = np.log((np.sqrt(1.0 - rho_2 * z_safe + z_safe**2) + z_safe - rho) / one_m_rho)
+        ratio = np.where(small, 1.0 - rho_half * z + c12 * z**2, z_safe / x_of_z)
+    denom = fk_pow * (1.0 + d24 * log_fk**2 + d1920 * log_fk**4)
     correction = 1.0 + (
-        one_m_beta**2 / 24.0 * alpha**2 / (forward * k) ** one_m_beta
-        + 0.25 * rho * beta * gamma * alpha / fk_pow
-        + (2.0 - 3.0 * rho**2) / 24.0 * gamma**2
+        d24_alpha2 / _power(forward * k, omb) + rho_beta * gamma * alpha / fk_pow + c24 * gamma**2
     ) * tau
     vol = alpha / denom * ratio * correction
-    return float(vol[0]) if scalar else vol
+    if not all(row[0] for row in rows):
+        vol = np.where(live, vol, 0.0)
+    if np.ndim(vol) < points.nd:  # a single point given as an array keeps its axes
+        vol = np.reshape(vol, np.broadcast_shapes(np.shape(vol), points.shape))
+    return float(vol) if np.ndim(vol) == 0 else vol
+
+
+def _sabr_terms(alpha: float, beta: float, rho: float) -> tuple:
+    """`hagan_vol`'s terms in the parameters alone, as its formula forms them (alpha = 0 computes as 1)."""
+    live, alpha, omb = alpha != 0.0, alpha or 1.0, 1.0 - beta
+    c = 2.0 - 3.0 * rho**2
+    return (live, alpha, rho, (1.0 - beta) / 2.0, omb, 2.0 * rho, 0.5 * rho, 1.0 - rho, c / 12.0, c / 24.0,
+            omb**2 / 24.0, omb**4 / 1920.0, omb**2 / 24.0 * alpha**2, 0.25 * rho * beta)
+
+
+def _power(base, exponent) -> np.ndarray:
+    """base ** exponent (per point for an array of exponents), rounded as numpy rounds a float exponent."""
+    if isinstance(exponent, np.ndarray):
+        if (exponent != exponent.flat[0]).any():
+            return np.where(exponent == 0.5, np.sqrt(base), base**exponent)  # a float 0.5 is a square root
+        exponent = float(exponent.flat[0])
+    return base**exponent
 
 
 def eval_vol(base: BaseParams, ctx: MarketContext, key: OptionKey) -> float:

@@ -109,7 +109,7 @@ DistributionSpec = Union[LogNormal, Gamma, SpotLogNormal, DiscreteGiven]
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Paired weights/nodes discretizing a randomizer distribution."""
+    """Paired weights/nodes discretizing a randomizer distribution (a stack: one rule per row)."""
 
     weights: np.ndarray
     nodes: np.ndarray
@@ -117,13 +117,13 @@ class QuadratureRule:
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
         x = np.array(self.nodes, dtype=float)
-        if w.shape != x.shape or w.ndim != 1:
-            raise ValueError("weights and nodes must be 1-d arrays of equal length")
-        if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError(f"quadrature weights must sum to 1, got {w.sum()!r}")
-        if np.any(w < 0):
+        if w.shape != x.shape or w.ndim not in (1, 2):
+            raise ValueError("weights and nodes must be 1-d arrays (or 2-d stacks) of equal shape")
+        if (np.abs(w.sum(-1) - 1.0) > _WEIGHT_SUM_TOL).any():
+            raise ValueError(f"quadrature weights must sum to 1, got {w.sum(-1)!r}")
+        if (w < 0).any():
             raise ValueError("quadrature weights must be nonnegative")
-        if x.size > 1 and np.any(np.diff(x) <= 0):
+        if (x[..., 1:] <= x[..., :-1]).any():
             raise ValueError("quadrature nodes must be strictly increasing")
         w.setflags(write=False)
         x.setflags(write=False)
@@ -132,15 +132,16 @@ class QuadratureRule:
 
     @property
     def size(self) -> int:
-        return self.nodes.size
+        return self.nodes.shape[-1]
 
-    def mean(self) -> float:
-        return float(np.dot(self.weights, self.nodes))
+    def mean(self):
+        return self.moment(1)
 
-    def moment(self, order: int) -> float:
-        return float(np.dot(self.weights, self.nodes**order))
+    def moment(self, order: int):
+        got = np.matmul(self.weights[..., None, :], self.nodes[..., :, None] ** order)[..., 0, 0]
+        return float(got) if got.ndim == 0 else got
 
-    def scaled(self, factor: float) -> "QuadratureRule":
+    def scaled(self, factor) -> "QuadratureRule":
         """Rule for the scaled variable factor * X (weights unchanged)."""
         return QuadratureRule(self.weights, self.nodes * factor)
 
@@ -173,7 +174,7 @@ def moments(spec: DistributionSpec, order: int) -> np.ndarray:
         exponents = i * math.log(spec.theta) + gammaln(spec.k + i) - gammaln(spec.k)
     else:
         raise TypeError(f"unsupported distribution spec: {spec!r}")
-    if np.any(exponents > _LOG_FLOAT_MAX):
+    if (exponents > _LOG_FLOAT_MAX).any():
         raise MomentOverflowError(
             "moment overflow: the requested order is not representable; lower n_q"
         )
@@ -238,34 +239,37 @@ def build_workspace(moment_values: np.ndarray, n_q: int) -> QuadratureWorkspace:
 
 
 def _jacobi(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Symmetric tridiagonal matrix with diagonal alpha and off-diagonal sqrt(beta)."""
-    off = np.sqrt(beta)
-    return np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1)
+    """Symmetric tridiagonal matrix (one per stacked row) with diagonal alpha and off-diagonal sqrt(beta)."""
+    i = np.arange(alpha.shape[-1])
+    out = np.zeros(alpha.shape + i.shape)
+    out[..., i, i] = alpha
+    out[..., i[:-1], i[1:]] = out[..., i[1:], i[:-1]] = np.sqrt(beta)
+    return out
 
 
-def _rule_from_jacobi(jacobi: np.ndarray) -> QuadratureRule:
+def _weights_nodes(jacobi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Golub-Welsch: nodes are the eigenvalues, weights the squared first
-    components of the normalized eigenvectors."""
+    components of the normalized eigenvectors (one rule per stacked matrix)."""
     nodes, vectors = np.linalg.eigh(jacobi)
-    weights = vectors[0] ** 2
-    return QuadratureRule(weights / weights.sum(), nodes)
+    weights = vectors[..., 0, :] ** 2
+    return weights / weights.sum(-1, keepdims=True), nodes
 
 
-def _check_moment_reproduction(rule: QuadratureRule, mom: np.ndarray, n_q: int) -> None:
-    """Raise unless the rule reproduces mom[0..2*n_q-1] to relative 1e-8."""
+def _check_moment_reproduction(weights, nodes, mom: np.ndarray, n_q: int) -> None:
+    """Raise unless each rule reproduces its mom[0..2*n_q-1] to relative 1e-8."""
     i = np.arange(2 * n_q)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan fails the test below
-        got = rule.weights @ rule.nodes[:, None] ** i
-    target = mom[: 2 * n_q]
+        got = np.matmul(weights[..., None, :], nodes[..., :, None] ** i)[..., 0, :]
+    target = mom[..., : 2 * n_q]
     # zero-ish targets (symmetric measures) are scaled by the natural
     # order-i magnitude mu_2^(i/2) instead of their own near-zero value
-    scale = np.maximum(np.maximum(np.abs(target), mom[2] ** (i / 2.0)), 1e-300)
-    bad = np.flatnonzero(~(np.abs(got - target) / scale <= _MOMENT_REPRODUCTION_RTOL))
-    if bad.size:
-        j = bad[0]
+    scale = np.maximum(np.maximum(np.abs(target), mom[..., 2:3] ** (i / 2.0)), 1e-300)
+    ok = np.abs(got - target) / scale <= _MOMENT_REPRODUCTION_RTOL
+    if not ok.all():
+        at = tuple(np.argwhere(~ok)[0])
         raise GramMatrixError(
-            f"constructed rule fails to reproduce moment {j} "
-            f"(got {float(got[j])!r}, want {float(target[j])!r}); n_q={n_q} too large"
+            f"constructed rule fails to reproduce moment {at[-1]} "
+            f"(got {float(got[at])!r}, want {float(target[at])!r}); n_q={n_q} too large"
         )
 
 
@@ -277,12 +281,12 @@ def golub_welsch(moment_values: np.ndarray, n_q: int) -> QuadratureRule:
     precision is exhausted and raises instead of returning a bad rule.
     """
     ws = build_workspace(moment_values, n_q)
-    rule = _rule_from_jacobi(ws.jacobi)
-    _check_moment_reproduction(rule, np.asarray(moment_values, dtype=float), n_q)
+    rule = QuadratureRule(*_weights_nodes(ws.jacobi))
+    _check_moment_reproduction(rule.weights, rule.nodes, np.asarray(moment_values, dtype=float), n_q)
     return rule
 
 
-def quadrature_for(spec: DistributionSpec, n_q: int) -> QuadratureRule:
+def quadrature_for(spec, n_q: int) -> QuadratureRule:
     """Build the quadrature rule discretizing a randomizer distribution.
 
     Explicit discrete rules pass through unchanged; degenerate parametric
@@ -290,45 +294,61 @@ def quadrature_for(spec: DistributionSpec, n_q: int) -> QuadratureRule:
     n_q.  Parametric specs get the closed-form Jacobi matrix of their
     unit-scale family; the nodes are scaled back afterwards, and the
     unit-scale rule must reproduce its family's moments like any
-    `golub_welsch` rule.
+    `golub_welsch` rule.  A sequence of specs of one type gives a stack,
+    one row per spec from one stacked eigendecomposition, each row checked
+    on its own and equal bit for bit to that spec's own rule.
     """
-    if isinstance(spec, DiscreteGiven):
-        w = np.array([p[0] for p in spec.points])
-        x = np.array([p[1] for p in spec.points])
-        return QuadratureRule(w / w.sum(), x)
+    stacked = not isinstance(spec, DistributionSpec)
+    specs = tuple(spec) if stacked else (spec,)
+    if len({type(s) for s in specs}) != 1:
+        raise ValueError("a stack of specs must hold one distribution type")
+    first = specs[0]
+    if isinstance(first, DiscreteGiven):  # ragged stacks raise in np.array
+        w, x = (_rows([[p[c] for p in s.points] for s in specs], stacked) for c in (0, 1))
+        return QuadratureRule(w / w.sum(-1, keepdims=True), x)
     if n_q < 1:
         raise ValueError("n_q must be >= 1")
     if n_q > MAX_NQ:
         raise ValueError(f"n_q={n_q} exceeds the supported maximum {MAX_NQ}")
 
-    if isinstance(spec, (LogNormal, SpotLogNormal)):
-        if spec.nu == 0.0:
-            mean = spec.s0 if isinstance(spec, SpotLogNormal) else math.exp(spec.mu)
+    if isinstance(first, (LogNormal, SpotLogNormal)):
+        if any(s.nu == 0.0 for s in specs):
+            if stacked:
+                raise ValueError("a stack of rules must have one size; nu = 0 collapses to one node")
+            mean = first.s0 if isinstance(first, SpotLogNormal) else math.exp(first.mu)
             return QuadratureRule(np.array([1.0]), np.array([mean]))
-        if isinstance(spec, SpotLogNormal):
-            spec = _spot_as_lognormal(spec)
-        unit, scale = LogNormal(0.0, spec.nu), math.exp(spec.mu)
-    elif isinstance(spec, Gamma):
-        unit, scale = Gamma(spec.k, 1.0), spec.theta
+        specs = [_spot_as_lognormal(s) if isinstance(s, SpotLogNormal) else s for s in specs]
+        units, scale = [LogNormal(0.0, s.nu) for s in specs], [math.exp(s.mu) for s in specs]
+    elif isinstance(first, Gamma):
+        units, scale = [Gamma(s.k, 1.0) for s in specs], [s.theta for s in specs]
     else:
-        raise TypeError(f"unsupported distribution spec: {spec!r}")
+        raise TypeError(f"unsupported distribution spec: {first!r}")
 
-    mom = moments(unit, 2 * n_q)  # overflows before the recurrence does
-    rule = _rule_from_jacobi(_jacobi(*_recurrence(unit, n_q)))
-    _check_moment_reproduction(rule, mom, n_q)
-    return rule.scaled(scale)
+    mom = _rows([moments(u, 2 * n_q) for u in units], stacked)  # overflows before the recurrence does
+    weights, nodes = _weights_nodes(_jacobi(*_recurrence(units if stacked else units[0], n_q)))
+    _check_moment_reproduction(weights, nodes, mom, n_q)
+    return QuadratureRule(weights, nodes * _rows(scale, stacked))
 
 
-def _recurrence(unit: Union[LogNormal, Gamma], n_q: int) -> tuple[np.ndarray, np.ndarray]:
+def _rows(values, stacked: bool) -> np.ndarray:
+    return np.array(values, dtype=float).reshape((len(values), -1) if stacked else (-1,))
+
+
+def _recurrence(unit, n_q: int) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form recurrence coefficients alpha_0..alpha_{n-1}, beta_1..beta_{n-1}
-    of a unit-scale Gamma(k, 1) or LogNormal(0, nu) (Gautschi 2004)."""
+    of a unit-scale Gamma(k, 1) or LogNormal(0, nu) (Gautschi 2004); one row
+    per unit for a sequence of units of one family."""
+    stacked = not isinstance(unit, DistributionSpec)
+    units = tuple(unit) if stacked else (unit,)
     j = np.arange(n_q, dtype=float)
-    if isinstance(unit, Gamma):
+    if isinstance(units[0], Gamma):
         # generalized Laguerre with parameter k - 1
-        return 2.0 * j + unit.k, j[1:] * (j[1:] + unit.k - 1.0)
+        k = _rows([u.k for u in units], stacked)
+        return 2.0 * j + k, j[1:] * (j[1:] + k - 1.0)
     # Stieltjes-Wigert with q = exp(-nu^2); 1 - q^j is computed as -expm1(-j nu^2)
-    v = unit.nu**2
+    v = [u.nu**2 for u in units]
+    q, v = _rows([math.exp(-x) for x in v], stacked), _rows(v, stacked)
     one_minus_qj = -np.expm1(-j * v)
-    alpha = np.exp((2.0 * j + 0.5) * v) * (1.0 + math.exp(-v) * one_minus_qj)
-    beta = np.exp((4.0 * j[1:] - 2.0) * v) * one_minus_qj[1:]
+    alpha = np.exp((2.0 * j + 0.5) * v) * (1.0 + q * one_minus_qj)
+    beta = np.exp((4.0 * j[1:] - 2.0) * v) * one_minus_qj[..., 1:]
     return alpha, beta

@@ -11,7 +11,7 @@ import io
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -46,53 +46,71 @@ def parse_engine(engine: str) -> tuple[str, Optional[int]]:
 
 @dataclass(frozen=True)
 class RandomizedSlice:
-    """A slice with its quadrature rule resolved and invariants checked."""
+    """A slice with its quadrature rule resolved and invariants checked.
 
-    params: SliceParams
+    A stack of P slices (``params`` a tuple) has one rule row per slice,
+    and every grid it yields has a leading (P,) axis.
+    """
+
+    params: Union[SliceParams, tuple]
     rule: QuadratureRule
     ctx: MarketContext
 
     @property
+    def members(self) -> tuple:
+        return self.params if isinstance(self.params, tuple) else (self.params,)
+
+    @property
+    def batch_shape(self) -> tuple:
+        return self.rule.nodes.shape[:-1]
+
+    @property
     def target(self) -> str:
-        return self.params.randomizer.target
+        return self.members[0].randomizer.target
 
     @property
     def expansion_kind(self) -> str:
         return "spot" if self.target == "spot" else "parameter"
 
-    def implied_vol(self, expiry: float, strikes, engine: str = "brent"):
+    def implied_vol(self, expiry: float, strikes):
         """Implied vols at ``strikes``: a float for a scalar, an array for an array."""
-        vols = implied_vol_grid(self, expiry, strikes, engine=engine)
+        vols = implied_vol_grid(self, expiry, strikes)
         return float(vols[0]) if np.ndim(strikes) == 0 else vols
 
 
-def randomize(
-    params: SliceParams, ctx: MarketContext, recenter_spot: bool = False
-) -> RandomizedSlice:
+def randomize(params, ctx: MarketContext, recenter_spot: bool = False) -> RandomizedSlice:
     """Build the quadrature rule for a slice and validate the mixing invariants.
 
     A plain slice (no randomizer) becomes a one-node rule: a point mass at
     sigma (flat base) or gamma (SABR base).  Spot randomization requires
     the rule mean to sit on the market spot; an off-center explicit
     discrete rule is rejected unless ``recenter_spot`` asks for its nodes
-    to be rescaled onto the spot.
+    to be rescaled onto the spot.  A sequence of SliceParams with one
+    target and n_q gives a stack, which fails if any member fails a check.
     """
-    rnd = params.randomizer or _point_mass(params.base)
-    rule = quadrature_for(rnd.dist, rnd.n_q)
+    stacked = not isinstance(params, SliceParams)
+    members = tuple(
+        SliceParams(p.base, p.randomizer or _point_mass(p.base)) for p in (params if stacked else (params,))
+    )
+    rnd = members[0].randomizer
+    if stacked and any((p.randomizer.target, p.randomizer.n_q) != (rnd.target, rnd.n_q) for p in members):
+        raise ValueError("stacked slices must share the randomized target and n_q")
+    dists = [p.randomizer.dist for p in members]
+    rule = quadrature_for(dists if stacked else dists[0], rnd.n_q)
     if rnd.target == "spot":
         mean = rule.mean()
-        if abs(mean - ctx.s0) > _SPOT_CENTER_RTOL * ctx.s0:
-            if recenter_spot and isinstance(rnd.dist, DiscreteGiven):
-                rule = rule.scaled(ctx.s0 / mean)
+        if np.any(np.abs(mean - ctx.s0) > _SPOT_CENTER_RTOL * ctx.s0):
+            if recenter_spot and all(isinstance(d, DiscreteGiven) for d in dists):
+                rule = rule.scaled(ctx.s0 / np.expand_dims(mean, -1))
             else:
                 raise ParameterDomainError(
                     f"spot randomizer mean {mean!r} is not centered at the spot {ctx.s0!r}"
                 )
-        if np.any(rule.nodes <= 0):
+        if (rule.nodes <= 0).any():
             raise ParameterDomainError("spot nodes must be strictly positive")
-    elif np.any(rule.nodes < 0):
+    elif (rule.nodes < 0).any():
         raise ParameterDomainError(f"{rnd.target} nodes must be nonnegative")
-    return RandomizedSlice(SliceParams(params.base, rnd), rule, ctx)
+    return RandomizedSlice(members if stacked else members[0], rule, ctx)
 
 
 def _point_mass(base: BaseParams) -> RandomizerSpec:
@@ -103,33 +121,32 @@ def _point_mass(base: BaseParams) -> RandomizerSpec:
 
 
 def _node_vol_matrix(rs: RandomizedSlice, expiry: float, strikes: np.ndarray) -> np.ndarray:
-    """Node volatilities on a strike grid, shape (n_strikes, n_q)."""
-    rnd = rs.params.randomizer
-    nodes = rs.rule.nodes
-    if rnd.target == "sigma":
-        return np.broadcast_to(nodes, (strikes.size, nodes.size))
-    if rnd.target == "gamma":
-        base = rs.params.base
+    """Node volatilities on a strike grid, shape ``rs.batch_shape + (n_strikes, n_q)``."""
+    nodes = rs.rule.nodes[..., None, :]
+    shape = rs.batch_shape + (strikes.size, rs.rule.size)
+    bases = [p.base for p in rs.members]
+    if rs.target == "sigma":
+        return np.broadcast_to(nodes, shape)
+    if rs.target == "gamma":
         from .parametrizations import hagan_vol
 
+        alpha, beta, rho = (
+            np.array([getattr(b, name) for b in bases]).reshape(rs.batch_shape + (1, 1)) for name in ("alpha", "beta", "rho")
+        )
         tau = expiry - rs.ctx.t0
-        fwd = rs.ctx.forward(expiry)
-        vols = hagan_vol(fwd, strikes[:, None], tau, base.alpha, base.beta, base.rho, nodes[None, :])
-        return np.broadcast_to(vols, (strikes.size, nodes.size))
-    eta = eval_vol_curve(rs.params.base, rs.ctx, expiry, strikes)
-    return np.broadcast_to(eta[:, None], (strikes.size, nodes.size))
+        return hagan_vol(rs.ctx.forward(expiry), strikes[:, None], tau, alpha, beta, rho, nodes)
+    eta = np.array([eval_vol_curve(b, rs.ctx, expiry, strikes) for b in bases]).reshape(rs.batch_shape + (-1, 1))
+    return np.broadcast_to(eta, shape)
 
 
 def randomized_prices(rs: RandomizedSlice, expiry: float, strikes) -> np.ndarray:
-    """Mixture call prices on a strike grid (vectorized)."""
+    """Mixture call prices on a strike grid, shape ``rs.batch_shape + (n_strikes,)``."""
     strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
     tau = _check_expiry(rs.ctx, expiry)
-    vols = _node_vol_matrix(rs, expiry, strikes)
-    if rs.target == "spot":
-        values = bs_call_values(rs.rule.nodes, rs.ctx.r, tau, strikes[:, None], vols)
-    else:
-        values = bs_call_values(rs.ctx.s0, rs.ctx.r, tau, strikes[:, None], vols)
-    return values @ rs.rule.weights
+    spot = rs.rule.nodes[..., None, :] if rs.target == "spot" else rs.ctx.s0
+    values = bs_call_values(spot, rs.ctx.r, tau, strikes[:, None], _node_vol_matrix(rs, expiry, strikes))
+    # matmul sums each slice's rows exactly as values @ weights does for that slice alone
+    return np.matmul(values, rs.rule.weights[..., None])[..., 0]
 
 
 def randomized_price(rs: RandomizedSlice, key: OptionKey) -> float:
@@ -166,25 +183,27 @@ def implied_vol_grid(
 ) -> np.ndarray:
     """Implied vols on a strike grid, vectorized on every engine.
 
-    A one-node rule prices a single Black-Scholes value, whose implied vol
-    is the node vol itself; it is returned exactly on every engine.
-    Otherwise points outside the expansion validity region (|m| > m_max or
-    a nonpositive polynomial value) escalate to the exact inversion; ``quiet``
-    demotes the escalation log to debug level (used by the calibrator,
-    whose exploratory evaluations trip the guard routinely).
+    The result has shape ``rs.batch_shape + (n_strikes,)``.  A one-node
+    rule prices a single Black-Scholes value, whose implied vol is the
+    node vol itself; it is returned exactly on every engine.  Otherwise
+    points outside the expansion validity region (|m| > m_max or a
+    nonpositive polynomial value) escalate to the exact inversion;
+    ``quiet`` demotes the escalation log to debug level (used by the
+    calibrator, whose exploratory evaluations trip the guard routinely).
     """
     strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
     method, order = parse_engine(engine)
     tau = _check_expiry(rs.ctx, expiry)
+    shape = rs.batch_shape + strikes.shape
     if rs.rule.size == 1:
-        return _node_vol_matrix(rs, expiry, strikes)[:, 0].copy()
+        return _node_vol_matrix(rs, expiry, strikes)[..., 0].copy()
     if method == "brent":
-        return _brent_grid(rs, expiry, strikes)
+        return _invert(rs.ctx, expiry, strikes, randomized_prices(rs, expiry, strikes))
 
     order = expansion.expansion_order(rs.expansion_kind, order)
     m = np.log(rs.ctx.s0 / strikes) + rs.ctx.r * tau
     coeffs = expansion_coefficients(rs, expiry, strikes)
-    values = expansion.evaluate_polynomial(rs.expansion_kind, coeffs, m, order)
+    values = expansion.evaluate_polynomial(rs.expansion_kind, coeffs, np.broadcast_to(m, shape), order)
 
     escalate = (np.abs(m) > m_max) | (values <= 0.0)
     if np.any(escalate):
@@ -192,9 +211,17 @@ def implied_vol_grid(
             logging.DEBUG if quiet else logging.WARNING,
             "expansion guard tripped at %d of %d grid points; falling back to the exact inversion",
             int(escalate.sum()),
-            strikes.size,
+            values.size,
         )
-        values[escalate] = _brent_grid(rs, expiry, strikes[escalate])
+        # each slice prices its own escalated strikes, as a lone slice would; one inversion for all
+        rows = escalate.reshape(-1, strikes.size)
+        weights, nodes = (a.reshape(rows.shape[0], -1) for a in (rs.rule.weights, rs.rule.nodes))
+        prices = [
+            randomized_prices(RandomizedSlice(rs.members[p], QuadratureRule(weights[p], nodes[p]), rs.ctx),
+                              expiry, strikes[row])
+            for p, row in enumerate(rows) if row.any()
+        ]
+        values[escalate] = _invert(rs.ctx, expiry, np.broadcast_to(strikes, shape)[escalate], np.concatenate(prices))
     return values
 
 
@@ -202,23 +229,26 @@ def expansion_coefficients(rs: RandomizedSlice, expiry: float, strikes) -> np.nd
     """Taylor coefficients of the implied vol in log-moneyness, one column per strike.
 
     The rows are (P0, P2, P4, P6) for parameter randomization and
-    (P0, P1, P2, P3, P4) for spot randomization; evaluate them with
+    (P0, P1, P2, P3, P4) for spot randomization, each of shape
+    ``rs.batch_shape + (n_strikes,)``; evaluate them with
     ``expansion.evaluate_polynomial``.
     """
     strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
-    tau = np.full(strikes.size, _check_expiry(rs.ctx, expiry))
+    shape = rs.batch_shape + strikes.shape
+    tau = np.full(shape, _check_expiry(rs.ctx, expiry))
+    weights, nodes = (a[..., None, :] for a in (rs.rule.weights, rs.rule.nodes))
     vols = _node_vol_matrix(rs, expiry, strikes)
     if rs.expansion_kind == "parameter":
-        return expansion.parameter_coefficients(rs.rule.weights, vols, tau)
-    return expansion.spot_coefficients(rs.rule.weights, rs.rule.nodes, rs.ctx.s0, vols[:, 0], tau)
+        return expansion.parameter_coefficients(weights, vols, tau)
+    return expansion.spot_coefficients(weights, nodes, rs.ctx.s0, vols[..., 0], tau)
 
 
-def _brent_grid(rs: RandomizedSlice, expiry: float, strikes: np.ndarray) -> np.ndarray:
-    """Exact vols of the mixture prices; scalar Brent answers or refuses what the vector pass leaves."""
-    prices = randomized_prices(rs, expiry, strikes)
-    out = implied_vols(rs.ctx, expiry, strikes, prices)
+def _invert(ctx: MarketContext, expiry: float, strikes: np.ndarray, prices: np.ndarray) -> np.ndarray:
+    """Exact vols of mixture prices; scalar Brent answers or refuses what the vector pass leaves."""
+    strikes = np.broadcast_to(strikes, prices.shape)
+    out = implied_vols(ctx, expiry, strikes, prices)
     for i in np.flatnonzero(np.isnan(out)):
-        out[i] = implied_vol_brent(rs.ctx, OptionKey(expiry, float(strikes[i])), float(prices[i]))
+        out.flat[i] = implied_vol_brent(ctx, OptionKey(expiry, float(strikes.flat[i])), float(prices.flat[i]))
     return out
 
 

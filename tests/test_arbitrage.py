@@ -116,9 +116,9 @@ class TestCalendar:
             def __init__(self, sigma):
                 self.rs, self.calls = randomize(SliceParams(FlatParams(sigma)), CTX), 0
 
-            def implied_vol(self, expiry, strikes, engine="brent"):
+            def implied_vol(self, expiry, strikes):
                 self.calls += 1
-                return self.rs.implied_vol(expiry, strikes, engine=engine)
+                return self.rs.implied_vol(expiry, strikes)
 
         slices = [CountingSlice(0.2), CountingSlice(0.21), CountingSlice(0.22)]
         entries = tuple(zip((0.5, 1.0, 1.5), slices))

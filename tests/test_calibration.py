@@ -1,8 +1,10 @@
 """Tests for liquidity selection and slice calibration."""
+import contextlib
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize._numdiff import approx_derivative
 
 from randvol import calibration
 from randvol.calibration import (
@@ -16,7 +18,7 @@ from randvol.calibration import (
     select_liquid,
     variance_of_randomizer,
 )
-from randvol.errors import CalibrationError
+from randvol.errors import CalibrationError, GramMatrixError
 from randvol.parametrizations import FlatParams, RandomizerSpec, SabrParams, SliceParams
 from randvol.pricing import MarketContext, OptionType
 from randvol.quadrature import DiscreteGiven, Gamma, LogNormal, SpotLogNormal
@@ -214,9 +216,20 @@ class TestRandomizedSabrFit:
         quotes, _ = randomized_sabr_fixture
         calls = []
         real = calibration.model_vols
-        monkeypatch.setattr(
-            calibration, "model_vols", lambda *a, **k: calls.append(repr(a[0])) or real(*a, **k)
-        )
+
+        def counting(params, *a, **k):
+            # every point of a stacked call counts; a stack that raises is
+            # asked again point by point, so only a lone failing point counts there
+            try:
+                vols = real(params, *a, **k)
+            except Exception:
+                if len(params) == 1:
+                    calls.append(repr(params[0]))
+                raise
+            calls.extend(repr(p) for p in params)
+            return vols
+
+        monkeypatch.setattr(calibration, "model_vols", counting)
         fit_slice(quotes, FitConfig(model="sabr", randomizer="gamma-gamma", n_q=2, seed=3))
         assert len(calls) <= 2000
         assert len(set(calls)) == len(calls)
@@ -252,7 +265,7 @@ class TestRandomizedSabrFit:
         result, cfg, quotes = fitted_randomized
         strikes = np.array([q.strike for q in quotes.quotes])
         market = np.array([q.iv for q in quotes.quotes])
-        refit = model_vols(result.params, quotes.ctx, quotes.expiries()[0], strikes, "brent")
+        refit = model_vols([result.params], quotes.ctx, quotes.expiries()[0], strikes, "brent")[0]
         sse_brent = float(np.sum((refit - market) ** 2))
         assert abs(sse_brent - result.sse) <= 0.1 * max(result.sse, 1e-8 * len(quotes))
 
@@ -270,7 +283,7 @@ class TestRandomizedSabrFit:
             values = _values_from_vector(cfg, free, start)
             try:
                 params = build_slice_params(cfg, values, quotes.ctx)
-                model = model_vols(params, quotes.ctx, expiry, strikes, cfg.engine)
+                model = model_vols([params], quotes.ctx, expiry, strikes, cfg.engine)[0]
             except Exception:
                 continue
             sse_start = float(np.sum((model - market) ** 2))
@@ -328,3 +341,79 @@ class TestNestedDominanceDegenerateBoundary:
         result = fit_slice(quotes, cfg)
         assert result.mse < 1e-8
         assert result.params.randomizer.dist.nu == pytest.approx(0.04, rel=5e-2)
+
+
+# every calibrator configuration, with the model of its free parameters
+STACK_CONFIGS = [
+    pytest.param(dict(model="sabr", randomizer="none"), id="sabr-none"),
+    pytest.param(dict(model="sabr", randomizer="gamma-gamma"), id="gamma-gamma"),
+    pytest.param(dict(model="flat", randomizer="none", fixed={}), id="flat-none"),
+    pytest.param(dict(model="flat", randomizer="sigma-lognormal", fixed={}), id="sigma-lognormal"),
+    pytest.param(dict(model="flat", randomizer="spot-lognormal", fixed={}), id="spot-lognormal"),
+]
+
+
+def slice_objective(quotes, cfg):
+    return calibration._SliceObjective(quotes, cfg, calibration._free_parameters(cfg))
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("engine", ["brent", "expansion"])
+    @pytest.mark.parametrize("kwargs", STACK_CONFIGS)
+    def test_stack_equals_one_point_calls(self, randomized_sabr_fixture, kwargs, engine):
+        quotes, expiry = randomized_sabr_fixture
+        cfg = FitConfig(engine=engine, **kwargs)
+        free = calibration._free_parameters(cfg)
+        starts = calibration._latin_starts(np.random.default_rng(5), [p.start_range for p in free], 5)
+        params = [
+            build_slice_params(cfg, calibration._values_from_vector(cfg, free, v), quotes.ctx) for v in starts
+        ]
+        strikes = np.array([q.strike for q in quotes.quotes])
+        stacked = model_vols(params, quotes.ctx, expiry, strikes, engine, quiet=True)
+        assert stacked.shape == (5, strikes.size)
+        singles = [model_vols([p], quotes.ctx, expiry, strikes, engine, quiet=True)[0] for p in params]
+        np.testing.assert_array_equal(stacked, singles)
+
+    def test_failing_member_reads_none_and_spares_the_others(self, randomized_sabr_fixture):
+        quotes, _ = randomized_sabr_fixture
+        cfg = FitConfig(model="sabr", randomizer="gamma-gamma", n_q=2)
+        # alpha, rho, k, theta in transformed space; theta = 1e-8 fails the moment check
+        points = [np.array([math.log(0.25), 0.1 * i - 0.2, math.log(3.0), math.log(0.5)]) for i in range(5)]
+        points[2] = np.array([math.log(0.25), 0.0, math.log(1.5e8), math.log(1e-8)])
+        failing = build_slice_params(
+            cfg, calibration._values_from_vector(cfg, calibration._free_parameters(cfg), points[2]), quotes.ctx
+        )
+        with pytest.raises(GramMatrixError):
+            model_vols([failing], quotes.ctx, 0.25, [100.0], "expansion")
+        problem = slice_objective(quotes, cfg)
+        problem.evaluate(points)
+        assert problem.memo[points[2].tobytes()] is None
+        for i in (0, 1, 3, 4):
+            alone = slice_objective(quotes, cfg)
+            alone.evaluate([points[i]])
+            np.testing.assert_array_equal(problem.memo[points[i].tobytes()], alone.memo[points[i].tobytes()])
+
+    def test_jacobian_is_scipy_two_point(self, randomized_sabr_fixture):
+        quotes, _ = randomized_sabr_fixture
+        problem = slice_objective(quotes, FitConfig(model="sabr", randomizer="gamma-gamma", n_q=2))
+        points = [
+            np.array([math.log(0.25), -0.135, math.log(3.0), math.log(0.5)]),
+            np.array([math.log(0.4), 0.0, math.log(1.2), math.log(0.9)]),
+            np.array([-1.0, -0.5, 0.5, -0.25]),
+        ]
+        for x in points:
+            problem.penalized(x)
+            want = approx_derivative(problem.penalized, x, method="2-point")
+            np.testing.assert_array_equal(problem.jacobian(x), want)
+
+    def test_one_search_evaluates_at_most_its_budget(self, randomized_sabr_fixture, monkeypatch):
+        quotes, _ = randomized_sabr_fixture
+        points = []
+        real = calibration.model_vols
+        monkeypatch.setattr(
+            calibration, "model_vols", lambda params, *a, **k: points.extend(params) or real(params, *a, **k)
+        )
+        with contextlib.suppress(CalibrationError):  # whether the search converges does not matter here
+            fit_slice(quotes, FitConfig(model="sabr", randomizer="none", multistart=1, budget=40, seed=3))
+        # the probe, then one search's budget of points (its first point is the probe)
+        assert 0 < len(points) <= 41

@@ -113,6 +113,21 @@ def node_vols(params, key):
     return _node_vol_matrix(randomize(params, CTX), key.expiry, np.array([key.strike]))[0]
 
 
+class TestHaganParameterArrays:
+    def test_array_alpha_with_zero_matches_scalar_calls(self):
+        # beta 0 and 0.5 make the float powers square roots, beta 1 makes them ones
+        strikes = np.linspace(60.0, 150.0, 19)[:, None]
+        gammas = np.array([[0.8, 1.5]])
+        alphas, betas = [0.3, 0.0, 0.05, 1.7, 0.4], [0.9, 0.5, 1.0, 0.0, 0.5]
+        rhos = [-0.4, 0.2, 0.0, 0.7, -0.1]
+        got = hagan_vol(101.0, strikes, 0.7, *(np.array(v)[:, None, None] for v in (alphas, betas, rhos)), gammas)
+        assert got.shape == (5, 19, 2)
+        np.testing.assert_array_equal(got[1], 0.0)
+        for i in (0, 2, 3, 4):
+            want = hagan_vol(101.0, strikes, 0.7, alphas[i], betas[i], rhos[i], gammas)
+            np.testing.assert_array_equal(got[i], want)
+
+
 class TestEvalVolAtNodes:
     def test_flat_sigma_identity(self):
         params = SliceParams(

@@ -123,6 +123,43 @@ class TestGolubWelsch:
             golub_welsch(np.array([1.0, 0.5]), 1)
 
 
+class TestStackedRules:
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            [Gamma(0.5, 1.2), Gamma(3.0, 0.5), Gamma(7.5, 0.1)],
+            [LogNormal(-1.6, 0.05), LogNormal(0.0, 0.4), LogNormal(2.0, 0.9)],
+            [SpotLogNormal(100.0, 0.02), SpotLogNormal(1496.45, 0.3)],
+            [DiscreteGiven(((0.25, 1.0), (0.75, 2.0))), DiscreteGiven(((0.5, 0.1), (0.5, 0.3)))],
+        ],
+    )
+    def test_rows_equal_single_rules(self, specs):
+        stack = quadrature_for(specs, 5)
+        assert stack.weights.shape == (len(specs), quadrature_for(specs[0], 5).size)
+        for row, spec in enumerate(specs):
+            single = quadrature_for(spec, 5)
+            np.testing.assert_array_equal(stack.weights[row], single.weights)
+            np.testing.assert_array_equal(stack.nodes[row], single.nodes)
+        np.testing.assert_array_equal(stack.mean(), [quadrature_for(s, 5).mean() for s in specs])
+
+    def test_failing_row_fails_the_stack(self):
+        with pytest.raises(GramMatrixError, match="reproduce moment"):
+            quadrature_for([LogNormal(0.0, 0.2), LogNormal(0.0, 2.0)], 6)
+
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            [LogNormal(0.0, 0.2), LogNormal(0.0, 0.0)],
+            [Gamma(3.0, 0.5), LogNormal(0.0, 0.2)],
+            [DiscreteGiven(((1.0, 0.2),)), DiscreteGiven(((0.5, 0.1), (0.5, 0.3)))],
+        ],
+        ids=["nu-zero", "mixed-types", "ragged"],
+    )
+    def test_mixed_stack_rejected(self, specs):
+        with pytest.raises(ValueError):
+            quadrature_for(specs, 2)
+
+
 class TestQuadratureFor:
     def test_gamma_mean_matches_table_values(self):
         rule = quadrature_for(Gamma(k=1.775, theta=1.378), 2)

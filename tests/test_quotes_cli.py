@@ -24,6 +24,11 @@ MISSPELLED = [
     pytest.param("engine = expansion6", "expansion6", id="engine-no-colon"),
     pytest.param("randomizer = gama-gamma", "gama-gamma", id="randomizer"),
 ]
+# a quote row with an infinite strike or iv, one of five flat/none rows
+INFINITE_ROWS = [
+    pytest.param("2024-10-29,inf,C,0.2,5\n", id="strike"),
+    pytest.param("2024-10-29,100,C,inf,5\n", id="iv"),
+]
 # an expansion order the configured randomizer cannot run
 UNRUNNABLE_ORDER = [
     pytest.param("model = flat\nrandomizer = spot-lognormal\nengine = expansion:6\n", id="spot-6"),
@@ -62,6 +67,12 @@ class TestLoadQuotes:
     def test_nan_row_rejected_with_line(self, tmp_path, row):
         rows = ["2024-08-16,5000,C,0.25,10\n", row]
         with pytest.raises(QuoteFormatError, match="line 3"):
+            load_quotes(write_quotes(tmp_path / "q.csv", rows), MARKET)
+
+    @pytest.mark.parametrize("row", INFINITE_ROWS)
+    def test_infinite_row_rejected_with_line(self, tmp_path, row):
+        rows = ["2024-08-16,5000,C,0.25,10\n", row]
+        with pytest.raises(QuoteFormatError, match="line 3.*finite"):
             load_quotes(write_quotes(tmp_path / "q.csv", rows), MARKET)
 
     def test_percent_iv_rejected(self, tmp_path):
@@ -375,6 +386,18 @@ class TestCli:
         rc = main(["fit", "--quotes", str(quotes), "--config", str(cfg), "--out-dir", str(out_dir)])
         assert rc == 2
         assert "expansion supports orders" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("row", INFINITE_ROWS)
+    def test_fit_infinite_quote_fails_before_fitting(self, tmp_path, capsys, row):
+        rows = [row] + [f"2024-10-29,{k},C,0.2,5\n" for k in (90, 95, 105, 110)]
+        quotes = write_quotes(tmp_path / "q.csv", rows)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{MARKET_LINES}model = flat\nrandomizer = none\n", encoding="utf-8")
+        out_dir = tmp_path / "fits"
+        rc = main(["fit", "--quotes", str(quotes), "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_fit_failed_slices_still_written(self, tmp_path, capsys):
