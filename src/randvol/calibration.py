@@ -5,16 +5,21 @@ against the retained market quotes.  Free parameters are optimized
 unconstrained through bound-respecting transforms (log for positives,
 scaled tanh for correlation and the exponent), with multistart bounded
 least squares on the residual vector (trust-region reflective,
-forward-difference Jacobian whose points are evaluated as one stacked
-model call).  Randomized fits additionally seed from
-a plain prefit embedded at the degenerate boundary of the randomizer,
-which makes the randomized family dominate its nested plain model by
-construction.
+forward-difference Jacobian).  The searches of a slice advance in
+lockstep: each round evaluates every point they wait on, trial points
+and Jacobian points alike, as one stacked model call.  Randomized fits
+additionally seed from a plain prefit embedded at the degenerate
+boundary of the randomizer, which makes the randomized family dominate
+its nested plain model by construction where that boundary builds.  For
+gamma-gamma it does not: θ = 1e-8 makes k ≈ 1.5e8, whose rule fails its
+moment check, so the embedded start is dropped.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Literal, Optional, Sequence, Union, get_args
 
 import numpy as np
@@ -112,6 +117,9 @@ class FitConfig:
         method, order = parse_engine(self.engine)
         if method == "expansion" and self.randomizer != "none":
             expansion_order("spot" if self.randomizer == "spot-lognormal" else "parameter", order)
+        for key in ("multistart", "budget"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
 
 
 @dataclass
@@ -123,6 +131,8 @@ class FitResult:
     residuals: list
     randomizer_variance: float
     converged: bool
+    evaluations: int  # distinct parameter points evaluated, the plain prefit's included
+    model_calls: int  # stacked model_vols calls, the plain prefit's included
 
     def to_json(self) -> dict:
         from .parametrizations import params_to_json
@@ -134,6 +144,8 @@ class FitResult:
             "mse": self.mse,
             "converged": self.converged,
             "randomizer_variance": self.randomizer_variance,
+            "evaluations": self.evaluations,
+            "model_calls": self.model_calls,
         }
         rnd = self.params.randomizer
         if rnd is not None and isinstance(rnd.dist, Gamma) and isinstance(self.params.base, SabrParams):
@@ -274,7 +286,9 @@ class _SliceObjective:
 
     A point maps to None where the model failed or gave a non-finite vol.
     `evaluate` serves many points with one stacked model call; if that
-    raises, it goes point by point, so only the failing points read None.
+    raises, it goes part by part (by default point by point), so only the
+    failing points read None.  In a search thread of `_lockstep`, it
+    waits for the round to evaluate its fresh points instead.
     """
 
     def __init__(self, quotes: QuoteSet, cfg: FitConfig, free: list):
@@ -282,19 +296,24 @@ class _SliceObjective:
         self.strikes = np.array([q.strike for q in quotes.quotes])
         self.market = np.array([q.iv for q in quotes.quotes])
         self.memo: dict[bytes, Optional[np.ndarray]] = {}
+        self.model_calls = 0
+        self.search = threading.local()  # a lockstep search thread's `wait`
 
-    def evaluate(self, vectors) -> None:
+    def evaluate(self, vectors, parts=None) -> None:
         fresh = {k: v for v in vectors if (k := np.asarray(v, dtype=float).tobytes()) not in self.memo}
         if not fresh:
             return
+        if hasattr(self.search, "wait"):
+            return self.search.wait(list(fresh.values()))
+        self.model_calls += 1
         try:
             params = [build_slice_params(self.cfg, _values_from_vector(self.cfg, self.free, v), self.ctx)
                       for v in fresh.values()]
             model = model_vols(params, self.ctx, self.expiry, self.strikes, self.cfg.engine, quiet=True)
         except (RandvolError, ValueError, OverflowError):
             if len(fresh) > 1:
-                for v in fresh.values():
-                    self.evaluate([v])
+                for part in parts if parts and len(parts) > 1 else ([v] for v in fresh.values()):
+                    self.evaluate(part)
                 return
             model = [None]
         for key, row in zip(fresh, model):
@@ -332,8 +351,8 @@ def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
     degenerate embedding of a plain prefit for randomized configurations)
     and returns the best result.  ``cfg.budget`` caps the objective
     evaluations of each search, finite-difference Jacobian included.
-    The starting probes are evaluated as one batch, and so are the
-    points of each Jacobian.
+    The starting probes are evaluated as one batch; the searches then
+    run in lockstep, one stacked model call per round.
     """
     expiries = quotes.expiries()
     if len(expiries) != 1:
@@ -348,7 +367,7 @@ def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
 
     rng = np.random.default_rng(cfg.seed)
     starts = _latin_starts(rng, [p.start_range for p in free], cfg.multistart)
-    embedded = None
+    embedded = plain = None
     if cfg.randomizer != "none":
         try:
             plain = fit_slice(quotes, _plain_config(cfg))
@@ -361,11 +380,9 @@ def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
     candidates: list[tuple[float, np.ndarray, bool]] = []
     if embedded is not None:
         candidates.append((problem.objective(embedded), np.asarray(embedded), False))
-
-    for start in starts:
-        if not math.isfinite(problem.objective(start)):
-            continue
-        result = minimize(problem.penalized, start, cfg.budget, jac=problem.jacobian)
+    searches = [partial(minimize, problem.penalized, start, cfg.budget, jac=problem.jacobian)
+                for start in starts if math.isfinite(problem.objective(start))]
+    for result in _lockstep(problem, searches):
         candidates.append((problem.objective(result.x), np.asarray(result.x), bool(result.success)))
 
     finite = [c for c in candidates if math.isfinite(c[0])]
@@ -384,6 +401,8 @@ def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
         residuals=[(problem.expiry, float(k), float(d)) for k, d in zip(strikes, problem.residuals(best_x))],
         randomizer_variance=variance,
         converged=best_converged,
+        evaluations=len(problem.memo) + (plain.evaluations if plain else 0),
+        model_calls=problem.model_calls + (plain.model_calls if plain else 0),
     )
     if not any(ok for _, _, ok in finite):
         raise CalibrationError(
@@ -392,12 +411,71 @@ def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
     return best
 
 
+def _lockstep(problem: _SliceObjective, searches: Sequence[Callable[[], object]]) -> list:
+    """Run the searches on ``problem`` in lockstep; return their results in order.
+
+    Each search runs in its own daemon thread, one thread at a time, and parks
+    when it asks for points the memo lacks.  When every live search is parked
+    or done, this thread evaluates the parked requests as one `evaluate` call
+    and wakes them in order.  The threads give no parallelism; they only let
+    the searches' loops be suspended.  The first error ends every search at
+    its next park and re-raises here once every thread has ended.
+    """
+    turns = [threading.Semaphore(0) for _ in range(len(searches) + 1)]  # the last is this thread's
+    live = list(range(len(searches)))
+    parked: dict[int, list] = {}
+    results: list = [None] * len(searches)
+    failed: list = []
+
+    def hand_on(i: int) -> None:
+        turns[next((j for j in live if j > i), -1)].release()
+
+    def wait(i: int, points: list) -> None:
+        parked[i] = points
+        hand_on(i)
+        turns[i].acquire()
+        if failed:
+            raise failed[0]
+
+    def run(i: int) -> None:
+        problem.search.wait = partial(wait, i)
+        turns[i].acquire()
+        try:
+            results[i] = searches[i]()
+        except BaseException as exc:  # re-raised by the calling thread
+            failed.append(exc)
+        live.remove(i)
+        hand_on(i)
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(len(searches))]
+    for thread in threads:
+        thread.start()
+    while live:
+        turns[live[0]].release()
+        turns[-1].acquire()
+        requests = list(parked.values())  # in search order: each pass wakes the searches in order
+        parked.clear()
+        try:
+            problem.evaluate([point for request in requests for point in request], parts=requests)
+        except BaseException as exc:  # re-raised below, after the searches it fails
+            failed.append(exc)
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise failed[0]
+    return results
+
+
 def _plain_config(cfg: FitConfig) -> FitConfig:
     return replace(cfg, randomizer="none", multistart=max(cfg.multistart // 2, 4))
 
 
 def _degenerate_embedding(cfg: FitConfig, free, plain: FitResult):
-    """Transformed-space point where the randomized model collapses to the plain fit."""
+    """Transformed-space point where the randomized model collapses to the plain fit.
+
+    For gamma-gamma the model fails there: θ = 1e-8 makes k = γ/θ ≈ 1.5e8 at γ = 1.5,
+    whose rule fails its moment check (GramMatrixError), so the embedded start is dropped.
+    """
     base = plain.params.base
     if cfg.model == "flat":
         if base.sigma <= 0:

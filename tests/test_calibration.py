@@ -1,6 +1,9 @@
 """Tests for liquidity selection and slice calibration."""
 import contextlib
 import math
+import sys
+import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -162,6 +165,11 @@ class TestFitConfig:
 
     def test_one_node_fit_ignores_the_engine_order(self):
         assert FitConfig(randomizer="none", engine="expansion:5").engine == "expansion:5"
+
+    @pytest.mark.parametrize("key,value", [("multistart", 0), ("multistart", -2), ("budget", 0), ("budget", -5)])
+    def test_count_below_one_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be at least 1, got {value}"):
+            FitConfig(**{key: value})
 
 
 class TestMinimize:
@@ -417,3 +425,187 @@ class TestStackedEvaluation:
             fit_slice(quotes, FitConfig(model="sabr", randomizer="none", multistart=1, budget=40, seed=3))
         # the probe, then one search's budget of points (its first point is the probe)
         assert 0 < len(points) <= 41
+
+
+def _good_point(i):
+    # alpha, rho, k, theta of a gamma-gamma slice, in transformed space
+    return np.array([math.log(0.25), 0.1 * i - 0.2, math.log(3.0), math.log(0.5)])
+
+
+# theta = 1e-8 makes k = 1.5e8, whose rule fails its moment check
+FAILING_POINT = np.array([math.log(0.25), 0.0, math.log(1.5e8), math.log(1e-8)])
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("kwargs", [c for c in STACK_CONFIGS if c.id in ("gamma-gamma", "sigma-lognormal")])
+    def test_searches_equal_lone_searches(self, randomized_sabr_fixture, monkeypatch, kwargs):
+        quotes, _ = randomized_sabr_fixture
+        real_minimize, real_evaluate = calibration.minimize, calibration._SliceObjective.evaluate
+        searches = []  # (problem, start, budget, result, thread)
+        asked = {}  # (problem, thread) -> points that thread asked for
+
+        def recording_minimize(residuals, start, budget, jac):
+            result = real_minimize(residuals, start, budget, jac=jac)
+            searches.append((residuals.__self__, np.array(start), budget, result, threading.get_ident()))
+            return result
+
+        def recording_evaluate(problem, vectors, parts=None):
+            points = asked.setdefault((id(problem), threading.get_ident()), set())
+            points.update(np.asarray(v, dtype=float).tobytes() for v in vectors)
+            return real_evaluate(problem, vectors, parts)
+
+        monkeypatch.setattr(calibration, "minimize", recording_minimize)
+        monkeypatch.setattr(calibration._SliceObjective, "evaluate", recording_evaluate)
+        cfg = FitConfig(seed=3, **kwargs)
+        fitted = fit_slice(quotes, cfg)
+        monkeypatch.undo()
+        assert {problem.cfg.randomizer for problem, *_ in searches} == {"none", cfg.randomizer}
+        finals = []
+        for problem, start, budget, result, thread in searches:
+            alone = slice_objective(quotes, problem.cfg)
+            want = minimize(alone.penalized, start, budget, jac=alone.jacobian)
+            assert result.x.tobytes() == want.x.tobytes()
+            assert result.success == want.success
+            assert asked[(id(problem), thread)] == set(alone.memo)
+            if problem.cfg == cfg:
+                finals.append(alone.objective(want.x))
+        # a search never ends worse than its start, so the unsearched embedding never wins alone
+        assert float(fitted.sse).hex() == min(finals).hex()
+
+    def test_gamma_gamma_fit_stacks_its_rounds(self, randomized_sabr_fixture, monkeypatch):
+        quotes, _ = randomized_sabr_fixture
+        calls, points = [], set()
+        real = calibration.model_vols
+
+        def counting(params, *a, **k):
+            calls.append(len(params))
+            points.update(repr(p) for p in params)
+            return real(params, *a, **k)
+
+        monkeypatch.setattr(calibration, "model_vols", counting)
+        result = fit_slice(quotes, FitConfig(model="sabr", randomizer="gamma-gamma", n_q=2, seed=3))
+        # measured: 151 calls, prefit included (471 with one search at a time); 20% margin
+        assert len(calls) <= 180
+        assert result.model_calls == len(calls)
+        assert result.evaluations == len(points)
+        blob = result.to_json()
+        assert (blob["model_calls"], blob["evaluations"]) == (result.model_calls, result.evaluations)
+
+    @pytest.mark.parametrize("failing_call", [1, 4])
+    def test_search_error_propagates_after_every_thread_ends(self, randomized_sabr_fixture, monkeypatch, failing_call):
+        # the second search raises on its first residual call (before any round) or its fourth (mid-run)
+        quotes, _ = randomized_sabr_fixture
+        real = calibration.minimize
+        started = []
+
+        def second_fails(residuals, start, budget, jac):
+            started.append(start)
+            if len(started) != 2:
+                return real(residuals, start, budget, jac=jac)
+            seen = []
+
+            def failing(x):
+                seen.append(x)
+                if len(seen) == failing_call:
+                    raise RuntimeError("search 2 failed")
+                return residuals(x)
+
+            return real(failing, start, budget, jac=jac)
+
+        monkeypatch.setattr(calibration, "minimize", second_fails)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="search 2 failed"):
+            fit_slice(quotes, FitConfig(model="sabr", randomizer="none", seed=3))
+        assert len(started) == 8
+        assert threading.active_count() == before
+
+    def test_round_error_releases_every_parked_search(self, randomized_sabr_fixture, monkeypatch):
+        quotes, _ = randomized_sabr_fixture
+        real_vols, real_minimize = calibration.model_vols, calibration.minimize
+        calls, raised = [], []
+
+        def third_call_breaks(params, *a, **k):
+            # the probe, then the first round; the second round raises what no retry catches
+            calls.append(len(params))
+            if len(calls) == 3:
+                raise MemoryError("round failed")
+            return real_vols(params, *a, **k)
+
+        def recording(residuals, start, budget, jac):
+            try:
+                return real_minimize(residuals, start, budget, jac=jac)
+            except BaseException as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(calibration, "model_vols", third_call_breaks)
+        monkeypatch.setattr(calibration, "minimize", recording)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="round failed") as info:
+            fit_slice(quotes, FitConfig(model="sabr", randomizer="none", seed=3))
+        assert len(calls) == 3
+        # every search was parked on that round and ended with its error
+        assert len(raised) == 8 and all(exc is info.value for exc in raised)
+        assert threading.active_count() == before
+
+    def test_failing_point_costs_only_its_own_request(self, randomized_sabr_fixture):
+        quotes, _ = randomized_sabr_fixture
+        cfg = FitConfig(model="sabr", randomizer="gamma-gamma", n_q=2)
+        problem = slice_objective(quotes, cfg)
+        good = [_good_point(0), _good_point(3)]
+        results = calibration._lockstep(problem, [
+            lambda: problem.jacobian(good[0]),
+            lambda: problem.residuals(FAILING_POINT),
+            lambda: problem.jacobian(good[1]),
+        ])
+        assert results[1] is None and problem.memo[FAILING_POINT.tobytes()] is None
+        # round 1 holds both Jacobians' 4 points and the failing point: it raises, and each request
+        # goes alone (stacked, then point by point); round 2 holds the two Jacobians' base points
+        assert problem.model_calls == 1 + 3 + 1
+        assert len(problem.memo) == 11
+        for key, row in problem.memo.items():
+            point = np.frombuffer(key)
+            if not np.array_equal(point, FAILING_POINT):
+                alone = slice_objective(quotes, cfg)
+                alone.evaluate([point])
+                np.testing.assert_array_equal(row, alone.memo[key])
+        for x, jacobian in zip(good, (results[0], results[2])):
+            alone = slice_objective(quotes, cfg)
+            np.testing.assert_array_equal(jacobian, alone.jacobian(x))
+
+    def test_one_search_runs_at_a_time_under_stress(self, randomized_sabr_fixture, monkeypatch):
+        # more searches than cores and a tiny switch interval: two searches running at once
+        # would interleave inside the critical loop below and see each other
+        quotes, _ = randomized_sabr_fixture
+        calls, inside, searches, rounds = [], [], 16, 20
+        monkeypatch.setattr(calibration, "model_vols", lambda params, ctx, expiry, strikes, *a, **k: (
+            calls.append(len(params)) or np.zeros((len(params), len(strikes)))))
+        problem = slice_objective(quotes, FitConfig(model="flat", randomizer="none", fixed={}))
+
+        def search(i):
+            for k in range(rounds):
+                inside.append(i)
+                for _ in range(200):
+                    assert inside == [i]
+                inside.remove(i)
+                problem.residuals([0.001 * (i * rounds + k)])
+            return i
+
+        out = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: out.append(calibration._lockstep(
+                problem, [partial(search, i) for i in range(searches)])), daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not runner.is_alive()
+        assert out == [list(range(searches))]
+        assert calls == [searches] * rounds
+        assert len(problem.memo) == searches * rounds
+
+    def test_no_searches(self, randomized_sabr_fixture):
+        quotes, _ = randomized_sabr_fixture
+        assert calibration._lockstep(slice_objective(quotes, FitConfig()), []) == []

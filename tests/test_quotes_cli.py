@@ -24,6 +24,11 @@ MISSPELLED = [
     pytest.param("engine = expansion6", "expansion6", id="engine-no-colon"),
     pytest.param("randomizer = gama-gamma", "gama-gamma", id="randomizer"),
 ]
+# a search count below one, and the key its error must name
+BELOW_ONE = [
+    pytest.param("multistart = -2", "multistart", id="multistart"),
+    pytest.param("budget = -5", "budget", id="budget"),
+]
 # a quote row with an infinite strike or iv, one of five flat/none rows
 INFINITE_ROWS = [
     pytest.param("2024-10-29,inf,C,0.2,5\n", id="strike"),
@@ -375,6 +380,17 @@ class TestCli:
         rc = main(["fit", "--quotes", str(quotes), "--config", str(cfg), "--out-dir", str(out_dir)])
         assert rc == 2
         assert bad in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("line,key", BELOW_ONE)
+    def test_fit_count_below_one_fails_before_fitting(self, tmp_path, capsys, line, key):
+        quotes = write_quotes(tmp_path / "q.csv", [f"2024-10-29,{k},C,0.2,5\n" for k in (90, 100, 110)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{MARKET_LINES}model = flat\nrandomizer = none\n{line}\n", encoding="utf-8")
+        out_dir = tmp_path / "fits"
+        rc = main(["fit", "--quotes", str(quotes), "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert f"{key} must be at least 1" in capsys.readouterr().err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("lines", UNRUNNABLE_ORDER)
