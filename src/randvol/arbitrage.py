@@ -212,7 +212,7 @@ def interp_total_variance(slice_set: SliceSet, expiry: float, strike):
     strikes.  Extrapolation is refused.
     """
     expiries = slice_set.expiries
-    if expiry < expiries[0] or expiry > expiries[-1]:
+    if not expiries[0] <= expiry <= expiries[-1]:  # NaN included
         raise ExtrapolationError(
             f"expiry {expiry} outside the slice range [{expiries[0]}, {expiries[-1]}]"
         )

@@ -3,9 +3,10 @@
 The objective is the unweighted sum of squared implied-vol differences
 against the retained market quotes.  Free parameters are optimized
 unconstrained through bound-respecting transforms (log for positives,
-scaled tanh for correlation and the exponent), with multistart bounded
-least squares on the residual vector (trust-region reflective,
-forward-difference Jacobian).  The searches of a slice advance in
+scaled tanh for correlation and the exponent), with multistart
+unbounded trust-region least squares on the residual vector in that
+transformed space (scipy's TRF steps, forward-difference Jacobian; no
+bounds, so nothing is reflected).  The searches of a slice advance in
 lockstep: each round evaluates every point they wait on, trial points
 and Jacobian points alike, as one stacked model call.  Randomized fits
 additionally seed from a plain prefit embedded at the degenerate
@@ -17,13 +18,14 @@ moment check, so the embedded start is dropped.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Callable, Literal, Optional, Sequence, Union, get_args
+from typing import Callable, Generator, Literal, Optional, Sequence, get_args
 
 import numpy as np
-from scipy.optimize import least_squares
+from numpy.linalg import norm
+from scipy.linalg import svd
+from scipy.optimize import OptimizeResult
+from scipy.optimize._lsq.common import check_termination, evaluate_quadratic, solve_lsq_trust_region, update_tr_radius
 
 from .errors import CalibrationError, RandvolError
 from .expansion import expansion_order
@@ -33,9 +35,10 @@ from .parametrizations import (
     RandomizerSpec,
     SabrParams,
     SliceParams,
+    params_to_json,
 )
 from .pricing import MarketContext, OptionType
-from .quadrature import DiscreteGiven, DistributionSpec, Gamma, LogNormal, SpotLogNormal
+from .quadrature import MAX_NQ, DiscreteGiven, DistributionSpec, Gamma, LogNormal, SpotLogNormal
 from .randomization import implied_vol_grid, parse_engine, randomize
 
 ModelName = Literal["flat", "sabr"]
@@ -84,9 +87,6 @@ def select_liquid(raw: QuoteSet) -> QuoteSet:
         grouped.setdefault((q.expiry, q.strike), []).append(q)
     kept = []
     for (expiry, strike), quotes in grouped.items():
-        if len(quotes) == 1:
-            kept.append(quotes[0])
-            continue
         best_oi = max(q.open_interest for q in quotes)
         finalists = [q for q in quotes if q.open_interest == best_oi]
         if len(finalists) > 1:
@@ -120,6 +120,8 @@ class FitConfig:
         for key in ("multistart", "budget"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if not 1 <= self.n_q <= MAX_NQ:
+            raise ValueError(f"n_q must be between 1 and {MAX_NQ}, got {self.n_q}")
 
 
 @dataclass
@@ -135,8 +137,6 @@ class FitResult:
     model_calls: int  # stacked model_vols calls, the plain prefit's included
 
     def to_json(self) -> dict:
-        from .parametrizations import params_to_json
-
         out = {
             "expiry": self.expiry,
             "params": params_to_json(self.params),
@@ -170,8 +170,7 @@ def variance_of_randomizer(spec: DistributionSpec) -> float:
     if isinstance(spec, SpotLogNormal):
         return (math.exp(spec.nu**2) - 1.0) * spec.s0**2
     if isinstance(spec, DiscreteGiven):
-        w = np.array([p[0] for p in spec.points])
-        x = np.array([p[1] for p in spec.points])
+        w, x = np.array(spec.points).T
         return float(np.dot(w, x**2) - np.dot(w, x) ** 2)
     raise TypeError(f"unsupported distribution spec: {spec!r}")
 
@@ -179,14 +178,6 @@ def variance_of_randomizer(spec: DistributionSpec) -> float:
 # ---------------------------------------------------------------------------
 # free-parameter layout and transforms
 # ---------------------------------------------------------------------------
-
-def _to_tanh(bound: float) -> Callable[[float], float]:
-    return lambda x: math.atanh(min(max(x / bound, -0.999999), 0.999999))
-
-
-def _from_tanh(bound: float) -> Callable[[float], float]:
-    return lambda y: bound * math.tanh(y)
-
 
 @dataclass(frozen=True)
 class _FreeParam:
@@ -211,16 +202,10 @@ def _free_parameters(cfg: FitConfig) -> list[_FreeParam]:
         if cfg.randomizer == "sigma-lognormal":
             raise ValueError("sigma randomization applies to the flat model only")
         params.append(_FreeParam("alpha", math.log, math.exp, (math.log(0.05), math.log(1.0))))
-        if "beta" not in cfg.fixed:
-            params.append(
-                _FreeParam(
-                    "beta",
-                    lambda x: math.atanh(min(max(2.0 * x - 1.0, -0.999999), 0.999999)),
-                    lambda y: 0.5 * (1.0 + math.tanh(y)),
-                    (-1.0, 1.0),
-                )
-            )
-        params.append(_FreeParam("rho", _to_tanh(RHO_MAX), _from_tanh(RHO_MAX), (-1.2, 1.2)))
+        params.append(_FreeParam("beta", lambda x: math.atanh(min(max(2.0 * x - 1.0, -0.999999), 0.999999)),
+                                 lambda y: 0.5 * (1.0 + math.tanh(y)), (-1.0, 1.0)))
+        params.append(_FreeParam("rho", lambda x: math.atanh(min(max(x / RHO_MAX, -0.999999), 0.999999)),
+                                 lambda y: RHO_MAX * math.tanh(y), (-1.2, 1.2)))
         if cfg.randomizer == "gamma-gamma":
             params.append(_FreeParam("k", math.log, math.exp, (math.log(0.5), math.log(8.0))))
             params.append(_FreeParam("theta", math.log, math.exp, (math.log(0.02), math.log(2.0))))
@@ -272,13 +257,62 @@ def model_vols(
     return implied_vol_grid(rs, expiry, strikes, engine=engine, quiet=quiet).reshape(len(params), -1)
 
 
-def minimize(residuals, start, budget: int, jac: Union[str, Callable] = "2-point"):
-    """Trust-region least squares from ``start`` within ``budget`` evaluations (``jac`` as in least_squares)."""
-    # max_nfev leaves out the len(start) finite-difference evaluations of each Jacobian
-    return least_squares(
-        residuals, start, jac=jac, method="trf", max_nfev=max(budget // (len(start) + 1), 1),
-        xtol=1e-12, ftol=1e-14, gtol=1e-14,
-    )
+_FTOL, _XTOL, _GTOL = 1e-14, 1e-12, 1e-14  # least_squares' ftol, xtol and gtol
+
+
+def minimize(residuals, start, budget: int):
+    """Trust-region least squares from ``start`` within ``budget`` evaluations, as a generator.
+
+    Scipy's unbounded ``least_squares(method="trf")`` iteration (Branch, Coleman & Li, SIAM J.
+    Sci. Comput. 21, 1999) with the exact solver, unit ``x_scale``, linear loss, '2-point'
+    Jacobian and the tolerances above, bit for bit.  It yields the points each step needs, reads
+    their residuals once resumed, and returns least_squares' ``x`` and ``success``.
+    """
+    x = np.array(start, dtype=float)
+    f, J = yield from _jacobian(residuals, x)
+    # max_nfev leaves out the n finite-difference evaluations of each Jacobian
+    max_nfev, nfev, status = max(budget // (x.size + 1), 1), 1, None
+    cost, g, delta, alpha = 0.5 * np.dot(f, f), J.T.dot(f), norm(x) or 1.0, 0.0
+    while True:
+        if norm(g, ord=np.inf) < _GTOL:
+            status = 1
+        if status is not None or nfev == max_nfev:
+            break
+        U, s, Vt = svd(J, full_matrices=False)
+        uf, reduction = U.T.dot(f), -1
+        while reduction <= 0 and nfev < max_nfev:
+            step, alpha, _ = solve_lsq_trust_region(x.size, f.size, uf, s, Vt.T, delta, initial_alpha=alpha)
+            predicted = -evaluate_quadratic(J, g, step)
+            x_new = x + step
+            yield [x_new]
+            f_new, nfev, step_norm = residuals(x_new), nfev + 1, norm(step)
+            if not np.all(np.isfinite(f_new)):
+                delta = 0.25 * step_norm
+                continue
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            reduction = cost - cost_new
+            delta_new, ratio = update_tr_radius(delta, reduction, predicted, step_norm, step_norm > 0.95 * delta)
+            status = check_termination(reduction, cost, step_norm, norm(x), ratio, _FTOL, _XTOL)
+            if status is not None:
+                break
+            alpha, delta = alpha * (delta / delta_new), delta_new
+        if reduction > 0:
+            x, cost = x_new, cost_new
+            f, J = yield from _jacobian(residuals, x, f_new)
+            g = J.T.dot(f)
+    return OptimizeResult(x=x, success=bool(status))
+
+
+def _jacobian(residuals, x: np.ndarray, f: Optional[np.ndarray] = None):
+    """least_squares' '2-point' Jacobian at x bit for bit, as a generator returning (f, J).
+
+    It yields its n points, after x itself unless f, the residuals at x, is given."""
+    h = np.finfo(float).eps ** 0.5 * ((x >= 0).astype(float) * 2 - 1) * np.maximum(1.0, np.abs(x))
+    points = np.tile(x, (x.size, 1))
+    points[np.diag_indices(x.size)] = x + h
+    yield points if f is not None else np.vstack([x, points])
+    f = residuals(x) if f is None else f
+    return f, np.array([(residuals(p) - f) / (p[i] - x[i]) for i, p in enumerate(points)]).T
 
 
 class _SliceObjective:
@@ -287,8 +321,7 @@ class _SliceObjective:
     A point maps to None where the model failed or gave a non-finite vol.
     `evaluate` serves many points with one stacked model call; if that
     raises, it goes part by part (by default point by point), so only the
-    failing points read None.  In a search thread of `_lockstep`, it
-    waits for the round to evaluate its fresh points instead.
+    failing points read None.
     """
 
     def __init__(self, quotes: QuoteSet, cfg: FitConfig, free: list):
@@ -297,14 +330,15 @@ class _SliceObjective:
         self.market = np.array([q.iv for q in quotes.quotes])
         self.memo: dict[bytes, Optional[np.ndarray]] = {}
         self.model_calls = 0
-        self.search = threading.local()  # a lockstep search thread's `wait`
+
+    def fresh(self, vectors) -> dict:
+        """The points of ``vectors`` the memo lacks, each once, keyed by their bytes."""
+        return {k: v for v in vectors if (k := np.asarray(v, dtype=float).tobytes()) not in self.memo}
 
     def evaluate(self, vectors, parts=None) -> None:
-        fresh = {k: v for v in vectors if (k := np.asarray(v, dtype=float).tobytes()) not in self.memo}
+        fresh = self.fresh(vectors)
         if not fresh:
             return
-        if hasattr(self.search, "wait"):
-            return self.search.wait(list(fresh.values()))
         self.model_calls += 1
         try:
             params = [build_slice_params(self.cfg, _values_from_vector(self.cfg, self.free, v), self.ctx)
@@ -331,16 +365,6 @@ class _SliceObjective:
         # a failed point reads as 100 vol points off at every quote: the trust region backs off
         diff = self.residuals(vector)
         return np.ones_like(self.market) if diff is None else diff
-
-    def jacobian(self, vector) -> np.ndarray:
-        """least_squares' '2-point' Jacobian bit for bit, its n points evaluated as one batch."""
-        x = np.asarray(vector, dtype=float)
-        h = np.finfo(float).eps ** 0.5 * ((x >= 0).astype(float) * 2 - 1) * np.maximum(1.0, np.abs(x))
-        points = np.tile(x, (x.size, 1))
-        points[np.diag_indices(x.size)] = x + h
-        self.evaluate(points)
-        f0 = self.penalized(x)
-        return np.array([(self.penalized(p) - f0) / ((x[i] + h[i]) - x[i]) for i, p in enumerate(points)]).T
 
 
 def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
@@ -380,10 +404,8 @@ def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
     candidates: list[tuple[float, np.ndarray, bool]] = []
     if embedded is not None:
         candidates.append((problem.objective(embedded), np.asarray(embedded), False))
-    searches = [partial(minimize, problem.penalized, start, cfg.budget, jac=problem.jacobian)
-                for start in starts if math.isfinite(problem.objective(start))]
-    for result in _lockstep(problem, searches):
-        candidates.append((problem.objective(result.x), np.asarray(result.x), bool(result.success)))
+    searches = [minimize(problem.penalized, s, cfg.budget) for s in starts if math.isfinite(problem.objective(s))]
+    candidates += [(problem.objective(r.x), r.x, r.success) for r in _lockstep(problem, searches)]
 
     finite = [c for c in candidates if math.isfinite(c[0])]
     if not finite:
@@ -411,58 +433,24 @@ def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
     return best
 
 
-def _lockstep(problem: _SliceObjective, searches: Sequence[Callable[[], object]]) -> list:
-    """Run the searches on ``problem`` in lockstep; return their results in order.
+def _lockstep(problem: _SliceObjective, searches: Sequence[Generator]) -> list:
+    """Run `minimize` generators on ``problem`` in lockstep; return their results in order.
 
-    Each search runs in its own daemon thread, one thread at a time, and parks
-    when it asks for points the memo lacks.  When every live search is parked
-    or done, this thread evaluates the parked requests as one `evaluate` call
-    and wakes them in order.  The threads give no parallelism; they only let
-    the searches' loops be suspended.  The first error ends every search at
-    its next park and re-raises here once every thread has ended.
+    Each round evaluates the points the live searches wait on as one `evaluate`
+    call, then resumes them in order; a search asking only for memoized points goes on at once.
     """
-    turns = [threading.Semaphore(0) for _ in range(len(searches) + 1)]  # the last is this thread's
-    live = list(range(len(searches)))
-    parked: dict[int, list] = {}
     results: list = [None] * len(searches)
-    failed: list = []
-
-    def hand_on(i: int) -> None:
-        turns[next((j for j in live if j > i), -1)].release()
-
-    def wait(i: int, points: list) -> None:
-        parked[i] = points
-        hand_on(i)
-        turns[i].acquire()
-        if failed:
-            raise failed[0]
-
-    def run(i: int) -> None:
-        problem.search.wait = partial(wait, i)
-        turns[i].acquire()
-        try:
-            results[i] = searches[i]()
-        except BaseException as exc:  # re-raised by the calling thread
-            failed.append(exc)
-        live.remove(i)
-        hand_on(i)
-
-    threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(len(searches))]
-    for thread in threads:
-        thread.start()
-    while live:
-        turns[live[0]].release()
-        turns[-1].acquire()
-        requests = list(parked.values())  # in search order: each pass wakes the searches in order
-        parked.clear()
-        try:
-            problem.evaluate([point for request in requests for point in request], parts=requests)
-        except BaseException as exc:  # re-raised below, after the searches it fails
-            failed.append(exc)
-    for thread in threads:
-        thread.join()
-    if failed:
-        raise failed[0]
+    waiting = {i: [] for i in range(len(searches))}  # each live search's fresh points
+    while waiting:
+        problem.evaluate([p for points in waiting.values() for p in points], parts=list(waiting.values()))
+        for i in list(waiting):
+            try:
+                while not (points := problem.fresh(next(searches[i]))):
+                    pass
+                waiting[i] = list(points.values())
+            except StopIteration as stop:
+                results[i] = stop.value
+                del waiting[i]
     return results
 
 

@@ -18,9 +18,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import ndtr as norm_cdf, ndtri as norm_ppf
 
 from .errors import ExpansionRangeError
-from .pricing import norm_cdf, norm_pdf, norm_ppf
+from .pricing import norm_pdf
 
 PARAMETER_ORDERS = (0, 2, 4, 6)
 SPOT_ORDERS = (0, 1, 2, 3, 4)

@@ -43,8 +43,11 @@ class MarketContext:
     t0: float = 0.0
 
     def __post_init__(self):
-        if not self.s0 > 0.0:
-            raise ValueError(f"spot must be positive, got {self.s0}")
+        if not (self.s0 > 0.0 and math.isfinite(self.s0)):
+            raise ValueError(f"spot must be positive and finite, got {self.s0}")
+        for name, value in (("rate", self.r), ("reference time", self.t0)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     def forward(self, expiry: float) -> float:
         return self.s0 * math.exp(self.r * (expiry - self.t0))
@@ -59,14 +62,6 @@ class OptionKey:
     def __post_init__(self):
         if not self.strike > 0.0:
             raise ValueError(f"strike must be positive, got {self.strike}")
-
-
-def norm_cdf(x):
-    return ndtr(x)
-
-
-def norm_ppf(x):
-    return ndtri(x)
 
 
 def norm_pdf(x):
@@ -225,6 +220,15 @@ def _scalar_cdf(x: float) -> float:
 
 def _check_expiry(ctx: MarketContext, expiry: float) -> float:
     tau = expiry - ctx.t0
-    if tau <= 0:
-        raise ValueError(f"expiry {expiry} must exceed the reference time {ctx.t0}")
+    if not (tau > 0 and math.isfinite(tau)):
+        raise ValueError(f"expiry {expiry} must exceed the reference time {ctx.t0} and be finite")
     return tau
+
+
+def _check_strikes(strikes) -> np.ndarray:
+    """The strikes as a float array, a scalar as one strike; raises unless every one is positive and finite."""
+    strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
+    bad = ~((strikes > 0) & np.isfinite(strikes))
+    if bad.any():
+        raise ValueError(f"strikes must be positive and finite, got {strikes[bad][0]:g}")
+    return strikes

@@ -20,7 +20,8 @@ from .arbitrage import _checked_grid, _second_difference
 from .errors import ParameterDomainError
 from .parametrizations import BaseParams, FlatParams, RandomizerSpec, SliceParams, eval_vol_curve
 from .pricing import (
-    MarketContext, OptionKey, OptionType, _check_expiry, bs_call_values, implied_vol_brent, implied_vols,
+    MarketContext, OptionKey, OptionType, _check_expiry, _check_strikes, bs_call_values, implied_vol_brent,
+    implied_vols,
 )
 from .quadrature import DiscreteGiven, QuadratureRule, quadrature_for
 
@@ -141,8 +142,8 @@ def _node_vol_matrix(rs: RandomizedSlice, expiry: float, strikes: np.ndarray) ->
 
 def randomized_prices(rs: RandomizedSlice, expiry: float, strikes) -> np.ndarray:
     """Mixture call prices on a strike grid, shape ``rs.batch_shape + (n_strikes,)``."""
-    strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
     tau = _check_expiry(rs.ctx, expiry)
+    strikes = _check_strikes(strikes)
     spot = rs.rule.nodes[..., None, :] if rs.target == "spot" else rs.ctx.s0
     values = bs_call_values(spot, rs.ctx.r, tau, strikes[:, None], _node_vol_matrix(rs, expiry, strikes))
     # matmul sums each slice's rows exactly as values @ weights does for that slice alone
@@ -191,9 +192,9 @@ def implied_vol_grid(
     ``quiet`` demotes the escalation log to debug level (used by the
     calibrator, whose exploratory evaluations trip the guard routinely).
     """
-    strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
     method, order = parse_engine(engine)
     tau = _check_expiry(rs.ctx, expiry)
+    strikes = _check_strikes(strikes)
     shape = rs.batch_shape + strikes.shape
     if rs.rule.size == 1:
         return _node_vol_matrix(rs, expiry, strikes)[..., 0].copy()

@@ -167,6 +167,10 @@ class TestInterpolation:
         with pytest.raises(ExtrapolationError):
             interp_total_variance(sset, 2.5, 100.0)
 
+    def test_nan_expiry_refused(self):
+        with pytest.raises(ExtrapolationError, match="expiry nan outside"):
+            interp_total_variance(self.flat_set(), math.nan, 100.0)
+
     def test_interpolated_total_variance_monotone(self):
         sset = self.flat_set()
         strikes = (80.0, 100.0, 125.0)

@@ -1,12 +1,11 @@
 """Tests for liquidity selection and slice calibration."""
 import contextlib
 import math
-import sys
 import threading
-from functools import partial
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 from scipy.optimize._numdiff import approx_derivative
 
 from randvol import calibration
@@ -171,20 +170,57 @@ class TestFitConfig:
         with pytest.raises(ValueError, match=f"{key} must be at least 1, got {value}"):
             FitConfig(**{key: value})
 
+    @pytest.mark.parametrize("randomizer", ["none", "gamma-gamma"])
+    @pytest.mark.parametrize("n_q", [0, -1, 11])
+    def test_node_count_outside_the_supported_range_rejected(self, n_q, randomizer):
+        with pytest.raises(ValueError, match=f"n_q must be between 1 and 10, got {n_q}"):
+            FitConfig(randomizer=randomizer, n_q=n_q)
+
+
+def run_search(search, asked=None):
+    """Drive a `minimize` generator to its end, evaluating nothing itself; return its result."""
+    while True:
+        try:
+            points = next(search)
+        except StopIteration as stop:
+            return stop.value
+        if asked is not None:
+            asked.extend(points)
+
+
+def scipy_search(residuals, start, budget):
+    """The least_squares call that `minimize` reproduces."""
+    return least_squares(residuals, start, method="trf", max_nfev=max(budget // (len(start) + 1), 1),
+                         xtol=1e-12, ftol=1e-14, gtol=1e-14)
+
+
+def rosenbrock(calls):
+    # Rosenbrock residuals take dozens of iterations from (-1.2, 1)
+    def residuals(x):
+        calls.append(np.array(x, dtype=float))
+        return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+    return residuals
+
 
 class TestMinimize:
     @pytest.mark.parametrize("budget", [3, 10, 40])
     def test_budget_counts_jacobian_evaluations(self, budget):
-        # Rosenbrock residuals take dozens of iterations from (-1.2, 1)
         calls = []
-
-        def residuals(x):
-            calls.append(1)
-            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
-
-        result = minimize(residuals, [-1.2, 1.0], budget)
+        result = run_search(minimize(rosenbrock(calls), [-1.2, 1.0], budget))
         assert len(calls) <= budget
         assert not result.success
+
+    @pytest.mark.parametrize("budget,converges", [(3, False), (10, False), (40, False), (100, True)])
+    def test_equals_least_squares(self, budget, converges):
+        scipy_calls, calls, asked = [], [], []
+        want = scipy_search(rosenbrock(scipy_calls), [-1.2, 1.0], budget)
+        got = run_search(minimize(rosenbrock(calls), [-1.2, 1.0], budget), asked)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.success == want.success == converges
+        # it asks for the points scipy evaluates, in scipy's order, and reads each once
+        assert [p.tobytes() for p in asked] == [p.tobytes() for p in scipy_calls]
+        assert [p.tobytes() for p in calls] == [p.tobytes() for p in scipy_calls]
 
 
 @pytest.fixture(scope="module")
@@ -410,9 +446,10 @@ class TestStackedEvaluation:
             np.array([-1.0, -0.5, 0.5, -0.25]),
         ]
         for x in points:
-            problem.penalized(x)
             want = approx_derivative(problem.penalized, x, method="2-point")
-            np.testing.assert_array_equal(problem.jacobian(x), want)
+            f, jacobian = run_search(calibration._jacobian(problem.penalized, x))
+            np.testing.assert_array_equal(f, problem.penalized(x))
+            np.testing.assert_array_equal(jacobian, want)
 
     def test_one_search_evaluates_at_most_its_budget(self, randomized_sabr_fixture, monkeypatch):
         quotes, _ = randomized_sabr_fixture
@@ -436,37 +473,53 @@ def _good_point(i):
 FAILING_POINT = np.array([math.log(0.25), 0.0, math.log(1.5e8), math.log(1e-8)])
 
 
+def recorded(search, asked):
+    """Pass a search's requests on, noting each point in ``asked``; return its result."""
+    while True:
+        try:
+            points = next(search)
+        except StopIteration as stop:
+            return stop.value
+        asked.extend(points)
+        yield points
+
+
+def asking(*requests):
+    for points in requests:
+        yield points
+
+
+def point_search(problem, x):
+    yield [x]
+    return problem.residuals(x)
+
+
 class TestLockstep:
     @pytest.mark.parametrize("kwargs", [c for c in STACK_CONFIGS if c.id in ("gamma-gamma", "sigma-lognormal")])
     def test_searches_equal_lone_searches(self, randomized_sabr_fixture, monkeypatch, kwargs):
         quotes, _ = randomized_sabr_fixture
-        real_minimize, real_evaluate = calibration.minimize, calibration._SliceObjective.evaluate
-        searches = []  # (problem, start, budget, result, thread)
-        asked = {}  # (problem, thread) -> points that thread asked for
+        real_minimize = calibration.minimize
+        searches = []  # (problem, start, budget, result, points asked for)
 
-        def recording_minimize(residuals, start, budget, jac):
-            result = real_minimize(residuals, start, budget, jac=jac)
-            searches.append((residuals.__self__, np.array(start), budget, result, threading.get_ident()))
+        def recording_minimize(residuals, start, budget):
+            asked = []
+            result = yield from recorded(real_minimize(residuals, start, budget), asked)
+            searches.append((residuals.__self__, np.array(start), budget, result, asked))
             return result
 
-        def recording_evaluate(problem, vectors, parts=None):
-            points = asked.setdefault((id(problem), threading.get_ident()), set())
-            points.update(np.asarray(v, dtype=float).tobytes() for v in vectors)
-            return real_evaluate(problem, vectors, parts)
-
         monkeypatch.setattr(calibration, "minimize", recording_minimize)
-        monkeypatch.setattr(calibration._SliceObjective, "evaluate", recording_evaluate)
         cfg = FitConfig(seed=3, **kwargs)
         fitted = fit_slice(quotes, cfg)
         monkeypatch.undo()
         assert {problem.cfg.randomizer for problem, *_ in searches} == {"none", cfg.randomizer}
         finals = []
-        for problem, start, budget, result, thread in searches:
+        for problem, start, budget, result, asked in searches:
+            # each lockstep search is scipy's least_squares from its start, on a fresh objective
             alone = slice_objective(quotes, problem.cfg)
-            want = minimize(alone.penalized, start, budget, jac=alone.jacobian)
+            want = scipy_search(alone.penalized, start, budget)
             assert result.x.tobytes() == want.x.tobytes()
             assert result.success == want.success
-            assert asked[(id(problem), thread)] == set(alone.memo)
+            assert {np.asarray(p).tobytes() for p in asked} == set(alone.memo)
             if problem.cfg == cfg:
                 finals.append(alone.objective(want.x))
         # a search never ends worse than its start, so the unsearched embedding never wins alone
@@ -491,18 +544,27 @@ class TestLockstep:
         blob = result.to_json()
         assert (blob["model_calls"], blob["evaluations"]) == (result.model_calls, result.evaluations)
 
+    def test_fit_starts_no_thread(self, randomized_sabr_fixture, monkeypatch):
+        quotes, _ = randomized_sabr_fixture
+
+        def refuse(thread):
+            raise AssertionError("fit_slice started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        result = fit_slice(quotes, FitConfig(model="flat", randomizer="sigma-lognormal", fixed={}, seed=3))
+        assert result.model_calls > 0
+
     @pytest.mark.parametrize("failing_call", [1, 4])
-    def test_search_error_propagates_after_every_thread_ends(self, randomized_sabr_fixture, monkeypatch, failing_call):
-        # the second search raises on its first residual call (before any round) or its fourth (mid-run)
+    def test_search_error_propagates(self, randomized_sabr_fixture, monkeypatch, failing_call):
+        # the second search raises on its first residual read (in the first round) or its fourth (mid-run)
         quotes, _ = randomized_sabr_fixture
         real = calibration.minimize
-        started = []
+        started, seen = [], []
 
-        def second_fails(residuals, start, budget, jac):
+        def second_fails(residuals, start, budget):
             started.append(start)
             if len(started) != 2:
-                return real(residuals, start, budget, jac=jac)
-            seen = []
+                return real(residuals, start, budget)
 
             def failing(x):
                 seen.append(x)
@@ -510,43 +572,29 @@ class TestLockstep:
                     raise RuntimeError("search 2 failed")
                 return residuals(x)
 
-            return real(failing, start, budget, jac=jac)
+            return real(failing, start, budget)
 
         monkeypatch.setattr(calibration, "minimize", second_fails)
-        before = threading.active_count()
         with pytest.raises(RuntimeError, match="search 2 failed"):
             fit_slice(quotes, FitConfig(model="sabr", randomizer="none", seed=3))
-        assert len(started) == 8
-        assert threading.active_count() == before
+        assert len(started) == 8 and len(seen) == failing_call
 
-    def test_round_error_releases_every_parked_search(self, randomized_sabr_fixture, monkeypatch):
+    def test_round_error_propagates(self, randomized_sabr_fixture, monkeypatch):
         quotes, _ = randomized_sabr_fixture
-        real_vols, real_minimize = calibration.model_vols, calibration.minimize
-        calls, raised = [], []
+        real = calibration.model_vols
+        calls = []
 
         def third_call_breaks(params, *a, **k):
             # the probe, then the first round; the second round raises what no retry catches
             calls.append(len(params))
             if len(calls) == 3:
                 raise MemoryError("round failed")
-            return real_vols(params, *a, **k)
-
-        def recording(residuals, start, budget, jac):
-            try:
-                return real_minimize(residuals, start, budget, jac=jac)
-            except BaseException as exc:
-                raised.append(exc)
-                raise
+            return real(params, *a, **k)
 
         monkeypatch.setattr(calibration, "model_vols", third_call_breaks)
-        monkeypatch.setattr(calibration, "minimize", recording)
-        before = threading.active_count()
-        with pytest.raises(MemoryError, match="round failed") as info:
+        with pytest.raises(MemoryError, match="round failed"):
             fit_slice(quotes, FitConfig(model="sabr", randomizer="none", seed=3))
         assert len(calls) == 3
-        # every search was parked on that round and ended with its error
-        assert len(raised) == 8 and all(exc is info.value for exc in raised)
-        assert threading.active_count() == before
 
     def test_failing_point_costs_only_its_own_request(self, randomized_sabr_fixture):
         quotes, _ = randomized_sabr_fixture
@@ -554,14 +602,14 @@ class TestLockstep:
         problem = slice_objective(quotes, cfg)
         good = [_good_point(0), _good_point(3)]
         results = calibration._lockstep(problem, [
-            lambda: problem.jacobian(good[0]),
-            lambda: problem.residuals(FAILING_POINT),
-            lambda: problem.jacobian(good[1]),
+            calibration._jacobian(problem.penalized, good[0]),
+            point_search(problem, FAILING_POINT),
+            calibration._jacobian(problem.penalized, good[1]),
         ])
         assert results[1] is None and problem.memo[FAILING_POINT.tobytes()] is None
-        # round 1 holds both Jacobians' 4 points and the failing point: it raises, and each request
-        # goes alone (stacked, then point by point); round 2 holds the two Jacobians' base points
-        assert problem.model_calls == 1 + 3 + 1
+        # the one round holds both Jacobians' 5 points (x and its 4 steps) and the failing point:
+        # it raises, and each request goes alone (stacked, then point by point)
+        assert problem.model_calls == 1 + 3
         assert len(problem.memo) == 11
         for key, row in problem.memo.items():
             point = np.frombuffer(key)
@@ -569,42 +617,18 @@ class TestLockstep:
                 alone = slice_objective(quotes, cfg)
                 alone.evaluate([point])
                 np.testing.assert_array_equal(row, alone.memo[key])
-        for x, jacobian in zip(good, (results[0], results[2])):
+        for x, (_, jacobian) in zip(good, (results[0], results[2])):
             alone = slice_objective(quotes, cfg)
-            np.testing.assert_array_equal(jacobian, alone.jacobian(x))
+            np.testing.assert_array_equal(jacobian, approx_derivative(alone.penalized, x, method="2-point"))
 
-    def test_one_search_runs_at_a_time_under_stress(self, randomized_sabr_fixture, monkeypatch):
-        # more searches than cores and a tiny switch interval: two searches running at once
-        # would interleave inside the critical loop below and see each other
+    def test_memoized_request_takes_no_round(self, randomized_sabr_fixture):
         quotes, _ = randomized_sabr_fixture
-        calls, inside, searches, rounds = [], [], 16, 20
-        monkeypatch.setattr(calibration, "model_vols", lambda params, ctx, expiry, strikes, *a, **k: (
-            calls.append(len(params)) or np.zeros((len(params), len(strikes)))))
-        problem = slice_objective(quotes, FitConfig(model="flat", randomizer="none", fixed={}))
-
-        def search(i):
-            for k in range(rounds):
-                inside.append(i)
-                for _ in range(200):
-                    assert inside == [i]
-                inside.remove(i)
-                problem.residuals([0.001 * (i * rounds + k)])
-            return i
-
-        out = []
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runner = threading.Thread(target=lambda: out.append(calibration._lockstep(
-                problem, [partial(search, i) for i in range(searches)])), daemon=True)
-            runner.start()
-            runner.join(timeout=60)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not runner.is_alive()
-        assert out == [list(range(searches))]
-        assert calls == [searches] * rounds
-        assert len(problem.memo) == searches * rounds
+        problem = slice_objective(quotes, FitConfig(model="sabr", randomizer="gamma-gamma", n_q=2))
+        problem.evaluate([_good_point(0)])
+        # the first search's first request is in the memo, so its second shares round 1 with the other search
+        calibration._lockstep(problem, [asking([_good_point(0)], [_good_point(1)]), asking([_good_point(2)])])
+        assert problem.model_calls == 1 + 1
+        assert len(problem.memo) == 3
 
     def test_no_searches(self, randomized_sabr_fixture):
         quotes, _ = randomized_sabr_fixture

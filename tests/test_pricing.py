@@ -19,7 +19,7 @@ from randvol.pricing import (
     log_moneyness,
 )
 from randvol.quadrature import DiscreteGiven
-from randvol.randomization import implied_vol_grid, randomize
+from randvol.randomization import implied_vol_grid, randomize, randomized_prices
 
 CTX = MarketContext(s0=100.0, r=0.0)
 
@@ -215,3 +215,33 @@ class TestLogMoneyness:
         ctx = MarketContext(s0=123.0, r=0.035)
         fwd = ctx.forward(1.7)
         assert log_moneyness(ctx, OptionKey(1.7, fwd)) == pytest.approx(0.0, abs=1e-15)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"s0": math.inf}, "spot must be positive and finite, got inf"),
+            ({"s0": math.nan}, "spot must be positive and finite, got nan"),
+            ({"s0": 100.0, "r": math.nan}, "rate must be finite, got nan"),
+            ({"s0": 100.0, "t0": -math.inf}, "reference time must be finite, got -inf"),
+        ],
+    )
+    def test_market_context_refuses_non_finite_input(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            MarketContext(**kwargs)
+
+    @pytest.mark.parametrize("expiry", [math.nan, math.inf, 0.0, -1.0])
+    def test_expiry_must_be_finite_and_ahead(self, expiry):
+        rs = randomize(SliceParams(FlatParams(0.2)), CTX)
+        for grid in (implied_vol_grid, randomized_prices):
+            with pytest.raises(ValueError, match=f"expiry {expiry} must exceed the reference time .* and be finite"):
+                grid(rs, expiry, [100.0])
+
+    @pytest.mark.parametrize("bad", [-5.0, 0.0, math.inf, math.nan])
+    def test_strikes_must_be_positive_and_finite(self, bad):
+        two_nodes = RandomizerSpec("sigma", DiscreteGiven(((0.5, 0.15), (0.5, 0.25))), 2)
+        rs = randomize(SliceParams(FlatParams(0.2), two_nodes), CTX)
+        for grid in (implied_vol_grid, randomized_prices):
+            with pytest.raises(ValueError, match=f"strikes must be positive and finite, got {bad:g}"):
+                grid(rs, 1.0, [90.0, bad, 110.0])

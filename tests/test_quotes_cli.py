@@ -34,6 +34,21 @@ INFINITE_ROWS = [
     pytest.param("2024-10-29,inf,C,0.2,5\n", id="strike"),
     pytest.param("2024-10-29,100,C,inf,5\n", id="iv"),
 ]
+# a price, iv or density command with a non-finite or nonpositive input, and what its error must name
+BAD_GRID_INPUT = [
+    pytest.param(["price", "--expiry", "0.5", "--strikes", "100,-5"], "strikes must be positive and finite, got -5",
+                 id="price-negative-strike"),
+    pytest.param(["price", "--expiry", "nan", "--strikes", "100"], "expiry nan", id="price-nan-expiry"),
+    pytest.param(["price", "--expiry", "inf", "--strikes", "100"], "expiry inf", id="price-infinite-expiry"),
+    pytest.param(["price", "--rate", "nan", "--expiry", "0.5", "--strikes", "100"], "rate must be finite",
+                 id="price-nan-rate"),
+    pytest.param(["iv", "--expiry", "0.5", "--strikes", "100,inf"], "strikes must be positive and finite, got inf",
+                 id="iv-infinite-strike"),
+    pytest.param(["iv", "--expiry", "0.5", "--strikes", "0,100", "--engine", "expansion:6"],
+                 "strikes must be positive and finite, got 0",
+                 id="iv-zero-strike-expansion"),
+    pytest.param(["density", "--expiry", "nan"], "expiry nan", id="density-nan-expiry"),
+]
 # an expansion order the configured randomizer cannot run
 UNRUNNABLE_ORDER = [
     pytest.param("model = flat\nrandomizer = spot-lognormal\nengine = expansion:6\n", id="spot-6"),
@@ -392,6 +407,25 @@ class TestCli:
         assert rc == 2
         assert f"{key} must be at least 1" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_fit_node_count_outside_the_supported_range_fails_before_fitting(self, tmp_path, capsys):
+        quotes = write_quotes(tmp_path / "q.csv", [f"2024-10-29,{k},C,0.2,5\n" for k in (90, 100, 110)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{MARKET_LINES}model = flat\nrandomizer = sigma-lognormal\nn_q = 11\n", encoding="utf-8")
+        out_dir = tmp_path / "fits"
+        rc = main(["fit", "--quotes", str(quotes), "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert "n_q must be between 1 and 10, got 11" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("args,bad", BAD_GRID_INPUT)
+    def test_bad_grid_input_fails(self, sigma_params_file, capsys, args, bad):
+        command, *rest = args
+        rc = main([command, "--spot", "100", "--params", str(sigma_params_file), *rest])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert bad in captured.err
+        assert "nan" not in captured.out
 
     @pytest.mark.parametrize("lines", UNRUNNABLE_ORDER)
     def test_fit_unrunnable_order_fails_before_fitting(self, tmp_path, capsys, lines):
