@@ -120,6 +120,9 @@ def _second_difference(grid: np.ndarray, prices: np.ndarray) -> np.ndarray:
 def default_strike_grid(ctx: MarketContext, expiry: float, n: int = 201,
                         lo: float = 0.3, hi: float = 3.0) -> np.ndarray:
     """Log-spaced strikes over [lo*F, hi*F] around the forward."""
+    for name, value in (("lo", lo), ("hi", hi)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"strike grid {name} must be positive and finite, got {value}")
     fwd = ctx.forward(expiry)
     return np.exp(np.linspace(math.log(lo * fwd), math.log(hi * fwd), n))
 

@@ -8,12 +8,16 @@ unbounded trust-region least squares on the residual vector in that
 transformed space (scipy's TRF steps, forward-difference Jacobian; no
 bounds, so nothing is reflected).  The searches of a slice advance in
 lockstep: each round evaluates every point they wait on, trial points
-and Jacobian points alike, as one stacked model call.  Randomized fits
-additionally seed from a plain prefit embedded at the degenerate
-boundary of the randomizer, which makes the randomized family dominate
-its nested plain model by construction where that boundary builds.  For
-gamma-gamma it does not: θ = 1e-8 makes k ≈ 1.5e8, whose rule fails its
-moment check, so the embedded start is dropped.
+and Jacobian points alike, as one stacked model call.  The points of a
+round stay arrays from the transform to the rule: they become one set
+of parameter columns (`SliceColumns`), from which the stacked rule and
+the node vols are built; `SliceParams` is the public and JSON type only,
+built for the result.  Randomized fits additionally seed from a plain
+prefit embedded at the degenerate boundary of the randomizer, which
+makes the randomized family dominate its nested plain model by
+construction where that boundary builds.  For gamma-gamma it does not:
+θ = 1e-8 makes k ≈ 1.5e8, whose rule fails its moment check, so the
+embedded start is dropped.
 """
 from __future__ import annotations
 
@@ -22,7 +26,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Generator, Literal, Optional, Sequence, get_args
 
 import numpy as np
-from numpy.linalg import norm
 from scipy.linalg import svd
 from scipy.optimize import OptimizeResult
 from scipy.optimize._lsq.common import check_termination, evaluate_quadratic, solve_lsq_trust_region, update_tr_radius
@@ -30,15 +33,19 @@ from scipy.optimize._lsq.common import check_termination, evaluate_quadratic, so
 from .errors import CalibrationError, RandvolError
 from .expansion import expansion_order
 from .parametrizations import (
+    BASES,
     RHO_MAX,
-    FlatParams,
     RandomizerSpec,
     SabrParams,
+    SliceColumns,
     SliceParams,
     params_to_json,
+    plain_columns,
 )
 from .pricing import MarketContext, OptionType
-from .quadrature import MAX_NQ, DiscreteGiven, DistributionSpec, Gamma, LogNormal, SpotLogNormal
+from .quadrature import (
+    FAMILIES, MAX_NQ, DiscreteGiven, DistributionSpec, Gamma, LogNormal, SpotLogNormal, check_domains,
+)
 from .randomization import implied_vol_grid, parse_engine, randomize
 
 ModelName = Literal["flat", "sabr"]
@@ -87,13 +94,8 @@ def select_liquid(raw: QuoteSet) -> QuoteSet:
         grouped.setdefault((q.expiry, q.strike), []).append(q)
     kept = []
     for (expiry, strike), quotes in grouped.items():
-        best_oi = max(q.open_interest for q in quotes)
-        finalists = [q for q in quotes if q.open_interest == best_oi]
-        if len(finalists) > 1:
-            otm_kind = OptionType.CALL if strike >= raw.ctx.forward(expiry) else OptionType.PUT
-            otm = [q for q in finalists if q.kind is otm_kind]
-            finalists = otm or finalists
-        kept.append(finalists[0])
+        otm_kind = OptionType.CALL if strike >= raw.ctx.forward(expiry) else OptionType.PUT
+        kept.append(max(quotes, key=lambda q: (q.open_interest, q.kind is otm_kind)))  # the first of the best
     kept.sort(key=lambda q: (q.expiry, q.strike))
     return QuoteSet(tuple(kept), raw.ctx)
 
@@ -216,44 +218,56 @@ def _free_parameters(cfg: FitConfig) -> list[_FreeParam]:
     return [p for p in params if p.name not in cfg.fixed]
 
 
-def _values_from_vector(cfg: FitConfig, free: list[_FreeParam], vector) -> dict:
-    values = {p.name: p.from_internal(float(v)) for p, v in zip(free, vector)}
-    values.update(cfg.fixed)
+def _point_values(cfg: FitConfig, free: list[_FreeParam], points) -> dict:
+    """Each parameter's values over (P, n) transformed points, as lists of Python floats (numpy's exp and tanh
+    round apart from math's)."""
+    columns = np.array(points, dtype=float).T.tolist()
+    values = {p.name: [p.from_internal(x) for x in column] for p, column in zip(free, columns)}
+    values.update({name: [value] * len(points) for name, value in cfg.fixed.items()})
     return values
+
+
+def _values_from_vector(cfg: FitConfig, free: list[_FreeParam], vector) -> dict:
+    return {name: values[0] for name, values in _point_values(cfg, free, [vector]).items()}
 
 
 def build_slice_params(cfg: FitConfig, values: dict, ctx: MarketContext) -> SliceParams:
     """Assemble SliceParams from a named parameter mapping per the fit config."""
-    if cfg.model == "flat":
-        if cfg.randomizer == "sigma-lognormal":
-            dist = LogNormal(values["mu"], values["nu"])
-            base = FlatParams(math.exp(values["mu"] + 0.5 * values["nu"] ** 2))
-            return SliceParams(base, RandomizerSpec("sigma", dist, cfg.n_q))
-        base = FlatParams(values["sigma"])
-    else:
-        gamma_mean = values.get("gamma", values.get("k", 0.0) * values.get("theta", 0.0))
-        base = SabrParams(
-            alpha=values["alpha"],
-            beta=values["beta"],
-            rho=values["rho"],
-            gamma=gamma_mean,
-        )
+    columns = _point_columns(cfg, {name: [value] for name, value in values.items()}, ctx.s0)
+    v = {name: float(column[0]) for name, column in columns.columns.items() if column.ndim == 1}
+    base_type, names = BASES[cfg.model]
+    base = base_type(*(v[name] for name in names))
     if cfg.randomizer == "none":
         return SliceParams(base)
-    if cfg.randomizer == "gamma-gamma":
-        return SliceParams(base, RandomizerSpec("gamma", Gamma(values["k"], values["theta"]), cfg.n_q))
-    if cfg.randomizer == "spot-lognormal":
-        return SliceParams(base, RandomizerSpec("spot", SpotLogNormal(ctx.s0, values["nu"]), cfg.n_q))
-    raise ValueError(f"unsupported randomizer {cfg.randomizer!r}")
+    spec_type, names = FAMILIES[columns.family]
+    return SliceParams(base, RandomizerSpec(columns.target, spec_type(*(v[name] for name in names)), cfg.n_q))
+
+
+def _point_columns(cfg: FitConfig, values: dict, s0: float) -> SliceColumns:
+    """The parameter columns of points given as a list of values per parameter, each checked against its domain.
+
+    Derived values (a SABR gamma from k and theta, a flat sigma as the lognormal mean) are formed
+    point by point in Python floats: numpy's exp and x*x round apart from math's exp and x**2.
+    """
+    values = dict(values, s0=[s0] * len(next(iter(values.values()))))
+    if cfg.randomizer == "sigma-lognormal":  # the base is the lognormal's mean, whose overflow fails the point
+        values["sigma"] = [math.exp(m + 0.5 * n**2) for m, n in zip(values["mu"], values["nu"])]
+    elif cfg.randomizer == "gamma-gamma":
+        values.setdefault("gamma", [k * theta for k, theta in zip(values["k"], values["theta"])])
+    target, family = {"gamma-gamma": ("gamma", "gamma"), "sigma-lognormal": ("sigma", "lognormal"),
+                      "spot-lognormal": ("spot", "spot-lognormal")}.get(cfg.randomizer, (None, "discrete"))
+    names = BASES[cfg.model][1] + (FAMILIES[family][1] if family in FAMILIES else ())
+    check_domains({name: values[name] for name in names})
+    columns = {name: np.array(values[name], dtype=float) for name in names}
+    return plain_columns(columns) if family == "discrete" else SliceColumns(target, family, cfg.n_q, columns)
 
 
 def model_vols(
-    params: Sequence[SliceParams], ctx: MarketContext, expiry: float, strikes, engine: str,
-    quiet: bool = False,
+    params, ctx: MarketContext, expiry: float, strikes, engine: str, quiet: bool = False,
 ) -> np.ndarray:
-    """Model implied vols on a strike grid, one row per parameter point: shape (P, n_strikes)."""
+    """Model implied vols on a strike grid, one row per point of ``params`` (SliceParams or SliceColumns)."""
     # a lone point goes as a lone slice, whose arrays lack the stack axis (the rows are equal bit for bit)
-    rs = randomize(params[0] if len(params) == 1 else tuple(params), ctx)
+    rs = randomize(params[0] if len(params) == 1 else params, ctx)
     return implied_vol_grid(rs, expiry, strikes, engine=engine, quiet=quiet).reshape(len(params), -1)
 
 
@@ -266,15 +280,16 @@ def minimize(residuals, start, budget: int):
     Scipy's unbounded ``least_squares(method="trf")`` iteration (Branch, Coleman & Li, SIAM J.
     Sci. Comput. 21, 1999) with the exact solver, unit ``x_scale``, linear loss, '2-point'
     Jacobian and the tolerances above, bit for bit.  It yields the points each step needs, reads
-    their residuals once resumed, and returns least_squares' ``x`` and ``success``.
+    their residuals once resumed, and returns least_squares' ``x`` and ``success``.  Norms are
+    numpy.linalg.norm's arithmetic, sqrt(x.x) and max |g|, without its dispatch.
     """
     x = np.array(start, dtype=float)
     f, J = yield from _jacobian(residuals, x)
     # max_nfev leaves out the n finite-difference evaluations of each Jacobian
     max_nfev, nfev, status = max(budget // (x.size + 1), 1), 1, None
-    cost, g, delta, alpha = 0.5 * np.dot(f, f), J.T.dot(f), norm(x) or 1.0, 0.0
+    cost, g, delta, alpha = 0.5 * np.dot(f, f), J.T.dot(f), np.sqrt(x.dot(x)) or 1.0, 0.0
     while True:
-        if norm(g, ord=np.inf) < _GTOL:
+        if np.abs(g).max() < _GTOL:
             status = 1
         if status is not None or nfev == max_nfev:
             break
@@ -285,14 +300,14 @@ def minimize(residuals, start, budget: int):
             predicted = -evaluate_quadratic(J, g, step)
             x_new = x + step
             yield [x_new]
-            f_new, nfev, step_norm = residuals(x_new), nfev + 1, norm(step)
+            f_new, nfev, step_norm = residuals(x_new), nfev + 1, np.sqrt(step.dot(step))
             if not np.all(np.isfinite(f_new)):
                 delta = 0.25 * step_norm
                 continue
             cost_new = 0.5 * np.dot(f_new, f_new)
             reduction = cost - cost_new
             delta_new, ratio = update_tr_radius(delta, reduction, predicted, step_norm, step_norm > 0.95 * delta)
-            status = check_termination(reduction, cost, step_norm, norm(x), ratio, _FTOL, _XTOL)
+            status = check_termination(reduction, cost, step_norm, np.sqrt(x.dot(x)), ratio, _FTOL, _XTOL)
             if status is not None:
                 break
             alpha, delta = alpha * (delta / delta_new), delta_new
@@ -341,21 +356,22 @@ class _SliceObjective:
             return
         self.model_calls += 1
         try:
-            params = [build_slice_params(self.cfg, _values_from_vector(self.cfg, self.free, v), self.ctx)
-                      for v in fresh.values()]
-            model = model_vols(params, self.ctx, self.expiry, self.strikes, self.cfg.engine, quiet=True)
+            columns = _point_columns(self.cfg, _point_values(self.cfg, self.free, list(fresh.values())), self.ctx.s0)
+            model = model_vols(columns, self.ctx, self.expiry, self.strikes, self.cfg.engine, quiet=True)
         except (RandvolError, ValueError, OverflowError):
             if len(fresh) > 1:
                 for part in parts if parts and len(parts) > 1 else ([v] for v in fresh.values()):
                     self.evaluate(part)
                 return
-            model = [None]
-        for key, row in zip(fresh, model):
-            self.memo[key] = row - self.market if row is not None and np.all(np.isfinite(row)) else None
+            model = np.full((1, self.market.size), np.nan)
+        for key, row, finite in zip(fresh, model - self.market, np.isfinite(model).all(axis=1)):
+            self.memo[key] = row if finite else None
 
     def residuals(self, vector) -> Optional[np.ndarray]:
-        self.evaluate([vector])
-        return self.memo[np.asarray(vector, dtype=float).tobytes()]
+        key = np.asarray(vector, dtype=float).tobytes()
+        if key not in self.memo:
+            self.evaluate([vector])
+        return self.memo[key]
 
     def objective(self, vector) -> float:
         diff = self.residuals(vector)
@@ -465,20 +481,14 @@ def _degenerate_embedding(cfg: FitConfig, free, plain: FitResult):
     whose rule fails its moment check (GramMatrixError), so the embedded start is dropped.
     """
     base = plain.params.base
+    if (base.sigma if cfg.model == "flat" else base.alpha) <= 0:
+        return None
+    # a lognormal or spot randomizer collapses at nu = 1e-8, the flat one about mu = log(sigma)
+    values = {name: getattr(base, name) for name in BASES[cfg.model][1]} | {"nu": 1e-8}
     if cfg.model == "flat":
-        if base.sigma <= 0:
-            return None
-        values = {"mu": math.log(base.sigma), "nu": 1e-8, "sigma": base.sigma}
-    else:
-        values = {"alpha": base.alpha, "beta": base.beta, "rho": base.rho, "gamma": base.gamma}
-        if cfg.randomizer == "gamma-gamma":
-            gamma = max(base.gamma, 1e-6)
-            theta = 1e-8
-            values.update({"k": gamma / theta, "theta": theta})
-        if base.alpha <= 0:
-            return None
-    if cfg.randomizer == "spot-lognormal":
-        values["nu"] = 1e-8
+        values["mu"] = math.log(base.sigma)
+    if cfg.randomizer == "gamma-gamma":
+        values.update(k=max(base.gamma, 1e-6) / 1e-8, theta=1e-8)
     try:
         return np.array([p.to_internal(values[p.name]) for p in free])
     except (KeyError, ValueError):

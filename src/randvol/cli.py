@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import sys
@@ -56,8 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--points", help="CSV of expiry,strike points")
         cmd.add_argument("--engine", default="brent", help="brent or expansion:N")
         cmd.add_argument("--out", help="output CSV path (default stdout)")
-    sub.choices["price"].set_defaults(handler=_cmd_price)
-    sub.choices["iv"].set_defaults(handler=_cmd_iv)
+        cmd.set_defaults(handler=_cmd_grid)
 
     dens = sub.add_parser("density", help="risk-neutral density of a slice")
     _add_market_args(dens)
@@ -124,10 +124,21 @@ def _resolve_points(args) -> list[tuple[float, np.ndarray]]:
     if args.strikes:
         strikes = np.array([float(s) for s in args.strikes.split(",")])
     elif args.k_min is not None and args.k_max is not None:
+        _check_grid_flags(args, "--k-min", "--k-max")
         strikes = np.linspace(args.k_min, args.k_max, args.n_strikes)
     else:
         raise ValueError("provide --strikes or --k-min/--k-max")
     return [(args.expiry, strikes)]
+
+
+def _check_grid_flags(args, *flags: str) -> None:
+    """Refuse a given grid-bound flag that is not positive and finite, and an --n-strikes below 1."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{flag} must be positive and finite, got {value}")
+    if getattr(args, "n_strikes", 1) < 1:
+        raise ValueError(f"--n-strikes must be at least 1, got {args.n_strikes}")
 
 
 def _emit(text: str, out_path) -> None:
@@ -172,42 +183,32 @@ def _single_slice(args):
     return randomize(params, MarketContext(s0=args.spot, r=args.rate))
 
 
-def _cmd_price(args) -> int:
+def _cmd_grid(args) -> int:
+    """`price` or `iv` on the requested points."""
     rs = _single_slice(args)
-    exact = parse_engine(args.engine)[0] == "brent"
-    lines = ["expiry,strike,price"]
+    # the root-finder engine round-trips to the exact mixture price, so `price` takes that directly
+    exact_price = args.command == "price" and parse_engine(args.engine)[0] == "brent"
+    lines = [f"expiry,strike,{args.command}"]
     for expiry, strikes in _resolve_points(args):
-        # the root-finder engine round-trips to the exact mixture price,
-        # so take that directly; expansion engines price off their vols
-        if exact:
+        if exact_price:
             values = randomized_prices(rs, expiry, strikes)
         else:
-            vols = implied_vol_grid(rs, expiry, strikes, engine=args.engine)
-            values = bs_call_values(rs.ctx.s0, rs.ctx.r, expiry - rs.ctx.t0, strikes, vols)
-        lines += [f"{expiry:.10g},{k:.10g},{v:.12g}" for k, v in zip(strikes, values)]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
-
-
-def _cmd_iv(args) -> int:
-    rs = _single_slice(args)
-    lines = ["expiry,strike,iv"]
-    for expiry, strikes in _resolve_points(args):
-        values = implied_vol_grid(rs, expiry, strikes, engine=args.engine)
+            values = implied_vol_grid(rs, expiry, strikes, engine=args.engine)
+            if args.command == "price":  # expansion engines price off their vols
+                values = bs_call_values(rs.ctx.s0, rs.ctx.r, expiry - rs.ctx.t0, strikes, values)
         lines += [f"{expiry:.10g},{k:.10g},{v:.12g}" for k, v in zip(strikes, values)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_density(args) -> int:
+    _check_grid_flags(args, "--k-min", "--k-max")
     rs = _single_slice(args)
     fwd = rs.ctx.forward(args.expiry)
     k_lo = args.k_min if args.k_min is not None else 0.3 * fwd
     k_hi = args.k_max if args.k_max is not None else 3.0 * fwd
     grid = np.exp(np.linspace(math.log(k_lo), math.log(k_hi), args.n_strikes))
     curve = density(rs, args.expiry, grid)
-    import io
-
     buffer = io.StringIO()
     curve.to_csv(buffer)
     _emit(buffer.getvalue(), args.out)
@@ -216,6 +217,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_check_arb(args) -> int:
+    _check_grid_flags(args, "--grid-lo", "--grid-hi")
     ctx = MarketContext(s0=args.spot, r=args.rate)
     loaded = _load_params_file(args.params, args.spot)
     if not isinstance(loaded, list):

@@ -27,7 +27,7 @@ class RootFindError(RandvolError):
     """Root finder failed to bracket or converge."""
 
 
-class ParameterDomainError(RandvolError):
+class ParameterDomainError(RandvolError, ValueError):
     """A parameter (or a randomizer node) lies outside its legal domain."""
 
 

@@ -2,24 +2,19 @@
 
 Both are exposed behind a single evaluation interface together with the
 slice-level parameter container (base parameters plus an optional
-randomizer specification).
+randomizer specification) and its array form, the parameter columns of
+a stack of slices, on which the model runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal, Optional, Union
 
 import numpy as np
 
 from .errors import ParameterDomainError
 from .pricing import MarketContext, OptionKey
-from .quadrature import (
-    DiscreteGiven,
-    DistributionSpec,
-    Gamma,
-    LogNormal,
-    SpotLogNormal,
-)
+from .quadrature import FAMILIES, DiscreteGiven, DistributionSpec, SpotLogNormal, check_domains, spec_columns
 
 #: correlation clamp used by the calibrator; the type itself only
 #: requires the open interval (-1, 1)
@@ -34,8 +29,7 @@ class FlatParams:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma >= 0.0:
-            raise ParameterDomainError(f"flat sigma must be >= 0, got {self.sigma}")
+        check_domains({"sigma": [self.sigma]})
 
 
 @dataclass(frozen=True)
@@ -48,17 +42,12 @@ class SabrParams:
     gamma: float
 
     def __post_init__(self):
-        if not self.alpha >= 0.0:
-            raise ParameterDomainError(f"alpha must be >= 0, got {self.alpha}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ParameterDomainError(f"beta must lie in [0, 1], got {self.beta}")
-        if not -1.0 < self.rho < 1.0:
-            raise ParameterDomainError(f"rho must lie in (-1, 1), got {self.rho}")
-        if not self.gamma >= 0.0:
-            raise ParameterDomainError(f"gamma must be >= 0, got {self.gamma}")
+        check_domains({name: [getattr(self, name)] for name in ("alpha", "beta", "rho", "gamma")})
 
 
 BaseParams = Union[FlatParams, SabrParams]
+#: each base model's type and parameters, in column and JSON order
+BASES = {"flat": (FlatParams, ("sigma",)), "sabr": (SabrParams, ("alpha", "beta", "rho", "gamma"))}
 RandomizerTarget = Literal["sigma", "gamma", "spot"]
 
 
@@ -96,6 +85,50 @@ class SliceParams:
             raise ParameterDomainError(
                 "spot randomization requires a spot-lognormal or explicit discrete distribution"
             )
+
+
+@dataclass(frozen=True)
+class SliceColumns:
+    """Slices as parameter columns, the array form of SliceParams on which the model runs.
+
+    ``columns`` maps the base's 'sigma', or 'alpha', 'beta', 'rho' and 'gamma', and the columns of
+    the rule ``family`` (see `quadrature.spec_columns`) to arrays: of shape () for one slice, (P,)
+    for a stack of P, whose item p is row p.  A plain slice is a one-node 'discrete' rule.
+    """
+
+    target: RandomizerTarget
+    family: str
+    n_q: int
+    columns: dict
+
+    def __len__(self) -> int:
+        return len(self.columns["sigma" if "sigma" in self.columns else "alpha"])
+
+    def __getitem__(self, p: int) -> "SliceColumns":
+        return replace(self, columns={name: column[p] for name, column in self.columns.items()})
+
+
+def slice_columns(params) -> SliceColumns:
+    """The columns of a SliceParams, or of a sequence of them with one base model, target and n_q (a stack)."""
+    stacked = not isinstance(params, SliceParams)
+    members = tuple(params) if stacked else (params,)
+    if len({(type(p.base), p.randomizer and (p.randomizer.target, p.randomizer.n_q)) for p in members}) != 1:
+        raise ValueError("stacked slices must share the base model, the randomized target and n_q")
+    names = BASES["flat" if isinstance(members[0].base, FlatParams) else "sabr"][1]
+    shape = (len(members),) if stacked else ()
+    columns = {name: np.array([getattr(p.base, name) for p in members], dtype=float).reshape(shape) for name in names}
+    rnd = members[0].randomizer
+    if rnd is None:
+        return plain_columns(columns)
+    family, dist = spec_columns([p.randomizer.dist for p in members] if stacked else rnd.dist)
+    return SliceColumns(rnd.target, family, rnd.n_q, columns | dist)
+
+
+def plain_columns(columns: dict) -> SliceColumns:
+    """Plain slices from their base columns: a one-node rule at sigma (flat) or gamma (SABR)."""
+    target = "sigma" if "sigma" in columns else "gamma"
+    nodes = np.asarray(columns[target])[..., None]
+    return SliceColumns(target, "discrete", 1, columns | {"weights": np.ones(nodes.shape), "nodes": nodes})
 
 
 def hagan_vol(forward, strikes, tau: float, alpha, beta, rho, gamma):
@@ -174,74 +207,39 @@ def eval_vol_curve(base: BaseParams, ctx: MarketContext, expiry: float, strikes)
 # ---------------------------------------------------------------------------
 
 def dist_to_json(dist: DistributionSpec) -> dict:
-    if isinstance(dist, LogNormal):
-        return {"family": "lognormal", "mu": dist.mu, "nu": dist.nu}
-    if isinstance(dist, Gamma):
-        return {"family": "gamma", "k": dist.k, "theta": dist.theta}
-    if isinstance(dist, SpotLogNormal):
-        return {"family": "spot-lognormal", "s0": dist.s0, "nu": dist.nu}
     if isinstance(dist, DiscreteGiven):
-        return {"family": "discrete", "points": [list(p) for p in dist.points]}
-    raise TypeError(f"unsupported distribution spec: {dist!r}")
+        return {"family": dist.family, "points": [list(p) for p in dist.points]}
+    return {"family": dist.family, **{name: getattr(dist, name) for name in FAMILIES[dist.family][1]}}
 
 
 def dist_from_json(data: dict, spot: Optional[float] = None) -> DistributionSpec:
     family = data.get("family")
-    if family == "lognormal":
-        return LogNormal(float(data["mu"]), float(data["nu"]))
-    if family == "gamma":
-        return Gamma(float(data["k"]), float(data["theta"]))
-    if family == "spot-lognormal":
-        s0 = data.get("s0", spot)
-        if s0 is None:
-            raise ValueError("spot-lognormal distribution needs 's0' (or a market spot)")
-        return SpotLogNormal(float(s0), float(data["nu"]))
     if family == "discrete":
         return DiscreteGiven(tuple((float(w), float(x)) for w, x in data["points"]))
-    raise ValueError(f"unknown distribution family {family!r}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown distribution family {family!r}")
+    if family == "spot-lognormal" and data.get("s0", spot) is None:
+        raise ValueError("spot-lognormal distribution needs 's0' (or a market spot)")
+    spec_type, names = FAMILIES[family]
+    return spec_type(*(float(data.get(name, spot) if name == "s0" else data[name]) for name in names))
 
 
 def params_to_json(params: SliceParams) -> dict:
-    if isinstance(params.base, FlatParams):
-        out = {"type": "flat", "sigma": params.base.sigma}
-    else:
-        base = params.base
-        out = {
-            "type": "sabr",
-            "alpha": base.alpha,
-            "beta": base.beta,
-            "rho": base.rho,
-            "gamma": base.gamma,
-        }
+    model = "flat" if isinstance(params.base, FlatParams) else "sabr"
+    out = {"type": model, **{name: getattr(params.base, name) for name in BASES[model][1]}}
     if params.randomizer is not None:
         rnd = params.randomizer
-        out["randomizer"] = {
-            "target": rnd.target,
-            "dist": dist_to_json(rnd.dist),
-            "n_q": rnd.n_q,
-        }
+        out["randomizer"] = {"target": rnd.target, "dist": dist_to_json(rnd.dist), "n_q": rnd.n_q}
     return out
 
 
 def params_from_json(data: dict, spot: Optional[float] = None) -> SliceParams:
-    kind = data.get("type")
-    if kind == "flat":
-        base: BaseParams = FlatParams(float(data["sigma"]))
-    elif kind == "sabr":
-        base = SabrParams(
-            alpha=float(data["alpha"]),
-            beta=float(data["beta"]),
-            rho=float(data["rho"]),
-            gamma=float(data["gamma"]),
-        )
-    else:
-        raise ValueError(f"unknown parametrization type {kind!r}")
+    if data.get("type") not in BASES:
+        raise ValueError(f"unknown parametrization type {data.get('type')!r}")
+    base_type, names = BASES[data["type"]]
+    base = base_type(*(float(data[name]) for name in names))
     rnd = data.get("randomizer")
     if rnd is None:
         return SliceParams(base)
-    spec = RandomizerSpec(
-        target=rnd["target"],
-        dist=dist_from_json(rnd["dist"], spot=spot),
-        n_q=int(rnd.get("n_q", 2)),
-    )
-    return SliceParams(base, spec)
+    dist = dist_from_json(rnd["dist"], spot=spot)
+    return SliceParams(base, RandomizerSpec(rnd["target"], dist, int(rnd.get("n_q", 2))))

@@ -19,13 +19,13 @@ precision raises instead of returning a bad rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import GramMatrixError, MomentOverflowError
+from .errors import GramMatrixError, MomentOverflowError, ParameterDomainError
 
 #: Hard cap on the number of quadrature points.  Measured on the closed-form
 #: rules: gamma rules (k from 0.05 to 30) and lognormal rules with nu <= 0.5
@@ -39,32 +39,44 @@ _WEIGHT_SUM_TOL = 1e-12
 _MOMENT_REPRODUCTION_RTOL = 1e-8
 _PIVOT_RTOL = 1e-13
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+#: the domain of each parameter of a slice and of its randomizer: a test of one value, and its description
+_DOMAINS = {name: (lambda x: x >= 0.0, ">= 0") for name in ("sigma", "alpha", "gamma", "nu")} | {
+    name: (lambda x: x > 0.0, "> 0") for name in ("k", "theta", "s0")} | {
+    "beta": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
+    "rho": (lambda x: -1.0 < x < 1.0, "in (-1, 1)"),
+}
+
+
+def check_domains(values: dict) -> None:
+    """Raise ParameterDomainError at the first value (of a list per parameter name) outside its domain."""
+    for name, xs in values.items():
+        test, domain = _DOMAINS.get(name, (None, ""))
+        if test and not all(map(test, xs)):
+            raise ParameterDomainError(f"{name} must be {domain}, got {next(x for x in xs if not test(x))}")
 
 
 @dataclass(frozen=True)
 class LogNormal:
     """log(X) ~ N(mu, nu^2).  nu = 0 degenerates to a point mass at exp(mu)."""
 
+    family: ClassVar[str] = "lognormal"
     mu: float
     nu: float
 
     def __post_init__(self):
-        if not self.nu >= 0.0:
-            raise ValueError(f"lognormal nu must be >= 0, got {self.nu}")
+        check_domains({"nu": [self.nu]})
 
 
 @dataclass(frozen=True)
 class Gamma:
     """Gamma distribution with shape k > 0 and scale theta > 0."""
 
+    family: ClassVar[str] = "gamma"
     k: float
     theta: float
 
     def __post_init__(self):
-        if not self.k > 0.0:
-            raise ValueError(f"gamma shape must be > 0, got {self.k}")
-        if not self.theta > 0.0:
-            raise ValueError(f"gamma scale must be > 0, got {self.theta}")
+        check_domains({"k": [self.k], "theta": [self.theta]})
 
 
 @dataclass(frozen=True)
@@ -74,37 +86,31 @@ class SpotLogNormal:
     log(X) ~ N(log s0 - nu^2/2, nu^2), so E[X] = s0 by construction.
     """
 
+    family: ClassVar[str] = "spot-lognormal"
     s0: float
     nu: float
 
     def __post_init__(self):
-        if not self.s0 > 0.0:
-            raise ValueError(f"spot must be > 0, got {self.s0}")
-        if not self.nu >= 0.0:
-            raise ValueError(f"spot-lognormal nu must be >= 0, got {self.nu}")
+        check_domains({"s0": [self.s0], "nu": [self.nu]})
 
 
 @dataclass(frozen=True)
 class DiscreteGiven:
     """An explicitly supplied discrete rule: (weight, node) pairs."""
 
+    family: ClassVar[str] = "discrete"
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple((float(w), float(x)) for w, x in self.points))
-        w = np.array([p[0] for p in self.points])
-        x = np.array([p[1] for p in self.points])
-        if w.size == 0:
+        if not self.points:
             raise ValueError("discrete rule needs at least one point")
-        if np.any(w < 0):
-            raise ValueError("discrete weights must be nonnegative")
-        if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError(f"discrete weights must sum to 1, got {w.sum()!r}")
-        if np.any(np.diff(x) <= 0):
-            raise ValueError("discrete nodes must be strictly increasing")
+        QuadratureRule(*np.array(self.points).T)  # the checks of any rule
 
 
 DistributionSpec = Union[LogNormal, Gamma, SpotLogNormal, DiscreteGiven]
+#: each parametric family's spec type and parameters (in column and JSON order), by the family's name
+FAMILIES = {spec.family: (spec, tuple(f.name for f in fields(spec))) for spec in (Gamma, LogNormal, SpotLogNormal)}
 
 
 @dataclass(frozen=True)
@@ -161,28 +167,38 @@ def moments(spec: DistributionSpec, order: int) -> np.ndarray:
     """Raw moments E[X^i] for i = 0..order of the given distribution."""
     if order < 0:
         raise ValueError("moment order must be >= 0")
+    family, columns = spec_columns(spec)
+    if family == "discrete":
+        return columns["weights"] @ columns["nodes"][:, None] ** np.arange(order + 1, dtype=float)
+    return _moments(family, columns, order)
+
+
+def _moments(family: str, columns: dict, order: int) -> np.ndarray:
+    """Raw moments E[X^i], i = 0..order, of each row of a family's columns; unit scale without theta or mu."""
     i = np.arange(order + 1, dtype=float)
-    if isinstance(spec, DiscreteGiven):
-        w = np.array([p[0] for p in spec.points])
-        x = np.array([p[1] for p in spec.points])
-        return w @ x[:, None] ** i
-    if isinstance(spec, SpotLogNormal):
-        spec = _spot_as_lognormal(spec)
-    if isinstance(spec, LogNormal):
-        exponents = i * spec.mu + 0.5 * i**2 * spec.nu**2
-    elif isinstance(spec, Gamma):
-        exponents = i * math.log(spec.theta) + gammaln(spec.k + i) - gammaln(spec.k)
+    if family == "gamma":
+        k = np.asarray(columns["k"])[..., None]
+        log_theta = _each(math.log, columns["theta"])[..., None] if "theta" in columns else 0.0
+        exponents = i * log_theta + gammaln(k + i) - gammaln(k)
     else:
-        raise TypeError(f"unsupported distribution spec: {spec!r}")
+        v = _each(lambda x: x**2, columns["nu"])
+        exponents = i * _mu(family, columns, v)[..., None] + 0.5 * i**2 * v[..., None]
     if (exponents > _LOG_FLOAT_MAX).any():
-        raise MomentOverflowError(
-            "moment overflow: the requested order is not representable; lower n_q"
-        )
+        raise MomentOverflowError("moment overflow: the requested order is not representable; lower n_q")
     return np.exp(exponents)
 
 
-def _spot_as_lognormal(spec: SpotLogNormal) -> LogNormal:
-    return LogNormal(math.log(spec.s0) - 0.5 * spec.nu**2, spec.nu)
+def _mu(family: str, columns: dict, v) -> np.ndarray:
+    """mu of log(X) ~ N(mu, nu^2), v = nu^2: log(s0) - v/2 for a spot randomizer, 0 for a unit scale."""
+    if family == "spot-lognormal":
+        return _each(lambda s, x: math.log(s) - 0.5 * x, columns["s0"], v)
+    return np.asarray(columns.get("mu", 0.0))
+
+
+def _each(f, *columns) -> np.ndarray:
+    """f applied value by value in Python floats, as the specs compute: math's exp and log, and x**2, round
+    apart from numpy's exp, log and x*x."""
+    return np.reshape([f(*x) for x in zip(*(np.ravel(c).tolist() for c in columns))], np.shape(columns[0]))
 
 
 def build_workspace(moment_values: np.ndarray, n_q: int) -> QuadratureWorkspace:
@@ -240,11 +256,11 @@ def build_workspace(moment_values: np.ndarray, n_q: int) -> QuadratureWorkspace:
 
 def _jacobi(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Symmetric tridiagonal matrix (one per stacked row) with diagonal alpha and off-diagonal sqrt(beta)."""
-    i = np.arange(alpha.shape[-1])
-    out = np.zeros(alpha.shape + i.shape)
-    out[..., i, i] = alpha
-    out[..., i[:-1], i[1:]] = out[..., i[1:], i[:-1]] = np.sqrt(beta)
-    return out
+    n = alpha.shape[-1]
+    out = np.zeros(alpha.shape[:-1] + (n * n,))  # flattened: the diagonal has stride n + 1
+    out[..., :: n + 1] = alpha
+    out[..., 1 :: n + 1] = out[..., n :: n + 1] = np.sqrt(beta)
+    return out.reshape(alpha.shape + (n,))
 
 
 def _weights_nodes(jacobi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,7 +302,7 @@ def golub_welsch(moment_values: np.ndarray, n_q: int) -> QuadratureRule:
     return rule
 
 
-def quadrature_for(spec, n_q: int) -> QuadratureRule:
+def quadrature_for(spec, n_q: int, family: Optional[str] = None) -> QuadratureRule:
     """Build the quadrature rule discretizing a randomizer distribution.
 
     Explicit discrete rules pass through unchanged; degenerate parametric
@@ -295,59 +311,72 @@ def quadrature_for(spec, n_q: int) -> QuadratureRule:
     unit-scale family; the nodes are scaled back afterwards, and the
     unit-scale rule must reproduce its family's moments like any
     `golub_welsch` rule.  A sequence of specs of one type gives a stack,
-    one row per spec from one stacked eigendecomposition, each row checked
-    on its own and equal bit for bit to that spec's own rule.
+    one row per spec from one stacked eigendecomposition and one check (a
+    failing row fails the stack), each row equal bit for bit to that spec's
+    own rule.  With ``family``, ``spec`` is that family's parameter columns,
+    as `spec_columns` makes them.
     """
-    stacked = not isinstance(spec, DistributionSpec)
-    specs = tuple(spec) if stacked else (spec,)
-    if len({type(s) for s in specs}) != 1:
-        raise ValueError("a stack of specs must hold one distribution type")
-    first = specs[0]
-    if isinstance(first, DiscreteGiven):  # ragged stacks raise in np.array
-        w, x = (_rows([[p[c] for p in s.points] for s in specs], stacked) for c in (0, 1))
-        return QuadratureRule(w / w.sum(-1, keepdims=True), x)
+    columns = spec
+    if family is None:
+        family, columns = spec_columns(spec)
+    if family == "discrete":
+        w = np.asarray(columns["weights"])
+        return QuadratureRule(w / w.sum(-1, keepdims=True), columns["nodes"])
     if n_q < 1:
         raise ValueError("n_q must be >= 1")
     if n_q > MAX_NQ:
         raise ValueError(f"n_q={n_q} exceeds the supported maximum {MAX_NQ}")
 
-    if isinstance(first, (LogNormal, SpotLogNormal)):
-        if any(s.nu == 0.0 for s in specs):
-            if stacked:
+    if family == "gamma":
+        k, scale, v = columns["k"], columns["theta"], None
+    elif family in ("lognormal", "spot-lognormal"):
+        nu = np.asarray(columns["nu"])
+        if (nu == 0.0).any():
+            if nu.ndim:
                 raise ValueError("a stack of rules must have one size; nu = 0 collapses to one node")
-            mean = first.s0 if isinstance(first, SpotLogNormal) else math.exp(first.mu)
+            mean = float(columns["s0"]) if family == "spot-lognormal" else math.exp(columns["mu"])
             return QuadratureRule(np.array([1.0]), np.array([mean]))
-        specs = [_spot_as_lognormal(s) if isinstance(s, SpotLogNormal) else s for s in specs]
-        units, scale = [LogNormal(0.0, s.nu) for s in specs], [math.exp(s.mu) for s in specs]
-    elif isinstance(first, Gamma):
-        units, scale = [Gamma(s.k, 1.0) for s in specs], [s.theta for s in specs]
+        k, v = None, _each(lambda x: x**2, nu)
+        scale = _each(math.exp, _mu(family, columns, v))
     else:
-        raise TypeError(f"unsupported distribution spec: {first!r}")
-
-    mom = _rows([moments(u, 2 * n_q) for u in units], stacked)  # overflows before the recurrence does
-    weights, nodes = _weights_nodes(_jacobi(*_recurrence(units if stacked else units[0], n_q)))
+        raise TypeError(f"unsupported distribution family: {family!r}")
+    # the unit-scale family's moments, which overflow before the recurrence does
+    mom = _moments("gamma", {"k": k}, 2 * n_q) if v is None else _moments("lognormal", {"nu": nu}, 2 * n_q)
+    weights, nodes = _weights_nodes(_jacobi(*_recurrence(n_q, k, v)))
     _check_moment_reproduction(weights, nodes, mom, n_q)
-    return QuadratureRule(weights, nodes * _rows(scale, stacked))
+    return QuadratureRule(weights, nodes * np.asarray(scale)[..., None])
 
 
-def _rows(values, stacked: bool) -> np.ndarray:
-    return np.array(values, dtype=float).reshape((len(values), -1) if stacked else (-1,))
+def spec_columns(spec) -> tuple[str, dict]:
+    """A spec's family and parameter columns, 0-d for one spec and (P,) for a sequence of P specs of one type.
+
+    An explicit discrete rule's columns are its 'weights' and 'nodes', with a trailing point axis.
+    """
+    stacked = not isinstance(spec, DistributionSpec)
+    specs = tuple(spec) if stacked else (spec,)
+    if len({type(s) for s in specs}) != 1:
+        raise ValueError("a stack of specs must hold one distribution type")
+    if not isinstance(specs[0], DistributionSpec):
+        raise TypeError(f"unsupported distribution spec: {specs[0]!r}")
+    family, shape = specs[0].family, (len(specs),) if stacked else ()
+    if family == "discrete":  # ragged stacks raise in np.array
+        points = np.array([s.points for s in specs], dtype=float).reshape(shape + (-1, 2))
+        return family, {"weights": points[..., 0].copy(), "nodes": points[..., 1].copy()}
+    return family, {
+        name: np.array([getattr(s, name) for s in specs], dtype=float).reshape(shape) for name in FAMILIES[family][1]
+    }
 
 
-def _recurrence(unit, n_q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form recurrence coefficients alpha_0..alpha_{n-1}, beta_1..beta_{n-1}
-    of a unit-scale Gamma(k, 1) or LogNormal(0, nu) (Gautschi 2004); one row
-    per unit for a sequence of units of one family."""
-    stacked = not isinstance(unit, DistributionSpec)
-    units = tuple(unit) if stacked else (unit,)
+def _recurrence(n_q: int, k=None, v=None) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form recurrence coefficients alpha_0..alpha_{n-1}, beta_1..beta_{n-1} (Gautschi 2004),
+    one row per entry of the column given: of Gamma(k, 1), or of LogNormal(0, nu) from v = nu^2."""
     j = np.arange(n_q, dtype=float)
-    if isinstance(units[0], Gamma):
+    if k is not None:
         # generalized Laguerre with parameter k - 1
-        k = _rows([u.k for u in units], stacked)
+        k = np.asarray(k)[..., None]
         return 2.0 * j + k, j[1:] * (j[1:] + k - 1.0)
     # Stieltjes-Wigert with q = exp(-nu^2); 1 - q^j is computed as -expm1(-j nu^2)
-    v = [u.nu**2 for u in units]
-    q, v = _rows([math.exp(-x) for x in v], stacked), _rows(v, stacked)
+    q, v = _each(lambda x: math.exp(-x), v)[..., None], np.asarray(v)[..., None]
     one_minus_qj = -np.expm1(-j * v)
     alpha = np.exp((2.0 * j + 0.5) * v) * (1.0 + q * one_minus_qj)
     beta = np.exp((4.0 * j[1:] - 2.0) * v) * one_minus_qj[..., 1:]

@@ -11,19 +11,19 @@ import io
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from . import expansion
+from . import expansion, parametrizations
 from .arbitrage import _checked_grid, _second_difference
 from .errors import ParameterDomainError
-from .parametrizations import BaseParams, FlatParams, RandomizerSpec, SliceParams, eval_vol_curve
+from .parametrizations import SliceColumns, slice_columns
 from .pricing import (
     MarketContext, OptionKey, OptionType, _check_expiry, _check_strikes, bs_call_values, implied_vol_brent,
     implied_vols,
 )
-from .quadrature import DiscreteGiven, QuadratureRule, quadrature_for
+from .quadrature import QuadratureRule, quadrature_for
 
 logger = logging.getLogger("randvol")
 
@@ -47,19 +47,15 @@ def parse_engine(engine: str) -> tuple[str, Optional[int]]:
 
 @dataclass(frozen=True)
 class RandomizedSlice:
-    """A slice with its quadrature rule resolved and invariants checked.
+    """A slice, as parameter columns, with its quadrature rule resolved and invariants checked.
 
-    A stack of P slices (``params`` a tuple) has one rule row per slice,
-    and every grid it yields has a leading (P,) axis.
+    A stack of P slices has one rule row per slice, and every grid it
+    yields has a leading (P,) axis.
     """
 
-    params: Union[SliceParams, tuple]
+    columns: SliceColumns
     rule: QuadratureRule
     ctx: MarketContext
-
-    @property
-    def members(self) -> tuple:
-        return self.params if isinstance(self.params, tuple) else (self.params,)
 
     @property
     def batch_shape(self) -> tuple:
@@ -67,7 +63,7 @@ class RandomizedSlice:
 
     @property
     def target(self) -> str:
-        return self.members[0].randomizer.target
+        return self.columns.target
 
     @property
     def expansion_kind(self) -> str:
@@ -87,21 +83,15 @@ def randomize(params, ctx: MarketContext, recenter_spot: bool = False) -> Random
     the rule mean to sit on the market spot; an off-center explicit
     discrete rule is rejected unless ``recenter_spot`` asks for its nodes
     to be rescaled onto the spot.  A sequence of SliceParams with one
-    target and n_q gives a stack, which fails if any member fails a check.
+    base model, target and n_q, or a stack of `SliceColumns` (their array
+    form), gives a stack, which fails if any member fails a check.
     """
-    stacked = not isinstance(params, SliceParams)
-    members = tuple(
-        SliceParams(p.base, p.randomizer or _point_mass(p.base)) for p in (params if stacked else (params,))
-    )
-    rnd = members[0].randomizer
-    if stacked and any((p.randomizer.target, p.randomizer.n_q) != (rnd.target, rnd.n_q) for p in members):
-        raise ValueError("stacked slices must share the randomized target and n_q")
-    dists = [p.randomizer.dist for p in members]
-    rule = quadrature_for(dists if stacked else dists[0], rnd.n_q)
-    if rnd.target == "spot":
+    cols = params if isinstance(params, SliceColumns) else slice_columns(params)
+    rule = quadrature_for(cols.columns, cols.n_q, family=cols.family)
+    if cols.target == "spot":
         mean = rule.mean()
         if np.any(np.abs(mean - ctx.s0) > _SPOT_CENTER_RTOL * ctx.s0):
-            if recenter_spot and all(isinstance(d, DiscreteGiven) for d in dists):
+            if recenter_spot and cols.family == "discrete":
                 rule = rule.scaled(ctx.s0 / np.expand_dims(mean, -1))
             else:
                 raise ParameterDomainError(
@@ -110,34 +100,25 @@ def randomize(params, ctx: MarketContext, recenter_spot: bool = False) -> Random
         if (rule.nodes <= 0).any():
             raise ParameterDomainError("spot nodes must be strictly positive")
     elif (rule.nodes < 0).any():
-        raise ParameterDomainError(f"{rnd.target} nodes must be nonnegative")
-    return RandomizedSlice(members if stacked else members[0], rule, ctx)
-
-
-def _point_mass(base: BaseParams) -> RandomizerSpec:
-    """The one-node rule of a plain slice: all mass at sigma (flat) or gamma (SABR)."""
-    if isinstance(base, FlatParams):
-        return RandomizerSpec("sigma", DiscreteGiven(((1.0, base.sigma),)), 1)
-    return RandomizerSpec("gamma", DiscreteGiven(((1.0, base.gamma),)), 1)
+        raise ParameterDomainError(f"{cols.target} nodes must be nonnegative")
+    return RandomizedSlice(cols, rule, ctx)
 
 
 def _node_vol_matrix(rs: RandomizedSlice, expiry: float, strikes: np.ndarray) -> np.ndarray:
     """Node volatilities on a strike grid, shape ``rs.batch_shape + (n_strikes, n_q)``."""
     nodes = rs.rule.nodes[..., None, :]
     shape = rs.batch_shape + (strikes.size, rs.rule.size)
-    bases = [p.base for p in rs.members]
+    cols = rs.columns.columns
     if rs.target == "sigma":
         return np.broadcast_to(nodes, shape)
-    if rs.target == "gamma":
-        from .parametrizations import hagan_vol
-
-        alpha, beta, rho = (
-            np.array([getattr(b, name) for b in bases]).reshape(rs.batch_shape + (1, 1)) for name in ("alpha", "beta", "rho")
-        )
-        tau = expiry - rs.ctx.t0
-        return hagan_vol(rs.ctx.forward(expiry), strikes[:, None], tau, alpha, beta, rho, nodes)
-    eta = np.array([eval_vol_curve(b, rs.ctx, expiry, strikes) for b in bases]).reshape(rs.batch_shape + (-1, 1))
-    return np.broadcast_to(eta, shape)
+    if rs.target == "spot":  # the base vol at the spot, slice by slice, as eval_vol_curve forms it alone
+        base_type, names = parametrizations.BASES["flat" if "sigma" in cols else "sabr"]
+        rows = zip(*(np.ravel(cols[name]).tolist() for name in names))
+        eta = [parametrizations.eval_vol_curve(base_type(*row), rs.ctx, expiry, strikes) for row in rows]
+        return np.broadcast_to(np.reshape(eta, rs.batch_shape + (-1, 1)), shape)
+    alpha, beta, rho = (np.asarray(cols[name])[..., None, None] for name in ("alpha", "beta", "rho"))
+    tau = expiry - rs.ctx.t0
+    return parametrizations.hagan_vol(rs.ctx.forward(expiry), strikes[:, None], tau, alpha, beta, rho, nodes)
 
 
 def randomized_prices(rs: RandomizedSlice, expiry: float, strikes) -> np.ndarray:
@@ -217,10 +198,10 @@ def implied_vol_grid(
         # each slice prices its own escalated strikes, as a lone slice would; one inversion for all
         rows = escalate.reshape(-1, strikes.size)
         weights, nodes = (a.reshape(rows.shape[0], -1) for a in (rs.rule.weights, rs.rule.nodes))
+        members = rs.columns if rs.batch_shape else [rs.columns]
         prices = [
-            randomized_prices(RandomizedSlice(rs.members[p], QuadratureRule(weights[p], nodes[p]), rs.ctx),
-                              expiry, strikes[row])
-            for p, row in enumerate(rows) if row.any()
+            randomized_prices(RandomizedSlice(cols, QuadratureRule(w, x), rs.ctx), expiry, strikes[row])
+            for cols, w, x, row in zip(members, weights, nodes, rows) if row.any()
         ]
         values[escalate] = _invert(rs.ctx, expiry, np.broadcast_to(strikes, shape)[escalate], np.concatenate(prices))
     return values

@@ -29,6 +29,21 @@ def bs_price_fn(sigma, ctx=CTX):
     return price
 
 
+class TestDefaultStrikeGrid:
+    @pytest.mark.parametrize(
+        "lo,hi,bad",
+        [
+            (-1.0, 3.0, "lo must be positive and finite, got -1.0"),
+            (0.0, 3.0, "lo must be positive and finite, got 0.0"),
+            (0.3, math.inf, "hi must be positive and finite, got inf"),
+            (0.3, math.nan, "hi must be positive and finite, got nan"),
+        ],
+    )
+    def test_bad_bound_named(self, lo, hi, bad):
+        with pytest.raises(ValueError, match=bad):
+            default_strike_grid(CTX, 1.0, 11, lo, hi)
+
+
 class TestButterfly:
     def test_black_scholes_slice_passes(self):
         grid = default_strike_grid(CTX, 1.0)

@@ -401,6 +401,11 @@ def slice_objective(quotes, cfg):
     return calibration._SliceObjective(quotes, cfg, calibration._free_parameters(cfg))
 
 
+def point_columns(cfg, free, points, s0):
+    """The calibrator's parameter columns of transformed points, as `_SliceObjective.evaluate` forms them."""
+    return calibration._point_columns(cfg, calibration._point_values(cfg, free, points), s0)
+
+
 class TestStackedEvaluation:
     @pytest.mark.parametrize("engine", ["brent", "expansion"])
     @pytest.mark.parametrize("kwargs", STACK_CONFIGS)
@@ -429,6 +434,56 @@ class TestStackedEvaluation:
         )
         with pytest.raises(GramMatrixError):
             model_vols([failing], quotes.ctx, 0.25, [100.0], "expansion")
+        problem = slice_objective(quotes, cfg)
+        problem.evaluate(points)
+        assert problem.memo[points[2].tobytes()] is None
+        for i in (0, 1, 3, 4):
+            alone = slice_objective(quotes, cfg)
+            alone.evaluate([points[i]])
+            np.testing.assert_array_equal(problem.memo[points[i].tobytes()], alone.memo[points[i].tobytes()])
+
+    @pytest.mark.parametrize("size", [1, 5])
+    @pytest.mark.parametrize("engine", ["brent", "expansion"])
+    @pytest.mark.parametrize("kwargs", STACK_CONFIGS)
+    def test_array_path_equals_public_path(self, randomized_sabr_fixture, kwargs, engine, size):
+        # the calibrator's columns give the vols of SliceParams through the public randomize, bit for bit
+        quotes, expiry = randomized_sabr_fixture
+        cfg = FitConfig(engine=engine, **kwargs)
+        free = calibration._free_parameters(cfg)
+        points = calibration._latin_starts(np.random.default_rng(7), [p.start_range for p in free], size)
+        params = [build_slice_params(cfg, calibration._values_from_vector(cfg, free, v), quotes.ctx) for v in points]
+        strikes = np.array([q.strike for q in quotes.quotes])
+        market = np.array([q.iv for q in quotes.quotes])
+        problem = slice_objective(quotes, cfg)
+        problem.evaluate(points)
+        assert problem.model_calls == 1
+        for point, p in zip(points, params):
+            want = implied_vol_grid(randomize(p, quotes.ctx), expiry, strikes, engine=engine, quiet=True)
+            np.testing.assert_array_equal(problem.memo[point.tobytes()], want - market)
+        columns = point_columns(cfg, free, points, quotes.ctx.s0)
+        rule = randomize(columns[0] if size == 1 else columns, quotes.ctx).rule
+        public = randomize(params[0] if size == 1 else params, quotes.ctx).rule
+        assert (rule.weights.tobytes(), rule.nodes.tobytes()) == (public.weights.tobytes(), public.nodes.tobytes())
+
+    def test_failing_row_fails_the_column_stack(self, randomized_sabr_fixture):
+        quotes, _ = randomized_sabr_fixture
+        cfg = FitConfig(model="sabr", randomizer="gamma-gamma", n_q=2)
+        free = calibration._free_parameters(cfg)
+        points = np.array([_good_point(0), FAILING_POINT, _good_point(3)])
+        columns = point_columns(cfg, free, points, quotes.ctx.s0)
+        assert columns.columns["k"][1] == pytest.approx(1.5e8)
+        with pytest.raises(GramMatrixError):
+            model_vols(columns, quotes.ctx, 0.25, [100.0], "expansion")
+
+    def test_transform_overflow_fails_only_its_point(self, randomized_sabr_fixture):
+        # exp(800) overflows: the point must fail, not become an infinite k
+        quotes, _ = randomized_sabr_fixture
+        cfg = FitConfig(model="sabr", randomizer="gamma-gamma", n_q=2)
+        free = calibration._free_parameters(cfg)
+        points = [_good_point(i) for i in range(5)]
+        points[2] = np.array([math.log(0.25), 0.0, 800.0, math.log(0.5)])
+        with pytest.raises(OverflowError):
+            point_columns(cfg, free, points[2:3], quotes.ctx.s0)
         problem = slice_objective(quotes, cfg)
         problem.evaluate(points)
         assert problem.memo[points[2].tobytes()] is None

@@ -142,6 +142,36 @@ class TestStackedRules:
             np.testing.assert_array_equal(stack.nodes[row], single.nodes)
         np.testing.assert_array_equal(stack.mean(), [quadrature_for(s, 5).mean() for s in specs])
 
+    @pytest.mark.parametrize("n_q", [1, 2, 5, MAX_NQ])
+    @pytest.mark.parametrize(
+        "family,make",
+        [
+            ("gamma", lambda rng, size: {"k": np.exp(rng.uniform(-3.0, 3.0, size)),
+                                         "theta": np.exp(rng.uniform(-4.0, 1.0, size))}),
+            ("lognormal", lambda rng, size: {"mu": rng.uniform(-3.0, 1.0, size), "nu": rng.uniform(0.01, 0.6, size)}),
+            ("spot-lognormal", lambda rng, size: {"s0": np.exp(rng.uniform(0.0, 8.0, size)),
+                                                  "nu": rng.uniform(0.005, 0.6, size)}),
+        ],
+    )
+    def test_columns_equal_specs(self, family, make, n_q):
+        # the column core serves the spec API: the same rule, byte for byte, stacked and alone
+        spec_type = {"gamma": Gamma, "lognormal": LogNormal, "spot-lognormal": SpotLogNormal}[family]
+        columns = make(np.random.default_rng(n_q), 40)
+        specs = [spec_type(*values) for values in zip(*columns.values())]
+        stack = quadrature_for(columns, n_q, family=family)
+        want = quadrature_for(specs, n_q)
+        assert (stack.weights.tobytes(), stack.nodes.tobytes()) == (want.weights.tobytes(), want.nodes.tobytes())
+        for row in (0, 17, 39):
+            alone = quadrature_for({name: column[row] for name, column in columns.items()}, n_q, family=family)
+            single = quadrature_for(specs[row], n_q)
+            assert alone.weights.tobytes() == single.weights.tobytes()
+            assert alone.nodes.tobytes() == single.nodes.tobytes()
+            np.testing.assert_array_equal(stack.nodes[row], single.nodes)
+
+    def test_huge_k_row_fails_the_column_stack(self):
+        with pytest.raises(GramMatrixError, match="reproduce moment"):
+            quadrature_for({"k": np.array([3.0, 1.5e8, 2.0]), "theta": np.array([0.5, 1e-8, 0.7])}, 2, family="gamma")
+
     def test_failing_row_fails_the_stack(self):
         with pytest.raises(GramMatrixError, match="reproduce moment"):
             quadrature_for([LogNormal(0.0, 0.2), LogNormal(0.0, 2.0)], 6)
@@ -253,7 +283,10 @@ class TestClosedFormRecurrences:
     def test_match_hankel_route(self, unit, max_nq):
         for n_q in range(1, max_nq + 1):
             ws = build_workspace(moments(unit, 2 * n_q), n_q)
-            alpha, beta = _recurrence(unit, n_q)
+            if isinstance(unit, Gamma):
+                alpha, beta = _recurrence(n_q, k=unit.k)
+            else:
+                alpha, beta = _recurrence(n_q, v=unit.nu**2)
             np.testing.assert_allclose(alpha, ws.alpha, rtol=1e-10)
             np.testing.assert_allclose(beta, ws.beta, rtol=1e-10)
 

@@ -48,6 +48,23 @@ BAD_GRID_INPUT = [
                  "strikes must be positive and finite, got 0",
                  id="iv-zero-strike-expansion"),
     pytest.param(["density", "--expiry", "nan"], "expiry nan", id="density-nan-expiry"),
+    # grid flags: each is named with its value, before any log or linspace sees it
+    pytest.param(["density", "--expiry", "0.5", "--k-min", "-5", "--k-max", "100"],
+                 "--k-min must be positive and finite, got -5.0", id="density-negative-k-min"),
+    pytest.param(["density", "--expiry", "0.5", "--k-max", "inf"],
+                 "--k-max must be positive and finite, got inf", id="density-infinite-k-max"),
+    pytest.param(["density", "--expiry", "0.5", "--n-strikes", "-1"],
+                 "--n-strikes must be at least 1, got -1", id="density-negative-n-strikes"),
+    pytest.param(["check-arb", "--expiry", "0.5", "--grid-lo", "-1"],
+                 "--grid-lo must be positive and finite, got -1.0", id="check-arb-negative-grid-lo"),
+    pytest.param(["check-arb", "--expiry", "0.5", "--grid-hi", "nan"],
+                 "--grid-hi must be positive and finite, got nan", id="check-arb-nan-grid-hi"),
+    pytest.param(["iv", "--expiry", "0.5", "--k-min", "80", "--k-max", "120", "--n-strikes", "-3"],
+                 "--n-strikes must be at least 1, got -3", id="iv-negative-n-strikes"),
+    pytest.param(["iv", "--expiry", "0.5", "--k-min", "0", "--k-max", "120"],
+                 "--k-min must be positive and finite, got 0.0", id="iv-zero-k-min"),
+    pytest.param(["price", "--expiry", "0.5", "--k-min", "80", "--k-max", "120", "--n-strikes", "0"],
+                 "--n-strikes must be at least 1, got 0", id="price-zero-n-strikes"),
 ]
 # an expansion order the configured randomizer cannot run
 UNRUNNABLE_ORDER = [
