@@ -19,6 +19,7 @@ from .calibration import (
     Quote,
     QuoteSet,
     fit_slice,
+    fit_surface,
     select_liquid,
     variance_of_randomizer,
 )

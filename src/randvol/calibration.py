@@ -6,23 +6,27 @@ unconstrained through bound-respecting transforms (log for positives,
 scaled tanh for correlation and the exponent), with multistart
 unbounded trust-region least squares on the residual vector in that
 transformed space (scipy's TRF steps, forward-difference Jacobian; no
-bounds, so nothing is reflected).  The searches of a slice advance in
-lockstep: each round evaluates every point they wait on, trial points
-and Jacobian points alike, as one stacked model call.  The points of a
-round stay arrays from the transform to the rule: they become one set
-of parameter columns (`SliceColumns`), from which the stacked rule and
-the node vols are built; `SliceParams` is the public and JSON type only,
-built for the result.  Randomized fits additionally seed from a plain
-prefit embedded at the degenerate boundary of the randomizer, which
-makes the randomized family dominate its nested plain model by
-construction where that boundary builds.  For gamma-gamma it does not:
-θ = 1e-8 makes k ≈ 1.5e8, whose rule fails its moment check, so the
-embedded start is dropped.
+bounds, so nothing is reflected).  The slices of a surface advance in
+one lockstep (`fit_surface`; `fit_slice` is its one-slice case): each
+round evaluates every point their searches wait on, trial points and
+Jacobian points alike, as one stacked model call in which each row
+carries its slice's expiry and strikes.  A failed row is a value, not a
+retry: its point reads None, and the round is never sent again.  The
+points of a round stay arrays from the transform to the rule: they
+become one set of parameter columns (`SliceColumns`), from which the
+stacked rule and the node vols are built; `SliceParams` is the public
+and JSON type only, built for the result.  Randomized fits additionally
+seed from a plain prefit embedded at the degenerate boundary of the
+randomizer, which makes the randomized family dominate its nested plain
+model by construction where that boundary builds.  For gamma-gamma it
+does not: θ = 1e-8 makes k ≈ 1.5e8, whose rule fails its moment check,
+so the embedded start is dropped.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Callable, Generator, Literal, Optional, Sequence, get_args
 
 import numpy as np
@@ -30,7 +34,7 @@ from scipy.linalg import svd
 from scipy.optimize import OptimizeResult
 from scipy.optimize._lsq.common import check_termination, evaluate_quadratic, solve_lsq_trust_region, update_tr_radius
 
-from .errors import CalibrationError, RandvolError
+from .errors import CalibrationError, RowFailures
 from .expansion import expansion_order
 from .parametrizations import (
     BASES,
@@ -46,7 +50,7 @@ from .pricing import MarketContext, OptionType
 from .quadrature import (
     FAMILIES, MAX_NQ, DiscreteGiven, DistributionSpec, Gamma, LogNormal, SpotLogNormal, check_domains,
 )
-from .randomization import implied_vol_grid, parse_engine, randomize
+from .randomization import implied_vol_grid, implied_vol_stack, parse_engine, randomize
 
 ModelName = Literal["flat", "sabr"]
 RandomizerName = Literal["none", "sigma-lognormal", "gamma-gamma", "spot-lognormal"]
@@ -136,7 +140,7 @@ class FitResult:
     randomizer_variance: float
     converged: bool
     evaluations: int  # distinct parameter points evaluated, the plain prefit's included
-    model_calls: int  # stacked model_vols calls, the plain prefit's included
+    model_calls: int  # stacked model_vols calls that held one of its points or more, the plain prefit's included
 
     def to_json(self) -> dict:
         out = {
@@ -218,13 +222,28 @@ def _free_parameters(cfg: FitConfig) -> list[_FreeParam]:
     return [p for p in params if p.name not in cfg.fixed]
 
 
-def _point_values(cfg: FitConfig, free: list[_FreeParam], points) -> dict:
+def _point_values(cfg: FitConfig, free: list[_FreeParam], points, failures: Optional[RowFailures] = None) -> dict:
     """Each parameter's values over (P, n) transformed points, as lists of Python floats (numpy's exp and tanh
-    round apart from math's)."""
+    round apart from math's).  A transform that overflows raises OverflowError; given ``failures``, its point
+    is marked there instead and reads NaN."""
     columns = np.array(points, dtype=float).T.tolist()
-    values = {p.name: [p.from_internal(x) for x in column] for p, column in zip(free, columns)}
+    values = {p.name: _each_point(p.from_internal, column, failures) for p, column in zip(free, columns)}
     values.update({name: [value] * len(points) for name, value in cfg.fixed.items()})
     return values
+
+
+def _each_point(f, xs: list, failures: Optional[RowFailures]) -> list:
+    """f of each point's value; an overflow raises, or, given ``failures``, marks the point there and reads NaN."""
+    out = []
+    for i, x in enumerate(xs):
+        try:
+            out.append(f(x))
+        except OverflowError as exc:
+            if failures is None:
+                raise
+            failures.mark(np.arange(len(xs)) == i, lambda: exc)
+            out.append(math.nan)
+    return out
 
 
 def _values_from_vector(cfg: FitConfig, free: list[_FreeParam], vector) -> dict:
@@ -243,32 +262,44 @@ def build_slice_params(cfg: FitConfig, values: dict, ctx: MarketContext) -> Slic
     return SliceParams(base, RandomizerSpec(columns.target, spec_type(*(v[name] for name in names)), cfg.n_q))
 
 
-def _point_columns(cfg: FitConfig, values: dict, s0: float) -> SliceColumns:
+def _point_columns(cfg: FitConfig, values: dict, s0: float, failures: Optional[RowFailures] = None) -> SliceColumns:
     """The parameter columns of points given as a list of values per parameter, each checked against its domain.
 
+    A point outside raises; given ``failures``, it is marked there instead (its columns are then meaningless).
     Derived values (a SABR gamma from k and theta, a flat sigma as the lognormal mean) are formed
     point by point in Python floats: numpy's exp and x*x round apart from math's exp and x**2.
     """
     values = dict(values, s0=[s0] * len(next(iter(values.values()))))
     if cfg.randomizer == "sigma-lognormal":  # the base is the lognormal's mean, whose overflow fails the point
-        values["sigma"] = [math.exp(m + 0.5 * n**2) for m, n in zip(values["mu"], values["nu"])]
+        values["sigma"] = _each_point(
+            lambda mu_nu: math.exp(mu_nu[0] + 0.5 * mu_nu[1] ** 2), list(zip(values["mu"], values["nu"])), failures)
     elif cfg.randomizer == "gamma-gamma":
         values.setdefault("gamma", [k * theta for k, theta in zip(values["k"], values["theta"])])
     target, family = {"gamma-gamma": ("gamma", "gamma"), "sigma-lognormal": ("sigma", "lognormal"),
                       "spot-lognormal": ("spot", "spot-lognormal")}.get(cfg.randomizer, (None, "discrete"))
     names = BASES[cfg.model][1] + (FAMILIES[family][1] if family in FAMILIES else ())
-    check_domains({name: values[name] for name in names})
+    check_domains({name: values[name] for name in names}, failures)
+    for name in {"alpha", "nu"}.intersection(names):  # the model squares these in Python floats, as here
+        _each_point(lambda x: x**2, values[name], failures)
     columns = {name: np.array(values[name], dtype=float) for name in names}
     return plain_columns(columns) if family == "discrete" else SliceColumns(target, family, cfg.n_q, columns)
 
 
-def model_vols(
-    params, ctx: MarketContext, expiry: float, strikes, engine: str, quiet: bool = False,
-) -> np.ndarray:
-    """Model implied vols on a strike grid, one row per point of ``params`` (SliceParams or SliceColumns)."""
-    # a lone point goes as a lone slice, whose arrays lack the stack axis (the rows are equal bit for bit)
-    rs = randomize(params[0] if len(params) == 1 else params, ctx)
-    return implied_vol_grid(rs, expiry, strikes, engine=engine, quiet=quiet).reshape(len(params), -1)
+def model_vols(params, ctx: MarketContext, expiry, strikes, engine: str, quiet: bool = False) -> np.ndarray:
+    """Model implied vols of a stack of points: SliceParams, or their array form, `SliceColumns`.
+
+    ``expiry`` and ``strikes`` are one expiry and strike grid for every row, giving a (P, n) array, or one
+    expiry and one strike array per row, giving the rows' vols one after another in one flat array (parameter
+    columns only).  A row of parameter columns that fails a check reads NaN and spares the others; SliceParams
+    raise as the public entries do.
+    """
+    if not isinstance(params, SliceColumns):
+        return implied_vol_grid(randomize(params, ctx), expiry, strikes, engine=engine, quiet=quiet)
+    if np.ndim(expiry) == 0:
+        strikes = np.asarray(strikes, dtype=float)
+        return implied_vol_stack(params, ctx, [expiry] * len(params), [strikes] * len(params), engine,
+                                 quiet)[0].reshape(len(params), -1)
+    return implied_vol_stack(params, ctx, expiry, strikes, engine, quiet)[0]
 
 
 _FTOL, _XTOL, _GTOL = 1e-14, 1e-12, 1e-14  # least_squares' ftol, xtol and gtol
@@ -333,39 +364,24 @@ def _jacobian(residuals, x: np.ndarray, f: Optional[np.ndarray] = None):
 class _SliceObjective:
     """Vol residuals of one slice, memoized per parameter point so that none is evaluated twice.
 
-    A point maps to None where the model failed or gave a non-finite vol.
-    `evaluate` serves many points with one stacked model call; if that
-    raises, it goes part by part (by default point by point), so only the
-    failing points read None.
+    A point maps to None where its transform or the model failed, or gave a non-finite vol.
+    ``model_calls`` counts the stacked model calls that held at least one of its points.
     """
 
-    def __init__(self, quotes: QuoteSet, cfg: FitConfig, free: list):
+    def __init__(self, quotes: QuoteSet, cfg: FitConfig, free: list, surface: Optional["SurfaceFit"] = None):
         self.cfg, self.free, self.ctx, self.expiry = cfg, free, quotes.ctx, quotes.expiries()[0]
         self.strikes = np.array([q.strike for q in quotes.quotes])
         self.market = np.array([q.iv for q in quotes.quotes])
         self.memo: dict[bytes, Optional[np.ndarray]] = {}
         self.model_calls = 0
+        self.surface = surface
 
     def fresh(self, vectors) -> dict:
         """The points of ``vectors`` the memo lacks, each once, keyed by their bytes."""
         return {k: v for v in vectors if (k := np.asarray(v, dtype=float).tobytes()) not in self.memo}
 
-    def evaluate(self, vectors, parts=None) -> None:
-        fresh = self.fresh(vectors)
-        if not fresh:
-            return
-        self.model_calls += 1
-        try:
-            columns = _point_columns(self.cfg, _point_values(self.cfg, self.free, list(fresh.values())), self.ctx.s0)
-            model = model_vols(columns, self.ctx, self.expiry, self.strikes, self.cfg.engine, quiet=True)
-        except (RandvolError, ValueError, OverflowError):
-            if len(fresh) > 1:
-                for part in parts if parts and len(parts) > 1 else ([v] for v in fresh.values()):
-                    self.evaluate(part)
-                return
-            model = np.full((1, self.market.size), np.nan)
-        for key, row, finite in zip(fresh, model - self.market, np.isfinite(model).all(axis=1)):
-            self.memo[key] = row if finite else None
+    def evaluate(self, vectors) -> None:
+        _evaluate([(self, self.fresh(vectors))])
 
     def residuals(self, vector) -> Optional[np.ndarray]:
         key = np.asarray(vector, dtype=float).tobytes()
@@ -383,8 +399,55 @@ class _SliceObjective:
         return np.ones_like(self.market) if diff is None else diff
 
 
+def _evaluate(requests) -> None:
+    """Evaluate (slice objective, fresh points) requests, as `_SliceObjective.fresh` gives them, as one stacked
+    model call.
+
+    The objectives share one fit configuration and market; each slice's points go at its own expiry
+    and strikes.  A point whose transform or model fails reads None in its slice's memo and spares
+    the others, whose rows are bit for bit their lone evaluations.
+    """
+    fresh: dict = {}
+    for problem, points in requests:
+        fresh.setdefault(problem, {}).update(points)
+    owners = [problem for problem, points in fresh.items() for _ in points]
+    if not owners:
+        return
+    keys = [key for points in fresh.values() for key in points]
+    first = owners[0]
+    failures = RowFailures(len(owners))
+    points = [point for points in fresh.values() for point in points.values()]
+    columns = _point_columns(first.cfg, _point_values(first.cfg, first.free, points, failures), first.ctx.s0, failures)
+    good = np.flatnonzero(~failures.bad).tolist() if failures.any else range(len(owners))
+    held = [owners[i] for i in good]
+    for key, problem in zip(keys, owners):
+        problem.memo[key] = None
+    if not held:
+        return
+    for problem in dict.fromkeys(held):
+        problem.model_calls += 1
+    if first.surface is not None:
+        first.surface.model_calls += 1
+    vols = model_vols(columns[good] if failures.any else columns, first.ctx, [p.expiry for p in held],
+                      [p.strikes for p in held], first.cfg.engine, quiet=True)
+    diff = vols - np.concatenate([p.market for p in held])
+    starts = [0, *accumulate(p.market.size for p in held)]
+    finite = np.logical_and.reduceat(np.isfinite(vols), starts[:-1])
+    for i, problem, start, end, ok in zip(good, held, starts, starts[1:], finite):
+        if ok:
+            problem.memo[keys[i]] = diff[start:end]
+
+
+class SurfaceFit(list):
+    """The fits of a quote set's expiry slices, in expiry order: each a FitResult, or the CalibrationError of a
+    slice that failed (with its best point, if any).  ``model_calls`` counts the stacked model calls the
+    slices shared, each once."""
+
+    model_calls: int = 0
+
+
 def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
-    """Fit one expiry slice, minimizing the sum of squared vol differences.
+    """Fit one expiry slice, minimizing the sum of squared vol differences: `fit_surface` of one slice.
 
     Runs ``cfg.multistart`` least-squares searches on the vol residuals
     from a Latin grid over the transformed parameter space (plus a
@@ -397,73 +460,107 @@ def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
     expiries = quotes.expiries()
     if len(expiries) != 1:
         raise ValueError(f"fit_slice expects quotes at exactly one expiry, got {expiries}")
+    result = fit_surface(quotes, cfg)[0]
+    if isinstance(result, CalibrationError):
+        raise result
+    return result
+
+
+def fit_surface(quotes: QuoteSet, cfg: FitConfig) -> SurfaceFit:
+    """Fit every expiry slice of ``quotes``; one FitResult or CalibrationError per expiry, in expiry order.
+
+    The slices' plain prefits run in one lockstep, then their randomized
+    searches in another: each round is one stacked model call over the
+    points every slice's searches wait on.  Each slice keeps its own
+    memo, starts, budget and result, equal bit for bit to `fit_slice` on
+    it alone; the result's ``model_calls`` counts each shared call once.
+    """
     free = _free_parameters(cfg)
-    if len(quotes) < len(free):
-        raise CalibrationError(
-            f"need at least {len(free)} quotes to fit {len(free)} free parameters, "
-            f"got {len(quotes)}"
-        )
-    problem = _SliceObjective(quotes, cfg, free)
-
-    rng = np.random.default_rng(cfg.seed)
-    starts = _latin_starts(rng, [p.start_range for p in free], cfg.multistart)
-    embedded = plain = None
+    slices = [quotes.at_expiry(expiry) for expiry in quotes.expiries()]
+    fits = SurfaceFit(
+        CalibrationError(f"need at least {len(free)} quotes to fit {len(free)} free parameters, got {len(q)}")
+        if len(q) < len(free) else None for q in slices
+    )
+    live = [i for i, fit in enumerate(fits) if fit is None]
+    slices = [slices[i] for i in live]
+    plain = [None] * len(live)
     if cfg.randomizer != "none":
-        try:
-            plain = fit_slice(quotes, _plain_config(cfg))
-        except CalibrationError as exc:
-            plain = exc.best
-        embedded = _degenerate_embedding(cfg, free, plain) if plain is not None else None
-        if embedded is not None:
-            starts = np.vstack([starts, embedded])
-    problem.evaluate(starts)
-    candidates: list[tuple[float, np.ndarray, bool]] = []
-    if embedded is not None:
-        candidates.append((problem.objective(embedded), np.asarray(embedded), False))
-    searches = [minimize(problem.penalized, s, cfg.budget) for s in starts if math.isfinite(problem.objective(s))]
-    candidates += [(problem.objective(r.x), r.x, r.success) for r in _lockstep(problem, searches)]
+        prefits = _multistart(slices, _plain_config(cfg), [None] * len(live), plain, fits)
+        plain = [r.best if isinstance(r, CalibrationError) else r for r in prefits]
+    embedded = [None if p is None else _degenerate_embedding(cfg, free, p) for p in plain]
+    for i, result in zip(live, _multistart(slices, cfg, embedded, plain, fits)):
+        fits[i] = result
+    return fits
 
+
+def _multistart(slices: list, cfg: FitConfig, embedded: list, plain: list, surface: SurfaceFit) -> list:
+    """Multistart searches on each slice, all in one lockstep; a FitResult or CalibrationError per slice.
+
+    The starts of every slice (its Latin grid, plus its ``embedded`` start if any) are probed as one
+    stacked call; the searches from the finite ones then run in lockstep.
+    """
+    free = _free_parameters(cfg)
+    problems = [_SliceObjective(q, cfg, free, surface) for q in slices]
+    latin = _latin_starts(np.random.default_rng(cfg.seed), [p.start_range for p in free], cfg.multistart)
+    starts = [latin if e is None else np.vstack([latin, e]) for e in embedded]
+    _evaluate([(problem, problem.fresh(s)) for problem, s in zip(problems, starts)])
+    searches = [(problem, minimize(problem.penalized, s, cfg.budget))
+                for problem, ss in zip(problems, starts) for s in ss if math.isfinite(problem.objective(s))]
+    outcomes: dict = {problem: [] for problem in problems}
+    for (problem, _), result in zip(searches, _lockstep([p for p, _ in searches], [s for _, s in searches])):
+        outcomes[problem].append((problem.objective(result.x), result.x, result.success))
+    return [_best(problem, cfg, free, outcomes[problem], start, prefit)
+            for problem, start, prefit in zip(problems, embedded, plain)]
+
+
+def _best(problem: _SliceObjective, cfg: FitConfig, free: list, candidates: list, embedded, plain):
+    """A slice's FitResult from its searches' (sse, x, success) and its embedded start, or its CalibrationError."""
+    if embedded is not None:
+        candidates = [(problem.objective(embedded), np.asarray(embedded), False)] + candidates
     finite = [c for c in candidates if math.isfinite(c[0])]
     if not finite:
-        raise CalibrationError("no multistart point produced a finite objective")
+        return CalibrationError("no multistart point produced a finite objective")
     # on a tie, prefer a converged search over the unsearched embedding
     best_sse, best_x, best_converged = min(finite, key=lambda c: (c[0], not c[2]))
     params = build_slice_params(cfg, _values_from_vector(cfg, free, best_x), problem.ctx)
     variance = 0.0 if params.randomizer is None else variance_of_randomizer(params.randomizer.dist)
     strikes = problem.strikes
+    # the residuals are the public model's at the result's parameters: bit for bit the point's stacked row
+    model = implied_vol_grid(randomize(params, problem.ctx), problem.expiry, strikes, engine=cfg.engine, quiet=True)
     best = FitResult(
         params=params,
         expiry=problem.expiry,
         sse=float(best_sse),
         mse=float(best_sse) / len(strikes),
-        residuals=[(problem.expiry, float(k), float(d)) for k, d in zip(strikes, problem.residuals(best_x))],
+        residuals=[(problem.expiry, float(k), float(d)) for k, d in zip(strikes, model - problem.market)],
         randomizer_variance=variance,
         converged=best_converged,
         evaluations=len(problem.memo) + (plain.evaluations if plain else 0),
         model_calls=problem.model_calls + (plain.model_calls if plain else 0),
     )
     if not any(ok for _, _, ok in finite):
-        raise CalibrationError(
-            f"optimizer did not converge within budget {cfg.budget}", best=best
-        )
+        return CalibrationError(f"optimizer did not converge within budget {cfg.budget}", best=best)
     return best
 
 
-def _lockstep(problem: _SliceObjective, searches: Sequence[Generator]) -> list:
-    """Run `minimize` generators on ``problem`` in lockstep; return their results in order.
+def _lockstep(problems, searches: Sequence[Generator]) -> list:
+    """Run `minimize` generators in lockstep, each on its slice's objective; return their results in order.
 
-    Each round evaluates the points the live searches wait on as one `evaluate`
-    call, then resumes them in order; a search asking only for memoized points goes on at once.
+    ``problems`` is one objective for all the searches, or one per search.  Each round evaluates the
+    points the live searches wait on, over every slice, as one `_evaluate` call, then resumes them in
+    order; a search asking only for memoized points goes on at once.
     """
+    if isinstance(problems, _SliceObjective):
+        problems = [problems] * len(searches)
     results: list = [None] * len(searches)
-    waiting = {i: [] for i in range(len(searches))}  # each live search's fresh points
+    waiting: dict = {i: {} for i in range(len(searches))}  # each live search's fresh points
     while waiting:
-        problem.evaluate([p for points in waiting.values() for p in points], parts=list(waiting.values()))
+        _evaluate([(problems[i], points) for i, points in waiting.items()])
         for i in list(waiting):
             try:
-                while not (points := problem.fresh(next(searches[i]))):
+                while not (points := problems[i].fresh(next(searches[i]))):
                     pass
-                waiting[i] = list(points.values())
+                waiting[i] = points
             except StopIteration as stop:
                 results[i] = stop.value
                 del waiting[i]

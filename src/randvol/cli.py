@@ -13,7 +13,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .arbitrage import SliceSet, check_butterfly, check_calendar, default_strike_grid, interp_total_variance
-from .calibration import fit_slice
+from .calibration import fit_slice, fit_surface  # fit_slice stays a name here: the benchmark's tracer wraps it
 from .errors import CalibrationError, RandvolError
 from .parametrizations import params_from_json
 from .pricing import MarketContext, bs_call_values
@@ -153,16 +153,16 @@ def _cmd_fit(args) -> int:
     quotes = load_quotes(args.quotes, cfg.market)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    failed = 0
-    for expiry in quotes.expiries():
-        try:
-            result = fit_slice(quotes.at_expiry(expiry), cfg.fit)
-        except CalibrationError as exc:
-            print(f"error: T={expiry:.6f}: {exc}", file=sys.stderr)
+    fits = fit_surface(quotes, cfg.fit)
+    failed = evaluations = 0
+    for expiry, result in zip(quotes.expiries(), fits):
+        if isinstance(result, CalibrationError):
+            print(f"error: T={expiry:.6f}: {result}", file=sys.stderr)
             failed += 1
-            result = exc.best
+            result = result.best
             if result is None:
                 continue
+        evaluations += result.evaluations
         tag = f"{expiry:.6f}".rstrip("0").rstrip(".").replace(".", "_")
         (out_dir / f"fit_T{tag}.json").write_text(
             json.dumps(result.to_json(), indent=2) + "\n", encoding="utf-8"
@@ -172,6 +172,8 @@ def _cmd_fit(args) -> int:
             for t, k, res in result.residuals:
                 handle.write(f"{t:.10g},{k:.10g},{res:.12g}\n")
         print(f"T={expiry:.6f}: sse={result.sse:.6e} mse={result.mse:.6e}")
+    print(f"fit: slices={len(fits)} failed={failed} model_calls={fits.model_calls} evaluations={evaluations}",
+          file=sys.stderr)
     return 2 if failed else 0
 
 

@@ -1,4 +1,7 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the per-row failure record of stacked evaluation."""
+from __future__ import annotations
+
+import numpy as np
 
 
 class RandvolError(Exception):
@@ -53,3 +56,37 @@ class QuoteFormatError(RandvolError):
     def __init__(self, message, line=None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
+
+
+class RowFailures:
+    """Which rows of a stack failed a check, and the error of the first failure found.
+
+    Stacked evaluation marks a failing row and goes on with the others; a
+    public entry raises ``error``, the error a lone call of that row raises.
+    """
+
+    def __init__(self, rows):
+        self.bad = np.zeros(rows, dtype=bool)
+        self.error: Exception | None = None
+
+    @property
+    def any(self) -> bool:
+        return self.error is not None
+
+    def mark(self, bad: np.ndarray, error) -> None:
+        """Mark the rows where ``bad`` holds; ``error()`` makes the error, kept if it is the first."""
+        if bad.any():
+            if self.error is None:
+                self.error = error()
+            self.bad |= bad
+
+
+def fail_rows(failures: RowFailures | None, bad: np.ndarray, error, axes: int = 0) -> bool:
+    """Raise ``error()`` if ``bad`` holds anywhere, or, given ``failures``, mark the rows where it holds
+    (anywhere over its last ``axes`` axes) there; return whether it held."""
+    if not bad.any():
+        return False
+    if failures is None:
+        raise error()
+    failures.mark(bad.any(axis=tuple(range(-axes, 0))) if axes else bad, error)
+    return True

@@ -20,7 +20,7 @@ import math
 import numpy as np
 from scipy.special import ndtr as norm_cdf, ndtri as norm_ppf
 
-from .errors import ExpansionRangeError
+from .errors import ExpansionRangeError, RowFailures, fail_rows
 from .pricing import norm_pdf
 
 PARAMETER_ORDERS = (0, 2, 4, 6)
@@ -37,26 +37,29 @@ def expansion_order(kind: str, order: int | None = None) -> int:
     return order
 
 
-def parameter_coefficients(weights, node_vols, tau, order: int | None = None):
+def parameter_coefficients(weights, node_vols, tau, order: int | None = None,
+                           failures: RowFailures | None = None):
     """Even-order expansion coefficients for parameter randomization.
 
     ``node_vols`` has the quadrature axis last and broadcasts against
     ``tau``; a batch of points is a (points, n_q) array against a
     (points,) tau.  Returns the coefficients (P0, P2, P4, P6) stacked
-    along the leading axis.
+    along the leading axis.  A point whose coefficients cannot be formed
+    raises ExpansionRangeError; given ``failures``, a record over the
+    (points,) batch, it is marked there instead (its coefficients are then
+    meaningless).
     """
     expansion_order("parameter", order)
     lam = np.asarray(weights, dtype=float)
     eta = np.asarray(node_vols, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    if (eta <= 0).any():
-        raise ExpansionRangeError("parameter expansion requires strictly positive node vols")
+    if fail_rows(failures, eta <= 0,
+                 lambda: ExpansionRangeError("parameter expansion requires strictly positive node vols"), axes=1):
+        eta = np.where(failures.bad[..., None], 0.2, eta)  # a marked point gets a harmless vol
     sqrt_tau = np.sqrt(tau)
 
     h = 0.5 * eta * sqrt_tau[..., None]
-    big_a = (lam * norm_cdf(h)).sum(-1)
-    if (big_a >= 1.0).any():
-        raise ExpansionRangeError("weighted normal CDF sum reached 1; precision exhausted")
+    big_a = _checked_cdf_sum((lam * norm_cdf(h)).sum(-1), failures)
     p0 = 2.0 / sqrt_tau * norm_ppf(big_a)
 
     sig0 = 0.5 * p0 * sqrt_tau
@@ -92,6 +95,14 @@ def parameter_coefficients(weights, node_vols, tau, order: int | None = None):
     ) / (32.0 * sqrt_tau)
 
     return np.stack([p0, p2, p4, p6])
+
+
+def _checked_cdf_sum(big_a, failures: RowFailures | None):
+    """The weighted normal CDF sum A, checked below 1: a point at 1 raises, or is marked and reads 3/4."""
+    if fail_rows(failures, big_a >= 1.0,
+                 lambda: ExpansionRangeError("weighted normal CDF sum reached 1; precision exhausted")):
+        return np.where(failures.bad, 0.75, big_a)
+    return big_a
 
 
 # Hermite-polynomial derivatives of the standard normal density:
@@ -136,22 +147,26 @@ def _bs_call_partials(s_total):
     }
 
 
-def spot_coefficients(weights, nodes, s0, base_vol, tau, order: int | None = None):
+def spot_coefficients(weights, nodes, s0, base_vol, tau, order: int | None = None,
+                      failures: RowFailures | None = None):
     """Expansion coefficients (orders 0..4) for spot randomization.
 
     ``base_vol`` and ``tau`` broadcast against each other (batch of
-    points); the quadrature nodes are shared across the batch.  Returns
-    the coefficients (P0, P1, P2, P3, P4) stacked along the leading axis.
+    points); the quadrature nodes, last axis, broadcast against the batch.
+    Returns the coefficients (P0, P1, P2, P3, P4) stacked along the leading
+    axis.  A point whose coefficients cannot be formed raises
+    ExpansionRangeError, or, given ``failures``, is marked there.
     """
     expansion_order("spot", order)
     lam = np.asarray(weights, dtype=float)
     eta = np.asarray(base_vol, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    if np.any(eta <= 0):
-        raise ExpansionRangeError("spot expansion requires a strictly positive base vol")
     a = np.asarray(nodes, dtype=float) / float(s0)
-    if np.any(a <= 0):
-        raise ExpansionRangeError("spot nodes must be strictly positive")
+    marked = fail_rows(failures, eta <= 0,
+                       lambda: ExpansionRangeError("spot expansion requires a strictly positive base vol"))
+    marked |= fail_rows(failures, a <= 0, lambda: ExpansionRangeError("spot nodes must be strictly positive"), axes=1)
+    if marked:  # a marked point gets a harmless vol and nodes
+        eta, a = np.where(failures.bad, 0.2, eta), np.where(failures.bad[..., None], 1.0, a)
 
     sqrt_tau = np.sqrt(tau)
     s = (eta * sqrt_tau)[..., None]
@@ -160,9 +175,7 @@ def spot_coefficients(weights, nodes, s0, base_vol, tau, order: int | None = Non
     d_minus = beta / s - 0.5 * s
 
     sig_n = a * norm_cdf(d_plus) - norm_cdf(d_minus)
-    big_a = 0.5 * (1.0 + np.sum(lam * sig_n, axis=-1))
-    if np.any(big_a >= 1.0):
-        raise ExpansionRangeError("weighted normal CDF sum reached 1; precision exhausted")
+    big_a = _checked_cdf_sum(0.5 * (1.0 + np.sum(lam * sig_n, axis=-1)), failures)
     p0 = 2.0 / sqrt_tau * norm_ppf(big_a)
 
     # m-derivatives of the mixture at m = 0 (all divided by the spot)

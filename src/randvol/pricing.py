@@ -100,13 +100,18 @@ def bs_call_values(s0, r: float, tau: float, strikes, sigmas) -> np.ndarray:
 
     Entries with sigma*sqrt(tau) <= 0 fall back to discounted intrinsic.
     """
+    return call_values(s0, r * tau, math.exp(-r * tau), math.sqrt(tau), strikes, sigmas)
+
+
+def call_values(s0, r_tau, df, sqrt_tau, strikes, sigmas) -> np.ndarray:
+    """`bs_call_values` from each expiry's r*tau, discount factor and sqrt(tau), floats or arrays broadcasting
+    with the strikes (formed with math per expiry, as `bs_call_values` forms them)."""
     s0 = np.asarray(s0, dtype=float)
     k = np.asarray(strikes, dtype=float)
     sig = np.asarray(sigmas, dtype=float)
-    df = math.exp(-r * tau)
-    st = sig * math.sqrt(tau)
+    st = sig * sqrt_tau
     with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = (np.log(s0 / k) + r * tau) / st + 0.5 * st
+        d1 = (np.log(s0 / k) + r_tau) / st + 0.5 * st
         d2 = d1 - st
         values = s0 * ndtr(d1) - k * df * ndtr(d2)
     intrinsic = np.maximum(s0 - k * df, 0.0)
@@ -125,15 +130,20 @@ def implied_vols(ctx: MarketContext, expiry: float, strikes, call_prices) -> np.
     (intrinsic, s0), are NaN.
     """
     tau = _check_expiry(ctx, expiry)
+    return inverted_vols(ctx.s0, ctx.r * tau, math.exp(-ctx.r * tau), math.sqrt(tau), strikes, call_prices)
+
+
+def inverted_vols(s0: float, r_tau, df, sqrt_tau, strikes, call_prices) -> np.ndarray:
+    """`implied_vols` from each expiry's r*tau, discount factor and sqrt(tau), floats or arrays of the strikes'
+    shape (formed with math per expiry, as `implied_vols` forms them)."""
     strikes, prices = np.broadcast_arrays(
         np.asarray(strikes, dtype=float), np.asarray(call_prices, dtype=float)
     )
-    df = math.exp(-ctx.r * tau)
-    intrinsic = np.maximum(ctx.s0 - strikes * df, 0.0)
+    intrinsic = np.maximum(s0 - strikes * df, 0.0)
     out = np.full(strikes.shape, np.nan)
-    idx = np.flatnonzero((prices > intrinsic) & (prices < ctx.s0))
-    theta = -np.abs(np.log(ctx.s0 / strikes.flat[idx]) + ctx.r * tau)
-    target = (prices.flat[idx] - intrinsic.flat[idx]) / np.sqrt(ctx.s0 * strikes.flat[idx] * df)
+    idx = np.flatnonzero((prices > intrinsic) & (prices < s0))
+    theta = -np.abs(np.log(s0 / strikes.flat[idx]) + _at(r_tau, idx))
+    target = (prices.flat[idx] - intrinsic.flat[idx]) / np.sqrt(s0 * strikes.flat[idx] * _at(df, idx))
     e = np.exp(0.5 * theta)
     with np.errstate(divide="ignore", invalid="ignore"):
         # start at the smaller inverse of b's asymptotes, with e = exp(theta/2):
@@ -161,7 +171,12 @@ def implied_vols(ctx: MarketContext, expiry: float, strikes, call_prices) -> np.
         idx, theta, e, target, s, lo, hi = (a[~done] for a in (idx, theta, e, target, s, lo, hi))
         if idx.size == 0:
             break
-    return out / math.sqrt(tau)
+    return out / sqrt_tau
+
+
+def _at(value, idx):
+    """A per-expiry term at the flat positions ``idx``: a float as it is, an array's entries there."""
+    return value if np.ndim(value) == 0 else value.flat[idx]
 
 
 def implied_vol_brent(

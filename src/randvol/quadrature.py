@@ -25,7 +25,7 @@ from typing import ClassVar, Optional, Union
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import GramMatrixError, MomentOverflowError, ParameterDomainError
+from .errors import GramMatrixError, MomentOverflowError, ParameterDomainError, RowFailures, fail_rows
 
 #: Hard cap on the number of quadrature points.  Measured on the closed-form
 #: rules: gamma rules (k from 0.05 to 30) and lognormal rules with nu <= 0.5
@@ -47,12 +47,14 @@ _DOMAINS = {name: (lambda x: x >= 0.0, ">= 0") for name in ("sigma", "alpha", "g
 }
 
 
-def check_domains(values: dict) -> None:
-    """Raise ParameterDomainError at the first value (of a list per parameter name) outside its domain."""
+def check_domains(values: dict, failures: Optional[RowFailures] = None) -> None:
+    """Raise ParameterDomainError at the first value (of a list per parameter name, one value per point) outside its
+    domain; given ``failures``, mark each point with a value outside there instead."""
     for name, xs in values.items():
         test, domain = _DOMAINS.get(name, (None, ""))
         if test and not all(map(test, xs)):
-            raise ParameterDomainError(f"{name} must be {domain}, got {next(x for x in xs if not test(x))}")
+            bad = np.array([not test(x) for x in xs])
+            fail_rows(failures, bad, lambda: ParameterDomainError(f"{name} must be {domain}, got {xs[bad.argmax()]}"))
 
 
 @dataclass(frozen=True)
@@ -125,12 +127,7 @@ class QuadratureRule:
         x = np.array(self.nodes, dtype=float)
         if w.shape != x.shape or w.ndim not in (1, 2):
             raise ValueError("weights and nodes must be 1-d arrays (or 2-d stacks) of equal shape")
-        if (np.abs(w.sum(-1) - 1.0) > _WEIGHT_SUM_TOL).any():
-            raise ValueError(f"quadrature weights must sum to 1, got {w.sum(-1)!r}")
-        if (w < 0).any():
-            raise ValueError("quadrature weights must be nonnegative")
-        if (x[..., 1:] <= x[..., :-1]).any():
-            raise ValueError("quadrature nodes must be strictly increasing")
+        _check_rules(w, x)
         w.setflags(write=False)
         x.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -150,6 +147,15 @@ class QuadratureRule:
     def scaled(self, factor) -> "QuadratureRule":
         """Rule for the scaled variable factor * X (weights unchanged)."""
         return QuadratureRule(self.weights, self.nodes * factor)
+
+
+def _check_rules(w: np.ndarray, x: np.ndarray, failures: Optional[RowFailures] = None) -> None:
+    """A rule's checks, row by row: raise ValueError at the first failing, or, given ``failures``, mark it there."""
+    fail_rows(failures, np.abs(w.sum(-1) - 1.0) > _WEIGHT_SUM_TOL,
+              lambda: ValueError(f"quadrature weights must sum to 1, got {w.sum(-1)!r}"))
+    fail_rows(failures, w < 0, lambda: ValueError("quadrature weights must be nonnegative"), axes=1)
+    fail_rows(failures, x[..., 1:] <= x[..., :-1], lambda: ValueError("quadrature nodes must be strictly increasing"),
+              axes=1)
 
 
 @dataclass(frozen=True)
@@ -173,8 +179,11 @@ def moments(spec: DistributionSpec, order: int) -> np.ndarray:
     return _moments(family, columns, order)
 
 
-def _moments(family: str, columns: dict, order: int) -> np.ndarray:
-    """Raw moments E[X^i], i = 0..order, of each row of a family's columns; unit scale without theta or mu."""
+def _moments(family: str, columns: dict, order: int, failures: Optional[RowFailures] = None) -> np.ndarray:
+    """Raw moments E[X^i], i = 0..order, of each row of a family's columns; unit scale without theta or mu.
+
+    A row whose moments overflow raises MomentOverflowError, or, given ``failures``, is marked there.
+    """
     i = np.arange(order + 1, dtype=float)
     if family == "gamma":
         k = np.asarray(columns["k"])[..., None]
@@ -183,9 +192,11 @@ def _moments(family: str, columns: dict, order: int) -> np.ndarray:
     else:
         v = _each(lambda x: x**2, columns["nu"])
         exponents = i * _mu(family, columns, v)[..., None] + 0.5 * i**2 * v[..., None]
-    if (exponents > _LOG_FLOAT_MAX).any():
-        raise MomentOverflowError("moment overflow: the requested order is not representable; lower n_q")
-    return np.exp(exponents)
+    fail_rows(failures, exponents > _LOG_FLOAT_MAX,
+              lambda: MomentOverflowError("moment overflow: the requested order is not representable; lower n_q"),
+              axes=1)
+    with np.errstate(over="ignore"):  # only in a marked row
+        return np.exp(exponents)
 
 
 def _mu(family: str, columns: dict, v) -> np.ndarray:
@@ -271,22 +282,26 @@ def _weights_nodes(jacobi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return weights / weights.sum(-1, keepdims=True), nodes
 
 
-def _check_moment_reproduction(weights, nodes, mom: np.ndarray, n_q: int) -> None:
-    """Raise unless each rule reproduces its mom[0..2*n_q-1] to relative 1e-8."""
+def _check_moment_reproduction(weights, nodes, mom: np.ndarray, n_q: int, failures: Optional[RowFailures] = None):
+    """Raise unless each rule reproduces its mom[0..2*n_q-1] to relative 1e-8; given ``failures``, mark a row that
+    does not there instead."""
     i = np.arange(2 * n_q)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan fails the test below
         got = np.matmul(weights[..., None, :], nodes[..., :, None] ** i)[..., 0, :]
-    target = mom[..., : 2 * n_q]
-    # zero-ish targets (symmetric measures) are scaled by the natural
-    # order-i magnitude mu_2^(i/2) instead of their own near-zero value
-    scale = np.maximum(np.maximum(np.abs(target), mom[..., 2:3] ** (i / 2.0)), 1e-300)
-    ok = np.abs(got - target) / scale <= _MOMENT_REPRODUCTION_RTOL
-    if not ok.all():
+        target = mom[..., : 2 * n_q]
+        # zero-ish targets (symmetric measures) are scaled by the natural
+        # order-i magnitude mu_2^(i/2) instead of their own near-zero value
+        scale = np.maximum(np.maximum(np.abs(target), mom[..., 2:3] ** (i / 2.0)), 1e-300)
+        ok = np.abs(got - target) / scale <= _MOMENT_REPRODUCTION_RTOL
+
+    def error():
         at = tuple(np.argwhere(~ok)[0])
-        raise GramMatrixError(
+        return GramMatrixError(
             f"constructed rule fails to reproduce moment {at[-1]} "
             f"(got {float(got[at])!r}, want {float(target[at])!r}); n_q={n_q} too large"
         )
+
+    fail_rows(failures, ~ok, error, axes=1)
 
 
 def golub_welsch(moment_values: np.ndarray, n_q: int) -> QuadratureRule:
@@ -319,9 +334,19 @@ def quadrature_for(spec, n_q: int, family: Optional[str] = None) -> QuadratureRu
     columns = spec
     if family is None:
         family, columns = spec_columns(spec)
+    return QuadratureRule(*rule_rows(columns, n_q, family))
+
+
+def rule_rows(columns: dict, n_q: int, family: str, failures: Optional[RowFailures] = None):
+    """The weights and nodes of the rule of each row of a family's columns, as `quadrature_for` builds them.
+
+    A row that fails a check raises; given ``failures``, it is marked there instead and the other rows
+    are built as they would be alone (a marked row's weights and nodes are meaningless).  The checks of
+    a `QuadratureRule` are left to it, or to `_check_rules`.
+    """
     if family == "discrete":
         w = np.asarray(columns["weights"])
-        return QuadratureRule(w / w.sum(-1, keepdims=True), columns["nodes"])
+        return w / w.sum(-1, keepdims=True), np.asarray(columns["nodes"], dtype=float)
     if n_q < 1:
         raise ValueError("n_q must be >= 1")
     if n_q > MAX_NQ:
@@ -331,20 +356,23 @@ def quadrature_for(spec, n_q: int, family: Optional[str] = None) -> QuadratureRu
         k, scale, v = columns["k"], columns["theta"], None
     elif family in ("lognormal", "spot-lognormal"):
         nu = np.asarray(columns["nu"])
-        if (nu == 0.0).any():
-            if nu.ndim:
-                raise ValueError("a stack of rules must have one size; nu = 0 collapses to one node")
+        if nu.ndim == 0 and nu == 0.0:
             mean = float(columns["s0"]) if family == "spot-lognormal" else math.exp(columns["mu"])
-            return QuadratureRule(np.array([1.0]), np.array([mean]))
+            return np.array([1.0]), np.array([mean])
+        fail_rows(failures, nu == 0.0,
+                  lambda: ValueError("a stack of rules must have one size; nu = 0 collapses to one node"))
         k, v = None, _each(lambda x: x**2, nu)
         scale = _each(math.exp, _mu(family, columns, v))
     else:
         raise TypeError(f"unsupported distribution family: {family!r}")
     # the unit-scale family's moments, which overflow before the recurrence does
-    mom = _moments("gamma", {"k": k}, 2 * n_q) if v is None else _moments("lognormal", {"nu": nu}, 2 * n_q)
+    unit = ("gamma", {"k": k}) if v is None else ("lognormal", {"nu": nu})
+    mom = _moments(*unit, 2 * n_q, failures)
+    if failures is not None and failures.any:  # a marked row gets a harmless recurrence
+        k, v = (None if a is None else np.where(failures.bad, 1.0, a) for a in (k, v))
     weights, nodes = _weights_nodes(_jacobi(*_recurrence(n_q, k, v)))
-    _check_moment_reproduction(weights, nodes, mom, n_q)
-    return QuadratureRule(weights, nodes * np.asarray(scale)[..., None])
+    _check_moment_reproduction(weights, nodes, mom, n_q, failures)
+    return weights, nodes * np.asarray(scale)[..., None]
 
 
 def spec_columns(spec) -> tuple[str, dict]:

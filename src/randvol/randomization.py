@@ -3,7 +3,10 @@
 A randomized slice mixes Black-Scholes prices across quadrature nodes,
 either by moving one parameter of the base parametrization (parameter
 randomization) or by moving the spot itself while the base volatility
-stays pinned at the true spot (spot randomization).
+stays pinned at the true spot (spot randomization).  A stack of slices
+can also put each row at its own expiry and strikes (`implied_vol_stack`,
+the calibrator's surface call): its (row, strike) pairs form one flat
+grid, and a row that fails a check reads NaN there instead of raising.
 """
 from __future__ import annotations
 
@@ -11,19 +14,20 @@ import io
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from itertools import accumulate
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import expansion, parametrizations
 from .arbitrage import _checked_grid, _second_difference
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, RandvolError, RowFailures, fail_rows
 from .parametrizations import SliceColumns, slice_columns
 from .pricing import (
-    MarketContext, OptionKey, OptionType, _check_expiry, _check_strikes, bs_call_values, implied_vol_brent,
-    implied_vols,
+    MarketContext, OptionKey, OptionType, _check_expiry, _check_strikes, bs_call_values, call_values,
+    implied_vol_brent, inverted_vols,
 )
-from .quadrature import QuadratureRule, quadrature_for
+from .quadrature import QuadratureRule, _check_rules, quadrature_for, rule_rows
 
 logger = logging.getLogger("randvol")
 
@@ -88,47 +92,178 @@ def randomize(params, ctx: MarketContext, recenter_spot: bool = False) -> Random
     """
     cols = params if isinstance(params, SliceColumns) else slice_columns(params)
     rule = quadrature_for(cols.columns, cols.n_q, family=cols.family)
+    nodes = _checked_nodes(cols, ctx, rule.weights, rule.nodes, recenter_spot)
+    return RandomizedSlice(cols, rule if nodes is rule.nodes else QuadratureRule(rule.weights, nodes), ctx)
+
+
+def _checked_nodes(cols: SliceColumns, ctx: MarketContext, weights: np.ndarray, nodes: np.ndarray,
+                   recenter_spot: bool = False, failures: Optional[RowFailures] = None) -> np.ndarray:
+    """The nodes of each slice's rule, recentered if asked, checked for the slice's target: a failing slice
+    raises, or, given ``failures``, is marked there."""
     if cols.target == "spot":
-        mean = rule.mean()
-        if np.any(np.abs(mean - ctx.s0) > _SPOT_CENTER_RTOL * ctx.s0):
-            if recenter_spot and cols.family == "discrete":
-                rule = rule.scaled(ctx.s0 / np.expand_dims(mean, -1))
-            else:
-                raise ParameterDomainError(
-                    f"spot randomizer mean {mean!r} is not centered at the spot {ctx.s0!r}"
-                )
-        if (rule.nodes <= 0).any():
-            raise ParameterDomainError("spot nodes must be strictly positive")
-    elif (rule.nodes < 0).any():
-        raise ParameterDomainError(f"{cols.target} nodes must be nonnegative")
-    return RandomizedSlice(cols, rule, ctx)
+        mean = np.matmul(weights[..., None, :], nodes[..., :, None])[..., 0, 0]
+        off = np.abs(mean - ctx.s0) > _SPOT_CENTER_RTOL * ctx.s0
+        if off.any() and recenter_spot and cols.family == "discrete":
+            nodes = nodes * (ctx.s0 / np.expand_dims(mean, -1))
+        else:
+            shown = float(mean) if mean.ndim == 0 else mean
+            fail_rows(failures, off, lambda: ParameterDomainError(
+                f"spot randomizer mean {shown!r} is not centered at the spot {ctx.s0!r}"))
+        fail_rows(failures, nodes <= 0, lambda: ParameterDomainError("spot nodes must be strictly positive"), axes=1)
+    else:
+        fail_rows(failures, nodes < 0, lambda: ParameterDomainError(f"{cols.target} nodes must be nonnegative"),
+                  axes=1)
+    return nodes
+
+
+class _Grid(NamedTuple):
+    """The (row, strike) pairs of a stack of slices, flattened row after row: each row on its own expiry and strikes.
+
+    Rows at one expiry on one strike array (the same object) share its cells: per cell its strike and its
+    expiry's terms (tau, r*tau, discount factor, sqrt(tau), forward), formed with math as a lone expiry
+    forms them; a term is a float when every row shares one expiry.  ``cells`` and ``row`` map each pair
+    to its cell and its row; for a lone row both are None (a pair is its own cell).
+    """
+
+    ctx: MarketContext
+    expiries: list  # one per row
+    counts: list  # strikes per row
+    row: Optional[np.ndarray]
+    cells: Optional[np.ndarray]
+    strikes: np.ndarray  # per cell, as are the terms below
+    tau: object
+    r_tau: object
+    df: object
+    sqrt_tau: object
+    forward: object
+
+    @property
+    def rows(self) -> int:
+        return len(self.expiries)
+
+    def at(self, per_cell, sel=None, nodes: bool = False):
+        """A per-cell value at the pairs ``sel`` (all by default): a float as it is, else its entries there,
+        with a trailing axis to broadcast against the nodes if ``nodes``."""
+        if isinstance(per_cell, float):
+            return per_cell
+        index = self.cells if sel is None else sel if self.cells is None else self.cells.take(sel)
+        value = per_cell if index is None else per_cell.take(index, axis=0)
+        return value[:, None] if nodes else value
+
+    def by_pair(self, per_row: np.ndarray, sel=None) -> np.ndarray:
+        """Each pair's entry of a per-row array at the pairs ``sel``; for a lone row, the array itself."""
+        return per_row if self.row is None else per_row.take(self.row_of(sel), axis=0)
+
+    def row_of(self, sel=None):
+        """The rows of the pairs ``sel`` (all by default)."""
+        if self.row is None:
+            return np.zeros(self.counts[0] if sel is None else np.size(sel), dtype=int)
+        return self.row if sel is None else self.row.take(sel)
+
+
+def _grid(ctx: MarketContext, expiries, strikes) -> _Grid:
+    """The grid of rows at ``expiries`` on ``strikes``, one expiry and one strike array per row, each checked."""
+    heads, offset = {}, 0  # each block's expiry, checked strikes and first cell
+    for expiry, k in zip(expiries, strikes):
+        if (expiry, id(k)) not in heads:
+            _check_expiry(ctx, expiry)
+            heads[expiry, id(k)] = (expiry, _check_strikes(k), offset)
+            offset += heads[expiry, id(k)][1].size
+    counts = [heads[expiry, id(k)][1].size for expiry, k in zip(expiries, strikes)]
+    terms = [_expiry_terms(ctx, expiry) for expiry, _, _ in heads.values()]
+    if len({term[0] for term in terms}) == 1:
+        terms = terms[0]
+    else:
+        terms = np.repeat(np.array(terms).T, [k.size for _, k, _ in heads.values()], axis=1)
+    row = cells = None
+    if len(expiries) > 1:
+        row = np.repeat(np.arange(len(expiries)), counts)
+        shift = [start - heads[e, id(k)][2] for start, e, k in zip(accumulate([0, *counts]), expiries, strikes)]
+        cells = np.arange(row.size) - np.repeat(shift, counts)
+    return _Grid(ctx, list(expiries), counts, row, cells, np.concatenate([k for _, k, _ in heads.values()]), *terms)
+
+
+def _expiry_terms(ctx: MarketContext, expiry: float) -> tuple:
+    """An expiry's tau, r*tau, discount factor, sqrt(tau) and forward, formed with math."""
+    tau = float(expiry - ctx.t0)
+    return tau, ctx.r * tau, math.exp(-ctx.r * tau), math.sqrt(tau), ctx.forward(expiry)
+
+
+def _uniform_grid(rs: RandomizedSlice, expiry: float, strikes: np.ndarray) -> _Grid:
+    """Every slice of ``rs`` at ``expiry`` on ``strikes``: `_grid` of one block."""
+    rows, n = math.prod(rs.batch_shape), strikes.size
+    row, cells = (None, None) if rows == 1 else (np.repeat(np.arange(rows), n), np.tile(np.arange(n), rows))
+    return _Grid(rs.ctx, [expiry] * rows, [n] * rows, row, cells, strikes, *_expiry_terms(rs.ctx, expiry))
 
 
 def _node_vol_matrix(rs: RandomizedSlice, expiry: float, strikes: np.ndarray) -> np.ndarray:
     """Node volatilities on a strike grid, shape ``rs.batch_shape + (n_strikes, n_q)``."""
-    nodes = rs.rule.nodes[..., None, :]
-    shape = rs.batch_shape + (strikes.size, rs.rule.size)
+    vols = _node_vols(rs, _uniform_grid(rs, expiry, strikes))
+    return vols.reshape(rs.batch_shape + (strikes.size, rs.rule.size))
+
+
+def _node_vols(rs: RandomizedSlice, grid: _Grid) -> np.ndarray:
+    """Node volatilities at a grid's pairs, shape (pairs, n_q)."""
+    nodes = rs.rule.nodes.reshape(-1, rs.rule.size)
+    shape = (sum(grid.counts), rs.rule.size)
     cols = rs.columns.columns
     if rs.target == "sigma":
-        return np.broadcast_to(nodes, shape)
+        return np.broadcast_to(grid.by_pair(nodes), shape)
     if rs.target == "spot":  # the base vol at the spot, slice by slice, as eval_vol_curve forms it alone
         base_type, names = parametrizations.BASES["flat" if "sigma" in cols else "sabr"]
         rows = zip(*(np.ravel(cols[name]).tolist() for name in names))
-        eta = [parametrizations.eval_vol_curve(base_type(*row), rs.ctx, expiry, strikes) for row in rows]
-        return np.broadcast_to(np.reshape(eta, rs.batch_shape + (-1, 1)), shape)
-    alpha, beta, rho = (np.asarray(cols[name])[..., None, None] for name in ("alpha", "beta", "rho"))
-    tau = expiry - rs.ctx.t0
-    return parametrizations.hagan_vol(rs.ctx.forward(expiry), strikes[:, None], tau, alpha, beta, rho, nodes)
+        row_strikes = np.split(grid.at(grid.strikes), list(accumulate(grid.counts))[:-1])
+        eta = [parametrizations.eval_vol_curve(base_type(*row), rs.ctx, expiry, strikes)
+               for row, expiry, strikes in zip(rows, grid.expiries, row_strikes)]
+        return np.broadcast_to(np.concatenate(eta)[:, None], shape)
+    alpha, beta, rho = (np.ravel(cols[name]) for name in ("alpha", "beta", "rho"))
+    forward, tau = grid.forward, grid.tau
+    if not isinstance(tau, float):
+        forward, tau = forward[:, None], tau[:, None]
+    return parametrizations.hagan_vol(forward, grid.strikes[:, None], tau, alpha, beta, rho, grid.by_pair(nodes),
+                                      rows=None if grid.row is None else grid.row[:, None], cells=grid.cells)
+
+
+def _prices(rs: RandomizedSlice, grid: _Grid, vols: np.ndarray, sel=None) -> np.ndarray:
+    """Mixture call prices at a grid's pairs ``sel`` (all by default) from their node vols."""
+    nodes = rs.rule.nodes.reshape(-1, rs.rule.size)
+    spot = grid.by_pair(nodes, sel) if rs.target == "spot" else rs.ctx.s0
+    if sel is None:
+        rows, counts = None, grid.counts
+    else:
+        vols = vols[sel]
+        rows, counts = ([0], [sel.size]) if grid.row is None else (
+            a.tolist() for a in np.unique(grid.row.take(sel), return_counts=True))
+    strikes = grid.at(grid.strikes, sel, nodes=True)
+    if isinstance(grid.tau, float):  # one expiry: its terms as bs_call_values forms them
+        values = bs_call_values(spot, rs.ctx.r, grid.tau, strikes, vols)
+    else:
+        values = call_values(spot, *(grid.at(t, sel, nodes=True) for t in (grid.r_tau, grid.df, grid.sqrt_tau)),
+                             strikes, vols)
+    return _node_sums(values, counts, rs.rule.weights.reshape(-1, rs.rule.size), rows)
+
+
+def _node_sums(values: np.ndarray, counts: list, weights: np.ndarray, rows=None) -> np.ndarray:
+    """Each pair's sum over its nodes, weighted by its row's rule: the pairs of ``rows`` (all by default), as
+    many as ``counts`` says, row after row.
+
+    A row sums its pairs exactly as a matmul over them alone does (OpenBLAS's gemv result depends on how
+    many rows it holds): one batched matmul when every row holds as many pairs, else one per row.
+    """
+    if len(set(counts)) == 1:
+        weights = weights if rows is None else weights[rows]
+        return np.matmul(values.reshape(len(counts), counts[0], weights.shape[-1]), weights[:, :, None]).ravel()
+    rows = range(len(counts)) if rows is None else rows
+    sums = [np.matmul(values[end - n:end], weights[r, :, None]) for r, n, end in zip(rows, counts, accumulate(counts))]
+    return np.concatenate(sums)[:, 0]
 
 
 def randomized_prices(rs: RandomizedSlice, expiry: float, strikes) -> np.ndarray:
     """Mixture call prices on a strike grid, shape ``rs.batch_shape + (n_strikes,)``."""
-    tau = _check_expiry(rs.ctx, expiry)
+    _check_expiry(rs.ctx, expiry)
     strikes = _check_strikes(strikes)
-    spot = rs.rule.nodes[..., None, :] if rs.target == "spot" else rs.ctx.s0
-    values = bs_call_values(spot, rs.ctx.r, tau, strikes[:, None], _node_vol_matrix(rs, expiry, strikes))
-    # matmul sums each slice's rows exactly as values @ weights does for that slice alone
-    return np.matmul(values, rs.rule.weights[..., None])[..., 0]
+    grid = _uniform_grid(rs, expiry, strikes)
+    return _prices(rs, grid, _node_vols(rs, grid)).reshape(rs.batch_shape + strikes.shape)
 
 
 def randomized_price(rs: RandomizedSlice, key: OptionKey) -> float:
@@ -174,20 +309,61 @@ def implied_vol_grid(
     calibrator, whose exploratory evaluations trip the guard routinely).
     """
     method, order = parse_engine(engine)
-    tau = _check_expiry(rs.ctx, expiry)
+    _check_expiry(rs.ctx, expiry)
     strikes = _check_strikes(strikes)
-    shape = rs.batch_shape + strikes.shape
+    vols = _grid_vols(rs, _uniform_grid(rs, expiry, strikes), method, order, m_max, quiet)
+    return vols.reshape(rs.batch_shape + strikes.shape)
+
+
+def implied_vol_stack(cols: SliceColumns, ctx: MarketContext, expiries, strikes, engine: str = "brent",
+                      quiet: bool = False) -> tuple[np.ndarray, RowFailures]:
+    """Implied vols of a stack of slices, each row at its own expiry on its own strikes (one of each per row).
+
+    Returns the rows' vols one after another in one flat array, and the record of the rows that failed a
+    check: their vols are NaN, and every other row is bit for bit its lone `implied_vol_grid`.
+    """
+    method, order = parse_engine(engine)
+    failures = RowFailures(len(expiries))
+    weights, nodes = rule_rows(cols.columns, cols.n_q, cols.family, failures)
+    _check_rules(weights, nodes, failures)
+    nodes = _checked_nodes(cols, ctx, weights, nodes, failures=failures)
+    if not failures.any:
+        grid = _grid(ctx, expiries, strikes)
+        vols = _grid_vols(RandomizedSlice(cols, QuadratureRule(weights, nodes), ctx), grid, method, order,
+                          DEFAULT_M_MAX, quiet, failures)
+        if failures.any:
+            vols[np.repeat(failures.bad, grid.counts)] = np.nan
+        return vols, failures
+    kept = ~failures.bad  # a row whose rule failed goes no further
+    keep = np.flatnonzero(kept)
+    sizes = [np.size(k) for k in strikes]
+    out = np.full(sum(sizes), np.nan)
+    if keep.size:
+        grid = _grid(ctx, [expiries[i] for i in keep], [strikes[i] for i in keep])
+        grid_failures = RowFailures(keep.size)
+        rs = RandomizedSlice(cols[keep], QuadratureRule(weights[keep], nodes[keep]), ctx)
+        out[np.repeat(kept, sizes)] = _grid_vols(rs, grid, method, order, DEFAULT_M_MAX, quiet, grid_failures)
+        if grid_failures.any:
+            failures.mark(np.isin(np.arange(kept.size), keep[grid_failures.bad]), lambda: grid_failures.error)
+    out[np.repeat(failures.bad, sizes)] = np.nan
+    return out, failures
+
+
+def _grid_vols(rs: RandomizedSlice, grid: _Grid, method: str, order: Optional[int], m_max: float, quiet: bool,
+               failures: Optional[RowFailures] = None) -> np.ndarray:
+    """Implied vols at a grid's pairs; a row failing a check raises, or, given ``failures``, is marked there."""
+    vols = _node_vols(rs, grid)
     if rs.rule.size == 1:
-        return _node_vol_matrix(rs, expiry, strikes)[..., 0].copy()
+        return vols[:, 0].copy()
     if method == "brent":
-        return _invert(rs.ctx, expiry, strikes, randomized_prices(rs, expiry, strikes))
+        return _invert(grid, None, _prices(rs, grid, vols), failures)
 
     order = expansion.expansion_order(rs.expansion_kind, order)
-    m = np.log(rs.ctx.s0 / strikes) + rs.ctx.r * tau
-    coeffs = expansion_coefficients(rs, expiry, strikes)
-    values = expansion.evaluate_polynomial(rs.expansion_kind, coeffs, np.broadcast_to(m, shape), order)
-
+    m = grid.at(np.log(rs.ctx.s0 / grid.strikes) + grid.r_tau)
+    values = expansion.evaluate_polynomial(rs.expansion_kind, _coefficients(rs, grid, vols, failures), m, order)
     escalate = (np.abs(m) > m_max) | (values <= 0.0)
+    if failures is not None and failures.any:  # a failed row takes no inversion
+        escalate &= ~np.repeat(failures.bad, grid.counts)
     if np.any(escalate):
         logger.log(
             logging.DEBUG if quiet else logging.WARNING,
@@ -196,14 +372,8 @@ def implied_vol_grid(
             values.size,
         )
         # each slice prices its own escalated strikes, as a lone slice would; one inversion for all
-        rows = escalate.reshape(-1, strikes.size)
-        weights, nodes = (a.reshape(rows.shape[0], -1) for a in (rs.rule.weights, rs.rule.nodes))
-        members = rs.columns if rs.batch_shape else [rs.columns]
-        prices = [
-            randomized_prices(RandomizedSlice(cols, QuadratureRule(w, x), rs.ctx), expiry, strikes[row])
-            for cols, w, x, row in zip(members, weights, nodes, rows) if row.any()
-        ]
-        values[escalate] = _invert(rs.ctx, expiry, np.broadcast_to(strikes, shape)[escalate], np.concatenate(prices))
+        sel = np.flatnonzero(escalate)
+        values[sel] = _invert(grid, sel, _prices(rs, grid, vols, sel), failures)
     return values
 
 
@@ -216,21 +386,46 @@ def expansion_coefficients(rs: RandomizedSlice, expiry: float, strikes) -> np.nd
     ``expansion.evaluate_polynomial``.
     """
     strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
-    shape = rs.batch_shape + strikes.shape
-    tau = np.full(shape, _check_expiry(rs.ctx, expiry))
-    weights, nodes = (a[..., None, :] for a in (rs.rule.weights, rs.rule.nodes))
-    vols = _node_vol_matrix(rs, expiry, strikes)
+    _check_expiry(rs.ctx, expiry)
+    grid = _uniform_grid(rs, expiry, strikes)
+    coeffs = _coefficients(rs, grid, _node_vols(rs, grid))
+    return coeffs.reshape(coeffs.shape[:1] + rs.batch_shape + strikes.shape)
+
+
+def _coefficients(rs: RandomizedSlice, grid: _Grid, vols: np.ndarray, failures: Optional[RowFailures] = None):
+    """Expansion coefficients at a grid's pairs, shape (terms,) + the grid's shape; a row with a pair whose
+    coefficients cannot be formed raises, or, given ``failures``, is marked there."""
+    weights = grid.by_pair(rs.rule.weights.reshape(-1, rs.rule.size))
+    tau = np.full(sum(grid.counts), grid.tau) if isinstance(grid.tau, float) else grid.at(grid.tau)
+    pairs = None if failures is None else RowFailures(tau.size)
     if rs.expansion_kind == "parameter":
-        return expansion.parameter_coefficients(weights, vols, tau)
-    return expansion.spot_coefficients(weights, nodes, rs.ctx.s0, vols[..., 0], tau)
+        coeffs = expansion.parameter_coefficients(weights, vols, tau, failures=pairs)
+    else:
+        nodes = grid.by_pair(rs.rule.nodes.reshape(-1, rs.rule.size))
+        coeffs = expansion.spot_coefficients(weights, nodes, rs.ctx.s0, vols[..., 0], tau, failures=pairs)
+    if pairs is not None and pairs.any:
+        failures.mark(np.bincount(grid.row_of(), pairs.bad, grid.rows) > 0, lambda: pairs.error)
+    return coeffs
 
 
-def _invert(ctx: MarketContext, expiry: float, strikes: np.ndarray, prices: np.ndarray) -> np.ndarray:
-    """Exact vols of mixture prices; scalar Brent answers or refuses what the vector pass leaves."""
-    strikes = np.broadcast_to(strikes, prices.shape)
-    out = implied_vols(ctx, expiry, strikes, prices)
-    for i in np.flatnonzero(np.isnan(out)):
-        out.flat[i] = implied_vol_brent(ctx, OptionKey(expiry, float(strikes.flat[i])), float(prices.flat[i]))
+def _invert(grid: _Grid, sel, prices: np.ndarray, failures: Optional[RowFailures] = None) -> np.ndarray:
+    """Exact vols of mixture prices at a grid's pairs ``sel`` (all by default); scalar Brent answers or refuses
+    what the vector pass leaves.  A refused price raises, or, given ``failures``, marks its row there, whose
+    remaining prices are then left NaN."""
+    strikes = grid.at(grid.strikes, sel)
+    out = inverted_vols(grid.ctx.s0, *(grid.at(t, sel) for t in (grid.r_tau, grid.df, grid.sqrt_tau)), strikes, prices)
+    unsettled = np.flatnonzero(np.isnan(out))
+    rows = grid.row_of(sel) if unsettled.size else None
+    for i in unsettled:
+        row = rows[i]
+        if failures is not None and failures.bad[row]:
+            continue
+        try:
+            out[i] = implied_vol_brent(grid.ctx, OptionKey(grid.expiries[row], float(strikes[i])), float(prices[i]))
+        except RandvolError as exc:
+            if failures is None:
+                raise
+            failures.mark(np.arange(grid.rows) == row, lambda: exc)
     return out
 
 

@@ -15,15 +15,16 @@ from randvol.calibration import (
     QuoteSet,
     build_slice_params,
     fit_slice,
+    fit_surface,
     minimize,
     model_vols,
     select_liquid,
     variance_of_randomizer,
 )
-from randvol.errors import CalibrationError, GramMatrixError
+from randvol.errors import CalibrationError, GramMatrixError, RandvolError
 from randvol.parametrizations import FlatParams, RandomizerSpec, SabrParams, SliceParams
 from randvol.pricing import MarketContext, OptionType
-from randvol.quadrature import DiscreteGiven, Gamma, LogNormal, SpotLogNormal
+from randvol.quadrature import DiscreteGiven, Gamma, LogNormal, SpotLogNormal, quadrature_for
 from randvol.randomization import implied_vol_grid, randomize
 
 CTX = MarketContext(s0=100.0, r=0.02)
@@ -472,8 +473,14 @@ class TestStackedEvaluation:
         points = np.array([_good_point(0), FAILING_POINT, _good_point(3)])
         columns = point_columns(cfg, free, points, quotes.ctx.s0)
         assert columns.columns["k"][1] == pytest.approx(1.5e8)
+        # the stacked model call reads the failing row as NaN; the public randomize still raises for the stack
+        stacked = model_vols(columns, quotes.ctx, 0.25, [100.0], "expansion")
+        assert np.isnan(stacked[1]).all()
+        for i in (0, 2):
+            np.testing.assert_array_equal(stacked[i], model_vols(columns[i : i + 1], quotes.ctx, 0.25, [100.0],
+                                                                 "expansion")[0])
         with pytest.raises(GramMatrixError):
-            model_vols(columns, quotes.ctx, 0.25, [100.0], "expansion")
+            randomize(columns, quotes.ctx)
 
     def test_transform_overflow_fails_only_its_point(self, randomized_sabr_fixture):
         # exp(800) overflows: the point must fail, not become an infinite k
@@ -547,6 +554,107 @@ def asking(*requests):
 def point_search(problem, x):
     yield [x]
     return problem.residuals(x)
+
+
+# slices of one stacked call: expiry and strike count
+SURFACE_SLICES = ((0.05, 40), (0.5, 17), (2.0, 1))
+
+
+def flat_quotes(expiry, count):
+    fwd = CTX.forward(expiry)
+    return make_quotes(expiry, np.linspace(0.8 * fwd, 1.2 * fwd, count) if count > 1 else [fwd], np.full(count, 0.2))
+
+
+class TestSurfaceStack:
+    @pytest.mark.parametrize("engine", ["brent", "expansion"])
+    @pytest.mark.parametrize("kwargs", STACK_CONFIGS)
+    def test_stack_across_expiries_equals_lone_slices(self, kwargs, engine):
+        cfg = FitConfig(engine=engine, **kwargs)
+        free = calibration._free_parameters(cfg)
+        problems = [slice_objective(flat_quotes(expiry, count), cfg) for expiry, count in SURFACE_SLICES]
+        points = list(calibration._latin_starts(np.random.default_rng(11), [p.start_range for p in free], 4))
+        overflow, underflow, square = points[0].copy(), points[1].copy(), points[2].copy()
+        overflow[0], underflow[0] = 800.0, -800.0  # the first parameter's transform overflows, or reads 0
+        requests = [points + [underflow], points[1:] + [overflow], points[:2]]
+        if cfg.model == "sabr" or cfg.randomizer == "spot-lognormal":  # alpha or nu of e^360: its square overflows
+            square[0 if cfg.model == "sabr" else -1] = 360.0
+            requests[2].append(square)
+        if cfg.randomizer == "gamma-gamma":
+            requests[0].append(FAILING_POINT)
+        calibration._evaluate([(problem, problem.fresh(request)) for problem, request in zip(problems, requests)])
+        assert [problem.model_calls for problem in problems] == [1, 1, 1]
+        for problem, request in zip(problems, requests):
+            for point in request:
+                got = problem.memo[point.tobytes()]
+                try:
+                    params = build_slice_params(cfg, calibration._values_from_vector(cfg, free, point), CTX)
+                    want = implied_vol_grid(randomize(params, CTX), problem.expiry, problem.strikes, engine=engine,
+                                            quiet=True)
+                except (RandvolError, ValueError, OverflowError):  # a lone failure reads None in the stack
+                    assert got is None
+                    continue
+                np.testing.assert_array_equal(got, want - problem.market)
+        assert problems[1].memo[overflow.tobytes()] is None
+        if len(requests[2]) > 2:
+            assert problems[2].memo[square.tobytes()] is None
+        if cfg.randomizer == "gamma-gamma":
+            assert problems[0].memo[FAILING_POINT.tobytes()] is None
+            columns = point_columns(cfg, free, [points[0], FAILING_POINT], CTX.s0)
+            with pytest.raises(GramMatrixError):
+                randomize(columns, CTX)
+            with pytest.raises(GramMatrixError):
+                quadrature_for(columns.columns, cfg.n_q, family=columns.family)
+
+
+def surface_quote_set():
+    """Quotes at three expiries of a known gamma-gamma slice; the last has 3, fewer than its 4 free parameters."""
+    true = SliceParams(SabrParams(alpha=0.25, beta=0.9, rho=-0.135, gamma=1.5),
+                       RandomizerSpec("gamma", Gamma(3.0, 0.5), 2))
+    rs = randomize(true, CTX)
+    quotes = []
+    for expiry, count in ((0.1, 20), (0.4, 15), (1.0, 3)):
+        fwd = CTX.forward(expiry)
+        strikes = np.linspace(0.85 * fwd, 1.15 * fwd, count)
+        quotes += make_quotes(expiry, strikes, implied_vol_grid(rs, expiry, strikes, engine="brent")).quotes
+    return QuoteSet(tuple(quotes), CTX)
+
+
+SURFACE_CONFIG = FitConfig(model="sabr", randomizer="gamma-gamma", n_q=2, seed=3, multistart=4)
+
+
+def lone_fit(quotes, cfg):
+    try:
+        return fit_slice(quotes, cfg)
+    except CalibrationError as exc:
+        return exc.best
+
+
+class TestSurfaceFit:
+    def test_shared_lockstep_changes_no_fit(self, monkeypatch):
+        quotes, cfg = surface_quote_set(), SURFACE_CONFIG
+        calls = []
+        real = calibration.model_vols
+        monkeypatch.setattr(calibration, "model_vols", lambda *a, **k: calls.append(1) or real(*a, **k))
+        fits = fit_surface(quotes, cfg)
+        monkeypatch.undo()
+        assert len(fits) == 3 and fits.model_calls == len(calls)
+        # the short slice fails alone, before any model call
+        assert isinstance(fits[2], CalibrationError) and fits[2].best is None
+        assert "need at least 4 quotes to fit 4 free parameters, got 3" in str(fits[2])
+        phase_rounds = ([], [])
+        for expiry, fitted in zip(quotes.expiries(), fits[:2]):
+            alone = lone_fit(quotes.at_expiry(expiry), cfg)
+            assert float(fitted.sse).hex() == float(alone.sse).hex()
+            assert fitted.params == alone.params
+            assert (fitted.converged, fitted.evaluations, fitted.model_calls) == (
+                alone.converged, alone.evaluations, alone.model_calls)
+            assert fitted.residuals == alone.residuals
+            prefit = lone_fit(quotes.at_expiry(expiry), calibration._plain_config(cfg))
+            phase_rounds[0].append(prefit.model_calls)
+            phase_rounds[1].append(alone.model_calls - prefit.model_calls)
+        # a round holds every slice still searching: each phase takes its longest slice's rounds
+        assert fits.model_calls == max(phase_rounds[0]) + max(phase_rounds[1])
+        assert fits.model_calls < sum(fit.model_calls for fit in fits[:2])
 
 
 class TestLockstep:
@@ -662,9 +770,9 @@ class TestLockstep:
             calibration._jacobian(problem.penalized, good[1]),
         ])
         assert results[1] is None and problem.memo[FAILING_POINT.tobytes()] is None
-        # the one round holds both Jacobians' 5 points (x and its 4 steps) and the failing point:
-        # it raises, and each request goes alone (stacked, then point by point)
-        assert problem.model_calls == 1 + 3
+        # the one round holds both Jacobians' 5 points (x and its 4 steps) and the failing point,
+        # whose row reads NaN: the round is one model call, never re-sent
+        assert problem.model_calls == 1
         assert len(problem.memo) == 11
         for key, row in problem.memo.items():
             point = np.frombuffer(key)

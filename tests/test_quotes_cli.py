@@ -403,6 +403,39 @@ class TestCli:
         assert blob["sse"] < 1e-10
         assert res_files[0].read_text().splitlines()[0] == "expiry,strike,residual"
 
+    def test_fit_with_a_bad_slice_writes_the_others(self, tmp_path, capsys):
+        # three expiries of a known gamma-gamma slice; the last holds 3 quotes for 4 free parameters
+        ctx = MarketContext(s0=100.0, r=0.02)
+        true = params_from_json({"type": "sabr", "alpha": 0.25, "beta": 0.9, "rho": -0.135, "gamma": 1.5,
+                                 "randomizer": {"target": "gamma", "dist": {"family": "gamma", "k": 3.0, "theta": 0.5},
+                                                "n_q": 2}})
+        rs = randomize(true, ctx)
+        rows = []
+        for days, count in ((36, 20), (146, 15), (365, 3)):
+            expiry = days / 365.0
+            strikes = np.round(np.linspace(0.85, 1.15, count) * ctx.forward(expiry), 2)
+            date = (dt.date(2024, 7, 31) + dt.timedelta(days=days)).isoformat()
+            rows += [f"{date},{k:.2f},C,{v:.10f},5\n" for k, v in zip(strikes, implied_vol_grid(rs, expiry, strikes))]
+        quotes = write_quotes(tmp_path / "q.csv", rows)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("spot = 100\nrate = 0.02\ntrade_date = 2024-07-31\nmodel = sabr\nrandomizer = gamma-gamma\n"
+                       "n_q = 2\nbeta = 0.9\nmultistart = 4\nseed = 3\n", encoding="utf-8")
+        out_dir = tmp_path / "fits"
+        rc = main(["fit", "--quotes", str(quotes), "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert sorted(p.name for p in out_dir.glob("fit_T*.json")) == ["fit_T0_09863.json", "fit_T0_4.json"]
+        assert len(list(out_dir.glob("residuals_T*.csv"))) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("error:")] == [
+            "error: T=1.000000: need at least 4 quotes to fit 4 free parameters, got 3"]
+        # the run's last line counts the slices, the shared model calls and the evaluations
+        assert err[-1].startswith("fit: ")
+        stats = dict(item.split("=") for item in err[-1].removeprefix("fit: ").split())
+        blobs = [json.loads(p.read_text()) for p in out_dir.glob("fit_T*.json")]
+        assert (stats["slices"], stats["failed"]) == ("3", "1")
+        assert int(stats["evaluations"]) == sum(blob["evaluations"] for blob in blobs)
+        assert int(stats["model_calls"]) < sum(blob["model_calls"] for blob in blobs)
+
     @pytest.mark.parametrize("line,bad", MISSPELLED)
     def test_fit_misspelled_config_fails_before_fitting(self, tmp_path, capsys, line, bad):
         quotes = write_quotes(tmp_path / "q.csv", [f"2024-10-29,{k},C,0.2,5\n" for k in (90, 100, 110)])
