@@ -279,8 +279,6 @@ def _point_columns(cfg: FitConfig, values: dict, s0: float, failures: Optional[R
                       "spot-lognormal": ("spot", "spot-lognormal")}.get(cfg.randomizer, (None, "discrete"))
     names = BASES[cfg.model][1] + (FAMILIES[family][1] if family in FAMILIES else ())
     check_domains({name: values[name] for name in names}, failures)
-    for name in {"alpha", "nu"}.intersection(names):  # the model squares these in Python floats, as here
-        _each_point(lambda x: x**2, values[name], failures)
     columns = {name: np.array(values[name], dtype=float) for name in names}
     return plain_columns(columns) if family == "discrete" else SliceColumns(target, family, cfg.n_q, columns)
 

@@ -105,19 +105,10 @@ def _checked_cdf_sum(big_a, failures: RowFailures | None):
     return big_a
 
 
-# Hermite-polynomial derivatives of the standard normal density:
-# phi^(n)(x) = (-1)^n He_n(x) phi(x).
-def _phi_deriv(n: int, x):
-    ph = norm_pdf(x)
-    if n == 0:
-        return ph
-    if n == 1:
-        return -x * ph
-    if n == 2:
-        return (x * x - 1.0) * ph
-    if n == 3:
-        return -(x**3 - 3.0 * x) * ph
-    raise ValueError(f"unsupported derivative order {n}")
+def _phi_derivs(x) -> tuple:
+    """The standard normal density's derivatives of orders 0..3 at x: phi^(n)(x) = (-1)^n He_n(x) phi(x)."""
+    ph, x_2 = norm_pdf(x), x * x
+    return ph, -x * ph, (x_2 - 1.0) * ph, -((x_2 - 3.0) * x) * ph
 
 
 def _bs_call_partials(s_total):
@@ -174,51 +165,51 @@ def spot_coefficients(weights, nodes, s0, base_vol, tau, order: int | None = Non
     d_plus = beta / s + 0.5 * s
     d_minus = beta / s - 0.5 * s
 
-    sig_n = a * norm_cdf(d_plus) - norm_cdf(d_minus)
+    cdf_minus = norm_cdf(d_minus)
+    sig_n = a * norm_cdf(d_plus) - cdf_minus
     big_a = _checked_cdf_sum(0.5 * (1.0 + np.sum(lam * sig_n, axis=-1)), failures)
     p0 = 2.0 / sqrt_tau * norm_ppf(big_a)
 
-    # m-derivatives of the mixture at m = 0 (all divided by the spot)
+    # m-derivatives of the mixture at m = 0 (all divided by the spot), from terms each formed once
+    phi_plus, phi_minus, s_k = _phi_derivs(d_plus), _phi_derivs(d_minus), {k: s**k for k in range(1, 5)}
+
     def g_deriv(k: int):
-        term = a * _phi_deriv(k - 1, d_plus) / s**k
-        inner = (-1.0) ** k * norm_cdf(d_minus)
+        term = a * phi_plus[k - 1] / s_k[k]
+        inner = (-1.0) ** k * cdf_minus
         for j in range(1, k + 1):
-            inner = inner + math.comb(k, j) * (-1.0) ** (k - j) * _phi_deriv(j - 1, d_minus) / s**j
+            inner = inner + math.comb(k, j) * (-1.0) ** (k - j) * phi_minus[j - 1] / s_k[j]
         return np.sum(lam * (term - inner), axis=-1)
 
-    part = _bs_call_partials(p0 * sqrt_tau)
-
-    def f_partial(i: int, j: int):
-        return tau ** (j / 2.0) * part[(i, j)]
-
-    f_y = f_partial(0, 1)
-    p1 = (g_deriv(1) - f_partial(1, 0)) / f_y
-    p2 = (
-        g_deriv(2) - f_partial(2, 0) - 2.0 * f_partial(1, 1) * p1 - f_partial(0, 2) * p1**2
-    ) / f_y
+    f = {(i, j): tau ** (j / 2.0) * value for (i, j), value in _bs_call_partials(p0 * sqrt_tau).items()}
+    # numpy's ** on a negative base leaves its vector loop, about 30x slower; P1 (negative wherever the base
+    # skews down) and d+- (He_3 in _phi_derivs) take either sign, so their powers are products
+    p1 = (g_deriv(1) - f[1, 0]) / f[0, 1]
+    p1_2 = p1**2
+    p1_3, p1_4 = p1_2 * p1, p1_2 * p1_2
+    p2 = (g_deriv(2) - f[2, 0] - 2.0 * f[1, 1] * p1 - f[0, 2] * p1_2) / f[0, 1]
     p3 = (
         g_deriv(3)
-        - f_partial(3, 0)
-        - 3.0 * f_partial(2, 1) * p1
-        - 3.0 * f_partial(1, 2) * p1**2
-        - f_partial(0, 3) * p1**3
-        - 3.0 * f_partial(1, 1) * p2
-        - 3.0 * f_partial(0, 2) * p1 * p2
-    ) / f_y
+        - f[3, 0]
+        - 3.0 * f[2, 1] * p1
+        - 3.0 * f[1, 2] * p1_2
+        - f[0, 3] * p1_3
+        - 3.0 * f[1, 1] * p2
+        - 3.0 * f[0, 2] * p1 * p2
+    ) / f[0, 1]
     p4 = (
         g_deriv(4)
-        - f_partial(4, 0)
-        - 4.0 * f_partial(3, 1) * p1
-        - 6.0 * f_partial(2, 2) * p1**2
-        - 4.0 * f_partial(1, 3) * p1**3
-        - f_partial(0, 4) * p1**4
-        - 6.0 * f_partial(2, 1) * p2
-        - 12.0 * f_partial(1, 2) * p1 * p2
-        - 6.0 * f_partial(0, 3) * p1**2 * p2
-        - 3.0 * f_partial(0, 2) * p2**2
-        - 4.0 * f_partial(1, 1) * p3
-        - 4.0 * f_partial(0, 2) * p1 * p3
-    ) / f_y
+        - f[4, 0]
+        - 4.0 * f[3, 1] * p1
+        - 6.0 * f[2, 2] * p1_2
+        - 4.0 * f[1, 3] * p1_3
+        - f[0, 4] * p1_4
+        - 6.0 * f[2, 1] * p2
+        - 12.0 * f[1, 2] * p1 * p2
+        - 6.0 * f[0, 3] * p1_2 * p2
+        - 3.0 * f[0, 2] * p2**2
+        - 4.0 * f[1, 1] * p3
+        - 4.0 * f[0, 2] * p1 * p3
+    ) / f[0, 1]
 
     return np.stack([p0, p1, p2, p3, p4])
 

@@ -39,8 +39,11 @@ _WEIGHT_SUM_TOL = 1e-12
 _MOMENT_REPRODUCTION_RTOL = 1e-8
 _PIVOT_RTOL = 1e-13
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_ROOT_FLOAT_MAX = math.sqrt(np.finfo(float).max)  # the largest float whose square is finite
 #: the domain of each parameter of a slice and of its randomizer: a test of one value, and its description
-_DOMAINS = {name: (lambda x: x >= 0.0, ">= 0") for name in ("sigma", "alpha", "gamma", "nu")} | {
+#: (the model squares alpha, gamma and nu as Python floats, whose ** raises on overflow)
+_DOMAINS = {"sigma": (lambda x: x >= 0.0, ">= 0")} | {
+    name: (lambda x: 0.0 <= x <= _ROOT_FLOAT_MAX, ">= 0 with a finite square") for name in ("alpha", "gamma", "nu")} | {
     name: (lambda x: x > 0.0, "> 0") for name in ("k", "theta", "s0")} | {
     "beta": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
     "rho": (lambda x: -1.0 < x < 1.0, "in (-1, 1)"),

@@ -315,12 +315,14 @@ def implied_vol_grid(
     return vols.reshape(rs.batch_shape + strikes.shape)
 
 
+@np.errstate(all="ignore")  # a row far out of range overflows on its way to NaN, which is all it should do
 def implied_vol_stack(cols: SliceColumns, ctx: MarketContext, expiries, strikes, engine: str = "brent",
                       quiet: bool = False) -> tuple[np.ndarray, RowFailures]:
     """Implied vols of a stack of slices, each row at its own expiry on its own strikes (one of each per row).
 
     Returns the rows' vols one after another in one flat array, and the record of the rows that failed a
-    check: their vols are NaN, and every other row is bit for bit its lone `implied_vol_grid`.
+    check: their vols are NaN, and every other row is bit for bit its lone `implied_vol_grid`.  Numpy's
+    floating-point warnings are silenced here: a row they would concern reads NaN, or reads as it is.
     """
     method, order = parse_engine(engine)
     failures = RowFailures(len(expiries))

@@ -395,6 +395,7 @@ STACK_CONFIGS = [
     pytest.param(dict(model="flat", randomizer="none", fixed={}), id="flat-none"),
     pytest.param(dict(model="flat", randomizer="sigma-lognormal", fixed={}), id="sigma-lognormal"),
     pytest.param(dict(model="flat", randomizer="spot-lognormal", fixed={}), id="spot-lognormal"),
+    pytest.param(dict(model="sabr", randomizer="spot-lognormal"), id="sabr-spot-lognormal"),
 ]
 
 
@@ -442,6 +443,29 @@ class TestStackedEvaluation:
             alone = slice_objective(quotes, cfg)
             alone.evaluate([points[i]])
             np.testing.assert_array_equal(problem.memo[points[i].tobytes()], alone.memo[points[i].tobytes()])
+
+    @pytest.mark.parametrize("engine", ["brent", "expansion"])
+    @pytest.mark.parametrize("kwargs", STACK_CONFIGS)
+    def test_far_points_warn_nothing_and_spare_the_others(self, kwargs, engine):
+        # each point is the zero point with one coordinate 700 off: its square, exponential or vols overflow;
+        # the stacked call must not warn (the suite turns warnings into errors), and each row reads as alone
+        cfg = FitConfig(engine=engine, **kwargs)
+        quotes = flat_quotes(0.5, 17)
+        names = [p.name for p in calibration._free_parameters(cfg)]
+        zero = np.zeros(len(names))
+        points = [zero] + [zero + shift * np.eye(zero.size)[i] for i in range(zero.size) for shift in (700.0, -700.0)]
+        problem = slice_objective(quotes, cfg)
+        problem.evaluate(points)
+        assert problem.model_calls == 1 and problem.memo[zero.tobytes()] is not None
+        for point in points:
+            alone = slice_objective(quotes, cfg)
+            alone.evaluate([point])
+            got, want = problem.memo[point.tobytes()], alone.memo[point.tobytes()]
+            assert (got is None) == (want is None)
+            if got is not None:
+                np.testing.assert_array_equal(got, want)
+        for name in {"alpha", "gamma", "nu"}.intersection(names):  # e^700 squared overflows: the point fails
+            assert problem.memo[points[1 + 2 * names.index(name)].tobytes()] is None
 
     @pytest.mark.parametrize("size", [1, 5])
     @pytest.mark.parametrize("engine", ["brent", "expansion"])

@@ -9,13 +9,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr as norm_cdf, ndtri as norm_ppf
 
 from conftest import nth_derivative
 from randvol.errors import ExpansionRangeError
-from randvol.expansion import evaluate_polynomial, parameter_coefficients, spot_coefficients
+from randvol.expansion import _bs_call_partials, evaluate_polynomial, parameter_coefficients, spot_coefficients
 from randvol.parametrizations import FlatParams, RandomizerSpec, SliceParams
-from randvol.pricing import MarketContext, OptionKey, implied_vol_brent
-from randvol.quadrature import LogNormal, SpotLogNormal
+from randvol.pricing import MarketContext, OptionKey, implied_vol_brent, norm_pdf
+from randvol.quadrature import LogNormal, SpotLogNormal, quadrature_for
 from randvol.randomization import expansion_coefficients, randomize, randomized_price
 
 
@@ -165,6 +166,68 @@ class TestSpotExpansion:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             spot_coefficients(np.array([1.0]), np.array([100.0]), 100.0, 0.2, 1.0, order=5)
+
+
+def reference_phi_deriv(n, x):
+    """phi^(n)(x) = (-1)^n He_n(x) phi(x), one order per call, as the kernel formed it term by term."""
+    ph = norm_pdf(x)
+    if n == 0:
+        return ph
+    if n == 1:
+        return -x * ph
+    if n == 2:
+        return (x * x - 1.0) * ph
+    return -(x**3 - 3.0 * x) * ph
+
+
+def reference_spot_coefficients(weights, nodes, s0, base_vol, tau):
+    """The spot expansion's first vectorized formulation: every normal term and power formed where it is used."""
+    lam, eta, tau = np.asarray(weights, dtype=float), np.asarray(base_vol, dtype=float), np.asarray(tau, dtype=float)
+    a = np.asarray(nodes, dtype=float) / float(s0)
+    sqrt_tau = np.sqrt(tau)
+    s = (eta * sqrt_tau)[..., None]
+    beta = np.log(a)
+    d_plus = beta / s + 0.5 * s
+    d_minus = beta / s - 0.5 * s
+    sig_n = a * norm_cdf(d_plus) - norm_cdf(d_minus)
+    p0 = 2.0 / sqrt_tau * norm_ppf(0.5 * (1.0 + np.sum(lam * sig_n, axis=-1)))
+
+    def g_deriv(k):
+        term = a * reference_phi_deriv(k - 1, d_plus) / s**k
+        inner = (-1.0) ** k * norm_cdf(d_minus)
+        for j in range(1, k + 1):
+            inner = inner + math.comb(k, j) * (-1.0) ** (k - j) * reference_phi_deriv(j - 1, d_minus) / s**j
+        return np.sum(lam * (term - inner), axis=-1)
+
+    part = _bs_call_partials(p0 * sqrt_tau)
+
+    def f(i, j):
+        return tau ** (j / 2.0) * part[(i, j)]
+
+    p1 = (g_deriv(1) - f(1, 0)) / f(0, 1)
+    p2 = (g_deriv(2) - f(2, 0) - 2.0 * f(1, 1) * p1 - f(0, 2) * p1**2) / f(0, 1)
+    p3 = (g_deriv(3) - f(3, 0) - 3.0 * f(2, 1) * p1 - 3.0 * f(1, 2) * p1**2 - f(0, 3) * p1**3
+          - 3.0 * f(1, 1) * p2 - 3.0 * f(0, 2) * p1 * p2) / f(0, 1)
+    p4 = (g_deriv(4) - f(4, 0) - 4.0 * f(3, 1) * p1 - 6.0 * f(2, 2) * p1**2 - 4.0 * f(1, 3) * p1**3
+          - f(0, 4) * p1**4 - 6.0 * f(2, 1) * p2 - 12.0 * f(1, 2) * p1 * p2 - 6.0 * f(0, 3) * p1**2 * p2
+          - 3.0 * f(0, 2) * p2**2 - 4.0 * f(1, 1) * p3 - 4.0 * f(0, 2) * p1 * p3) / f(0, 1)
+    return np.stack([p0, p1, p2, p3, p4])
+
+
+class TestSpotKernelAgainstReference:
+    @pytest.mark.parametrize("n_q", [2, 3, 4, 5])
+    def test_random_slices_match_the_reference(self, rng, n_q):
+        # orders 0..2 take the reference's operations on its operands; orders 3 and 4 form signed powers as
+        # products, and the order-4 polynomial, whose P4 cancels heavily at short expiries, may move by 1e-9 P0
+        m = np.broadcast_to(np.linspace(-0.5, 0.5, 101)[:, None], (101, 200))
+        for _ in range(5):
+            rule = quadrature_for(SpotLogNormal(100.0, rng.uniform(0.01, 0.4)), n_q)
+            base_vol, tau = rng.uniform(0.05, 1.0, 200), rng.uniform(0.02, 3.0, 200)
+            got = spot_coefficients(rule.weights, rule.nodes, 100.0, base_vol, tau)
+            want = reference_spot_coefficients(rule.weights, rule.nodes, 100.0, base_vol, tau)
+            assert got[:3].tobytes() == want[:3].tobytes()
+            gap = np.abs(evaluate_polynomial("spot", got, m, 4) - evaluate_polynomial("spot", want, m, 4))
+            assert np.all(gap <= 1e-9 * want[0])
 
 
 class TestEvalExpansion:

@@ -66,6 +66,14 @@ BAD_GRID_INPUT = [
     pytest.param(["price", "--expiry", "0.5", "--k-min", "80", "--k-max", "120", "--n-strikes", "0"],
                  "--n-strikes must be at least 1, got 0", id="price-zero-n-strikes"),
 ]
+# a slice with a parameter the model squares as a Python float, too large for its square to be finite
+SQUARE_OVERFLOW = [
+    pytest.param({"type": "sabr", "alpha": 0.25, "beta": 0.9, "rho": -0.5, "gamma": 1e200, "randomizer": {
+        "target": "spot", "dist": {"family": "spot-lognormal", "nu": 0.1}, "n_q": 3}}, "gamma", id="spot-sabr-gamma"),
+    pytest.param({"type": "sabr", "alpha": 1e200, "beta": 0.9, "rho": -0.5, "gamma": 0.5}, "alpha", id="sabr-alpha"),
+    pytest.param({"type": "flat", "sigma": 0.2, "randomizer": {
+        "target": "spot", "dist": {"family": "spot-lognormal", "nu": 1e200}, "n_q": 3}}, "nu", id="spot-nu"),
+]
 # an expansion order the configured randomizer cannot run
 UNRUNNABLE_ORDER = [
     pytest.param("model = flat\nrandomizer = spot-lognormal\nengine = expansion:6\n", id="spot-6"),
@@ -476,6 +484,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert bad in captured.err
         assert "nan" not in captured.out
+
+    @pytest.mark.parametrize("params,name", SQUARE_OVERFLOW)
+    def test_square_overflowing_parameter_fails(self, tmp_path, capsys, params, name):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params), encoding="utf-8")
+        rc = main(["iv", "--spot", "100", "--params", str(path), "--expiry", "0.5", "--strikes", "90,100,110"])
+        assert rc == 2
+        assert f"error: {name} must be >= 0 with a finite square, got 1e+200" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lines", UNRUNNABLE_ORDER)
     def test_fit_unrunnable_order_fails_before_fitting(self, tmp_path, capsys, lines):
