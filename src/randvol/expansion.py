@@ -16,6 +16,7 @@ a root-finding oracle on that implicit function.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 from scipy.special import ndtr as norm_cdf, ndtri as norm_ppf
@@ -41,38 +42,38 @@ def parameter_coefficients(weights, node_vols, tau, order: int | None = None,
                            failures: RowFailures | None = None):
     """Even-order expansion coefficients for parameter randomization.
 
-    ``node_vols`` has the quadrature axis last and broadcasts against
-    ``tau``; a batch of points is a (points, n_q) array against a
-    (points,) tau.  Returns the coefficients (P0, P2, P4, P6) stacked
-    along the leading axis.  A point whose coefficients cannot be formed
-    raises ExpansionRangeError; given ``failures``, a record over the
-    (points,) batch, it is marked there instead (its coefficients are then
-    meaningless).
+    ``weights`` and ``node_vols`` have the quadrature axis last and
+    broadcast against ``tau``; a batch of points is a (points, n_q) array
+    against a (points,) tau.  The kernel runs node first: a transposed
+    view of an (n_q, points) array enters without a copy.  Returns the
+    coefficients (P0, P2, P4, P6) stacked along the leading axis.  A point
+    whose coefficients cannot be formed raises ExpansionRangeError; given
+    ``failures``, a record over the (points,) batch, it is marked there
+    instead (its coefficients are then meaningless).
     """
     expansion_order("parameter", order)
-    lam = np.asarray(weights, dtype=float)
-    eta = np.asarray(node_vols, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    if fail_rows(failures, eta <= 0,
-                 lambda: ExpansionRangeError("parameter expansion requires strictly positive node vols"), axes=1):
-        eta = np.where(failures.bad[..., None], 0.2, eta)  # a marked point gets a harmless vol
+    lam, eta = _node_first((tau,), weights, node_vols)
+    if fail_rows(failures, (eta <= 0).any(0),
+                 lambda: ExpansionRangeError("parameter expansion requires strictly positive node vols")):
+        eta = np.where(failures.bad, 0.2, eta)  # a marked point gets a harmless vol
     sqrt_tau = np.sqrt(tau)
 
-    h = 0.5 * eta * sqrt_tau[..., None]
-    big_a = _checked_cdf_sum((lam * norm_cdf(h)).sum(-1), failures)
+    h = 0.5 * eta * sqrt_tau
+    big_a = _checked_cdf_sum(_node_sum(lam * norm_cdf(h)), failures)
     p0 = 2.0 / sqrt_tau * norm_ppf(big_a)
 
     sig0 = 0.5 * p0 * sqrt_tau
     # repeated subterms are formed once; each is the same operation on the same operands
     sig0_2, sig0_4, h_2 = sig0**2, sig0**4, h**2
-    lam_e = lam * np.exp(0.5 * (sig0_2[..., None] - h_2))
-    p2 = (-1.0 / sig0 + (lam_e / h).sum(-1)) / (2.0 * sqrt_tau)
+    lam_e = lam * np.exp(0.5 * (sig0_2 - h_2))
+    p2 = (-1.0 / sig0 + _node_sum(lam_e / h)) / (2.0 * sqrt_tau)
 
     sig2 = p0 * p2 * tau
     sig2_2, sig2_6 = sig2**2, 6.0 * sig2
     p4 = (
         (1.0 + sig2_6 + sig0_2 * (-7.0 - sig2_6 + 3.0 * sig2_2)) / sig0**3
-        + (lam_e / h**3 * (-1.0 + 7.0 * h_2)).sum(-1)
+        + _node_sum(lam_e / h**3 * (-1.0 + 7.0 * h_2))
     ) / (8.0 * sqrt_tau)
 
     sig4 = p0 * p4 * tau
@@ -91,10 +92,23 @@ def parameter_coefficients(weights, node_vols, tau, order: int | None = None,
             + 15.0 * sig0_2 * sig2**3
         )
         / sig0**5
-        + (lam_e / h**5 * (3.0 - 16.0 * h_2 + 31.0 * h**4)).sum(-1)
+        + _node_sum(lam_e / h**5 * (3.0 - 16.0 * h_2 + 31.0 * h**4))
     ) / (32.0 * sqrt_tau)
 
     return np.stack([p0, p2, p4, p6])
+
+
+def _node_first(batch: tuple, *arrays) -> list:
+    """Node-last arrays as node-first views, batch axes padded to the ndim of theirs and the ``batch`` arrays'."""
+    arrays = [np.asarray(x, dtype=float) for x in arrays]
+    ndim = max([np.ndim(b) for b in batch] + [x.ndim - 1 for x in arrays])
+    return [np.moveaxis(x, -1, 0).reshape(x.shape[-1:] + (1,) * (ndim + 1 - x.ndim) + x.shape[:-1]) for x in arrays]
+
+
+def _node_sum(x):
+    """The sum of a node-first array over its nodes, row after row: for up to 7 nodes, bit for bit numpy's
+    sum over a last node axis (which sums 8 or more pairwise)."""
+    return reduce(np.add, x)
 
 
 def _checked_cdf_sum(big_a, failures: RowFailures | None):
@@ -120,6 +134,7 @@ def _bs_call_partials(s_total):
     s = s_total
     ph = norm_pdf(0.5 * s)
     cdf_m = norm_cdf(-0.5 * s)
+    s_2, s_3 = s**2, s**3
     return {
         (1, 0): cdf_m,
         (0, 1): ph,
@@ -127,14 +142,14 @@ def _bs_call_partials(s_total):
         (1, 1): -0.5 * ph,
         (0, 2): -0.25 * s * ph,
         (3, 0): cdf_m - 1.5 * ph / s,
-        (2, 1): ph * (0.25 - 1.0 / s**2),
+        (2, 1): ph * (0.25 - 1.0 / s_2),
         (1, 2): 0.125 * s * ph,
-        (0, 3): (s**2 - 4.0) / 16.0 * ph,
-        (4, 0): -cdf_m + ph * (1.75 / s - 1.0 / s**3),
-        (3, 1): ph * (1.5 / s**2 - 0.125),
-        (2, 2): ph * (-s / 16.0 + 0.25 / s + 2.0 / s**3),
-        (1, 3): (4.0 - s**2) / 32.0 * ph,
-        (0, 4): s * (12.0 - s**2) / 64.0 * ph,
+        (0, 3): (s_2 - 4.0) / 16.0 * ph,
+        (4, 0): -cdf_m + ph * (1.75 / s - 1.0 / s_3),
+        (3, 1): ph * (1.5 / s_2 - 0.125),
+        (2, 2): ph * (-s / 16.0 + 0.25 / s + 2.0 / s_3),
+        (1, 3): (4.0 - s_2) / 32.0 * ph,
+        (0, 4): s * (12.0 - s_2) / 64.0 * ph,
     }
 
 
@@ -143,31 +158,32 @@ def spot_coefficients(weights, nodes, s0, base_vol, tau, order: int | None = Non
     """Expansion coefficients (orders 0..4) for spot randomization.
 
     ``base_vol`` and ``tau`` broadcast against each other (batch of
-    points); the quadrature nodes, last axis, broadcast against the batch.
+    points); the quadrature nodes, last axis, broadcast against the batch,
+    and the kernel runs node first, as `parameter_coefficients` does.
     Returns the coefficients (P0, P1, P2, P3, P4) stacked along the leading
     axis.  A point whose coefficients cannot be formed raises
     ExpansionRangeError, or, given ``failures``, is marked there.
     """
     expansion_order("spot", order)
-    lam = np.asarray(weights, dtype=float)
     eta = np.asarray(base_vol, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    a = np.asarray(nodes, dtype=float) / float(s0)
+    lam, a = _node_first((eta, tau), weights, nodes)
+    a = a / float(s0)
     marked = fail_rows(failures, eta <= 0,
                        lambda: ExpansionRangeError("spot expansion requires a strictly positive base vol"))
-    marked |= fail_rows(failures, a <= 0, lambda: ExpansionRangeError("spot nodes must be strictly positive"), axes=1)
+    marked |= fail_rows(failures, (a <= 0).any(0), lambda: ExpansionRangeError("spot nodes must be strictly positive"))
     if marked:  # a marked point gets a harmless vol and nodes
-        eta, a = np.where(failures.bad, 0.2, eta), np.where(failures.bad[..., None], 1.0, a)
+        eta, a = np.where(failures.bad, 0.2, eta), np.where(failures.bad, 1.0, a)
 
     sqrt_tau = np.sqrt(tau)
-    s = (eta * sqrt_tau)[..., None]
+    s = eta * sqrt_tau
     beta = np.log(a)
     d_plus = beta / s + 0.5 * s
     d_minus = beta / s - 0.5 * s
 
     cdf_minus = norm_cdf(d_minus)
     sig_n = a * norm_cdf(d_plus) - cdf_minus
-    big_a = _checked_cdf_sum(0.5 * (1.0 + np.sum(lam * sig_n, axis=-1)), failures)
+    big_a = _checked_cdf_sum(0.5 * (1.0 + _node_sum(lam * sig_n)), failures)
     p0 = 2.0 / sqrt_tau * norm_ppf(big_a)
 
     # m-derivatives of the mixture at m = 0 (all divided by the spot), from terms each formed once
@@ -178,9 +194,10 @@ def spot_coefficients(weights, nodes, s0, base_vol, tau, order: int | None = Non
         inner = (-1.0) ** k * cdf_minus
         for j in range(1, k + 1):
             inner = inner + math.comb(k, j) * (-1.0) ** (k - j) * phi_minus[j - 1] / s_k[j]
-        return np.sum(lam * (term - inner), axis=-1)
+        return _node_sum(lam * (term - inner))
 
-    f = {(i, j): tau ** (j / 2.0) * value for (i, j), value in _bs_call_partials(p0 * sqrt_tau).items()}
+    tau_j = [tau ** (j / 2.0) for j in range(5)]
+    f = {(i, j): tau_j[j] * value for (i, j), value in _bs_call_partials(p0 * sqrt_tau).items()}
     # numpy's ** on a negative base leaves its vector loop, about 30x slower; P1 (negative wherever the base
     # skews down) and d+- (He_3 in _phi_derivs) take either sign, so their powers are products
     p1 = (g_deriv(1) - f[1, 0]) / f[0, 1]

@@ -151,14 +151,19 @@ class _Grid(NamedTuple):
         return value[:, None] if nodes else value
 
     def by_pair(self, per_row: np.ndarray, sel=None) -> np.ndarray:
-        """Each pair's entry of a per-row array at the pairs ``sel``; for a lone row, the array itself."""
-        return per_row if self.row is None else per_row.take(self.row_of(sel), axis=0)
+        """Each pair's entry of an array whose last axis runs over the rows, at the pairs ``sel``; for a lone row,
+        the array itself."""
+        return per_row if self.row is None else per_row.take(self.row_of(sel), axis=-1)
 
     def row_of(self, sel=None):
         """The rows of the pairs ``sel`` (all by default)."""
         if self.row is None:
             return np.zeros(self.counts[0] if sel is None else np.size(sel), dtype=int)
         return self.row if sel is None else self.row.take(sel)
+
+    def rows_with(self, bad: np.ndarray) -> np.ndarray:
+        """Which rows hold a pair where ``bad``, one flag per pair (or one for all of a lone row's), holds."""
+        return np.bincount(self.row, bad, self.rows) > 0 if self.row is not None else np.atleast_1d(bad.any())
 
 
 def _grid(ctx: MarketContext, expiries, strikes) -> _Grid:
@@ -196,42 +201,41 @@ def _uniform_grid(rs: RandomizedSlice, expiry: float, strikes: np.ndarray) -> _G
     return _Grid(rs.ctx, [expiry] * rows, [n] * rows, row, cells, strikes, *_expiry_terms(rs.ctx, expiry))
 
 
-def _node_vol_matrix(rs: RandomizedSlice, expiry: float, strikes: np.ndarray) -> np.ndarray:
-    """Node volatilities on a strike grid, shape ``rs.batch_shape + (n_strikes, n_q)``."""
-    vols = _node_vols(rs, _uniform_grid(rs, expiry, strikes))
-    return vols.reshape(rs.batch_shape + (strikes.size, rs.rule.size))
-
-
-def _node_vols(rs: RandomizedSlice, grid: _Grid) -> np.ndarray:
-    """Node volatilities at a grid's pairs, shape (pairs, n_q)."""
-    nodes = rs.rule.nodes.reshape(-1, rs.rule.size)
-    shape = (sum(grid.counts), rs.rule.size)
+def _node_vols(rs: RandomizedSlice, grid: _Grid, failures: Optional[RowFailures] = None) -> np.ndarray:
+    """Node volatilities at a grid's pairs, node first: shape (n_q, pairs).  A row with a node vol that is not
+    finite (its parameters overflow the vol formula) raises, or, given ``failures``, is marked there."""
+    nodes = _per_row(rs.rule.nodes)
     cols = rs.columns.columns
     if rs.target == "sigma":
-        return np.broadcast_to(grid.by_pair(nodes), shape)
-    if rs.target == "spot":  # the base vol at the spot, slice by slice, as eval_vol_curve forms it alone
+        vols = grid.by_pair(nodes)
+    elif rs.target == "spot":  # the base vol at the spot, slice by slice, as eval_vol_curve forms it alone
         base_type, names = parametrizations.BASES["flat" if "sigma" in cols else "sabr"]
         rows = zip(*(np.ravel(cols[name]).tolist() for name in names))
         row_strikes = np.split(grid.at(grid.strikes), list(accumulate(grid.counts))[:-1])
-        eta = [parametrizations.eval_vol_curve(base_type(*row), rs.ctx, expiry, strikes)
-               for row, expiry, strikes in zip(rows, grid.expiries, row_strikes)]
-        return np.broadcast_to(np.concatenate(eta)[:, None], shape)
-    alpha, beta, rho = (np.ravel(cols[name]) for name in ("alpha", "beta", "rho"))
-    forward, tau = grid.forward, grid.tau
-    if not isinstance(tau, float):
-        forward, tau = forward[:, None], tau[:, None]
-    return parametrizations.hagan_vol(forward, grid.strikes[:, None], tau, alpha, beta, rho, grid.by_pair(nodes),
-                                      rows=None if grid.row is None else grid.row[:, None], cells=grid.cells)
+        vols = np.concatenate([parametrizations.eval_vol_curve(base_type(*row), rs.ctx, expiry, strikes)
+                               for row, expiry, strikes in zip(rows, grid.expiries, row_strikes)])
+    else:
+        alpha, beta, rho = (np.ravel(cols[name]) for name in ("alpha", "beta", "rho"))
+        vols = parametrizations.hagan_vol(grid.forward, grid.strikes, grid.tau, alpha, beta, rho, grid.by_pair(nodes),
+                                          rows=grid.row, cells=grid.cells)
+    bad = ~np.isfinite(vols)
+    fail_rows(failures, grid.rows_with(bad.any(0) if bad.ndim == 2 else bad),
+              lambda: ParameterDomainError("node vols must be finite; the slice's parameters overflow its vol formula"))
+    return np.broadcast_to(vols, (rs.rule.size, sum(grid.counts)))
+
+
+def _per_row(x: np.ndarray) -> np.ndarray:
+    """A rule's weights or nodes node first, one column per row: shape (n_q, rows), a view."""
+    return x.reshape(-1, x.shape[-1]).T
 
 
 def _prices(rs: RandomizedSlice, grid: _Grid, vols: np.ndarray, sel=None) -> np.ndarray:
-    """Mixture call prices at a grid's pairs ``sel`` (all by default) from their node vols."""
-    nodes = rs.rule.nodes.reshape(-1, rs.rule.size)
-    spot = grid.by_pair(nodes, sel) if rs.target == "spot" else rs.ctx.s0
+    """Mixture call prices at a grid's pairs ``sel`` (all by default) from their node-first node vols."""
+    spot = grid.by_pair(_per_row(rs.rule.nodes), sel).T if rs.target == "spot" else rs.ctx.s0
     if sel is None:
-        rows, counts = None, grid.counts
+        rows, counts, vols = None, grid.counts, vols.T
     else:
-        vols = vols[sel]
+        vols = vols[:, sel].T
         rows, counts = ([0], [sel.size]) if grid.row is None else (
             a.tolist() for a in np.unique(grid.row.take(sel), return_counts=True))
     strikes = grid.at(grid.strikes, sel, nodes=True)
@@ -240,7 +244,8 @@ def _prices(rs: RandomizedSlice, grid: _Grid, vols: np.ndarray, sel=None) -> np.
     else:
         values = call_values(spot, *(grid.at(t, sel, nodes=True) for t in (grid.r_tau, grid.df, grid.sqrt_tau)),
                              strikes, vols)
-    return _node_sums(values, counts, rs.rule.weights.reshape(-1, rs.rule.size), rows)
+    # node-first vols give node-first values; _node_sums' gemv keeps its rounding on pair-major values only
+    return _node_sums(np.ascontiguousarray(values), counts, rs.rule.weights.reshape(-1, rs.rule.size), rows)
 
 
 def _node_sums(values: np.ndarray, counts: list, weights: np.ndarray, rows=None) -> np.ndarray:
@@ -354,9 +359,9 @@ def implied_vol_stack(cols: SliceColumns, ctx: MarketContext, expiries, strikes,
 def _grid_vols(rs: RandomizedSlice, grid: _Grid, method: str, order: Optional[int], m_max: float, quiet: bool,
                failures: Optional[RowFailures] = None) -> np.ndarray:
     """Implied vols at a grid's pairs; a row failing a check raises, or, given ``failures``, is marked there."""
-    vols = _node_vols(rs, grid)
+    vols = _node_vols(rs, grid, failures)
     if rs.rule.size == 1:
-        return vols[:, 0].copy()
+        return vols[0].copy()
     if method == "brent":
         return _invert(grid, None, _prices(rs, grid, vols), failures)
 
@@ -396,17 +401,24 @@ def expansion_coefficients(rs: RandomizedSlice, expiry: float, strikes) -> np.nd
 
 def _coefficients(rs: RandomizedSlice, grid: _Grid, vols: np.ndarray, failures: Optional[RowFailures] = None):
     """Expansion coefficients at a grid's pairs, shape (terms,) + the grid's shape; a row with a pair whose
-    coefficients cannot be formed raises, or, given ``failures``, is marked there."""
-    weights = grid.by_pair(rs.rule.weights.reshape(-1, rs.rule.size))
+    coefficients cannot be formed raises, or, given ``failures``, is marked there.
+
+    A sigma row's node vols are its nodes at every strike, so its coefficients are formed once, at its tau,
+    and gathered to its pairs.
+    """
+    weights, nodes = _per_row(rs.rule.weights), _per_row(rs.rule.nodes)
+    if rs.target == "sigma":
+        tau = np.subtract(grid.expiries, grid.ctx.t0)  # each row's, as _expiry_terms forms it
+        return expansion.parameter_coefficients(weights.T, nodes.T, tau, failures=failures).take(grid.row_of(), axis=1)
+    weights = grid.by_pair(weights).T
     tau = np.full(sum(grid.counts), grid.tau) if isinstance(grid.tau, float) else grid.at(grid.tau)
     pairs = None if failures is None else RowFailures(tau.size)
     if rs.expansion_kind == "parameter":
-        coeffs = expansion.parameter_coefficients(weights, vols, tau, failures=pairs)
+        coeffs = expansion.parameter_coefficients(weights, vols.T, tau, failures=pairs)
     else:
-        nodes = grid.by_pair(rs.rule.nodes.reshape(-1, rs.rule.size))
-        coeffs = expansion.spot_coefficients(weights, nodes, rs.ctx.s0, vols[..., 0], tau, failures=pairs)
+        coeffs = expansion.spot_coefficients(weights, grid.by_pair(nodes).T, rs.ctx.s0, vols[0], tau, failures=pairs)
     if pairs is not None and pairs.any:
-        failures.mark(np.bincount(grid.row_of(), pairs.bad, grid.rows) > 0, lambda: pairs.error)
+        failures.mark(grid.rows_with(pairs.bad), lambda: pairs.error)
     return coeffs
 
 

@@ -12,6 +12,7 @@ import pytest
 from scipy.special import ndtr as norm_cdf, ndtri as norm_ppf
 
 from conftest import nth_derivative
+from randvol import expansion
 from randvol.errors import ExpansionRangeError
 from randvol.expansion import _bs_call_partials, evaluate_polynomial, parameter_coefficients, spot_coefficients
 from randvol.parametrizations import FlatParams, RandomizerSpec, SliceParams
@@ -228,6 +229,88 @@ class TestSpotKernelAgainstReference:
             assert got[:3].tobytes() == want[:3].tobytes()
             gap = np.abs(evaluate_polynomial("spot", got, m, 4) - evaluate_polynomial("spot", want, m, 4))
             assert np.all(gap <= 1e-9 * want[0])
+
+
+def reference_parameter_coefficients(weights, node_vols, tau):
+    """The parameter expansion's node-last formulation: the quadrature axis last, each node sum numpy's."""
+    lam = np.asarray(weights, dtype=float)
+    eta = np.asarray(node_vols, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    sqrt_tau = np.sqrt(tau)
+
+    h = 0.5 * eta * sqrt_tau[..., None]
+    big_a = (lam * norm_cdf(h)).sum(-1)
+    p0 = 2.0 / sqrt_tau * norm_ppf(big_a)
+
+    sig0 = 0.5 * p0 * sqrt_tau
+    sig0_2, sig0_4, h_2 = sig0**2, sig0**4, h**2
+    lam_e = lam * np.exp(0.5 * (sig0_2[..., None] - h_2))
+    p2 = (-1.0 / sig0 + (lam_e / h).sum(-1)) / (2.0 * sqrt_tau)
+
+    sig2 = p0 * p2 * tau
+    sig2_2, sig2_6 = sig2**2, 6.0 * sig2
+    p4 = (
+        (1.0 + sig2_6 + sig0_2 * (-7.0 - sig2_6 + 3.0 * sig2_2)) / sig0**3
+        + (lam_e / h**3 * (-1.0 + 7.0 * h_2)).sum(-1)
+    ) / (8.0 * sqrt_tau)
+
+    sig4 = p0 * p4 * tau
+    sig2_45, sig4_60 = 45.0 * sig2, 60.0 * sig4
+    p6 = (
+        (
+            -3.0
+            - sig2_45
+            + sig0_2 * (90.0 * sig2 + sig4_60)
+            + sig0_4 * sig2 * (sig2_45 + sig4_60 - 15.0 * sig2_2)
+            + 16.0 * sig0_2
+            - 90.0 * sig2_2
+            - 31.0 * sig0_4
+            - 45.0 * sig0_2 * sig2_2
+            - sig0_4 * (15.0 * sig2 + sig4_60)
+            + 15.0 * sig0_2 * sig2**3
+        )
+        / sig0**5
+        + (lam_e / h**5 * (3.0 - 16.0 * h_2 + 31.0 * h**4)).sum(-1)
+    ) / (32.0 * sqrt_tau)
+
+    return np.stack([p0, p2, p4, p6])
+
+
+def parameter_batch(rng, n_q, points=300):
+    """Random positive node vols and expiries, with weights shared by the batch and weights per point."""
+    vols, tau = rng.uniform(0.05, 0.8, (points, n_q)), rng.uniform(0.02, 3.0, points)
+    return rng.dirichlet(np.ones(n_q)), rng.dirichlet(np.ones(n_q), points), vols, tau
+
+
+def last_axis_sum(x):
+    """numpy's sum over a node-last copy of a node-first array: the reference's node sums."""
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1)).sum(-1)
+
+
+class TestParameterKernelAgainstReference:
+    @pytest.mark.parametrize("n_q", range(1, 8))
+    def test_up_to_seven_nodes_bytes_equal(self, rng, n_q):
+        # up to 7 nodes numpy sums a last axis one entry after another, as the node-first kernel adds rows
+        shared, per_point, vols, tau = parameter_batch(rng, n_q)
+        for weights in (shared, per_point):
+            want = reference_parameter_coefficients(weights, vols, tau).tobytes()
+            assert parameter_coefficients(weights, vols, tau).tobytes() == want
+            # a node-first array enters as its transposed view
+            node_first = [np.ascontiguousarray(np.moveaxis(x, -1, 0)) for x in np.broadcast_arrays(weights, vols)]
+            assert parameter_coefficients(node_first[0].T, node_first[1].T, tau).tobytes() == want
+
+    @pytest.mark.parametrize("n_q", [8, 9, 10])
+    def test_eight_to_ten_nodes_differ_only_in_the_order_of_the_sums(self, rng, monkeypatch, n_q):
+        # from 8 entries numpy sums a last axis pairwise; the row adds agree with it to rounding, and with
+        # numpy's own sum put back the kernel is the reference byte for byte
+        shared, per_point, vols, tau = parameter_batch(rng, n_q)
+        terms = np.moveaxis(vols * rng.standard_normal(vols.shape), -1, 0)
+        gap = np.abs(expansion._node_sum(terms) - last_axis_sum(terms))
+        assert np.all(gap <= 1e-14 * np.abs(terms).sum(0))
+        monkeypatch.setattr(expansion, "_node_sum", last_axis_sum)
+        for weights in (shared, per_point):
+            want = reference_parameter_coefficients(weights, vols, tau)
+            assert parameter_coefficients(weights, vols, tau).tobytes() == want.tobytes()
 
 
 class TestEvalExpansion:

@@ -16,7 +16,7 @@ from randvol.parametrizations import (
 )
 from randvol.pricing import MarketContext, OptionKey
 from randvol.quadrature import DiscreteGiven, Gamma, LogNormal, SpotLogNormal, quadrature_for
-from randvol.randomization import _node_vol_matrix, randomize
+from randvol.randomization import _node_vols, _uniform_grid, randomize
 
 CTX = MarketContext(s0=100.0, r=0.0)
 
@@ -110,7 +110,8 @@ class TestEvalVol:
 
 def node_vols(params, key):
     """Node volatilities of a randomized slice at one (T, K)."""
-    return _node_vol_matrix(randomize(params, CTX), key.expiry, np.array([key.strike]))[0]
+    rs = randomize(params, CTX)
+    return _node_vols(rs, _uniform_grid(rs, key.expiry, np.array([key.strike])))[:, 0]
 
 
 class TestHaganParameterArrays:

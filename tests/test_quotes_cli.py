@@ -493,6 +493,19 @@ class TestCli:
         assert rc == 2
         assert f"error: {name} must be >= 0 with a finite square, got 1e+200" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # Hagan's formula overflows
+    @pytest.mark.parametrize("command", ["iv", "price"])
+    def test_overflowing_node_vol_fails(self, tmp_path, capsys, command):
+        # gamma has a finite square, so it is inside the domain, but the Hagan vol overflows at 90 and 110
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"type": "sabr", "alpha": 0.3, "beta": 0.9, "rho": -0.5, "gamma": 1e150}),
+                        encoding="utf-8")
+        rc = main([command, "--spot", "100", "--params", str(path), "--expiry", "0.5", "--strikes", "90,100,110"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "error: node vols must be finite" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("lines", UNRUNNABLE_ORDER)
     def test_fit_unrunnable_order_fails_before_fitting(self, tmp_path, capsys, lines):
         quotes = write_quotes(tmp_path / "q.csv", [f"2024-10-29,{k},C,0.2,5\n" for k in (90, 100, 110)])

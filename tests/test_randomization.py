@@ -5,17 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from randvol.errors import ParameterDomainError
-from randvol.expansion import evaluate_polynomial
-from randvol.parametrizations import FlatParams, RandomizerSpec, SabrParams, SliceParams, eval_vol_curve, hagan_vol
-from randvol.pricing import MarketContext, OptionKey, OptionType, bs_price, implied_vol_brent
+from randvol.errors import ExpansionRangeError, ParameterDomainError, RowFailures
+from randvol.expansion import evaluate_polynomial, parameter_coefficients
+from randvol.parametrizations import (
+    FlatParams, RandomizerSpec, SabrParams, SliceParams, eval_vol_curve, hagan_vol, slice_columns,
+)
+from randvol.pricing import MarketContext, OptionKey, OptionType, bs_call_values, bs_price, implied_vol_brent
 from randvol.quadrature import DiscreteGiven, Gamma, LogNormal, SpotLogNormal
 from randvol.randomization import (
-    _node_vol_matrix,
+    _coefficients,
+    _grid,
+    _node_vols,
+    _prices,
+    _uniform_grid,
     count_local_maxima,
     density,
     expansion_coefficients,
     implied_vol_grid,
+    implied_vol_stack,
     parse_engine,
     randomize,
     randomized_iv,
@@ -77,7 +84,7 @@ class TestRandomize:
         )
 
 
-class TestNodeVolMatrix:
+class TestNodeVols:
     @pytest.mark.parametrize(
         "alpha,dist,n_q",
         [
@@ -97,7 +104,7 @@ class TestNodeVolMatrix:
             hagan_vol(CTX.forward(expiry), strikes, tau, base.alpha, base.beta, base.rho, g)
             for g in rs.rule.nodes
         ])
-        np.testing.assert_array_equal(_node_vol_matrix(rs, expiry, strikes), want)
+        np.testing.assert_array_equal(_node_vols(rs, _uniform_grid(rs, expiry, strikes)).T, want)
 
 
 class TestRandomizedPrice:
@@ -311,3 +318,141 @@ class TestDeterministicSlice:
         vol = s.implied_vol(0.5, 95.0)
         key = OptionKey(0.5, 95.0)
         assert randomized_price(s, key) == pytest.approx(bs_price(CTX, key, vol), rel=1e-14)
+
+
+RATE_CTX = MarketContext(s0=100.0, r=0.02)
+# rows 1 and 2 share an expiry and one strike array, so they share the grid's cells
+STACK_EXPIRIES = [0.1, 0.5, 0.5, 2.0]
+
+
+def stack_strikes(rng):
+    shared = np.sort(rng.uniform(70.0, 140.0, 57))
+    return [np.sort(rng.uniform(85.0, 115.0, 31)), shared, shared, np.sort(rng.uniform(50.0, 200.0, 44))]
+
+
+def sigma_stack(levels, nu=0.2, n_q=4):
+    return [SliceParams(FlatParams(level), RandomizerSpec("sigma", LogNormal(math.log(level) - 0.5 * nu**2, nu), n_q))
+            for level in levels]
+
+
+def gamma_stack():
+    return [SliceParams(SabrParams(alpha, 0.9, rho, 1.2), RandomizerSpec("gamma", Gamma(k, 1.2 / k), 3))
+            for alpha, rho, k in ((0.3, -0.5, 3.0), (0.25, -0.3, 2.5), (0.35, -0.6, 4.0), (0.2, 0.1, 3.5))]
+
+
+def per_pair(strikes, per_row):
+    """Each (row, strike) pair's entry of a per-row sequence, row after row."""
+    return np.repeat(np.asarray(per_row), [k.size for k in strikes], axis=0)
+
+
+class TestSigmaCoefficientsOncePerRow:
+    def test_rows_equal_their_per_pair_evaluation(self, rng):
+        rs = randomize(slice_columns(sigma_stack([0.15, 0.2, 0.3, 0.25])), RATE_CTX)
+        strikes = stack_strikes(rng)
+        grid = _grid(RATE_CTX, STACK_EXPIRIES, strikes)
+        got = _coefficients(rs, grid, _node_vols(rs, grid))
+        row = per_pair(strikes, range(4))
+        want = parameter_coefficients(rs.rule.weights[row], rs.rule.nodes[row], per_pair(strikes, STACK_EXPIRIES))
+        assert got.shape == (4, row.size)
+        assert got.tobytes() == want.tobytes()
+
+    def test_failing_row_is_marked_as_its_pairs_mark_it(self, rng):
+        # a zero sigma node is a legal rule, but no parameter expansion can be formed on it
+        rules = [((0.5, 0.1), (0.5, 0.3)), ((0.3, 0.2), (0.7, 0.25)), ((0.5, 0.0), (0.5, 0.3)), ((0.6, 0.15), (0.4, 0.2))]
+        params = [SliceParams(FlatParams(0.2), RandomizerSpec("sigma", DiscreteGiven(rule), 2)) for rule in rules]
+        cols = slice_columns(params)
+        rs = randomize(cols, RATE_CTX)
+        strikes = stack_strikes(rng)
+        grid = _grid(RATE_CTX, STACK_EXPIRIES, strikes)
+        failures = RowFailures(4)
+        _coefficients(rs, grid, _node_vols(rs, grid), failures)
+        row = per_pair(strikes, range(4))
+        pairs = RowFailures(row.size)
+        parameter_coefficients(rs.rule.weights[row], rs.rule.nodes[row], per_pair(strikes, STACK_EXPIRIES),
+                               failures=pairs)
+        assert failures.bad.tolist() == (np.bincount(row, pairs.bad, 4) > 0).tolist() == [False, False, True, False]
+        assert type(failures.error) is type(pairs.error) is ExpansionRangeError
+        assert str(failures.error) == str(pairs.error)
+        with pytest.raises(ExpansionRangeError, match="strictly positive node vols"):
+            _coefficients(rs, grid, _node_vols(rs, grid))
+        vols, stacked = implied_vol_stack(cols, RATE_CTX, STACK_EXPIRIES, strikes, "expansion")
+        assert stacked.bad.tolist() == [False, False, True, False]
+        for r, part in enumerate(np.split(vols, np.cumsum([k.size for k in strikes])[:-1])):
+            if r == 2:
+                assert np.isnan(part).all()
+            else:
+                lone = implied_vol_grid(randomize(params[r], RATE_CTX), STACK_EXPIRIES[r], strikes[r], "expansion")
+                assert part.tobytes() == lone.tobytes()
+
+
+def pair_major_prices(rs, expiry, strikes):
+    """Mixture prices as the node-last layout formed them: (strikes, n_q) node vols and one gemv over them."""
+    tau, n_q = expiry - rs.ctx.t0, rs.rule.size
+    cols = {name: float(value) for name, value in rs.columns.columns.items() if np.ndim(value) == 0}
+    if rs.target == "sigma":
+        vols = np.broadcast_to(rs.rule.nodes, (strikes.size, n_q))
+    elif rs.target == "gamma":
+        vols = hagan_vol(rs.ctx.forward(expiry), strikes[:, None], tau, cols["alpha"], cols["beta"], cols["rho"],
+                         rs.rule.nodes[None, :])
+    else:
+        base = FlatParams(cols["sigma"])
+        vols = np.broadcast_to(eval_vol_curve(base, rs.ctx, expiry, strikes)[:, None], (strikes.size, n_q))
+    spot = rs.rule.nodes[None, :] if rs.target == "spot" else rs.ctx.s0
+    values = bs_call_values(spot, rs.ctx.r, tau, strikes[:, None], vols)
+    return np.matmul(values.reshape(1, strikes.size, n_q), rs.rule.weights.reshape(1, n_q, 1)).ravel()
+
+
+class TestPricePathUnchanged:
+    @pytest.mark.parametrize("params", [
+        sigma_stack([0.2])[0],
+        gamma_stack()[0],
+        SliceParams(FlatParams(0.25), RandomizerSpec("spot", SpotLogNormal(100.0, 0.1), 3)),
+    ], ids=["sigma", "gamma", "spot"])
+    def test_prices_equal_the_pair_major_gemv(self, params):
+        rs = randomize(params, RATE_CTX)
+        strikes = np.linspace(60.0, 160.0, 101)
+        assert randomized_prices(rs, 0.5, strikes).tobytes() == pair_major_prices(rs, 0.5, strikes).tobytes()
+
+    @pytest.mark.parametrize("params", [sigma_stack([0.15, 0.2, 0.3, 0.25]), gamma_stack()], ids=["sigma", "gamma"])
+    def test_stacked_rows_price_as_lone_slices(self, rng, params):
+        # each row's node sums are a gemv over its own pairs alone, for all of them and for a selection
+        rs = randomize(slice_columns(params), RATE_CTX)
+        strikes = stack_strikes(rng)
+        grid = _grid(RATE_CTX, STACK_EXPIRIES, strikes)
+        vols = _node_vols(rs, grid)
+        sel = np.flatnonzero(rng.uniform(size=vols.shape[1]) < 0.3)
+        ends = np.cumsum([k.size for k in strikes])
+        parts = np.split(_prices(rs, grid, vols), ends[:-1])
+        picked = np.split(_prices(rs, grid, vols, sel), np.searchsorted(sel, ends)[:-1])
+        for r, (part, some) in enumerate(zip(parts, picked)):
+            lone = randomize(params[r], RATE_CTX)
+            assert part.tobytes() == randomized_prices(lone, STACK_EXPIRIES[r], strikes[r]).tobytes()
+            mine = sel[(sel >= ends[r] - strikes[r].size) & (sel < ends[r])] - (ends[r] - strikes[r].size)
+            assert some.tobytes() == randomized_prices(lone, STACK_EXPIRIES[r], strikes[r][mine]).tobytes()
+
+
+class TestOverflowingNodeVols:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # Hagan's formula overflows
+    @pytest.mark.parametrize("call", [
+        lambda rs: implied_vol_grid(rs, 0.5, [90.0, 100.0, 110.0]),
+        lambda rs: randomized_prices(rs, 0.5, [90.0, 100.0, 110.0]),
+        lambda rs: expansion_coefficients(rs, 0.5, [90.0, 100.0, 110.0]),
+    ], ids=["iv", "price", "coefficients"])
+    def test_public_entries_raise(self, call):
+        rs = randomize(SliceParams(SabrParams(0.3, 0.9, -0.5, 1e150)), RATE_CTX)
+        with pytest.raises(ParameterDomainError, match="node vols must be finite"):
+            call(rs)
+
+    @pytest.mark.parametrize("engine", ["brent", "expansion"])
+    def test_stack_marks_the_row(self, rng, engine):
+        params = [SliceParams(SabrParams(0.3, 0.9, -0.5, gamma)) for gamma in (1.0, 0.5, 1e150, 0.8)]
+        strikes = stack_strikes(rng)
+        vols, failures = implied_vol_stack(slice_columns(params), RATE_CTX, STACK_EXPIRIES, strikes, engine)
+        assert failures.bad.tolist() == [False, False, True, False]
+        assert isinstance(failures.error, ParameterDomainError)
+        for r, part in enumerate(np.split(vols, np.cumsum([k.size for k in strikes])[:-1])):
+            if r == 2:
+                assert np.isnan(part).all()
+            else:
+                lone = implied_vol_grid(randomize(params[r], RATE_CTX), STACK_EXPIRIES[r], strikes[r], engine)
+                assert part.tobytes() == lone.tobytes()
