@@ -45,6 +45,7 @@ from .parametrizations import (
     SliceParams,
     params_to_json,
     plain_columns,
+    slice_columns,
 )
 from .pricing import MarketContext, OptionType
 from .quadrature import (
@@ -284,20 +285,21 @@ def _point_columns(cfg: FitConfig, values: dict, s0: float, failures: Optional[R
 
 
 def model_vols(params, ctx: MarketContext, expiry, strikes, engine: str, quiet: bool = False) -> np.ndarray:
-    """Model implied vols of a stack of points: SliceParams, or their array form, `SliceColumns`.
+    """Model implied vols of a stack of points: a sequence of SliceParams, or their array form, `SliceColumns`.
 
     ``expiry`` and ``strikes`` are one expiry and strike grid for every row, giving a (P, n) array, or one
-    expiry and one strike array per row, giving the rows' vols one after another in one flat array (parameter
-    columns only).  A row of parameter columns that fails a check reads NaN and spares the others; SliceParams
-    raise as the public entries do.
+    expiry and one strike array per row, giving the rows' vols one after another in one flat array.  Both
+    are one `implied_vol_stack` call.  A row of parameter columns that fails a check reads NaN and spares
+    the others; SliceParams raise the first check's error, as the public entries do.
     """
-    if not isinstance(params, SliceColumns):
-        return implied_vol_grid(randomize(params, ctx), expiry, strikes, engine=engine, quiet=quiet)
-    if np.ndim(expiry) == 0:
-        strikes = np.asarray(strikes, dtype=float)
-        return implied_vol_stack(params, ctx, [expiry] * len(params), [strikes] * len(params), engine,
-                                 quiet)[0].reshape(len(params), -1)
-    return implied_vol_stack(params, ctx, expiry, strikes, engine, quiet)[0]
+    cols = params if isinstance(params, SliceColumns) else slice_columns(params)
+    shared = np.ndim(expiry) == 0  # one expiry and strike grid for every row
+    if shared:
+        expiry, strikes = [expiry] * len(cols), [np.asarray(strikes, dtype=float)] * len(cols)
+    vols, failures = implied_vol_stack(cols, ctx, expiry, strikes, engine, quiet)
+    if failures.any and cols is not params:
+        raise failures.error
+    return vols.reshape(len(cols), -1) if shared else vols
 
 
 _FTOL, _XTOL, _GTOL = 1e-14, 1e-12, 1e-14  # least_squares' ftol, xtol and gtol

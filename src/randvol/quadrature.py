@@ -147,10 +147,6 @@ class QuadratureRule:
         got = np.matmul(self.weights[..., None, :], self.nodes[..., :, None] ** order)[..., 0, 0]
         return float(got) if got.ndim == 0 else got
 
-    def scaled(self, factor) -> "QuadratureRule":
-        """Rule for the scaled variable factor * X (weights unchanged)."""
-        return QuadratureRule(self.weights, self.nodes * factor)
-
 
 def _check_rules(w: np.ndarray, x: np.ndarray, failures: Optional[RowFailures] = None) -> None:
     """A rule's checks, row by row: raise ValueError at the first failing, or, given ``failures``, mark it there."""

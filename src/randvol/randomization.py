@@ -194,30 +194,27 @@ def _expiry_terms(ctx: MarketContext, expiry: float) -> tuple:
     return tau, ctx.r * tau, math.exp(-ctx.r * tau), math.sqrt(tau), ctx.forward(expiry)
 
 
-def _uniform_grid(rs: RandomizedSlice, expiry: float, strikes: np.ndarray) -> _Grid:
+def _uniform_grid(rs: RandomizedSlice, expiry: float, strikes) -> _Grid:
     """Every slice of ``rs`` at ``expiry`` on ``strikes``: `_grid` of one block."""
-    rows, n = math.prod(rs.batch_shape), strikes.size
-    row, cells = (None, None) if rows == 1 else (np.repeat(np.arange(rows), n), np.tile(np.arange(n), rows))
-    return _Grid(rs.ctx, [expiry] * rows, [n] * rows, row, cells, strikes, *_expiry_terms(rs.ctx, expiry))
+    rows = math.prod(rs.batch_shape)
+    return _grid(rs.ctx, [expiry] * rows, [strikes] * rows)
 
 
 def _node_vols(rs: RandomizedSlice, grid: _Grid, failures: Optional[RowFailures] = None) -> np.ndarray:
-    """Node volatilities at a grid's pairs, node first: shape (n_q, pairs).  A row with a node vol that is not
-    finite (its parameters overflow the vol formula) raises, or, given ``failures``, is marked there."""
-    nodes = _per_row(rs.rule.nodes)
+    """Node volatilities at a grid's pairs, node first: shape (n_q, pairs).  A spot slice's one node is its base's
+    sigma or gamma.  A row with a node vol that is not finite (its parameters overflow the vol formula) raises,
+    or, given ``failures``, is marked there."""
     cols = rs.columns.columns
-    if rs.target == "sigma":
+    nodes = _per_row(rs.rule.nodes)
+    if rs.target == "spot":  # the base vol at the spot
+        nodes = np.reshape(cols["sigma" if "sigma" in cols else "gamma"], (1, -1))
+    if "sigma" in cols:
         vols = grid.by_pair(nodes)
-    elif rs.target == "spot":  # the base vol at the spot, slice by slice, as eval_vol_curve forms it alone
-        base_type, names = parametrizations.BASES["flat" if "sigma" in cols else "sabr"]
-        rows = zip(*(np.ravel(cols[name]).tolist() for name in names))
-        row_strikes = np.split(grid.at(grid.strikes), list(accumulate(grid.counts))[:-1])
-        vols = np.concatenate([parametrizations.eval_vol_curve(base_type(*row), rs.ctx, expiry, strikes)
-                               for row, expiry, strikes in zip(rows, grid.expiries, row_strikes)])
     else:
         alpha, beta, rho = (np.ravel(cols[name]) for name in ("alpha", "beta", "rho"))
-        vols = parametrizations.hagan_vol(grid.forward, grid.strikes, grid.tau, alpha, beta, rho, grid.by_pair(nodes),
-                                          rows=grid.row, cells=grid.cells)
+        with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused just below
+            vols = parametrizations.hagan_vol(grid.forward, grid.strikes, grid.tau, alpha, beta, rho,
+                                              grid.by_pair(nodes), rows=grid.row, cells=grid.cells)
     bad = ~np.isfinite(vols)
     fail_rows(failures, grid.rows_with(bad.any(0) if bad.ndim == 2 else bad),
               lambda: ParameterDomainError("node vols must be finite; the slice's parameters overflow its vol formula"))
@@ -265,10 +262,8 @@ def _node_sums(values: np.ndarray, counts: list, weights: np.ndarray, rows=None)
 
 def randomized_prices(rs: RandomizedSlice, expiry: float, strikes) -> np.ndarray:
     """Mixture call prices on a strike grid, shape ``rs.batch_shape + (n_strikes,)``."""
-    _check_expiry(rs.ctx, expiry)
-    strikes = _check_strikes(strikes)
     grid = _uniform_grid(rs, expiry, strikes)
-    return _prices(rs, grid, _node_vols(rs, grid)).reshape(rs.batch_shape + strikes.shape)
+    return _prices(rs, grid, _node_vols(rs, grid)).reshape(rs.batch_shape + (-1,))
 
 
 def randomized_price(rs: RandomizedSlice, key: OptionKey) -> float:
@@ -314,10 +309,8 @@ def implied_vol_grid(
     calibrator, whose exploratory evaluations trip the guard routinely).
     """
     method, order = parse_engine(engine)
-    _check_expiry(rs.ctx, expiry)
-    strikes = _check_strikes(strikes)
     vols = _grid_vols(rs, _uniform_grid(rs, expiry, strikes), method, order, m_max, quiet)
-    return vols.reshape(rs.batch_shape + strikes.shape)
+    return vols.reshape(rs.batch_shape + (-1,))
 
 
 @np.errstate(all="ignore")  # a row far out of range overflows on its way to NaN, which is all it should do
@@ -326,34 +319,26 @@ def implied_vol_stack(cols: SliceColumns, ctx: MarketContext, expiries, strikes,
     """Implied vols of a stack of slices, each row at its own expiry on its own strikes (one of each per row).
 
     Returns the rows' vols one after another in one flat array, and the record of the rows that failed a
-    check: their vols are NaN, and every other row is bit for bit its lone `implied_vol_grid`.  Numpy's
-    floating-point warnings are silenced here: a row they would concern reads NaN, or reads as it is.
+    check: their vols are NaN, and every other row is bit for bit its lone `implied_vol_grid`.  The stack is
+    evaluated in one pass: a row whose rule fails its checks takes the first good row's rule, and every check
+    after that marks a row instead of raising and spares its Brent fallback.  Numpy's floating-point warnings
+    are silenced here: a row they would concern reads NaN, or reads as it is.
     """
     method, order = parse_engine(engine)
     failures = RowFailures(len(expiries))
     weights, nodes = rule_rows(cols.columns, cols.n_q, cols.family, failures)
     _check_rules(weights, nodes, failures)
     nodes = _checked_nodes(cols, ctx, weights, nodes, failures=failures)
-    if not failures.any:
-        grid = _grid(ctx, expiries, strikes)
-        vols = _grid_vols(RandomizedSlice(cols, QuadratureRule(weights, nodes), ctx), grid, method, order,
-                          DEFAULT_M_MAX, quiet, failures)
-        if failures.any:
-            vols[np.repeat(failures.bad, grid.counts)] = np.nan
-        return vols, failures
-    kept = ~failures.bad  # a row whose rule failed goes no further
-    keep = np.flatnonzero(kept)
-    sizes = [np.size(k) for k in strikes]
-    out = np.full(sum(sizes), np.nan)
-    if keep.size:
-        grid = _grid(ctx, [expiries[i] for i in keep], [strikes[i] for i in keep])
-        grid_failures = RowFailures(keep.size)
-        rs = RandomizedSlice(cols[keep], QuadratureRule(weights[keep], nodes[keep]), ctx)
-        out[np.repeat(kept, sizes)] = _grid_vols(rs, grid, method, order, DEFAULT_M_MAX, quiet, grid_failures)
-        if grid_failures.any:
-            failures.mark(np.isin(np.arange(kept.size), keep[grid_failures.bad]), lambda: grid_failures.error)
-    out[np.repeat(failures.bad, sizes)] = np.nan
-    return out, failures
+    if failures.bad.all():
+        return np.full(sum(np.size(k) for k in strikes), np.nan), failures
+    if failures.any:
+        good = np.argmin(failures.bad)
+        weights, nodes = (np.where(failures.bad[:, None], a[good], a) for a in (weights, nodes))
+    grid = _grid(ctx, expiries, strikes)
+    vols = _grid_vols(RandomizedSlice(cols, QuadratureRule(weights, nodes), ctx), grid, method, order,
+                      DEFAULT_M_MAX, quiet, failures)
+    vols[np.repeat(failures.bad, grid.counts)] = np.nan
+    return vols, failures
 
 
 def _grid_vols(rs: RandomizedSlice, grid: _Grid, method: str, order: Optional[int], m_max: float, quiet: bool,
@@ -392,11 +377,9 @@ def expansion_coefficients(rs: RandomizedSlice, expiry: float, strikes) -> np.nd
     ``rs.batch_shape + (n_strikes,)``; evaluate them with
     ``expansion.evaluate_polynomial``.
     """
-    strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
-    _check_expiry(rs.ctx, expiry)
     grid = _uniform_grid(rs, expiry, strikes)
     coeffs = _coefficients(rs, grid, _node_vols(rs, grid))
-    return coeffs.reshape(coeffs.shape[:1] + rs.batch_shape + strikes.shape)
+    return coeffs.reshape(coeffs.shape[:1] + rs.batch_shape + (-1,))
 
 
 def _coefficients(rs: RandomizedSlice, grid: _Grid, vols: np.ndarray, failures: Optional[RowFailures] = None):

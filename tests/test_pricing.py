@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from randvol.errors import NoImpliedVolError
-from randvol.parametrizations import FlatParams, RandomizerSpec, SliceParams
+from randvol.parametrizations import FlatParams, RandomizerSpec, SabrParams, SliceParams
 from randvol.pricing import (
     MarketContext,
     OptionKey,
@@ -19,7 +19,7 @@ from randvol.pricing import (
     log_moneyness,
 )
 from randvol.quadrature import DiscreteGiven
-from randvol.randomization import implied_vol_grid, randomize, randomized_prices
+from randvol.randomization import expansion_coefficients, implied_vol_grid, randomize, randomized_prices
 
 CTX = MarketContext(s0=100.0, r=0.0)
 
@@ -238,10 +238,14 @@ class TestInputChecks:
             with pytest.raises(ValueError, match=f"expiry {expiry} must exceed the reference time .* and be finite"):
                 grid(rs, expiry, [100.0])
 
+    @pytest.mark.parametrize("params", [
+        SliceParams(FlatParams(0.2), RandomizerSpec("sigma", DiscreteGiven(((0.5, 0.15), (0.5, 0.25))), 2)),
+        SliceParams(SabrParams(0.3, 0.9, -0.5, 1.0),
+                    RandomizerSpec("gamma", DiscreteGiven(((0.5, 0.8), (0.5, 1.2))), 2)),
+    ], ids=["sigma", "gamma"])
     @pytest.mark.parametrize("bad", [-5.0, 0.0, math.inf, math.nan])
-    def test_strikes_must_be_positive_and_finite(self, bad):
-        two_nodes = RandomizerSpec("sigma", DiscreteGiven(((0.5, 0.15), (0.5, 0.25))), 2)
-        rs = randomize(SliceParams(FlatParams(0.2), two_nodes), CTX)
-        for grid in (implied_vol_grid, randomized_prices):
+    def test_strikes_must_be_positive_and_finite(self, bad, params):
+        rs = randomize(params, CTX)
+        for grid in (implied_vol_grid, randomized_prices, expansion_coefficients):
             with pytest.raises(ValueError, match=f"strikes must be positive and finite, got {bad:g}"):
                 grid(rs, 1.0, [90.0, bad, 110.0])

@@ -8,7 +8,7 @@ import pytest
 from randvol.errors import ExpansionRangeError, ParameterDomainError, RowFailures
 from randvol.expansion import evaluate_polynomial, parameter_coefficients
 from randvol.parametrizations import (
-    FlatParams, RandomizerSpec, SabrParams, SliceParams, eval_vol_curve, hagan_vol, slice_columns,
+    FlatParams, RandomizerSpec, SabrParams, SliceColumns, SliceParams, eval_vol_curve, hagan_vol, slice_columns,
 )
 from randvol.pricing import MarketContext, OptionKey, OptionType, bs_call_values, bs_price, implied_vol_brent
 from randvol.quadrature import DiscreteGiven, Gamma, LogNormal, SpotLogNormal
@@ -432,16 +432,20 @@ class TestPricePathUnchanged:
 
 
 class TestOverflowingNodeVols:
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # Hagan's formula overflows
     @pytest.mark.parametrize("call", [
         lambda rs: implied_vol_grid(rs, 0.5, [90.0, 100.0, 110.0]),
         lambda rs: randomized_prices(rs, 0.5, [90.0, 100.0, 110.0]),
         lambda rs: expansion_coefficients(rs, 0.5, [90.0, 100.0, 110.0]),
     ], ids=["iv", "price", "coefficients"])
     def test_public_entries_raise(self, call):
+        # Hagan's formula overflows: the typed error, and no floating-point warning (the suite makes them errors)
         rs = randomize(SliceParams(SabrParams(0.3, 0.9, -0.5, 1e150)), RATE_CTX)
         with pytest.raises(ParameterDomainError, match="node vols must be finite"):
             call(rs)
+
+    def test_hagan_vol_itself_still_warns(self):
+        with pytest.warns(RuntimeWarning, match="overflow encountered"):
+            hagan_vol(RATE_CTX.forward(0.5), np.array([90.0, 110.0]), 0.5, 0.3, 0.9, -0.5, 1e150)
 
     @pytest.mark.parametrize("engine", ["brent", "expansion"])
     def test_stack_marks_the_row(self, rng, engine):
@@ -456,3 +460,51 @@ class TestOverflowingNodeVols:
             else:
                 lone = implied_vol_grid(randomize(params[r], RATE_CTX), STACK_EXPIRIES[r], strikes[r], engine)
                 assert part.tobytes() == lone.tobytes()
+
+
+def discrete_stack(target, rules):
+    """Flat slices at sigma 0.2 on explicit two-node rules, as columns: no rule is checked on the way in."""
+    points = np.array(rules, dtype=float)
+    return SliceColumns(target, "discrete", 2,
+                        {"sigma": np.full(len(rules), 0.2), "weights": points[..., 0], "nodes": points[..., 1]})
+
+
+class TestBorrowedRule:
+    """A row whose rule fails its checks takes a good row's rule, reads NaN, and leaves the others as they are."""
+
+    @pytest.mark.parametrize("engine", ["brent", "expansion"])
+    @pytest.mark.parametrize("cols,failing,message", [
+        # an off-center spot rule is a legal rule: it fails at the node check
+        (discrete_stack("spot", [((0.5, 90.0), (0.5, 110.0)), ((0.5, 80.0), (0.5, 90.0)),
+                                 ((0.25, 70.0), (0.75, 110.0)), ((0.5, 80.0), (0.5, 90.0))]),
+         [1, 3], "not centered at the spot"),
+        # a negative weight passes the rule builder and fails the rule's own checks
+        (discrete_stack("sigma", [((-0.5, 0.1), (1.5, 0.3)), ((0.5, 0.15), (0.5, 0.25)),
+                                  ((0.3, 0.2), (0.7, 0.3)), ((0.4, 0.1), (0.6, 0.2))]),
+         [0], "weights must be nonnegative"),
+    ], ids=["node-check", "rule-check"])
+    def test_failing_rows_read_nan_and_spare_the_others(self, rng, engine, cols, failing, message):
+        strikes = stack_strikes(rng)
+        vols, failures = implied_vol_stack(cols, RATE_CTX, STACK_EXPIRIES, strikes, engine)
+        assert np.flatnonzero(failures.bad).tolist() == failing
+        assert message in str(failures.error)
+        for r, part in enumerate(np.split(vols, np.cumsum([k.size for k in strikes])[:-1])):
+            if r in failing:
+                assert np.isnan(part).all()
+            else:
+                lone = implied_vol_grid(randomize(cols[r], RATE_CTX), STACK_EXPIRIES[r], strikes[r], engine)
+                assert part.tobytes() == lone.tobytes()
+
+    @pytest.mark.parametrize("engine", ["brent", "expansion"])
+    def test_every_row_failing_reads_nan_with_the_first_error(self, rng, engine):
+        # row 2 fails the rule checks, which come before the node check that fails the others: its error is first
+        cols = discrete_stack("spot", [((0.5, 80.0), (0.5, 90.0)), ((0.5, 85.0), (0.5, 90.0)),
+                                       ((-0.5, 80.0), (1.5, 110.0)), ((0.5, 70.0), (0.5, 90.0))])
+        strikes = stack_strikes(rng)
+        vols, failures = implied_vol_stack(cols, RATE_CTX, STACK_EXPIRIES, strikes, engine)
+        assert failures.bad.all()
+        assert vols.shape == (sum(k.size for k in strikes),) and np.isnan(vols).all()
+        with pytest.raises(ValueError) as lone:
+            randomize(cols, RATE_CTX)
+        assert "weights must be nonnegative" in str(lone.value)
+        assert type(failures.error) is type(lone.value) and str(failures.error) == str(lone.value)
