@@ -34,7 +34,7 @@ from scipy.linalg import svd
 from scipy.optimize import OptimizeResult
 from scipy.optimize._lsq.common import check_termination, evaluate_quadratic, solve_lsq_trust_region, update_tr_radius
 
-from .errors import CalibrationError, RowFailures
+from .errors import CalibrationError, RowFailures, fail_rows
 from .expansion import expansion_order
 from .parametrizations import (
     BASES,
@@ -190,7 +190,7 @@ def variance_of_randomizer(spec: DistributionSpec) -> float:
 class _FreeParam:
     name: str
     to_internal: Callable[[float], float]
-    from_internal: Callable[[float], float]
+    from_internal: Callable[[np.ndarray], np.ndarray]  # on a column of points
     start_range: tuple[float, float]  # in transformed space
 
 
@@ -199,56 +199,44 @@ def _free_parameters(cfg: FitConfig) -> list[_FreeParam]:
     params: list[_FreeParam] = []
     if cfg.model == "flat":
         if cfg.randomizer in ("none", "spot-lognormal"):
-            params.append(_FreeParam("sigma", math.log, math.exp, log_vol))
+            params.append(_FreeParam("sigma", math.log, np.exp, log_vol))
         elif cfg.randomizer == "sigma-lognormal":
             params.append(_FreeParam("mu", lambda x: x, lambda y: y, log_vol))
-            params.append(_FreeParam("nu", math.log, math.exp, (math.log(0.01), math.log(0.8))))
+            params.append(_FreeParam("nu", math.log, np.exp, (math.log(0.01), math.log(0.8))))
         else:
             raise ValueError(f"randomizer {cfg.randomizer!r} incompatible with the flat model")
     else:
         if cfg.randomizer == "sigma-lognormal":
             raise ValueError("sigma randomization applies to the flat model only")
-        params.append(_FreeParam("alpha", math.log, math.exp, (math.log(0.05), math.log(1.0))))
+        params.append(_FreeParam("alpha", math.log, np.exp, (math.log(0.05), math.log(1.0))))
         params.append(_FreeParam("beta", lambda x: math.atanh(min(max(2.0 * x - 1.0, -0.999999), 0.999999)),
-                                 lambda y: 0.5 * (1.0 + math.tanh(y)), (-1.0, 1.0)))
+                                 lambda y: 0.5 * (1.0 + np.tanh(y)), (-1.0, 1.0)))
         params.append(_FreeParam("rho", lambda x: math.atanh(min(max(x / RHO_MAX, -0.999999), 0.999999)),
-                                 lambda y: RHO_MAX * math.tanh(y), (-1.2, 1.2)))
+                                 lambda y: RHO_MAX * np.tanh(y), (-1.2, 1.2)))
         if cfg.randomizer == "gamma-gamma":
-            params.append(_FreeParam("k", math.log, math.exp, (math.log(0.5), math.log(8.0))))
-            params.append(_FreeParam("theta", math.log, math.exp, (math.log(0.02), math.log(2.0))))
+            params.append(_FreeParam("k", math.log, np.exp, (math.log(0.5), math.log(8.0))))
+            params.append(_FreeParam("theta", math.log, np.exp, (math.log(0.02), math.log(2.0))))
         else:
-            params.append(_FreeParam("gamma", math.log, math.exp, (math.log(0.05), math.log(4.0))))
+            params.append(_FreeParam("gamma", math.log, np.exp, (math.log(0.05), math.log(4.0))))
     if cfg.randomizer == "spot-lognormal":
-        params.append(_FreeParam("nu", math.log, math.exp, (math.log(5e-3), math.log(0.4))))
+        params.append(_FreeParam("nu", math.log, np.exp, (math.log(5e-3), math.log(0.4))))
     return [p for p in params if p.name not in cfg.fixed]
 
 
-def _point_values(cfg: FitConfig, free: list[_FreeParam], points, failures: Optional[RowFailures] = None) -> dict:
-    """Each parameter's values over (P, n) transformed points, as lists of Python floats (numpy's exp and tanh
-    round apart from math's).  A transform that overflows raises OverflowError; given ``failures``, its point
-    is marked there instead and reads NaN."""
-    columns = np.array(points, dtype=float).T.tolist()
-    values = {p.name: _each_point(p.from_internal, column, failures) for p, column in zip(free, columns)}
-    values.update({name: [value] * len(points) for name, value in cfg.fixed.items()})
-    return values
-
-
-def _each_point(f, xs: list, failures: Optional[RowFailures]) -> list:
-    """f of each point's value; an overflow raises, or, given ``failures``, marks the point there and reads NaN."""
-    out = []
-    for i, x in enumerate(xs):
-        try:
-            out.append(f(x))
-        except OverflowError as exc:
-            if failures is None:
-                raise
-            failures.mark(np.arange(len(xs)) == i, lambda: exc)
-            out.append(math.nan)
-    return out
+def _free_values(cfg: FitConfig, free: list[_FreeParam], points, failures: Optional[RowFailures] = None) -> dict:
+    """Each parameter's column over (P, n) transformed points, the fixed ones included.  A transform that overflows
+    raises OverflowError; given ``failures``, its point is marked there instead (its values are then meaningless)."""
+    columns = np.asarray(points, dtype=float).reshape(-1, len(free)).T
+    with np.errstate(over="ignore"):
+        values = {p.name: p.from_internal(column) for p, column in zip(free, columns)}
+    bad = ~np.isfinite(np.array(list(values.values())))
+    fail_rows(failures, bad.T, lambda: OverflowError(f"{free[bad.any(1).argmax()].name} overflows its transform"),
+              axes=1)
+    return values | {name: np.full(columns.shape[1], float(value)) for name, value in cfg.fixed.items()}
 
 
 def _values_from_vector(cfg: FitConfig, free: list[_FreeParam], vector) -> dict:
-    return {name: values[0] for name, values in _point_values(cfg, free, [vector]).items()}
+    return {name: float(column[0]) for name, column in _free_values(cfg, free, [vector]).items()}
 
 
 def build_slice_params(cfg: FitConfig, values: dict, ctx: MarketContext) -> SliceParams:
@@ -264,23 +252,25 @@ def build_slice_params(cfg: FitConfig, values: dict, ctx: MarketContext) -> Slic
 
 
 def _point_columns(cfg: FitConfig, values: dict, s0: float, failures: Optional[RowFailures] = None) -> SliceColumns:
-    """The parameter columns of points given as a list of values per parameter, each checked against its domain.
+    """The parameter columns of points given as an array of values per parameter, each checked against its domain.
 
     A point outside raises; given ``failures``, it is marked there instead (its columns are then meaningless).
-    Derived values (a SABR gamma from k and theta, a flat sigma as the lognormal mean) are formed
-    point by point in Python floats: numpy's exp and x*x round apart from math's exp and x**2.
+    Derived values are a SABR gamma from k and theta, and a flat sigma as the lognormal mean, whose overflow
+    fails the point as a transform's does.
     """
-    values = dict(values, s0=[s0] * len(next(iter(values.values()))))
-    if cfg.randomizer == "sigma-lognormal":  # the base is the lognormal's mean, whose overflow fails the point
-        values["sigma"] = _each_point(
-            lambda mu_nu: math.exp(mu_nu[0] + 0.5 * mu_nu[1] ** 2), list(zip(values["mu"], values["nu"])), failures)
-    elif cfg.randomizer == "gamma-gamma":
-        values.setdefault("gamma", [k * theta for k, theta in zip(values["k"], values["theta"])])
+    values = {name: np.asarray(column, dtype=float) for name, column in values.items()}
+    values["s0"] = np.full(len(next(iter(values.values()))), float(s0))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails its point below
+        if cfg.randomizer == "sigma-lognormal":
+            values["sigma"] = np.exp(values["mu"] + 0.5 * (values["nu"] * values["nu"]))
+            fail_rows(failures, ~np.isfinite(values["sigma"]), lambda: OverflowError("the lognormal mean overflows"))
+        elif cfg.randomizer == "gamma-gamma":
+            values.setdefault("gamma", values["k"] * values["theta"])
     target, family = {"gamma-gamma": ("gamma", "gamma"), "sigma-lognormal": ("sigma", "lognormal"),
                       "spot-lognormal": ("spot", "spot-lognormal")}.get(cfg.randomizer, (None, "discrete"))
     names = BASES[cfg.model][1] + (FAMILIES[family][1] if family in FAMILIES else ())
     check_domains({name: values[name] for name in names}, failures)
-    columns = {name: np.array(values[name], dtype=float) for name in names}
+    columns = {name: values[name] for name in names}
     return plain_columns(columns) if family == "discrete" else SliceColumns(target, family, cfg.n_q, columns)
 
 
@@ -292,6 +282,8 @@ def model_vols(params, ctx: MarketContext, expiry, strikes, engine: str, quiet: 
     are one `implied_vol_stack` call.  A row of parameter columns that fails a check reads NaN and spares
     the others; SliceParams raise the first check's error, as the public entries do.
     """
+    if isinstance(params, SliceParams):
+        raise TypeError("model_vols takes a sequence of SliceParams, or SliceColumns; got one SliceParams")
     cols = params if isinstance(params, SliceColumns) else slice_columns(params)
     shared = np.ndim(expiry) == 0  # one expiry and strike grid for every row
     if shared:
@@ -417,7 +409,7 @@ def _evaluate(requests) -> None:
     first = owners[0]
     failures = RowFailures(len(owners))
     points = [point for points in fresh.values() for point in points.values()]
-    columns = _point_columns(first.cfg, _point_values(first.cfg, first.free, points, failures), first.ctx.s0, failures)
+    columns = _point_columns(first.cfg, _free_values(first.cfg, first.free, points, failures), first.ctx.s0, failures)
     good = np.flatnonzero(~failures.bad).tolist() if failures.any else range(len(owners))
     held = [owners[i] for i in good]
     for key, problem in zip(keys, owners):

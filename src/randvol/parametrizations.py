@@ -137,65 +137,40 @@ def hagan_vol(forward, strikes, tau, alpha, beta, rho, gamma, rows=None, cells=N
     The ratio z/x(z) switches to its Taylor series below |z| = 1e-6,
     where direct evaluation of log(.)/z loses all precision; the series
     limit at the forward strike is exactly 1.  A zero alpha gives a zero
-    vol.  The terms in alpha, beta and rho alone are formed point by point
-    in Python floats, so arrays of parameters give bit for bit the vols of
-    scalar calls.  For a flattened grid, ``rows`` indexes each entry's
-    point of alpha, beta and rho (shaped as the entries broadcast) and
-    ``cells`` its row of forward, strikes and tau: the terms of each point
-    and of each cell are formed once and gathered, and gamma is given per
-    entry.
+    vol.  Every term is an elementwise array operation, so a stack of
+    points gives bit for bit the vols of one-point calls.  For a flattened
+    grid, ``rows`` indexes each entry's point of alpha, beta and rho
+    (shaped as the entries broadcast) and ``cells`` its row of forward,
+    strikes and tau: the terms of each cell are formed once and gathered,
+    and gamma is given per entry.
     """
     k = np.asarray(strikes, dtype=float)
     if (k <= 0).any():
         raise ParameterDomainError("strikes must be positive")
-    points = np.broadcast(alpha, beta, rho)
-    per_point = [_sabr_terms(float(a), float(b), float(r)) for a, b, r in points]
-    # a single point keeps its terms as floats: the arithmetic, and the cost, of a scalar call
-    terms = per_point[0] if points.size == 1 else np.array(per_point).T.reshape((-1,) + points.shape)
-    if rows is not None and points.size > 1:
-        terms = terms.take(rows, axis=1)
-    live, alpha, rho, fk_exp, omb, rho_2, rho_half, one_m_rho, c12, c24, d24, d1920, d24_alpha2, rho_beta = terms
+    alpha, beta, rho = (np.asarray(x, dtype=float) if rows is None else np.take(x, rows) for x in (alpha, beta, rho))
+    live = alpha != 0.0
+    alpha, omb = np.where(live, alpha, 1.0), 1.0 - beta
+    omb_2, c = omb * omb, 2.0 - 3.0 * (rho * rho)
 
-    fk, log_fk = forward * k, np.log(forward / k)
-    fk_pow, fk_omb = _power(fk, fk_exp, cells), _power(fk, omb, cells)
-    log_fk_2, log_fk_4 = log_fk**2, log_fk**4
+    # (FK)^((1 - beta)/2) as exp(. * log FK): np.power rounds a broadcast exponent of 0.5 as a square root and
+    # an exponent array as a power, so a lone point and a stack would part at beta = 0
+    log_fk, log_prod = np.log(forward / k), np.log(forward * k)
+    log_fk_2 = log_fk * log_fk
     if cells is not None:
-        log_fk, log_fk_2, log_fk_4 = (x.take(cells, axis=0) for x in (log_fk, log_fk_2, log_fk_4))
+        log_fk, log_fk_2, log_prod = (x.take(cells, axis=0) for x in (log_fk, log_fk_2, log_prod))
         tau = tau if np.ndim(tau) == 0 else tau.take(cells, axis=0)
+    fk_pow = np.exp(0.5 * omb * log_prod)
     z = (gamma / alpha) * fk_pow * log_fk
     small = np.abs(z) < _Z_SERIES_CUTOFF
     z_safe = np.where(small, 1.0, z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        x_of_z = np.log((np.sqrt(1.0 - rho_2 * z_safe + z_safe**2) + z_safe - rho) / one_m_rho)
-        ratio = np.where(small, 1.0 - rho_half * z + c12 * z**2, z_safe / x_of_z)
-    denom = fk_pow * (1.0 + d24 * log_fk_2 + d1920 * log_fk_4)
-    correction = 1.0 + (d24_alpha2 / fk_omb + rho_beta * gamma * alpha / fk_pow + c24 * gamma**2) * tau
-    vol = alpha / denom * ratio * correction
-    if not all(point[0] for point in per_point):
-        vol = np.where(live, vol, 0.0)
-    if np.ndim(vol) < points.nd:  # a single point given as an array keeps its axes
-        vol = np.reshape(vol, np.broadcast_shapes(np.shape(vol), points.shape))
-    return float(vol) if np.ndim(vol) == 0 else vol
-
-
-def _sabr_terms(alpha: float, beta: float, rho: float) -> tuple:
-    """`hagan_vol`'s terms in the parameters alone, as its formula forms them (alpha = 0 computes as 1)."""
-    live, alpha, omb = alpha != 0.0, alpha or 1.0, 1.0 - beta
-    c = 2.0 - 3.0 * rho**2
-    return (live, alpha, rho, (1.0 - beta) / 2.0, omb, 2.0 * rho, 0.5 * rho, 1.0 - rho, c / 12.0, c / 24.0,
-            omb**2 / 24.0, omb**4 / 1920.0, omb**2 / 24.0 * alpha**2, 0.25 * rho * beta)
-
-
-def _power(base, exponent, cells=None) -> np.ndarray:
-    """base ** exponent (per point for an array of exponents) at the ``cells`` of base (all of it by default),
-    rounded as numpy rounds a float exponent."""
-    if isinstance(exponent, np.ndarray):
-        if (exponent != exponent.flat[0]).any():
-            base = base if cells is None else base.take(cells, axis=0)
-            return np.where(exponent == 0.5, np.sqrt(base), base**exponent)  # a float 0.5 is a square root
-        exponent = float(exponent.flat[0])
-    power = base**exponent
-    return power if cells is None else power.take(cells, axis=0)
+        x_of_z = np.log((np.sqrt(1.0 - 2.0 * rho * z_safe + z_safe * z_safe) + z_safe - rho) / (1.0 - rho))
+        ratio = np.where(small, 1.0 - 0.5 * rho * z + c / 12.0 * (z * z), z_safe / x_of_z)
+    denom = fk_pow * (1.0 + omb_2 / 24.0 * log_fk_2 + omb_2 * omb_2 / 1920.0 * (log_fk_2 * log_fk_2))
+    correction = 1.0 + (omb_2 / 24.0 * (alpha * alpha) / (fk_pow * fk_pow) + 0.25 * rho * beta * gamma * alpha / fk_pow
+                        + c / 24.0 * (gamma * gamma)) * tau
+    vol = np.where(live, alpha / denom * ratio * correction, 0.0)
+    return float(vol) if vol.ndim == 0 else vol
 
 
 def eval_vol(base: BaseParams, ctx: MarketContext, key: OptionKey) -> float:

@@ -40,24 +40,26 @@ _MOMENT_REPRODUCTION_RTOL = 1e-8
 _PIVOT_RTOL = 1e-13
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _ROOT_FLOAT_MAX = math.sqrt(np.finfo(float).max)  # the largest float whose square is finite
-#: the domain of each parameter of a slice and of its randomizer: a test of one value, and its description
-#: (the model squares alpha, gamma and nu as Python floats, whose ** raises on overflow)
+#: the domain of each parameter of a slice and of its randomizer: a mask of the values inside it, which NaN fails,
+#: and its description (the model squares alpha, gamma and nu, and a square that overflows would read inf)
 _DOMAINS = {"sigma": (lambda x: x >= 0.0, ">= 0")} | {
-    name: (lambda x: 0.0 <= x <= _ROOT_FLOAT_MAX, ">= 0 with a finite square") for name in ("alpha", "gamma", "nu")} | {
+    name: (lambda x: (x >= 0.0) & (x <= _ROOT_FLOAT_MAX), ">= 0 with a finite square")
+    for name in ("alpha", "gamma", "nu")} | {
     name: (lambda x: x > 0.0, "> 0") for name in ("k", "theta", "s0")} | {
-    "beta": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
-    "rho": (lambda x: -1.0 < x < 1.0, "in (-1, 1)"),
+    "beta": (lambda x: (x >= 0.0) & (x <= 1.0), "in [0, 1]"),
+    "rho": (lambda x: (x > -1.0) & (x < 1.0), "in (-1, 1)"),
 }
 
 
 def check_domains(values: dict, failures: Optional[RowFailures] = None) -> None:
-    """Raise ParameterDomainError at the first value (of a list per parameter name, one value per point) outside its
+    """Raise ParameterDomainError at the first value (of an array per parameter name, one value per point) outside its
     domain; given ``failures``, mark each point with a value outside there instead."""
     for name, xs in values.items():
         test, domain = _DOMAINS.get(name, (None, ""))
-        if test and not all(map(test, xs)):
-            bad = np.array([not test(x) for x in xs])
-            fail_rows(failures, bad, lambda: ParameterDomainError(f"{name} must be {domain}, got {xs[bad.argmax()]}"))
+        if test:
+            xs = np.asarray(xs, dtype=float)
+            bad = ~test(xs)
+            fail_rows(failures, bad, lambda: ParameterDomainError(f"{name} must be {domain}, got {xs[bad][0]}"))
 
 
 @dataclass(frozen=True)
@@ -150,6 +152,8 @@ class QuadratureRule:
 
 def _check_rules(w: np.ndarray, x: np.ndarray, failures: Optional[RowFailures] = None) -> None:
     """A rule's checks, row by row: raise ValueError at the first failing, or, given ``failures``, mark it there."""
+    fail_rows(failures, ~(np.isfinite(w) & np.isfinite(x)),
+              lambda: ValueError("quadrature weights and nodes must be finite"), axes=1)
     fail_rows(failures, np.abs(w.sum(-1) - 1.0) > _WEIGHT_SUM_TOL,
               lambda: ValueError(f"quadrature weights must sum to 1, got {w.sum(-1)!r}"))
     fail_rows(failures, w < 0, lambda: ValueError("quadrature weights must be nonnegative"), axes=1)
@@ -186,10 +190,10 @@ def _moments(family: str, columns: dict, order: int, failures: Optional[RowFailu
     i = np.arange(order + 1, dtype=float)
     if family == "gamma":
         k = np.asarray(columns["k"])[..., None]
-        log_theta = _each(math.log, columns["theta"])[..., None] if "theta" in columns else 0.0
+        log_theta = np.log(columns["theta"])[..., None] if "theta" in columns else 0.0
         exponents = i * log_theta + gammaln(k + i) - gammaln(k)
     else:
-        v = _each(lambda x: x**2, columns["nu"])
+        v = columns["nu"] * columns["nu"]
         exponents = i * _mu(family, columns, v)[..., None] + 0.5 * i**2 * v[..., None]
     fail_rows(failures, exponents > _LOG_FLOAT_MAX,
               lambda: MomentOverflowError("moment overflow: the requested order is not representable; lower n_q"),
@@ -201,14 +205,8 @@ def _moments(family: str, columns: dict, order: int, failures: Optional[RowFailu
 def _mu(family: str, columns: dict, v) -> np.ndarray:
     """mu of log(X) ~ N(mu, nu^2), v = nu^2: log(s0) - v/2 for a spot randomizer, 0 for a unit scale."""
     if family == "spot-lognormal":
-        return _each(lambda s, x: math.log(s) - 0.5 * x, columns["s0"], v)
+        return np.log(columns["s0"]) - 0.5 * v
     return np.asarray(columns.get("mu", 0.0))
-
-
-def _each(f, *columns) -> np.ndarray:
-    """f applied value by value in Python floats, as the specs compute: math's exp and log, and x**2, round
-    apart from numpy's exp, log and x*x."""
-    return np.reshape([f(*x) for x in zip(*(np.ravel(c).tolist() for c in columns))], np.shape(columns[0]))
 
 
 def build_workspace(moment_values: np.ndarray, n_q: int) -> QuadratureWorkspace:
@@ -356,12 +354,12 @@ def rule_rows(columns: dict, n_q: int, family: str, failures: Optional[RowFailur
     elif family in ("lognormal", "spot-lognormal"):
         nu = np.asarray(columns["nu"])
         if nu.ndim == 0 and nu == 0.0:
-            mean = float(columns["s0"]) if family == "spot-lognormal" else math.exp(columns["mu"])
+            mean = float(columns["s0"] if family == "spot-lognormal" else np.exp(columns["mu"]))
             return np.array([1.0]), np.array([mean])
         fail_rows(failures, nu == 0.0,
                   lambda: ValueError("a stack of rules must have one size; nu = 0 collapses to one node"))
-        k, v = None, _each(lambda x: x**2, nu)
-        scale = _each(math.exp, _mu(family, columns, v))
+        k, v = None, nu * nu
+        scale = np.exp(_mu(family, columns, v))
     else:
         raise TypeError(f"unsupported distribution family: {family!r}")
     # the unit-scale family's moments, which overflow before the recurrence does
@@ -403,7 +401,8 @@ def _recurrence(n_q: int, k=None, v=None) -> tuple[np.ndarray, np.ndarray]:
         k = np.asarray(k)[..., None]
         return 2.0 * j + k, j[1:] * (j[1:] + k - 1.0)
     # Stieltjes-Wigert with q = exp(-nu^2); 1 - q^j is computed as -expm1(-j nu^2)
-    q, v = _each(lambda x: math.exp(-x), v)[..., None], np.asarray(v)[..., None]
+    v = np.asarray(v)[..., None]
+    q = np.exp(-v)
     one_minus_qj = -np.expm1(-j * v)
     alpha = np.exp((2.0 * j + 0.5) * v) * (1.0 + q * one_minus_qj)
     beta = np.exp((4.0 * j[1:] - 2.0) * v) * one_minus_qj[..., 1:]

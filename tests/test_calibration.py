@@ -21,7 +21,7 @@ from randvol.calibration import (
     select_liquid,
     variance_of_randomizer,
 )
-from randvol.errors import CalibrationError, GramMatrixError, RandvolError
+from randvol.errors import CalibrationError, GramMatrixError, ParameterDomainError, RandvolError, RowFailures
 from randvol.parametrizations import FlatParams, RandomizerSpec, SabrParams, SliceParams
 from randvol.pricing import MarketContext, OptionType
 from randvol.quadrature import DiscreteGiven, Gamma, LogNormal, SpotLogNormal, quadrature_for
@@ -405,7 +405,7 @@ def slice_objective(quotes, cfg):
 
 def point_columns(cfg, free, points, s0):
     """The calibrator's parameter columns of transformed points, as `_SliceObjective.evaluate` forms them."""
-    return calibration._point_columns(cfg, calibration._point_values(cfg, free, points), s0)
+    return calibration._point_columns(cfg, calibration._free_values(cfg, free, points), s0)
 
 
 class TestStackedEvaluation:
@@ -820,3 +820,61 @@ class TestLockstep:
     def test_no_searches(self, randomized_sabr_fixture):
         quotes, _ = randomized_sabr_fixture
         assert calibration._lockstep(slice_objective(quotes, FitConfig()), []) == []
+
+
+class TestModelVolsInput:
+    def test_lone_slice_params_refused_by_name(self):
+        params = SliceParams(FlatParams(0.2))
+        with pytest.raises(TypeError, match="a sequence of SliceParams, or SliceColumns"):
+            model_vols(params, CTX, 0.5, [100.0], "brent")
+        np.testing.assert_array_equal(model_vols([params], CTX, 0.5, [100.0], "brent"), [[0.2]])
+
+
+# each domain's parameter: a calibrator configuration that takes it as a column, good values of that
+# configuration's columns, and the parameter's lone constructor
+NAN_DOMAINS = {
+    "sigma": ("flat", "none", {"sigma": 0.2}, lambda x: FlatParams(x)),
+    **{name: ("sabr", "none", {"alpha": 0.3, "beta": 0.9, "rho": -0.3, "gamma": 0.8},
+              lambda x, name=name: SabrParams(**{"alpha": 0.3, "beta": 0.9, "rho": -0.3, "gamma": 0.8, name: x}))
+       for name in ("alpha", "beta", "rho", "gamma")},
+    "k": ("sabr", "gamma-gamma", {"alpha": 0.3, "beta": 0.9, "rho": -0.3, "k": 3.0, "theta": 0.5},
+          lambda x: Gamma(x, 0.5)),
+    "theta": ("sabr", "gamma-gamma", {"alpha": 0.3, "beta": 0.9, "rho": -0.3, "k": 3.0, "theta": 0.5},
+              lambda x: Gamma(3.0, x)),
+    "nu": ("flat", "spot-lognormal", {"sigma": 0.2, "nu": 0.1}, lambda x: SpotLogNormal(100.0, x)),
+}
+
+
+class TestDomainsRefuseNan:
+    """NaN fails every comparison, so each domain mask is written to hold inside it, and NaN is outside."""
+
+    def test_every_domain_is_covered(self):
+        from randvol.quadrature import _DOMAINS
+
+        assert set(NAN_DOMAINS) | {"s0"} == set(_DOMAINS)
+
+    @pytest.mark.parametrize("name,bad", [(name, math.nan) for name in sorted(NAN_DOMAINS)]
+                             + [(name, 1e200) for name in ("alpha", "gamma", "nu")])
+    def test_refused_alone_and_as_one_stacked_row(self, name, bad):
+        # 1e200 has a square that overflows to inf in numpy: alpha, gamma and nu refuse it
+        model, randomizer, good, constructor = NAN_DOMAINS[name]
+        with pytest.raises(ParameterDomainError) as lone:
+            constructor(bad)
+        assert str(lone.value).startswith(f"{name} must be ") and str(lone.value).endswith(f", got {bad:g}")
+        values = {key: np.full(3, value) for key, value in good.items()}
+        values[name][1] = bad
+        failures = RowFailures(3)
+        calibration._point_columns(FitConfig(model=model, randomizer=randomizer, fixed={}), values, 100.0, failures)
+        assert failures.bad.tolist() == [False, True, False]
+        assert isinstance(failures.error, ParameterDomainError)
+
+    def test_nan_spot_and_lognormal_nu(self):
+        with pytest.raises(ParameterDomainError, match="s0 must be > 0, got nan"):
+            SpotLogNormal(math.nan, 0.1)
+        with pytest.raises(ParameterDomainError, match="nu must be >= 0 with a finite square, got nan"):
+            LogNormal(0.0, math.nan)
+        # the spot is one value for every row of a stack: a NaN spot marks them all
+        failures = RowFailures(2)
+        calibration._point_columns(FitConfig(model="flat", randomizer="spot-lognormal", fixed={}),
+                                   {"sigma": [0.2, 0.3], "nu": [0.1, 0.2]}, math.nan, failures)
+        assert failures.bad.all() and "s0 must be > 0, got nan" in str(failures.error)

@@ -243,15 +243,16 @@ def reference_parameter_coefficients(weights, node_vols, tau):
     p0 = 2.0 / sqrt_tau * norm_ppf(big_a)
 
     sig0 = 0.5 * p0 * sqrt_tau
-    sig0_2, sig0_4, h_2 = sig0**2, sig0**4, h**2
+    sig0_2, h_2 = sig0 * sig0, h * h
+    sig0_4, h_4 = sig0_2 * sig0_2, h_2 * h_2
     lam_e = lam * np.exp(0.5 * (sig0_2[..., None] - h_2))
     p2 = (-1.0 / sig0 + (lam_e / h).sum(-1)) / (2.0 * sqrt_tau)
 
     sig2 = p0 * p2 * tau
-    sig2_2, sig2_6 = sig2**2, 6.0 * sig2
+    sig2_2, sig2_6 = sig2 * sig2, 6.0 * sig2
     p4 = (
-        (1.0 + sig2_6 + sig0_2 * (-7.0 - sig2_6 + 3.0 * sig2_2)) / sig0**3
-        + (lam_e / h**3 * (-1.0 + 7.0 * h_2)).sum(-1)
+        (1.0 + sig2_6 + sig0_2 * (-7.0 - sig2_6 + 3.0 * sig2_2)) / (sig0_2 * sig0)
+        + (lam_e / (h_2 * h) * (-1.0 + 7.0 * h_2)).sum(-1)
     ) / (8.0 * sqrt_tau)
 
     sig4 = p0 * p4 * tau
@@ -267,10 +268,10 @@ def reference_parameter_coefficients(weights, node_vols, tau):
             - 31.0 * sig0_4
             - 45.0 * sig0_2 * sig2_2
             - sig0_4 * (15.0 * sig2 + sig4_60)
-            + 15.0 * sig0_2 * sig2**3
+            + 15.0 * sig0_2 * (sig2_2 * sig2)
         )
-        / sig0**5
-        + (lam_e / h**5 * (3.0 - 16.0 * h_2 + 31.0 * h**4)).sum(-1)
+        / (sig0_4 * sig0)
+        + (lam_e / (h_4 * h) * (3.0 - 16.0 * h_2 + 31.0 * h_4)).sum(-1)
     ) / (32.0 * sqrt_tau)
 
     return np.stack([p0, p2, p4, p6])

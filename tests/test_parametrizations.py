@@ -129,6 +129,20 @@ class TestHaganParameterArrays:
             np.testing.assert_array_equal(got[i], want)
 
 
+    def test_gathered_points_match_lone_calls(self):
+        # a stacked grid gathers each entry's point (rows) and strike cell (cells); beta 0, 0.5 and 1 make the
+        # FK exponents 0.5, 0.25 and 0, where numpy's power rounds a broadcast 0.5 as a square root
+        strikes = np.linspace(60.0, 150.0, 7)
+        alphas, betas, rhos = [0.3, 0.2, 0.05, 0.4], [0.0, 0.5, 1.0, 0.9], [-0.4, 0.2, 0.0, 0.7]
+        rows, cells = np.repeat(np.arange(4), strikes.size), np.tile(np.arange(strikes.size), 4)
+        gammas = np.array([[0.8], [1.5]]) * (1.0 + 0.01 * np.arange(rows.size))
+        got = hagan_vol(101.0, strikes, 0.7, *map(np.array, (alphas, betas, rhos)), gammas, rows=rows, cells=cells)
+        for i in range(4):
+            for point in ((alphas[i], betas[i], rhos[i]), ([alphas[i]], [betas[i]], [rhos[i]])):
+                want = hagan_vol(101.0, strikes, 0.7, *point, gammas[:, rows == i])
+                assert got[:, rows == i].tobytes() == want.tobytes()
+
+
 class TestEvalVolAtNodes:
     def test_flat_sigma_identity(self):
         params = SliceParams(

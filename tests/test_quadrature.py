@@ -15,6 +15,7 @@ from randvol.quadrature import (
     DiscreteGiven,
     Gamma,
     LogNormal,
+    QuadratureRule,
     SpotLogNormal,
     build_workspace,
     golub_welsch,
@@ -213,6 +214,16 @@ class TestQuadratureFor:
     def test_nq_cap(self):
         with pytest.raises(ValueError, match="maximum"):
             quadrature_for(LogNormal(0.0, 0.2), MAX_NQ + 1)
+
+    @pytest.mark.parametrize("make", [
+        lambda: QuadratureRule([math.nan, math.nan], [0.1, 0.2]),
+        lambda: QuadratureRule([0.5, 0.5], [0.1, math.inf]),
+        lambda: DiscreteGiven(((0.5, math.nan), (0.5, 0.2))),
+    ], ids=["nan-weights", "infinite-node", "discrete-nan-node"])
+    def test_rule_must_be_finite(self, make):
+        # NaN fails none of the sum, sign and order checks: it is refused by name
+        with pytest.raises(ValueError, match="quadrature weights and nodes must be finite"):
+            make()
 
     def test_discrete_shift_moves_nodes_exactly(self):
         base = DiscreteGiven(((0.3, 1.0), (0.7, 2.0)))

@@ -482,7 +482,11 @@ class TestBorrowedRule:
         (discrete_stack("sigma", [((-0.5, 0.1), (1.5, 0.3)), ((0.5, 0.15), (0.5, 0.25)),
                                   ((0.3, 0.2), (0.7, 0.3)), ((0.4, 0.1), (0.6, 0.2))]),
          [0], "weights must be nonnegative"),
-    ], ids=["node-check", "rule-check"])
+        # NaN passes the sum, sign and order checks: the finiteness check refuses it
+        (discrete_stack("sigma", [((0.5, 0.15), (0.5, 0.25)), ((0.5, math.nan), (0.5, 0.2)),
+                                  ((math.nan, 0.2), (0.5, 0.3)), ((0.4, 0.1), (0.6, 0.2))]),
+         [1, 2], "weights and nodes must be finite"),
+    ], ids=["node-check", "rule-check", "nan-rule"])
     def test_failing_rows_read_nan_and_spare_the_others(self, rng, engine, cols, failing, message):
         strikes = stack_strikes(rng)
         vols, failures = implied_vol_stack(cols, RATE_CTX, STACK_EXPIRIES, strikes, engine)
