@@ -71,7 +71,7 @@ def time_expansion(rs: RandomizedSlice, count: int, order: int) -> float:
     start = time.perf_counter()
     for expiry, _, m in grid:
         tau = expiry - rs.ctx.t0
-        coeffs = parameter_coefficients(weights, node_vols, tau, order=order)
+        coeffs = parameter_coefficients(weights, node_vols, tau)
         evaluate_polynomial("parameter", coeffs, m, order)
     return time.perf_counter() - start
 

@@ -16,7 +16,7 @@ from .arbitrage import SliceSet, check_butterfly, check_calendar, default_strike
 from .calibration import fit_slice, fit_surface  # fit_slice stays a name here: the benchmark's tracer wraps it
 from .errors import CalibrationError, RandvolError
 from .parametrizations import params_from_json
-from .pricing import MarketContext, bs_call_values
+from .pricing import MarketContext, bs_call_values, expiry_terms
 from .quotes import load_quotes, parse_config
 from .randomization import density, implied_vol_grid, parse_engine, randomize, randomized_prices
 
@@ -197,7 +197,7 @@ def _cmd_grid(args) -> int:
         else:
             values = implied_vol_grid(rs, expiry, strikes, engine=args.engine)
             if args.command == "price":  # expansion engines price off their vols
-                values = bs_call_values(rs.ctx.s0, rs.ctx.r, expiry - rs.ctx.t0, strikes, values)
+                values = bs_call_values(rs.ctx.s0, *expiry_terms(rs.ctx, expiry)[1:4], strikes, values)
         lines += [f"{expiry:.10g},{k:.10g},{v:.12g}" for k, v in zip(strikes, values)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0

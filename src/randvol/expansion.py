@@ -38,8 +38,7 @@ def expansion_order(kind: str, order: int | None = None) -> int:
     return order
 
 
-def parameter_coefficients(weights, node_vols, tau, order: int | None = None,
-                           failures: RowFailures | None = None):
+def parameter_coefficients(weights, node_vols, tau, failures: RowFailures | None = None):
     """Even-order expansion coefficients for parameter randomization.
 
     ``weights`` and ``node_vols`` have the quadrature axis last and
@@ -51,7 +50,6 @@ def parameter_coefficients(weights, node_vols, tau, order: int | None = None,
     ``failures``, a record over the (points,) batch, it is marked there
     instead (its coefficients are then meaningless).
     """
-    expansion_order("parameter", order)
     tau = np.asarray(tau, dtype=float)
     lam, eta = _node_first((tau,), weights, node_vols)
     if fail_rows(failures, (eta <= 0).any(0),
@@ -154,8 +152,7 @@ def _bs_call_partials(s_total):
     }
 
 
-def spot_coefficients(weights, nodes, s0, base_vol, tau, order: int | None = None,
-                      failures: RowFailures | None = None):
+def spot_coefficients(weights, nodes, s0, base_vol, tau, failures: RowFailures | None = None):
     """Expansion coefficients (orders 0..4) for spot randomization.
 
     ``base_vol`` and ``tau`` broadcast against each other (batch of
@@ -165,7 +162,6 @@ def spot_coefficients(weights, nodes, s0, base_vol, tau, order: int | None = Non
     axis.  A point whose coefficients cannot be formed raises
     ExpansionRangeError, or, given ``failures``, is marked there.
     """
-    expansion_order("spot", order)
     eta = np.asarray(base_vol, dtype=float)
     tau = np.asarray(tau, dtype=float)
     lam, a = _node_first((eta, tau), weights, nodes)

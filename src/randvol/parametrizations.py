@@ -131,23 +131,20 @@ def plain_columns(columns: dict) -> SliceColumns:
     return SliceColumns(target, "discrete", 1, columns | {"weights": np.ones(nodes.shape), "nodes": nodes})
 
 
-def hagan_vol(forward, strikes, tau, alpha, beta, rho, gamma, rows=None, cells=None):
+def hagan_vol(forward, strikes, tau, alpha, beta, rho, gamma):
     """SABR implied volatility; broadcasts over strikes, forwards, expiries and arrays of parameters.
 
     The ratio z/x(z) switches to its Taylor series below |z| = 1e-6,
     where direct evaluation of log(.)/z loses all precision; the series
     limit at the forward strike is exactly 1.  A zero alpha gives a zero
     vol.  Every term is an elementwise array operation, so a stack of
-    points gives bit for bit the vols of one-point calls.  For a flattened
-    grid, ``rows`` indexes each entry's point of alpha, beta and rho
-    (shaped as the entries broadcast) and ``cells`` its row of forward,
-    strikes and tau: the terms of each cell are formed once and gathered,
-    and gamma is given per entry.
+    points, or a flattened grid with one entry of each input per
+    (row, strike) pair, gives bit for bit the vols of one-point calls.
     """
     k = np.asarray(strikes, dtype=float)
     if (k <= 0).any():
         raise ParameterDomainError("strikes must be positive")
-    alpha, beta, rho = (np.asarray(x, dtype=float) if rows is None else np.take(x, rows) for x in (alpha, beta, rho))
+    alpha, beta, rho = (np.asarray(x, dtype=float) for x in (alpha, beta, rho))
     live = alpha != 0.0
     alpha, omb = np.where(live, alpha, 1.0), 1.0 - beta
     omb_2, c = omb * omb, 2.0 - 3.0 * (rho * rho)
@@ -156,9 +153,6 @@ def hagan_vol(forward, strikes, tau, alpha, beta, rho, gamma, rows=None, cells=N
     # an exponent array as a power, so a lone point and a stack would part at beta = 0
     log_fk, log_prod = np.log(forward / k), np.log(forward * k)
     log_fk_2 = log_fk * log_fk
-    if cells is not None:
-        log_fk, log_fk_2, log_prod = (x.take(cells, axis=0) for x in (log_fk, log_fk_2, log_prod))
-        tau = tau if np.ndim(tau) == 0 else tau.take(cells, axis=0)
     fk_pow = np.exp(0.5 * omb * log_prod)
     z = (gamma / alpha) * fk_pow * log_fk
     small = np.abs(z) < _Z_SERIES_CUTOFF

@@ -95,17 +95,19 @@ def bs_price(ctx: MarketContext, key: OptionKey, sigma: float) -> float:
     return call - fwd_gap  # put-call parity
 
 
-def bs_call_values(s0, r: float, tau: float, strikes, sigmas) -> np.ndarray:
-    """Vectorized Black-Scholes call values; broadcasts over its array inputs.
+def expiry_terms(ctx: MarketContext, expiry: float) -> tuple:
+    """An expiry's tau, r*tau, discount factor, sqrt(tau) and forward, formed with math; raises unless the
+    expiry is finite and after the reference time."""
+    tau = _check_expiry(ctx, expiry)
+    return tau, ctx.r * tau, math.exp(-ctx.r * tau), math.sqrt(tau), ctx.forward(expiry)
+
+
+def bs_call_values(s0, r_tau, df, sqrt_tau, strikes, sigmas) -> np.ndarray:
+    """Vectorized Black-Scholes call values from an expiry's r*tau, discount factor and sqrt(tau)
+    (`expiry_terms`); broadcasts over its array inputs, the terms included, so each pair can carry its own.
 
     Entries with sigma*sqrt(tau) <= 0 fall back to discounted intrinsic.
     """
-    return call_values(s0, r * tau, math.exp(-r * tau), math.sqrt(tau), strikes, sigmas)
-
-
-def call_values(s0, r_tau, df, sqrt_tau, strikes, sigmas) -> np.ndarray:
-    """`bs_call_values` from each expiry's r*tau, discount factor and sqrt(tau), floats or arrays broadcasting
-    with the strikes (formed with math per expiry, as `bs_call_values` forms them)."""
     s0 = np.asarray(s0, dtype=float)
     k = np.asarray(strikes, dtype=float)
     sig = np.asarray(sigmas, dtype=float)
@@ -129,13 +131,12 @@ def implied_vols(ctx: MarketContext, expiry: float, strikes, call_prices) -> np.
     its bracket is a few ulps wide; the rest, among them prices outside
     (intrinsic, s0), are NaN.
     """
-    tau = _check_expiry(ctx, expiry)
-    return inverted_vols(ctx.s0, ctx.r * tau, math.exp(-ctx.r * tau), math.sqrt(tau), strikes, call_prices)
+    return inverted_vols(ctx.s0, *expiry_terms(ctx, expiry)[1:4], strikes, call_prices)
 
 
 def inverted_vols(s0: float, r_tau, df, sqrt_tau, strikes, call_prices) -> np.ndarray:
-    """`implied_vols` from each expiry's r*tau, discount factor and sqrt(tau), floats or arrays of the strikes'
-    shape (formed with math per expiry, as `implied_vols` forms them)."""
+    """`implied_vols` from an expiry's r*tau, discount factor and sqrt(tau) (`expiry_terms`): each a float or a
+    one-entry array for every strike, or an array of the strikes' shape for each strike its own."""
     strikes, prices = np.broadcast_arrays(
         np.asarray(strikes, dtype=float), np.asarray(call_prices, dtype=float)
     )
@@ -175,8 +176,9 @@ def inverted_vols(s0: float, r_tau, df, sqrt_tau, strikes, call_prices) -> np.nd
 
 
 def _at(value, idx):
-    """A per-expiry term at the flat positions ``idx``: a float as it is, an array's entries there."""
-    return value if np.ndim(value) == 0 else value.flat[idx]
+    """An expiry term at the flat positions ``idx``: one value (a float or a one-entry array) as it is, else the
+    entries there."""
+    return value if np.size(value) == 1 else value.flat[idx]
 
 
 def implied_vol_brent(
@@ -192,8 +194,7 @@ def implied_vol_brent(
     drops below ``rtol``.  ``warm_start`` narrows the initial bracket
     around a previously solved neighboring volatility.
     """
-    tau = _check_expiry(ctx, key.expiry)
-    df = math.exp(-ctx.r * tau)
+    df = expiry_terms(ctx, key.expiry)[2]
     if key.kind is OptionType.CALL:
         lower, upper = max(ctx.s0 - key.strike * df, 0.0), ctx.s0
     else:
@@ -241,8 +242,10 @@ def _check_expiry(ctx: MarketContext, expiry: float) -> float:
 
 
 def _check_strikes(strikes) -> np.ndarray:
-    """The strikes as a float array, a scalar as one strike; raises unless every one is positive and finite."""
+    """The strikes as a 1-d float array, a scalar as one strike; raises unless every one is positive and finite."""
     strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
+    if strikes.ndim > 1:
+        raise ValueError(f"strikes must be a scalar or a 1-d array, got shape {strikes.shape}")
     bad = ~((strikes > 0) & np.isfinite(strikes))
     if bad.any():
         raise ValueError(f"strikes must be positive and finite, got {strikes[bad][0]:g}")

@@ -24,8 +24,8 @@ from .arbitrage import _checked_grid, _second_difference
 from .errors import ParameterDomainError, RandvolError, RowFailures, fail_rows
 from .parametrizations import SliceColumns, slice_columns
 from .pricing import (
-    MarketContext, OptionKey, OptionType, _check_expiry, _check_strikes, bs_call_values, call_values,
-    implied_vol_brent, inverted_vols,
+    MarketContext, OptionKey, OptionType, _check_strikes, bs_call_values, expiry_terms, implied_vol_brent,
+    inverted_vols,
 )
 from .quadrature import QuadratureRule, _check_rules, quadrature_for, rule_rows
 
@@ -119,79 +119,54 @@ def _checked_nodes(cols: SliceColumns, ctx: MarketContext, weights: np.ndarray, 
 class _Grid(NamedTuple):
     """The (row, strike) pairs of a stack of slices, flattened row after row: each row on its own expiry and strikes.
 
-    Rows at one expiry on one strike array (the same object) share its cells: per cell its strike and its
-    expiry's terms (tau, r*tau, discount factor, sqrt(tau), forward), formed with math as a lone expiry
-    forms them; a term is a float when every row shares one expiry.  ``cells`` and ``row`` map each pair
-    to its cell and its row; for a lone row both are None (a pair is its own cell).
+    ``row`` and ``strikes`` hold each pair's row and strike; the expiry terms (tau, r*tau, discount factor,
+    sqrt(tau), forward; see `expiry_terms`) hold one entry per row, and `by_pair` takes them at the pairs.
     """
 
     ctx: MarketContext
     expiries: list  # one per row
     counts: list  # strikes per row
-    row: Optional[np.ndarray]
-    cells: Optional[np.ndarray]
-    strikes: np.ndarray  # per cell, as are the terms below
-    tau: object
-    r_tau: object
-    df: object
-    sqrt_tau: object
-    forward: object
+    row: np.ndarray
+    strikes: np.ndarray
+    tau: np.ndarray
+    r_tau: np.ndarray
+    df: np.ndarray
+    sqrt_tau: np.ndarray
+    forward: np.ndarray
 
     @property
     def rows(self) -> int:
         return len(self.expiries)
 
-    def at(self, per_cell, sel=None, nodes: bool = False):
-        """A per-cell value at the pairs ``sel`` (all by default): a float as it is, else its entries there,
-        with a trailing axis to broadcast against the nodes if ``nodes``."""
-        if isinstance(per_cell, float):
-            return per_cell
-        index = self.cells if sel is None else sel if self.cells is None else self.cells.take(sel)
-        value = per_cell if index is None else per_cell.take(index, axis=0)
-        return value[:, None] if nodes else value
-
     def by_pair(self, per_row: np.ndarray, sel=None) -> np.ndarray:
-        """Each pair's entry of an array whose last axis runs over the rows, at the pairs ``sel``; for a lone row,
-        the array itself."""
-        return per_row if self.row is None else per_row.take(self.row_of(sel), axis=-1)
-
-    def row_of(self, sel=None):
-        """The rows of the pairs ``sel`` (all by default)."""
-        if self.row is None:
-            return np.zeros(self.counts[0] if sel is None else np.size(sel), dtype=int)
-        return self.row if sel is None else self.row.take(sel)
+        """Each pair's entry of an array whose last axis runs over the rows, at the pairs ``sel`` (all by default);
+        an array with one row, as a lone row's terms are, as it is: it broadcasts."""
+        if per_row.shape[-1] == 1:
+            return per_row
+        return per_row.take(self.row if sel is None else self.row.take(sel), axis=-1)
 
     def rows_with(self, bad: np.ndarray) -> np.ndarray:
-        """Which rows hold a pair where ``bad``, one flag per pair (or one for all of a lone row's), holds."""
-        return np.bincount(self.row, bad, self.rows) > 0 if self.row is not None else np.atleast_1d(bad.any())
+        """Which rows hold a pair where ``bad``, one flag per pair, holds; one flag, as a lone row's node vols may
+        give, is every row's."""
+        if bad.shape[-1] == 1:
+            return np.repeat(bad, self.rows)
+        return np.bincount(self.row[bad], minlength=self.rows) > 0
 
 
 def _grid(ctx: MarketContext, expiries, strikes) -> _Grid:
-    """The grid of rows at ``expiries`` on ``strikes``, one expiry and one strike array per row, each checked."""
-    heads, offset = {}, 0  # each block's expiry, checked strikes and first cell
+    """The grid of rows at ``expiries`` on ``strikes``, one expiry and one strike array per row: each expiry is
+    checked once, and each strike array once per expiry."""
+    terms, checked = {}, {}
     for expiry, k in zip(expiries, strikes):
-        if (expiry, id(k)) not in heads:
-            _check_expiry(ctx, expiry)
-            heads[expiry, id(k)] = (expiry, _check_strikes(k), offset)
-            offset += heads[expiry, id(k)][1].size
-    counts = [heads[expiry, id(k)][1].size for expiry, k in zip(expiries, strikes)]
-    terms = [_expiry_terms(ctx, expiry) for expiry, _, _ in heads.values()]
-    if len({term[0] for term in terms}) == 1:
-        terms = terms[0]
-    else:
-        terms = np.repeat(np.array(terms).T, [k.size for _, k, _ in heads.values()], axis=1)
-    row = cells = None
-    if len(expiries) > 1:
-        row = np.repeat(np.arange(len(expiries)), counts)
-        shift = [start - heads[e, id(k)][2] for start, e, k in zip(accumulate([0, *counts]), expiries, strikes)]
-        cells = np.arange(row.size) - np.repeat(shift, counts)
-    return _Grid(ctx, list(expiries), counts, row, cells, np.concatenate([k for _, k, _ in heads.values()]), *terms)
-
-
-def _expiry_terms(ctx: MarketContext, expiry: float) -> tuple:
-    """An expiry's tau, r*tau, discount factor, sqrt(tau) and forward, formed with math."""
-    tau = float(expiry - ctx.t0)
-    return tau, ctx.r * tau, math.exp(-ctx.r * tau), math.sqrt(tau), ctx.forward(expiry)
+        if (expiry, id(k)) not in checked:
+            if expiry not in terms:
+                terms[expiry] = expiry_terms(ctx, expiry)
+            checked[expiry, id(k)] = _check_strikes(k)
+    per_row = [checked[expiry, id(k)] for expiry, k in zip(expiries, strikes)]
+    counts = [k.size for k in per_row]
+    row = np.arange(len(counts)).repeat(counts)
+    return _Grid(ctx, list(expiries), counts, row, np.concatenate(per_row),
+                 *np.array([terms[expiry] for expiry in expiries]).T)
 
 
 def _uniform_grid(rs: RandomizedSlice, expiry: float, strikes) -> _Grid:
@@ -211,10 +186,10 @@ def _node_vols(rs: RandomizedSlice, grid: _Grid, failures: Optional[RowFailures]
     if "sigma" in cols:
         vols = grid.by_pair(nodes)
     else:
-        alpha, beta, rho = (np.ravel(cols[name]) for name in ("alpha", "beta", "rho"))
+        alpha, beta, rho = (grid.by_pair(np.ravel(cols[name])) for name in ("alpha", "beta", "rho"))
         with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused just below
-            vols = parametrizations.hagan_vol(grid.forward, grid.strikes, grid.tau, alpha, beta, rho,
-                                              grid.by_pair(nodes), rows=grid.row, cells=grid.cells)
+            vols = parametrizations.hagan_vol(grid.by_pair(grid.forward), grid.strikes, grid.by_pair(grid.tau),
+                                              alpha, beta, rho, grid.by_pair(nodes))
     bad = ~np.isfinite(vols)
     fail_rows(failures, grid.rows_with(bad.any(0) if bad.ndim == 2 else bad),
               lambda: ParameterDomainError("node vols must be finite; the slice's parameters overflow its vol formula"))
@@ -230,17 +205,13 @@ def _prices(rs: RandomizedSlice, grid: _Grid, vols: np.ndarray, sel=None) -> np.
     """Mixture call prices at a grid's pairs ``sel`` (all by default) from their node-first node vols."""
     spot = grid.by_pair(_per_row(rs.rule.nodes), sel).T if rs.target == "spot" else rs.ctx.s0
     if sel is None:
-        rows, counts, vols = None, grid.counts, vols.T
+        rows, counts, strikes, vols = None, grid.counts, grid.strikes, vols.T
     else:
-        vols = vols[:, sel].T
-        rows, counts = ([0], [sel.size]) if grid.row is None else (
-            a.tolist() for a in np.unique(grid.row.take(sel), return_counts=True))
-    strikes = grid.at(grid.strikes, sel, nodes=True)
-    if isinstance(grid.tau, float):  # one expiry: its terms as bs_call_values forms them
-        values = bs_call_values(spot, rs.ctx.r, grid.tau, strikes, vols)
-    else:
-        values = call_values(spot, *(grid.at(t, sel, nodes=True) for t in (grid.r_tau, grid.df, grid.sqrt_tau)),
-                             strikes, vols)
+        counts = np.bincount(grid.row.take(sel), minlength=grid.rows)
+        rows = np.flatnonzero(counts)
+        counts, strikes, vols = counts[rows].tolist(), grid.strikes.take(sel), vols[:, sel].T
+    terms = (grid.by_pair(t, sel)[:, None] for t in (grid.r_tau, grid.df, grid.sqrt_tau))
+    values = bs_call_values(spot, *terms, strikes[:, None], vols)
     # node-first vols give node-first values; _node_sums' gemv keeps its rounding on pair-major values only
     return _node_sums(np.ascontiguousarray(values), counts, rs.rule.weights.reshape(-1, rs.rule.size), rows)
 
@@ -276,8 +247,7 @@ def randomized_price(rs: RandomizedSlice, key: OptionKey) -> float:
     call = float(randomized_prices(rs, key.expiry, key.strike)[0])
     if key.kind is OptionType.CALL:
         return call
-    tau = key.expiry - rs.ctx.t0
-    return call - (rs.ctx.s0 - key.strike * math.exp(-rs.ctx.r * tau))
+    return call - (rs.ctx.s0 - key.strike * expiry_terms(rs.ctx, key.expiry)[2])
 
 
 def randomized_iv(
@@ -351,7 +321,7 @@ def _grid_vols(rs: RandomizedSlice, grid: _Grid, method: str, order: Optional[in
         return _invert(grid, None, _prices(rs, grid, vols), failures)
 
     order = expansion.expansion_order(rs.expansion_kind, order)
-    m = grid.at(np.log(rs.ctx.s0 / grid.strikes) + grid.r_tau)
+    m = np.log(rs.ctx.s0 / grid.strikes) + grid.by_pair(grid.r_tau)
     values = expansion.evaluate_polynomial(rs.expansion_kind, _coefficients(rs, grid, vols, failures), m, order)
     escalate = (np.abs(m) > m_max) | (values <= 0.0)
     if failures is not None and failures.any:  # a failed row takes no inversion
@@ -391,10 +361,8 @@ def _coefficients(rs: RandomizedSlice, grid: _Grid, vols: np.ndarray, failures: 
     """
     weights, nodes = _per_row(rs.rule.weights), _per_row(rs.rule.nodes)
     if rs.target == "sigma":
-        tau = np.subtract(grid.expiries, grid.ctx.t0)  # each row's, as _expiry_terms forms it
-        return expansion.parameter_coefficients(weights.T, nodes.T, tau, failures=failures).take(grid.row_of(), axis=1)
-    weights = grid.by_pair(weights).T
-    tau = np.full(sum(grid.counts), grid.tau) if isinstance(grid.tau, float) else grid.at(grid.tau)
+        return expansion.parameter_coefficients(weights.T, nodes.T, grid.tau, failures=failures).take(grid.row, axis=1)
+    weights, tau = grid.by_pair(weights).T, grid.tau.take(grid.row)  # the kernels take one tau per pair
     pairs = None if failures is None else RowFailures(tau.size)
     if rs.expansion_kind == "parameter":
         coeffs = expansion.parameter_coefficients(weights, vols.T, tau, failures=pairs)
@@ -409,11 +377,10 @@ def _invert(grid: _Grid, sel, prices: np.ndarray, failures: Optional[RowFailures
     """Exact vols of mixture prices at a grid's pairs ``sel`` (all by default); scalar Brent answers or refuses
     what the vector pass leaves.  A refused price raises, or, given ``failures``, marks its row there, whose
     remaining prices are then left NaN."""
-    strikes = grid.at(grid.strikes, sel)
-    out = inverted_vols(grid.ctx.s0, *(grid.at(t, sel) for t in (grid.r_tau, grid.df, grid.sqrt_tau)), strikes, prices)
-    unsettled = np.flatnonzero(np.isnan(out))
-    rows = grid.row_of(sel) if unsettled.size else None
-    for i in unsettled:
+    strikes, rows = (grid.strikes, grid.row) if sel is None else (grid.strikes.take(sel), grid.row.take(sel))
+    out = inverted_vols(grid.ctx.s0, *(grid.by_pair(t, sel) for t in (grid.r_tau, grid.df, grid.sqrt_tau)), strikes,
+                        prices)
+    for i in np.flatnonzero(np.isnan(out)):
         row = rows[i]
         if failures is not None and failures.bad[row]:
             continue

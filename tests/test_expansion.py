@@ -99,10 +99,6 @@ class TestParameterExpansion:
         with pytest.raises(ExpansionRangeError):
             parameter_coefficients(np.array([0.5, 0.5]), np.array([0.0, 0.3]), 1.0)
 
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            parameter_coefficients(np.array([1.0]), np.array([0.2]), 1.0, order=3)
-
     def test_batch_matches_scalar(self):
         rs = fig3_slice()
         taus = np.array([0.5, 1.0, 2.0])
@@ -163,10 +159,6 @@ class TestSpotExpansion:
     def test_zero_base_vol_rejected(self):
         with pytest.raises(ExpansionRangeError):
             spot_coefficients(np.array([1.0]), np.array([100.0]), 100.0, 0.0, 1.0)
-
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            spot_coefficients(np.array([1.0]), np.array([100.0]), 100.0, 0.2, 1.0, order=5)
 
 
 def reference_phi_deriv(n, x):

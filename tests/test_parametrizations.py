@@ -130,16 +130,18 @@ class TestHaganParameterArrays:
 
 
     def test_gathered_points_match_lone_calls(self):
-        # a stacked grid gathers each entry's point (rows) and strike cell (cells); beta 0, 0.5 and 1 make the
+        # a stacked grid passes one entry per (row, strike) pair of every input; beta 0, 0.5 and 1 make the
         # FK exponents 0.5, 0.25 and 0, where numpy's power rounds a broadcast 0.5 as a square root
         strikes = np.linspace(60.0, 150.0, 7)
         alphas, betas, rhos = [0.3, 0.2, 0.05, 0.4], [0.0, 0.5, 1.0, 0.9], [-0.4, 0.2, 0.0, 0.7]
-        rows, cells = np.repeat(np.arange(4), strikes.size), np.tile(np.arange(strikes.size), 4)
+        forwards, taus = [101.0, 101.0, 102.5, 99.0], [0.7, 0.7, 1.3, 0.2]
+        rows = np.repeat(np.arange(4), strikes.size)
         gammas = np.array([[0.8], [1.5]]) * (1.0 + 0.01 * np.arange(rows.size))
-        got = hagan_vol(101.0, strikes, 0.7, *map(np.array, (alphas, betas, rhos)), gammas, rows=rows, cells=cells)
+        fwd, tau, alpha, beta, rho = (np.take(x, rows) for x in (forwards, taus, alphas, betas, rhos))
+        got = hagan_vol(fwd, np.tile(strikes, 4), tau, alpha, beta, rho, gammas)
         for i in range(4):
             for point in ((alphas[i], betas[i], rhos[i]), ([alphas[i]], [betas[i]], [rhos[i]])):
-                want = hagan_vol(101.0, strikes, 0.7, *point, gammas[:, rows == i])
+                want = hagan_vol(forwards[i], strikes, taus[i], *point, gammas[:, rows == i])
                 assert got[:, rows == i].tobytes() == want.tobytes()
 
 

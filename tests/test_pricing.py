@@ -14,6 +14,7 @@ from randvol.pricing import (
     OptionType,
     bs_call_values,
     bs_price,
+    expiry_terms,
     implied_vol_brent,
     implied_vols,
     log_moneyness,
@@ -80,7 +81,7 @@ class TestBsPrice:
     def test_vectorized_matches_scalar(self):
         strikes = np.array([70.0, 100.0, 140.0])
         ctx = MarketContext(s0=100.0, r=0.03)
-        got = bs_call_values(ctx.s0, ctx.r, 0.5, strikes, np.array([0.2, 0.25, 0.3]))
+        got = bs_call_values(ctx.s0, *expiry_terms(ctx, 0.5)[1:4], strikes, np.array([0.2, 0.25, 0.3]))
         want = [
             bs_price(ctx, OptionKey(0.5 + ctx.t0, k, OptionType.CALL), s)
             for k, s in zip(strikes, (0.2, 0.25, 0.3))
@@ -153,14 +154,14 @@ class TestImpliedVols:
     def test_roundtrip_settles_every_point(self, sigma, tau, rate):
         ctx = MarketContext(s0=100.0, r=rate)
         strikes = strike_grid(ctx, tau, 0.3, 3.0)
-        prices = bs_call_values(ctx.s0, rate, tau, strikes, sigma)
+        prices = bs_call_values(ctx.s0, *expiry_terms(ctx, tau)[1:4], strikes, sigma)
         # a price that rounds onto a bound has no implied vol
         intrinsic = np.maximum(ctx.s0 - strikes * math.exp(-rate * tau), 0.0)
         inside = (prices > intrinsic) & (prices < ctx.s0)
         strikes, prices = strikes[inside], prices[inside]
         vols = implied_vols(ctx, tau, strikes, prices)
         assert not np.any(np.isnan(vols))
-        gap = np.abs(bs_call_values(ctx.s0, rate, tau, strikes, vols) - prices)
+        gap = np.abs(bs_call_values(ctx.s0, *expiry_terms(ctx, tau)[1:4], strikes, vols) - prices)
         # deep in the money the price itself is only known to a few ulps of the spot
         gap = np.maximum(gap - 4.0 * np.finfo(float).eps * ctx.s0, 0.0)
         assert np.all(gap <= 1e-8 * vega_times_vol(ctx, tau, strikes, vols))
@@ -173,7 +174,7 @@ class TestImpliedVols:
         # only where a few ulps of the spot in the price move the vol by < 1e-9
         strikes = strikes[vega_times_vol(ctx, tau, strikes, sigma) > 1e-6 * ctx.s0]
         assume(strikes.size > 0)
-        prices = bs_call_values(ctx.s0, ctx.r, tau, strikes, sigma)
+        prices = bs_call_values(ctx.s0, *expiry_terms(ctx, tau)[1:4], strikes, sigma)
         vols = implied_vols(ctx, tau, strikes, prices)
         oracle = [
             implied_vol_brent(ctx, OptionKey(tau, float(k)), float(p), rtol=1e-15)
@@ -249,3 +250,18 @@ class TestInputChecks:
         for grid in (implied_vol_grid, randomized_prices, expansion_coefficients):
             with pytest.raises(ValueError, match=f"strikes must be positive and finite, got {bad:g}"):
                 grid(rs, 1.0, [90.0, bad, 110.0])
+
+    @pytest.mark.parametrize("params", [
+        SliceParams(FlatParams(0.2), RandomizerSpec("sigma", DiscreteGiven(((0.5, 0.15), (0.5, 0.25))), 2)),
+        SliceParams(SabrParams(0.3, 0.9, -0.5, 1.0),
+                    RandomizerSpec("gamma", DiscreteGiven(((0.5, 0.8), (0.5, 1.2))), 2)),
+    ], ids=["sigma", "gamma"])
+    @pytest.mark.parametrize("grid", [
+        lambda rs, k: implied_vol_grid(rs, 0.5, k, "brent"),
+        lambda rs, k: implied_vol_grid(rs, 0.5, k, "expansion"),
+        lambda rs, k: randomized_prices(rs, 0.5, k),
+        lambda rs, k: expansion_coefficients(rs, 0.5, k),
+    ], ids=["iv-brent", "iv-expansion", "prices", "coefficients"])
+    def test_strikes_must_be_one_dimensional(self, grid, params):
+        with pytest.raises(ValueError, match=r"strikes must be a scalar or a 1-d array, got shape \(2, 2\)"):
+            grid(randomize(params, CTX), [[90.0, 100.0], [110.0, 120.0]])

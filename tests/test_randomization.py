@@ -10,7 +10,9 @@ from randvol.expansion import evaluate_polynomial, parameter_coefficients
 from randvol.parametrizations import (
     FlatParams, RandomizerSpec, SabrParams, SliceColumns, SliceParams, eval_vol_curve, hagan_vol, slice_columns,
 )
-from randvol.pricing import MarketContext, OptionKey, OptionType, bs_call_values, bs_price, implied_vol_brent
+from randvol.pricing import (
+    MarketContext, OptionKey, OptionType, bs_call_values, bs_price, expiry_terms, implied_vol_brent,
+)
 from randvol.quadrature import DiscreteGiven, Gamma, LogNormal, SpotLogNormal
 from randvol.randomization import (
     _coefficients,
@@ -321,7 +323,7 @@ class TestDeterministicSlice:
 
 
 RATE_CTX = MarketContext(s0=100.0, r=0.02)
-# rows 1 and 2 share an expiry and one strike array, so they share the grid's cells
+# rows 1 and 2 share an expiry and one strike array, which the grid checks once
 STACK_EXPIRIES = [0.1, 0.5, 0.5, 2.0]
 
 
@@ -343,6 +345,29 @@ def gamma_stack():
 def per_pair(strikes, per_row):
     """Each (row, strike) pair's entry of a per-row sequence, row after row."""
     return np.repeat(np.asarray(per_row), [k.size for k in strikes], axis=0)
+
+
+class TestGridChecksOnce:
+    """The grid checks each expiry, and each strike array at an expiry, once: rows that share neither, or only one,
+    still carry their own strikes and terms."""
+
+    @pytest.mark.parametrize("engine", ["brent", "expansion"])
+    @pytest.mark.parametrize("randomizer", [
+        lambda i: RandomizerSpec("gamma", Gamma(3.0 + 0.5 * i, 0.4), 2),
+        lambda i: RandomizerSpec("spot", SpotLogNormal(100.0, 0.05 + 0.01 * i), 2),
+    ], ids=["gamma-gamma", "spot-lognormal"])
+    def test_rows_are_their_lone_calls(self, engine, randomizer):
+        shared = np.linspace(80.0, 125.0, 25)
+        # rows 0-2 at one expiry: one array, a distinct array of equal values, and one of another length;
+        # rows 0, 3 and 4 share one array object at three expiries
+        expiries = [0.5, 0.5, 0.5, 1.0, 0.25]
+        strikes = [shared, shared.copy(), np.linspace(70.0, 140.0, 38), shared, shared]
+        params = [SliceParams(SabrParams(0.3 - 0.02 * i, 0.9, -0.4 + 0.1 * i, 1.2), randomizer(i)) for i in range(5)]
+        vols, failures = implied_vol_stack(slice_columns(params), RATE_CTX, expiries, strikes, engine, quiet=True)
+        assert not failures.any
+        for r, part in enumerate(np.split(vols, np.cumsum([k.size for k in strikes])[:-1])):
+            lone = implied_vol_grid(randomize(params[r], RATE_CTX), expiries[r], strikes[r], engine, quiet=True)
+            assert part.tobytes() == lone.tobytes()
 
 
 class TestSigmaCoefficientsOncePerRow:
@@ -398,7 +423,7 @@ def pair_major_prices(rs, expiry, strikes):
         base = FlatParams(cols["sigma"])
         vols = np.broadcast_to(eval_vol_curve(base, rs.ctx, expiry, strikes)[:, None], (strikes.size, n_q))
     spot = rs.rule.nodes[None, :] if rs.target == "spot" else rs.ctx.s0
-    values = bs_call_values(spot, rs.ctx.r, tau, strikes[:, None], vols)
+    values = bs_call_values(spot, *expiry_terms(rs.ctx, expiry)[1:4], strikes[:, None], vols)
     return np.matmul(values.reshape(1, strikes.size, n_q), rs.rule.weights.reshape(1, n_q, 1)).ravel()
 
 
