@@ -5,8 +5,8 @@ against the retained market quotes.  Free parameters are optimized
 unconstrained through bound-respecting transforms (log for positives,
 scaled tanh for correlation and the exponent), with multistart
 unbounded trust-region least squares on the residual vector in that
-transformed space (scipy's TRF steps, forward-difference Jacobian; no
-bounds, so nothing is reflected).  The slices of a surface advance in
+transformed space (scipy's TRF iteration in this module's code, one
+gesdd per SVD; forward-difference Jacobian).  The slices of a surface advance in
 one lockstep (`fit_surface`; `fit_slice` is its one-slice case): each
 round evaluates every point their searches wait on, trial points and
 Jacobian points alike, as one stacked model call in which each row
@@ -24,15 +24,15 @@ so the embedded start is dropped.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import Callable, Generator, Literal, Optional, Sequence, get_args
 
 import numpy as np
-from scipy.linalg import svd
+from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.optimize import OptimizeResult
-from scipy.optimize._lsq.common import check_termination, evaluate_quadratic, solve_lsq_trust_region, update_tr_radius
 
 from .errors import CalibrationError, RowFailures, fail_rows
 from .expansion import expansion_order
@@ -295,6 +295,7 @@ def model_vols(params, ctx: MarketContext, expiry, strikes, engine: str, quiet: 
 
 
 _FTOL, _XTOL, _GTOL = 1e-14, 1e-12, 1e-14  # least_squares' ftol, xtol and gtol
+_EPS = np.finfo(float).eps
 
 
 def minimize(residuals, start, budget: int):
@@ -303,50 +304,110 @@ def minimize(residuals, start, budget: int):
     Scipy's unbounded ``least_squares(method="trf")`` iteration (Branch, Coleman & Li, SIAM J.
     Sci. Comput. 21, 1999) with the exact solver, unit ``x_scale``, linear loss, '2-point'
     Jacobian and the tolerances above, bit for bit.  It yields the points each step needs, reads
-    their residuals once resumed, and returns least_squares' ``x`` and ``success``.  Norms are
-    numpy.linalg.norm's arithmetic, sqrt(x.x) and max |g|, without its dispatch.
+    their residuals once resumed, and returns least_squares' ``x`` and ``success``.  The step, radius
+    update and termination test are this module's code with scipy's arithmetic; a norm is sqrt(x.x).
     """
     x = np.array(start, dtype=float)
     f, J = yield from _jacobian(residuals, x)
     # max_nfev leaves out the n finite-difference evaluations of each Jacobian
-    max_nfev, nfev, status = max(budget // (x.size + 1), 1), 1, None
-    cost, g, delta, alpha = 0.5 * np.dot(f, f), J.T.dot(f), np.sqrt(x.dot(x)) or 1.0, 0.0
+    max_nfev, nfev, done = max(budget // (x.size + 1), 1), 1, False
+    cost, g, delta, alpha = 0.5 * np.dot(f, f), J.T.dot(f), math.sqrt(x.dot(x)) or 1.0, 0.0
     while True:
-        if np.abs(g).max() < _GTOL:
-            status = 1
-        if status is not None or nfev == max_nfev:
+        done = done or np.abs(g).max() < _GTOL
+        if done or nfev == max_nfev:
             break
-        U, s, Vt = svd(J, full_matrices=False)
-        uf, reduction = U.T.dot(f), -1
+        U, s, Vt = _svd(J)
+        uf, V, reduction = U.T.dot(f), Vt.T, -1
         while reduction <= 0 and nfev < max_nfev:
-            step, alpha, _ = solve_lsq_trust_region(x.size, f.size, uf, s, Vt.T, delta, initial_alpha=alpha)
-            predicted = -evaluate_quadratic(J, g, step)
+            step, alpha = _trust_region_step(x.size, f.size, uf, s, V, delta, alpha)
+            Js = J.dot(step)
+            predicted = -(0.5 * np.dot(Js, Js) + np.dot(step, g))
             x_new = x + step
             yield [x_new]
-            f_new, nfev, step_norm = residuals(x_new), nfev + 1, np.sqrt(step.dot(step))
-            if not np.all(np.isfinite(f_new)):
+            f_new, nfev, step_norm = residuals(x_new), nfev + 1, math.sqrt(step.dot(step))
+            if not np.isfinite(f_new).all():
                 delta = 0.25 * step_norm
                 continue
             cost_new = 0.5 * np.dot(f_new, f_new)
             reduction = cost - cost_new
-            delta_new, ratio = update_tr_radius(delta, reduction, predicted, step_norm, step_norm > 0.95 * delta)
-            status = check_termination(reduction, cost, step_norm, np.sqrt(x.dot(x)), ratio, _FTOL, _XTOL)
-            if status is not None:
+            # scipy's update_tr_radius, then its check_termination, whose status only says "done"
+            ratio = reduction / predicted if predicted > 0 else 1 if predicted == reduction == 0 else 0
+            delta_new = (0.25 * step_norm if ratio < 0.25 else
+                         2.0 * delta if ratio > 0.75 and step_norm > 0.95 * delta else delta)
+            done = (reduction < _FTOL * cost and ratio > 0.25) or step_norm < _XTOL * (_XTOL + math.sqrt(x.dot(x)))
+            if done:
                 break
             alpha, delta = alpha * (delta / delta_new), delta_new
         if reduction > 0:
             x, cost = x_new, cost_new
             f, J = yield from _jacobian(residuals, x, f_new)
             g = J.T.dot(f)
-    return OptimizeResult(x=x, success=bool(status))
+    return OptimizeResult(x=x, success=bool(done))
+
+
+def _svd(J: np.ndarray):
+    """``scipy.linalg.svd(J, full_matrices=False)`` bit for bit, layouts included: its gesdd call and workspace,
+    without its checks and dispatch."""
+    gesdd, lwork = _gesdd(*J.shape)
+    U, s, Vt, info = gesdd(J, compute_uv=1, lwork=lwork, full_matrices=0, overwrite_a=0)
+    if info:
+        raise LinAlgError(f"SVD did not converge (gesdd info {info})")
+    return U, s, Vt
+
+
+@functools.cache
+def _gesdd(m: int, n: int):
+    """LAPACK's gesdd for float m x n matrices, and the workspace size scipy.linalg.svd gives it."""
+    gesdd, gesdd_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=np.float64)
+    return gesdd, int(gesdd_lwork(m, n, compute_uv=1, full_matrices=0)[0])
+
+
+def _trust_region_step(n: int, m: int, uf: np.ndarray, s: np.ndarray, V: np.ndarray, delta: float, alpha: float):
+    """Scipy's ``solve_lsq_trust_region(n, m, uf, s, V, delta, initial_alpha=alpha)`` bit for bit: the step and
+    Levenberg-Marquardt alpha from J's SVD (uf = U.T f, V = Vt.T) by Moré's secant iteration (1977).  ``n`` is the
+    number of variables, more than ``s.size`` when m < n."""
+    suf = s * uf
+    s2, suf2 = s**2, suf**2
+    full_rank = m >= n and s[-1] > _EPS * m * s[0]
+    if full_rank:  # the Gauss-Newton step, if it fits
+        p = -V.dot(uf / s)
+        if math.sqrt(p.dot(p)) <= delta:
+            return p, 0.0
+
+    def phi(a: float) -> tuple[float, float]:  # ||p(a)|| - delta, and its derivative in a
+        denom = s2 + a
+        q = suf / denom
+        q_norm = math.sqrt(q.dot(q))
+        return q_norm - delta, -float((suf2 / denom**3).sum()) / q_norm
+
+    upper, lower = math.sqrt(suf.dot(suf)) / delta, 0.0
+    if full_rank:
+        value, slope = phi(0.0)
+        lower = -value / slope
+    elif alpha == 0:
+        alpha = max(0.001 * upper, (lower * upper) ** 0.5)
+    for _ in range(10):
+        if alpha < lower or alpha > upper:
+            alpha = max(0.001 * upper, (lower * upper) ** 0.5)
+        value, slope = phi(alpha)
+        if value < 0:
+            upper = alpha
+        ratio = value / slope
+        lower = max(lower, alpha - ratio)
+        alpha -= (value + delta) * ratio / delta
+        if abs(value) < 0.01 * delta:
+            break
+    p = -V.dot(suf / (s2 + alpha))
+    p *= delta / math.sqrt(p.dot(p))
+    return p, alpha
 
 
 def _jacobian(residuals, x: np.ndarray, f: Optional[np.ndarray] = None):
     """least_squares' '2-point' Jacobian at x bit for bit, as a generator returning (f, J).
 
     It yields its n points, after x itself unless f, the residuals at x, is given."""
-    h = np.finfo(float).eps ** 0.5 * ((x >= 0).astype(float) * 2 - 1) * np.maximum(1.0, np.abs(x))
-    points = np.tile(x, (x.size, 1))
+    h = _EPS ** 0.5 * ((x >= 0).astype(float) * 2 - 1) * np.maximum(1.0, np.abs(x))
+    points = np.broadcast_to(x, (x.size, x.size)).copy()
     points[np.diag_indices(x.size)] = x + h
     yield points if f is not None else np.vstack([x, points])
     f = residuals(x) if f is None else f

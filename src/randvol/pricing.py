@@ -11,6 +11,7 @@ from scipy.special import ndtr, ndtri
 
 from .errors import NoImpliedVolError, RootFindError
 
+_SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BRACKET_LO = 1e-9
 _BRACKET_HI = 5.0
@@ -81,18 +82,24 @@ def bs_price(ctx: MarketContext, key: OptionKey, sigma: float) -> float:
     """
     if sigma < 0:
         raise ValueError(f"volatility must be >= 0, got {sigma}")
+    return _bs_pricer(ctx, key)(sigma)
+
+
+def _bs_pricer(ctx: MarketContext, key: OptionKey):
+    """`bs_price` at one option as a function of sigma >= 0, with the option's terms formed once."""
     tau = _check_expiry(ctx, key.expiry)
-    df = math.exp(-ctx.r * tau)
-    fwd_gap = ctx.s0 - key.strike * df
-    st = sigma * math.sqrt(tau)
-    if st <= 0:
-        call = max(fwd_gap, 0.0)
-    else:
-        d1 = (math.log(ctx.s0 / key.strike) + ctx.r * tau) / st + 0.5 * st
-        call = ctx.s0 * _scalar_cdf(d1) - key.strike * df * _scalar_cdf(d1 - st)
-    if key.kind is OptionType.CALL:
-        return call
-    return call - fwd_gap  # put-call parity
+    k_df = key.strike * math.exp(-ctx.r * tau)
+    fwd_gap, sqrt_tau, log_m = ctx.s0 - k_df, math.sqrt(tau), math.log(ctx.s0 / key.strike) + ctx.r * tau
+    parity = fwd_gap if key.kind is OptionType.PUT else 0.0  # put-call parity; x - 0.0 is x, bit for bit
+
+    def price(sigma: float) -> float:
+        st = sigma * sqrt_tau
+        if st <= 0:
+            return max(fwd_gap, 0.0) - parity
+        d1 = log_m / st + 0.5 * st
+        return ctx.s0 * _scalar_cdf(d1) - k_df * _scalar_cdf(d1 - st) - parity
+
+    return price
 
 
 def expiry_terms(ctx: MarketContext, expiry: float) -> tuple:
@@ -204,8 +211,10 @@ def implied_vol_brent(
             f"no implied volatility exists: price {price!r} outside ({lower!r}, {upper!r})"
         )
 
+    pricer = _bs_pricer(ctx, key)  # the bracket's sigmas are positive
+
     def objective(sigma: float) -> float:
-        return bs_price(ctx, key, sigma) - price
+        return pricer(sigma) - price
 
     lo, hi = _bracket(objective, warm_start)
     try:
@@ -231,7 +240,7 @@ def _bracket(objective, warm_start):
 
 
 def _scalar_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    return 0.5 * math.erfc(-x / _SQRT_2)
 
 
 def _check_expiry(ctx: MarketContext, expiry: float) -> float:

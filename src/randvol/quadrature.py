@@ -138,6 +138,15 @@ class QuadratureRule:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "nodes", x)
 
+    @classmethod
+    def of_checked(cls, weights: np.ndarray, nodes: np.ndarray) -> "QuadratureRule":
+        """The rule of weights and nodes whose rows have all passed `_check_rules`, as read-only views, unchecked."""
+        rule = object.__new__(cls)
+        for name, a in (("weights", weights.view()), ("nodes", nodes.view())):
+            a.setflags(write=False)
+            object.__setattr__(rule, name, a)
+        return rule
+
     @property
     def size(self) -> int:
         return self.nodes.shape[-1]

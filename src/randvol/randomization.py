@@ -305,7 +305,8 @@ def implied_vol_stack(cols: SliceColumns, ctx: MarketContext, expiries, strikes,
         good = np.argmin(failures.bad)
         weights, nodes = (np.where(failures.bad[:, None], a[good], a) for a in (weights, nodes))
     grid = _grid(ctx, expiries, strikes)
-    vols = _grid_vols(RandomizedSlice(cols, QuadratureRule(weights, nodes), ctx), grid, method, order,
+    # every row now holds rules that passed _check_rules: a good row's own, or the first good row's
+    vols = _grid_vols(RandomizedSlice(cols, QuadratureRule.of_checked(weights, nodes), ctx), grid, method, order,
                       DEFAULT_M_MAX, quiet, failures)
     vols[np.repeat(failures.bad, grid.counts)] = np.nan
     return vols, failures

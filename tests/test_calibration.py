@@ -5,7 +5,9 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.linalg import svd
 from scipy.optimize import least_squares
+from scipy.optimize._lsq.common import solve_lsq_trust_region
 from scipy.optimize._numdiff import approx_derivative
 
 from randvol import calibration
@@ -222,6 +224,68 @@ class TestMinimize:
         # it asks for the points scipy evaluates, in scipy's order, and reads each once
         assert [p.tobytes() for p in asked] == [p.tobytes() for p in scipy_calls]
         assert [p.tobytes() for p in calls] == [p.tobytes() for p in scipy_calls]
+
+
+def trust_region_problem(seed, m, n, rank_deficient=False):
+    """solve_lsq_trust_region's inputs (n, m, U.T f, s, V) for a seeded m x n Jacobian and residual vector."""
+    rng = np.random.default_rng(seed)
+    J = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-2, 2)
+    if rank_deficient:
+        J[:, -1] = 2.0 * J[:, 0]
+    U, s, Vt = svd(J, full_matrices=False)
+    return n, m, U.T.dot(rng.standard_normal(m)), s, Vt.T
+
+
+class TestTrustRegionStep:
+    """`_trust_region_step` is scipy's solve_lsq_trust_region, bit for bit, on every path of its solve."""
+
+    @pytest.mark.parametrize("m,n,rank_deficient,delta,path", [
+        (40, 4, False, 1e6, "gauss-newton"),
+        (40, 4, False, 1e-3, "secant"),
+        (40, 5, True, 1e-2, "rank-deficient"),
+        (3, 4, False, 1e-2, "m<n"),
+        (2, 2, False, 1.0, "any"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_equals_scipy(self, m, n, rank_deficient, delta, path):
+        for seed in range(25):
+            n_, m_, uf, s, V = trust_region_problem(seed, m, n, rank_deficient)
+            # alpha started afresh, and one carried over from a solve in a wider region, as the search carries it
+            carried = solve_lsq_trust_region(n_, m_, uf, s, V, 4.0 * delta, initial_alpha=0.0)[1]
+            for alpha in (0.0, float(carried)):
+                want, want_alpha, iterations = solve_lsq_trust_region(n_, m_, uf, s, V, delta, initial_alpha=alpha)
+                got, got_alpha = calibration._trust_region_step(n_, m_, uf, s, V, delta, alpha)
+                assert got.tobytes() == want.tobytes()
+                assert float(got_alpha).hex() == float(want_alpha).hex()
+                if path == "gauss-newton":
+                    assert iterations == 0
+                elif path == "secant":
+                    assert iterations >= 2
+            if path == "rank-deficient":
+                assert s[-1] <= np.finfo(float).eps * m * s[0]
+            elif path == "m<n":
+                assert s.size < n
+
+    def test_carried_alpha_is_used(self):
+        # the carried alpha changes scipy's answer, so the test above compares two different solves
+        n, m, uf, s, V = trust_region_problem(1, 40, 4)
+        fresh = solve_lsq_trust_region(n, m, uf, s, V, 1e-3, initial_alpha=0.0)[0]
+        carried = solve_lsq_trust_region(n, m, uf, s, V, 1e-3, initial_alpha=1e4)[0]
+        assert fresh.tobytes() != carried.tobytes()
+        assert calibration._trust_region_step(n, m, uf, s, V, 1e-3, 1e4)[0].tobytes() == carried.tobytes()
+
+
+class TestSvd:
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (40, 4), (40, 5)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_equals_scipy_svd(self, rng, shape, order):
+        J = np.asarray(rng.standard_normal(shape), order=order)
+        before = J.copy()
+        want, got = svd(J, full_matrices=False), calibration._svd(J)
+        for a, b in zip(want, got):
+            assert b.tobytes() == a.tobytes()
+            assert b.shape == a.shape and b.strides == a.strides
+            assert (b.flags.c_contiguous, b.flags.f_contiguous) == (a.flags.c_contiguous, a.flags.f_contiguous)
+        assert J.tobytes() == before.tobytes()  # the input is left as it was
 
 
 @pytest.fixture(scope="module")

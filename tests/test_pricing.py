@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from randvol import pricing
 from randvol.errors import NoImpliedVolError
 from randvol.parametrizations import FlatParams, RandomizerSpec, SabrParams, SliceParams
 from randvol.pricing import (
@@ -136,6 +138,29 @@ class TestImpliedVol:
         price = bs_price(CTX, key, 0.4)
         vol = implied_vol_brent(CTX, key, price, rtol=1e-15)
         assert vol == pytest.approx(0.4, abs=1e-12)
+
+
+class TestBrentRootUnchanged:
+    """implied_vol_brent forms an option's terms once per root; each vol is still, bit for bit, brentq on
+    bs_price(ctx, key, sigma) - price over the same bracket."""
+
+    @pytest.mark.parametrize("kind", [OptionType.CALL, OptionType.PUT])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_vol_is_brentq_on_bs_price(self, rng, kind, warm):
+        ctx = MarketContext(s0=100.0, r=0.03, t0=0.1)
+        for _ in range(40):
+            key = OptionKey(0.1 + rng.uniform(0.01, 3.0), rng.uniform(50.0, 180.0), kind)
+            sigma = rng.uniform(0.05, 1.5)
+            price = bs_price(ctx, key, sigma)
+            warm_start = sigma * rng.uniform(0.8, 1.25) if warm else None
+            got = implied_vol_brent(ctx, key, price, warm_start=warm_start)
+
+            def objective(s):
+                return bs_price(ctx, key, s) - price
+
+            lo, hi = pricing._bracket(objective, warm_start)
+            want = brentq(objective, lo, hi, rtol=1e-8, xtol=1e-15, maxiter=200)
+            assert got.hex() == want.hex()
 
 
 def vega_times_vol(ctx, tau, strikes, sigma):

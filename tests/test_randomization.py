@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from randvol import quadrature, randomization
 from randvol.errors import ExpansionRangeError, ParameterDomainError, RowFailures
 from randvol.expansion import evaluate_polynomial, parameter_coefficients
 from randvol.parametrizations import (
@@ -522,6 +523,31 @@ class TestBorrowedRule:
                 assert np.isnan(part).all()
             else:
                 lone = implied_vol_grid(randomize(cols[r], RATE_CTX), STACK_EXPIRIES[r], strikes[r], engine)
+                assert part.tobytes() == lone.tobytes()
+
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_rules_are_checked_once(self, rng, monkeypatch, failing):
+        rules = [((0.5, 0.15), (0.5, 0.25)), ((0.3, 0.2), (0.7, 0.3)), ((0.4, 0.1), (0.6, 0.2)),
+                 ((0.5, 0.1), (0.5, 0.3))]
+        if failing:
+            rules[1] = ((-0.5, 0.1), (1.5, 0.3))
+        checked, real = [], quadrature._check_rules
+
+        def counting(w, x, failures=None):
+            checked.append(w.shape)
+            return real(w, x, failures)
+
+        monkeypatch.setattr(quadrature, "_check_rules", counting)
+        monkeypatch.setattr(randomization, "_check_rules", counting)
+        cols = discrete_stack("sigma", rules)
+        strikes = stack_strikes(rng)
+        vols, failures = implied_vol_stack(cols, RATE_CTX, STACK_EXPIRIES, strikes, "brent")
+        assert checked == [(4, 2)]
+        assert failures.bad.tolist() == [False, failing, False, False]
+        monkeypatch.undo()
+        for r, part in enumerate(np.split(vols, np.cumsum([k.size for k in strikes])[:-1])):
+            if not failures.bad[r]:
+                lone = implied_vol_grid(randomize(cols[r], RATE_CTX), STACK_EXPIRIES[r], strikes[r], "brent")
                 assert part.tobytes() == lone.tobytes()
 
     @pytest.mark.parametrize("engine", ["brent", "expansion"])
