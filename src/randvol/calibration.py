@@ -124,11 +124,12 @@ class FitConfig:
         method, order = parse_engine(self.engine)
         if method == "expansion" and self.randomizer != "none":
             expansion_order("spot" if self.randomizer == "spot-lognormal" else "parameter", order)
-        for key in ("multistart", "budget"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        for key, least in (("multistart", 1), ("budget", 1), ("seed", 0)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
         if not 1 <= self.n_q <= MAX_NQ:
             raise ValueError(f"n_q must be between 1 and {MAX_NQ}, got {self.n_q}")
+        check_domains({name: [value] for name, value in self.fixed.items()})
 
 
 @dataclass
@@ -274,7 +275,7 @@ def _point_columns(cfg: FitConfig, values: dict, s0: float, failures: Optional[R
     return plain_columns(columns) if family == "discrete" else SliceColumns(target, family, cfg.n_q, columns)
 
 
-def model_vols(params, ctx: MarketContext, expiry, strikes, engine: str, quiet: bool = False) -> np.ndarray:
+def model_vols(params, ctx: MarketContext, expiry, strikes, engine: str) -> np.ndarray:
     """Model implied vols of a stack of points: a sequence of SliceParams, or their array form, `SliceColumns`.
 
     ``expiry`` and ``strikes`` are one expiry and strike grid for every row, giving a (P, n) array, or one
@@ -288,7 +289,7 @@ def model_vols(params, ctx: MarketContext, expiry, strikes, engine: str, quiet: 
     shared = np.ndim(expiry) == 0  # one expiry and strike grid for every row
     if shared:
         expiry, strikes = [expiry] * len(cols), [np.asarray(strikes, dtype=float)] * len(cols)
-    vols, failures = implied_vol_stack(cols, ctx, expiry, strikes, engine, quiet)
+    vols, failures = implied_vol_stack(cols, ctx, expiry, strikes, engine)
     if failures.any and cols is not params:
         raise failures.error
     return vols.reshape(len(cols), -1) if shared else vols
@@ -482,7 +483,7 @@ def _evaluate(requests) -> None:
     if first.surface is not None:
         first.surface.model_calls += 1
     vols = model_vols(columns[good] if failures.any else columns, first.ctx, [p.expiry for p in held],
-                      [p.strikes for p in held], first.cfg.engine, quiet=True)
+                      [p.strikes for p in held], first.cfg.engine)
     diff = vols - np.concatenate([p.market for p in held])
     starts = [0, *accumulate(p.market.size for p in held)]
     finite = np.logical_and.reduceat(np.isfinite(vols), starts[:-1])

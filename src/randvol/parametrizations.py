@@ -13,7 +13,7 @@ from typing import Literal, Optional, Union
 import numpy as np
 
 from .errors import ParameterDomainError
-from .pricing import MarketContext, OptionKey
+from .pricing import MarketContext, OptionKey, _check_strikes, expiry_terms
 from .quadrature import FAMILIES, DiscreteGiven, DistributionSpec, SpotLogNormal, check_domains, spec_columns
 
 #: correlation clamp used by the calibrator; the type itself only
@@ -173,13 +173,12 @@ def eval_vol(base: BaseParams, ctx: MarketContext, key: OptionKey) -> float:
 
 
 def eval_vol_curve(base: BaseParams, ctx: MarketContext, expiry: float, strikes) -> np.ndarray:
-    """Vectorized eval_vol over a strike array at one expiry."""
-    strikes = np.asarray(strikes, dtype=float)
+    """Vectorized eval_vol over a strike array at one expiry; the expiry and strikes are checked as a grid's are."""
+    tau, *_, fwd = expiry_terms(ctx, expiry)
+    strikes = _check_strikes(strikes)
     if isinstance(base, FlatParams):
         return np.full(strikes.shape, base.sigma)
-    tau = expiry - ctx.t0
-    fwd = ctx.forward(expiry)
-    return np.atleast_1d(hagan_vol(fwd, strikes, tau, base.alpha, base.beta, base.rho, base.gamma))
+    return hagan_vol(fwd, strikes, tau, base.alpha, base.beta, base.rho, base.gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,11 @@ import numpy as np
 
 from . import expansion, parametrizations
 from .arbitrage import _checked_grid, _second_difference
-from .errors import ParameterDomainError, RandvolError, RowFailures, fail_rows
+from .errors import NoImpliedVolError, ParameterDomainError, RowFailures, fail_rows
 from .parametrizations import SliceColumns, slice_columns
 from .pricing import (
-    MarketContext, OptionKey, OptionType, _check_strikes, bs_call_values, expiry_terms, implied_vol_brent,
-    inverted_vols,
+    MarketContext, OptionKey, OptionType, _check_strikes, bs_call_values, expiry_terms, inverted_vols,
+    implied_vol_brent,  # unused here, but it stays a name: the benchmark's tracer wraps it
 )
 from .quadrature import QuadratureRule, _check_rules, quadrature_for, rule_rows
 
@@ -124,7 +124,6 @@ class _Grid(NamedTuple):
     """
 
     ctx: MarketContext
-    expiries: list  # one per row
     counts: list  # strikes per row
     row: np.ndarray
     strikes: np.ndarray
@@ -136,7 +135,7 @@ class _Grid(NamedTuple):
 
     @property
     def rows(self) -> int:
-        return len(self.expiries)
+        return len(self.counts)
 
     def by_pair(self, per_row: np.ndarray, sel=None) -> np.ndarray:
         """Each pair's entry of an array whose last axis runs over the rows, at the pairs ``sel`` (all by default);
@@ -165,7 +164,7 @@ def _grid(ctx: MarketContext, expiries, strikes) -> _Grid:
     per_row = [checked[expiry, id(k)] for expiry, k in zip(expiries, strikes)]
     counts = [k.size for k in per_row]
     row = np.arange(len(counts)).repeat(counts)
-    return _Grid(ctx, list(expiries), counts, row, np.concatenate(per_row),
+    return _Grid(ctx, counts, row, np.concatenate(per_row),
                  *np.array([terms[expiry] for expiry in expiries]).T)
 
 
@@ -284,15 +283,15 @@ def implied_vol_grid(
 
 
 @np.errstate(all="ignore")  # a row far out of range overflows on its way to NaN, which is all it should do
-def implied_vol_stack(cols: SliceColumns, ctx: MarketContext, expiries, strikes, engine: str = "brent",
-                      quiet: bool = False) -> tuple[np.ndarray, RowFailures]:
+def implied_vol_stack(cols: SliceColumns, ctx: MarketContext, expiries, strikes,
+                      engine: str = "brent") -> tuple[np.ndarray, RowFailures]:
     """Implied vols of a stack of slices, each row at its own expiry on its own strikes (one of each per row).
 
     Returns the rows' vols one after another in one flat array, and the record of the rows that failed a
     check: their vols are NaN, and every other row is bit for bit its lone `implied_vol_grid`.  The stack is
     evaluated in one pass: a row whose rule fails its checks takes the first good row's rule, and every check
-    after that marks a row instead of raising and spares its Brent fallback.  Numpy's floating-point warnings
-    are silenced here: a row they would concern reads NaN, or reads as it is.
+    after that, a refused inversion's included, marks a row instead of raising; escalations log at debug level.
+    Numpy's floating-point warnings are silenced here: a row they would concern reads NaN, or reads as it is.
     """
     method, order = parse_engine(engine)
     failures = RowFailures(len(expiries))
@@ -307,7 +306,7 @@ def implied_vol_stack(cols: SliceColumns, ctx: MarketContext, expiries, strikes,
     grid = _grid(ctx, expiries, strikes)
     # every row now holds rules that passed _check_rules: a good row's own, or the first good row's
     vols = _grid_vols(RandomizedSlice(cols, QuadratureRule.of_checked(weights, nodes), ctx), grid, method, order,
-                      DEFAULT_M_MAX, quiet, failures)
+                      DEFAULT_M_MAX, True, failures)
     vols[np.repeat(failures.bad, grid.counts)] = np.nan
     return vols, failures
 
@@ -375,22 +374,19 @@ def _coefficients(rs: RandomizedSlice, grid: _Grid, vols: np.ndarray, failures: 
 
 
 def _invert(grid: _Grid, sel, prices: np.ndarray, failures: Optional[RowFailures] = None) -> np.ndarray:
-    """Exact vols of mixture prices at a grid's pairs ``sel`` (all by default); scalar Brent answers or refuses
-    what the vector pass leaves.  A refused price raises, or, given ``failures``, marks its row there, whose
-    remaining prices are then left NaN."""
+    """Exact vols of mixture prices at a grid's pairs ``sel`` (all by default), by the vector pass.  A price it
+    leaves NaN lies outside (intrinsic, s0) and has no vol: it raises `NoImpliedVolError`, or, given ``failures``,
+    marks its row there, whose remaining prices are then left NaN."""
     strikes, rows = (grid.strikes, grid.row) if sel is None else (grid.strikes.take(sel), grid.row.take(sel))
     out = inverted_vols(grid.ctx.s0, *(grid.by_pair(t, sel) for t in (grid.r_tau, grid.df, grid.sqrt_tau)), strikes,
                         prices)
-    for i in np.flatnonzero(np.isnan(out)):
-        row = rows[i]
-        if failures is not None and failures.bad[row]:
-            continue
-        try:
-            out[i] = implied_vol_brent(grid.ctx, OptionKey(grid.expiries[row], float(strikes[i])), float(prices[i]))
-        except RandvolError as exc:
-            if failures is None:
-                raise
-            failures.mark(np.arange(grid.rows) == row, lambda: exc)
+    refused = np.isnan(out)  # a row already marked keeps its first error: marking it again changes nothing
+    if refused.any():  # worded at the first refused pair as `implied_vol_brent` words it, in Python floats
+        i, s0 = np.argmax(refused), grid.ctx.s0
+        lower = max(s0 - float(strikes[i]) * float(grid.df[rows[i]]), 0.0)
+        error = NoImpliedVolError(
+            f"no implied volatility exists: price {float(prices[i])!r} outside ({lower!r}, {s0!r})")
+        fail_rows(failures, np.bincount(rows[refused], minlength=grid.rows) > 0, lambda: error)
     return out
 
 

@@ -1,6 +1,7 @@
 """Tests for liquidity selection and slice calibration."""
 import contextlib
 import math
+import re
 import threading
 
 import numpy as np
@@ -178,6 +179,16 @@ class TestFitConfig:
     def test_node_count_outside_the_supported_range_rejected(self, n_q, randomizer):
         with pytest.raises(ValueError, match=f"n_q must be between 1 and 10, got {n_q}"):
             FitConfig(randomizer=randomizer, n_q=n_q)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            FitConfig(seed=-1)
+
+    @pytest.mark.parametrize("model", ["flat", "sabr"])
+    @pytest.mark.parametrize("beta,shown", [(2.0, "2.0"), (-0.1, "-0.1"), (math.nan, "nan")])
+    def test_fixed_value_outside_its_domain_rejected(self, model, beta, shown):
+        with pytest.raises(ParameterDomainError, match=re.escape(f"beta must be in [0, 1], got {shown}")):
+            FitConfig(model=model, fixed={"beta": beta})
 
 
 def run_search(search, asked=None):
@@ -484,9 +495,9 @@ class TestStackedEvaluation:
             build_slice_params(cfg, calibration._values_from_vector(cfg, free, v), quotes.ctx) for v in starts
         ]
         strikes = np.array([q.strike for q in quotes.quotes])
-        stacked = model_vols(params, quotes.ctx, expiry, strikes, engine, quiet=True)
+        stacked = model_vols(params, quotes.ctx, expiry, strikes, engine)
         assert stacked.shape == (5, strikes.size)
-        singles = [model_vols([p], quotes.ctx, expiry, strikes, engine, quiet=True)[0] for p in params]
+        singles = [model_vols([p], quotes.ctx, expiry, strikes, engine)[0] for p in params]
         np.testing.assert_array_equal(stacked, singles)
 
     def test_failing_member_reads_none_and_spares_the_others(self, randomized_sabr_fixture):

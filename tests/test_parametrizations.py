@@ -1,4 +1,5 @@
 """Tests for the flat and SABR parametrizations."""
+import math
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from randvol.parametrizations import (
     SabrParams,
     SliceParams,
     eval_vol,
+    eval_vol_curve,
     hagan_vol,
     params_from_json,
     params_to_json,
 )
 from randvol.pricing import MarketContext, OptionKey
 from randvol.quadrature import DiscreteGiven, Gamma, LogNormal, SpotLogNormal, quadrature_for
-from randvol.randomization import _node_vols, _uniform_grid, randomize
+from randvol.randomization import _node_vols, _uniform_grid, implied_vol_grid, randomize
 
 CTX = MarketContext(s0=100.0, r=0.0)
 
@@ -81,6 +83,22 @@ class TestEvalVol:
         for bump in (1 + 1e-8, 1 - 1e-8):
             nearby = eval_vol(params, ctx, OptionKey(0.75, fwd * bump))
             assert abs(nearby - center) < 1e-6
+
+    @pytest.mark.parametrize("base", [FlatParams(0.2), SabrParams(0.3, 0.9, -0.3, 0.4)], ids=["flat", "sabr"])
+    @pytest.mark.parametrize("expiry,strikes,message", [
+        (-0.5, [90.0, 110.0], "expiry -0.5 must exceed"),
+        (math.nan, [100.0], "expiry nan must exceed"),
+        (0.5, [100.0, -5.0], "strikes must be positive and finite, got -5"),
+        (0.5, [math.nan], "strikes must be positive and finite, got nan"),
+        (0.5, [[90.0, 110.0]], "strikes must be a scalar or a 1-d array"),
+    ], ids=["negative-expiry", "nan-expiry", "negative-strike", "nan-strike", "2-d-strikes"])
+    def test_curve_checks_its_inputs_as_the_grid_does(self, base, expiry, strikes, message):
+        ctx = MarketContext(s0=100.0, r=0.02)
+        with pytest.raises(ValueError, match=message) as curve:
+            eval_vol_curve(base, ctx, expiry, strikes)
+        with pytest.raises(ValueError) as grid:
+            implied_vol_grid(randomize(SliceParams(base), ctx), expiry, strikes)
+        assert str(curve.value) == str(grid.value)
 
     def test_series_matches_direct_near_cutover(self):
         # z/x(z) must agree across the series switch at |z| = 1e-6

@@ -21,7 +21,7 @@ from randvol.pricing import (
     implied_vols,
     log_moneyness,
 )
-from randvol.quadrature import DiscreteGiven
+from randvol.quadrature import DiscreteGiven, LogNormal
 from randvol.randomization import expansion_coefficients, implied_vol_grid, randomize, randomized_prices
 
 CTX = MarketContext(s0=100.0, r=0.0)
@@ -163,6 +163,15 @@ class TestBrentRootUnchanged:
             assert got.hex() == want.hex()
 
 
+def two_sigma_nodes(lo, hi):
+    """A flat slice whose sigma is lo or hi with equal weight."""
+    return SliceParams(FlatParams(lo), RandomizerSpec("sigma", DiscreteGiven(((0.5, lo), (0.5, hi))), 2))
+
+
+# sigma lognormal with mean 0.2: at r = 0.02, its call at K = 55, T = 0.05 rounds onto its intrinsic value
+LOGNORMAL_SIGMA = SliceParams(FlatParams(0.2), RandomizerSpec("sigma", LogNormal(math.log(0.2) - 0.02, 0.2), 4))
+
+
 def vega_times_vol(ctx, tau, strikes, sigma):
     total = sigma * math.sqrt(tau)
     d1 = (np.log(ctx.s0 / strikes) + ctx.r * tau) / total + 0.5 * total
@@ -207,6 +216,20 @@ class TestImpliedVols:
         ]
         np.testing.assert_allclose(vols, oracle, rtol=1e-8)
 
+    def test_extreme_scan_settles_every_point(self):
+        # settling only: out here a few points miss the reprice bound of the roundtrip test
+        rng = np.random.default_rng(19)
+        for rate in (-0.05, 0.0, 0.03, 0.1):
+            ctx = MarketContext(s0=100.0, r=rate)
+            sigmas, taus = np.exp(rng.uniform(np.log([1e-3, 1e-3]), np.log([10.0, 30.0]), (100, 2))).T
+            for sigma, tau in zip(sigmas, taus):
+                strikes = strike_grid(ctx, tau, 0.01, 100.0)
+                prices = bs_call_values(ctx.s0, *expiry_terms(ctx, tau)[1:4], strikes, sigma)
+                intrinsic = np.maximum(ctx.s0 - strikes * math.exp(-rate * tau), 0.0)
+                inside = (prices > intrinsic) & (prices < ctx.s0)
+                vols = implied_vols(ctx, tau, strikes[inside], prices[inside])
+                assert not np.any(np.isnan(vols)), (sigma, tau, rate)
+
     def test_prices_outside_the_bounds_unsettled(self):
         strikes = np.array([80.0, 100.0, 120.0, 100.0])
         prices = np.array([20.0, 100.0, 0.0, np.nan])
@@ -224,6 +247,24 @@ class TestImpliedVols:
         rs = randomize(params, CTX)
         with pytest.raises(NoImpliedVolError, match="no implied volatility exists"):
             implied_vol_grid(rs, expiry, [strike], engine="brent")
+
+    # each price rounds onto a bound; on the expansion engine, only at points the guard escalates
+    @pytest.mark.parametrize("params,ctx,expiry,strike,engine", [
+        (two_sigma_nodes(0.01, 0.02), CTX, 0.05, 50.0, "brent"),
+        (two_sigma_nodes(0.01, 0.02), CTX, 0.05, 50.0, "expansion"),
+        (two_sigma_nodes(60.0, 80.0), CTX, 4.0, 100.0, "brent"),
+        (LOGNORMAL_SIGMA, MarketContext(s0=100.0, r=0.02), 0.05, 55.0, "brent"),
+        (LOGNORMAL_SIGMA, MarketContext(s0=100.0, r=0.02), 0.05, 55.0, "expansion"),
+    ], ids=["at-intrinsic-brent", "at-intrinsic-expansion", "at-spot-brent", "at-intrinsic-with-rate-brent",
+            "at-intrinsic-with-rate-expansion"])
+    def test_grid_refuses_in_brents_words(self, params, ctx, expiry, strike, engine):
+        rs = randomize(params, ctx)
+        price = float(randomized_prices(rs, expiry, [strike])[0])
+        with pytest.raises(NoImpliedVolError) as oracle:
+            implied_vol_brent(ctx, OptionKey(expiry, strike), price)
+        with pytest.raises(NoImpliedVolError) as grid:
+            implied_vol_grid(rs, expiry, [strike], engine=engine)
+        assert str(grid.value) == str(oracle.value)
 
 
 class TestLogMoneyness:

@@ -23,6 +23,9 @@ MISSPELLED = [
     pytest.param("engine = expansoin:6", "expansoin:6", id="engine"),
     pytest.param("engine = expansion6", "expansion6", id="engine-no-colon"),
     pytest.param("randomizer = gama-gamma", "gama-gamma", id="randomizer"),
+    # a value outside its domain: the error names the key
+    pytest.param("seed = -1", "seed must be at least 0, got -1", id="negative-seed"),
+    pytest.param("beta = 2", "beta must be in", id="beta-outside-its-domain"),
 ]
 # a search count below one, and the key its error must name
 BELOW_ONE = [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from randvol import quadrature, randomization
-from randvol.errors import ExpansionRangeError, ParameterDomainError, RowFailures
+from randvol.errors import ExpansionRangeError, NoImpliedVolError, ParameterDomainError, RowFailures
 from randvol.expansion import evaluate_polynomial, parameter_coefficients
 from randvol.parametrizations import (
     FlatParams, RandomizerSpec, SabrParams, SliceColumns, SliceParams, eval_vol_curve, hagan_vol, slice_columns,
@@ -364,7 +364,7 @@ class TestGridChecksOnce:
         expiries = [0.5, 0.5, 0.5, 1.0, 0.25]
         strikes = [shared, shared.copy(), np.linspace(70.0, 140.0, 38), shared, shared]
         params = [SliceParams(SabrParams(0.3 - 0.02 * i, 0.9, -0.4 + 0.1 * i, 1.2), randomizer(i)) for i in range(5)]
-        vols, failures = implied_vol_stack(slice_columns(params), RATE_CTX, expiries, strikes, engine, quiet=True)
+        vols, failures = implied_vol_stack(slice_columns(params), RATE_CTX, expiries, strikes, engine)
         assert not failures.any
         for r, part in enumerate(np.split(vols, np.cumsum([k.size for k in strikes])[:-1])):
             lone = implied_vol_grid(randomize(params[r], RATE_CTX), expiries[r], strikes[r], engine, quiet=True)
@@ -563,3 +563,52 @@ class TestBorrowedRule:
             randomize(cols, RATE_CTX)
         assert "weights must be nonnegative" in str(lone.value)
         assert type(failures.error) is type(lone.value) and str(failures.error) == str(lone.value)
+
+
+class TestVectorInversionOnly:
+    """Every grid path inverts by the vector pass alone, refusals included: scalar Brent is the tests' oracle."""
+
+    # the sigma-lognormal slice whose call at K = 55, T = 0.05 rounds onto its intrinsic value
+    SLICE = sigma_stack([0.2])[0]
+
+    @pytest.fixture(autouse=True)
+    def no_brent(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid path called scalar Brent")
+
+        monkeypatch.setattr(randomization, "implied_vol_brent", refuse)
+
+    @pytest.mark.parametrize("engine", ["brent", "expansion"])
+    def test_first_refused_point_is_named(self, engine):
+        # K = 45 and K = 55 refuse; every strike is past the guard, so both engines invert the whole grid
+        rs, strikes = randomize(self.SLICE, RATE_CTX), [45.0, 50.0, 55.0]
+        with pytest.raises(NoImpliedVolError) as grid:
+            implied_vol_grid(rs, 0.05, strikes, engine)
+        with pytest.raises(NoImpliedVolError) as oracle:
+            implied_vol_brent(RATE_CTX, OptionKey(0.05, 45.0), float(randomized_prices(rs, 0.05, strikes)[0]))
+        assert str(grid.value) == str(oracle.value)
+
+    @pytest.mark.parametrize("engine", ["brent", "expansion:6"])
+    def test_wide_grid_settles(self, engine, caplog):
+        vols = implied_vol_grid(randomize(self.SLICE, RATE_CTX), 0.5, np.linspace(40.0, 250.0, 41), engine)
+        assert np.all(np.isfinite(vols) & (vols > 0.0))
+        assert ("expansion guard tripped at 21 of 41" in caplog.text) == (engine != "brent")
+
+    @pytest.mark.parametrize("engine", ["brent", "expansion"])
+    @pytest.mark.parametrize("refusing", [[1], [1, 3]])
+    def test_stack_marks_the_refusing_rows_alone(self, engine, refusing):
+        params = sigma_stack([0.25, 0.2, 0.3, 0.2])
+        expiries = [0.5, 0.05, 1.0, 0.05 if 3 in refusing else 0.25]
+        strikes = [np.linspace(60.0, 160.0, 21), np.array([55.0, 60.0, 100.0]), np.linspace(40.0, 250.0, 41),
+                   np.array([45.0, 100.0])]
+        vols, failures = implied_vol_stack(slice_columns(params), RATE_CTX, expiries, strikes, engine)
+        assert np.flatnonzero(failures.bad).tolist() == refusing
+        with pytest.raises(NoImpliedVolError) as lone:
+            implied_vol_grid(randomize(params[1], RATE_CTX), expiries[1], strikes[1], engine)
+        assert type(failures.error) is NoImpliedVolError and str(failures.error) == str(lone.value)
+        for r, part in enumerate(np.split(vols, np.cumsum([k.size for k in strikes])[:-1])):
+            if r in refusing:
+                assert np.isnan(part).all()
+            else:
+                lone = implied_vol_grid(randomize(params[r], RATE_CTX), expiries[r], strikes[r], engine)
+                assert np.isfinite(part).all() and part.tobytes() == lone.tobytes()
