@@ -7,6 +7,7 @@ import io
 import json
 import math
 import sys
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from .errors import CalibrationError, RandvolError
 from .parametrizations import params_from_json
 from .pricing import MarketContext, bs_call_values, expiry_terms
 from .quotes import load_quotes, parse_config
-from .randomization import density, implied_vol_grid, parse_engine, randomize, randomized_prices
+from .randomization import csv_rows, density, implied_vol_grid, parse_engine, randomize, randomized_prices
 
 
 def main(argv=None) -> int:
@@ -26,10 +27,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except RandvolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (RandvolError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -100,25 +98,32 @@ def _add_market_args(cmd: argparse.ArgumentParser) -> None:
 
 
 def _load_params_file(path, spot):
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     if "slices" in data:
-        return [
-            (float(entry["expiry"]), params_from_json(entry["params"], spot=spot))
-            for entry in data["slices"]
-        ]
+        return [(float(entry["expiry"]), params_from_json(entry["params"], spot=spot)) for entry in data["slices"]]
     return params_from_json(data, spot=spot)
 
 
 def _resolve_points(args) -> list[tuple[float, np.ndarray]]:
+    """The (expiry, strikes) groups asked for; a points file's come in expiry order, rows in file order within one."""
     if args.points:
-        by_expiry: dict[float, list[float]] = {}
-        rows = Path(args.points).read_text(encoding="utf-8").strip().splitlines()
+        if given := [flag for flag in ("--expiry", "--strikes", "--k-min", "--k-max")
+                     if getattr(args, flag[2:].replace("-", "_")) is not None]:
+            raise ValueError(f"--points cannot be combined with {', '.join(given)}")
+        rows = Path(args.points).read_text(encoding="utf-8-sig").strip().splitlines()
         if rows and rows[0].lower().replace(" ", "") == "expiry,strike":
             rows = rows[1:]
-        for row in rows:
-            expiry_s, strike_s = row.split(",")
-            by_expiry.setdefault(float(expiry_s), []).append(float(strike_s))
-        return [(t, np.asarray(ks)) for t, ks in sorted(by_expiry.items())]
+        if not rows:
+            raise ValueError(f"points file {args.points} contains no data rows")
+        if set(map(str.count, rows, repeat(","))) != {1}:
+            for row in rows:  # raise the first bad row's error, in file order
+                expiry_s, strike_s = row.split(",")
+                float(expiry_s), float(strike_s)
+        fields = chain.from_iterable(map(str.split, rows, repeat(",")))  # one row's strings alive at a time
+        expiries, strikes = np.fromiter(map(float, fields), float, 2 * len(rows)).reshape(-1, 2).T
+        order = np.argsort(expiries, kind="stable")
+        keys, starts = np.unique(expiries[order], return_index=True)
+        return list(zip(keys.tolist(), np.split(strikes[order], starts[1:])))
     if args.expiry is None:
         raise ValueError("provide --points or --expiry with strike flags")
     if args.strikes:
@@ -164,13 +169,10 @@ def _cmd_fit(args) -> int:
                 continue
         evaluations += result.evaluations
         tag = f"{expiry:.6f}".rstrip("0").rstrip(".").replace(".", "_")
-        (out_dir / f"fit_T{tag}.json").write_text(
-            json.dumps(result.to_json(), indent=2) + "\n", encoding="utf-8"
+        (out_dir / f"fit_T{tag}.json").write_text(json.dumps(result.to_json(), indent=2) + "\n", encoding="utf-8")
+        (out_dir / f"residuals_T{tag}.csv").write_text(
+            "expiry,strike,residual\n" + csv_rows("%.10g,%.10g,%.12g", result.residuals), encoding="utf-8"
         )
-        with (out_dir / f"residuals_T{tag}.csv").open("w", encoding="utf-8") as handle:
-            handle.write("expiry,strike,residual\n")
-            for t, k, res in result.residuals:
-                handle.write(f"{t:.10g},{k:.10g},{res:.12g}\n")
         print(f"T={expiry:.6f}: sse={result.sse:.6e} mse={result.mse:.6e}")
     print(f"fit: slices={len(fits)} failed={failed} model_calls={fits.model_calls} evaluations={evaluations}",
           file=sys.stderr)
@@ -190,7 +192,7 @@ def _cmd_grid(args) -> int:
     rs = _single_slice(args)
     # the root-finder engine round-trips to the exact mixture price, so `price` takes that directly
     exact_price = args.command == "price" and parse_engine(args.engine)[0] == "brent"
-    lines = [f"expiry,strike,{args.command}"]
+    blocks = [f"expiry,strike,{args.command}\n"]
     for expiry, strikes in _resolve_points(args):
         if exact_price:
             values = randomized_prices(rs, expiry, strikes)
@@ -198,8 +200,8 @@ def _cmd_grid(args) -> int:
             values = implied_vol_grid(rs, expiry, strikes, engine=args.engine)
             if args.command == "price":  # expansion engines price off their vols
                 values = bs_call_values(rs.ctx.s0, *expiry_terms(rs.ctx, expiry)[1:4], strikes, values)
-        lines += [f"{expiry:.10g},{k:.10g},{v:.12g}" for k, v in zip(strikes, values)]
-    _emit("\n".join(lines) + "\n", args.out)
+        blocks.append(csv_rows(f"{expiry:.10g},%.10g,%.12g", np.column_stack((strikes, values))))
+    _emit("".join(blocks), args.out)
     return 0
 
 

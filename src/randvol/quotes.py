@@ -1,6 +1,6 @@
 """Quote-file ingestion and run configuration.
 
-Quote files are UTF-8 CSV with the header
+Quote files are UTF-8 CSV (a leading byte-order mark is skipped) with the header
 ``expiry_date,strike,type,iv,open_interest`` (an optional trailing
 ``trade_date`` column overrides the market trade date per row).  Implied
 vols are fractions, not percents.  Year fractions use ACT/365.
@@ -37,22 +37,17 @@ def year_fraction(start: dt.date, end: dt.date) -> float:
 
 def load_quotes(path, market: MarketConfig) -> QuoteSet:
     """Parse a quote CSV, compute ACT/365 expiries, keep the liquid quotes."""
-    path = Path(path)
-    quotes: list[Quote] = []
-    with path.open(newline="", encoding="utf-8") as handle:
+    with Path(path).open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise QuoteFormatError("empty quote file")
         missing = [c for c in _REQUIRED_COLUMNS if c not in reader.fieldnames]
         if missing:
             raise QuoteFormatError(f"missing columns: {', '.join(missing)}")
-        for row in reader:
-            line = reader.line_num
-            quotes.append(_parse_row(row, market, line))
+        quotes = [_parse_row(row, market, reader.line_num) for row in reader]
     if not quotes:
         raise QuoteFormatError("quote file contains no data rows")
-    raw = QuoteSet(tuple(quotes), market.context())
-    return select_liquid(raw)
+    return select_liquid(QuoteSet(tuple(quotes), market.context()))
 
 
 def _parse_row(row: dict, market: MarketConfig, line: int) -> Quote:
@@ -104,7 +99,7 @@ _FIT_KEYS = {
 def parse_config(path) -> RunConfig:
     """Parse a ``key = value`` config file; '#' starts a comment."""
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
