@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .expansion import evaluate_polynomial, parameter_coefficients
+from .expansion import evaluate_polynomial, expansion_order, parameter_coefficients
 from .parametrizations import FlatParams, RandomizerSpec, SliceParams
 from .pricing import MarketContext, OptionKey, OptionType, implied_vol_brent
 from .quadrature import LogNormal
@@ -43,6 +43,11 @@ def reference_slice(n_q: int = 4) -> RandomizedSlice:
     return randomize(params, ctx)
 
 
+def _points_timed(count: int) -> int:
+    """The points a `count` run times: an equal share on each expiry, at least one each."""
+    return _N_EXPIRIES * max(count // _N_EXPIRIES, 1)
+
+
 def _point_grid(rs: RandomizedSlice, count: int):
     """(expiry, strikes, log-moneyness) triples: count points over a fixed expiry set.
 
@@ -50,7 +55,7 @@ def _point_grid(rs: RandomizedSlice, count: int):
     so it lives outside the timed sections.
     """
     expiries = np.linspace(0.5, 2.5, _N_EXPIRIES)
-    per = max(count // _N_EXPIRIES, 1)
+    per = _points_timed(count) // _N_EXPIRIES
     out = []
     for expiry in expiries:
         m = np.linspace(-_M_SPAN, _M_SPAN, per)
@@ -78,6 +83,8 @@ def time_expansion(rs: RandomizedSlice, count: int, order: int) -> float:
 
 def time_brent(rs: RandomizedSlice, count: int) -> float:
     """Seconds to invert `count` randomized prices with warm-started Brent."""
+    import scipy.optimize  # implied_vol_brent imports it on first use: load it before the clock starts
+
     grid = _point_grid(rs, count)
     start = time.perf_counter()
     for expiry, strikes, _ in grid:
@@ -94,13 +101,16 @@ def run_benchmark(
     orders: Sequence[int] = DEFAULT_ORDERS,
     include_brent: bool = True,
 ) -> list[BenchRow]:
+    """One row per count and method, labelled with the points timed; every order is checked first."""
+    orders = [expansion_order("parameter", order) for order in orders]
     rs = reference_slice()
     rows: list[BenchRow] = []
     for count in counts:
+        timed = _points_timed(count)
         if include_brent:
-            rows.append(BenchRow("brent", count, time_brent(rs, count)))
+            rows.append(BenchRow("brent", timed, time_brent(rs, count)))
         for order in orders:
-            rows.append(BenchRow(f"expansion:{order}", count, time_expansion(rs, count, order)))
+            rows.append(BenchRow(f"expansion:{order}", timed, time_expansion(rs, count, order)))
     return rows
 
 

@@ -28,11 +28,11 @@ import functools
 import math
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
+from types import SimpleNamespace
 from typing import Callable, Generator, Literal, Optional, Sequence, get_args
 
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
-from scipy.optimize import OptimizeResult
 
 from .errors import CalibrationError, RowFailures, fail_rows
 from .expansion import expansion_order
@@ -343,7 +343,7 @@ def minimize(residuals, start, budget: int):
             x, cost = x_new, cost_new
             f, J = yield from _jacobian(residuals, x, f_new)
             g = J.T.dot(f)
-    return OptimizeResult(x=x, success=bool(done))
+    return SimpleNamespace(x=x, success=bool(done))
 
 
 def _svd(J: np.ndarray):

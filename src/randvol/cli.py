@@ -256,6 +256,8 @@ def _cmd_interp(args) -> int:
 
 def _cmd_bench(args) -> int:
     counts = [int(c) for c in args.counts.split(",")]
+    if min(counts) < 1:
+        raise ValueError(f"--counts must be at least 1, got {min(counts)}")
     orders = [int(o) for o in args.orders.split(",")]
     rows = bench_mod.run_benchmark(counts, orders, include_brent=not args.skip_brent)
     _emit(bench_mod.rows_to_csv(rows), args.out)

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .errors import NoImpliedVolError, RootFindError
@@ -216,6 +215,7 @@ def implied_vol_brent(
     def objective(sigma: float) -> float:
         return pricer(sigma) - price
 
+    from scipy.optimize import brentq  # imported here: no other path needs scipy.optimize at start-up
     lo, hi = _bracket(objective, warm_start)
     try:
         return float(brentq(objective, lo, hi, rtol=max(rtol, 9e-16), xtol=1e-15, maxiter=_BRENT_MAX_ITER))

@@ -616,6 +616,27 @@ class TestCli:
         methods = {line.split(",")[0] for line in lines[1:]}
         assert methods == {"brent", "expansion:2", "expansion:4", "expansion:6"}
 
+    @pytest.mark.parametrize("order", ["5", "8"])
+    def test_bench_refuses_an_order_the_expansion_lacks(self, capsys, order):
+        assert main(["bench", "--counts", "10", "--orders", f"2,{order}", "--skip-brent"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: parameter expansion supports orders (0, 2, 4, 6), got {order}\n"
+
+    @pytest.mark.parametrize("counts", ["0", "-100", "100,0"])
+    def test_bench_refuses_a_count_below_one(self, capsys, counts):
+        assert main(["bench", "--counts", counts, "--orders", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --counts must be at least 1, got ")
+
+    def test_bench_labels_rows_with_the_points_timed(self, capsys):
+        # ten expiries, an equal share on each and at least one point each
+        assert main(["bench", "--counts", "1005,5,30", "--orders", "2,0"]) == 0
+        rows = [line.split(",")[:2] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows == [[method, count] for count in ("1000", "10", "30")
+                        for method in ("brent", "expansion:2", "expansion:0")]
+
     def test_missing_file_reports_error(self, capsys):
         rc = main(["iv", "--spot", "100", "--params", "/nonexistent.json", "--expiry", "1", "--strikes", "100"])
         assert rc == 2
