@@ -1,0 +1,37 @@
+#!/usr/bin/env bash
+# Console-script smoke run: every randvol command on tiny inputs, writing its files to the current directory.
+# Usage: bash .github/scripts/smoke.sh [command ...]
+# The command defaults to the installed `randvol` console script; `python -m randvol.cli` runs the source tree.
+set -eo pipefail
+if [ "$#" -eq 0 ]; then set -- randvol; fi
+cmd=("$@")
+randvol() { command "${cmd[@]}" "$@"; }
+
+randvol bench --counts 1000 --orders 2,6 --skip-brent
+# Brent's method, the one path that imports scipy.optimize, and an order the expansion lacks (exit 2)
+randvol bench --counts 100 --orders 6
+rc=0; randvol bench --orders 8 || rc=$?; test "$rc" -eq 2
+# a plain slice refuses an order the expansion lacks too (exit 2)
+echo '{"type": "flat", "sigma": 0.2}' > smoke_flat.json
+rc=0; randvol iv --spot 100 --params smoke_flat.json --expiry 1 --strikes 90,100 --engine expansion:5 || rc=$?
+test "$rc" -eq 2
+echo '{"type": "sabr", "alpha": 0.3, "beta": 0.9, "rho": -0.3, "gamma": 0.4, "randomizer": {"target": "gamma", "dist": {"family": "gamma", "k": 3.0, "theta": 0.13}, "n_q": 2}}' > smoke.json
+randvol price --spot 100 --rate 0.02 --params smoke.json --expiry 0.5 --strikes 90,100,110 --engine expansion:6
+randvol iv --spot 100 --rate 0.02 --params smoke.json --expiry 0.5 --strikes 90,100,110 --engine brent
+randvol iv --spot 100 --rate 0.02 --params smoke.json --expiry 0.5 --engine expansion:6 \
+  --k-min 40 --k-max 250 --n-strikes 41
+randvol density --spot 100 --rate 0.02 --params smoke.json --expiry 0.5
+randvol check-arb --spot 100 --rate 0.02 --params smoke.json --expiry 0.5
+# two interleaved expiries, behind a byte-order mark and with CRLF line endings
+printf '\xef\xbb\xbfexpiry,strike\r\n1.0,110\r\n0.5,90\r\n1.0,100\r\n0.5,105\r\n' > smoke_points.csv
+randvol iv --spot 100 --rate 0.02 --params smoke.json --points smoke_points.csv --engine expansion:6 \
+  --out smoke_iv.csv
+randvol price --spot 100 --rate 0.02 --params smoke.json --points smoke_points.csv --out smoke_price.csv
+test "$(wc -l < smoke_iv.csv)" -eq 5 && test "$(wc -l < smoke_price.csv)" -eq 5
+printf '%s\n' expiry_date,strike,type,iv,open_interest 2024-10-31,80,C,0.222,100 2024-10-31,85,C,0.21425,100 \
+  2024-10-31,90,C,0.208,100 2024-10-31,95,C,0.20325,100 2024-10-31,100,C,0.2,100 2024-10-31,105,C,0.19825,100 \
+  2024-10-31,110,C,0.198,100 2024-10-31,115,C,0.19925,100 2024-10-31,120,C,0.202,100 > smoke_quotes.csv
+printf '%s\n' 'spot = 100' 'rate = 0.02' 'trade_date = 2024-07-31' 'model = sabr' 'randomizer = gamma-gamma' \
+  'n_q = 2' 'beta = 0.9' 'multistart = 2' > smoke.cfg
+randvol fit --quotes smoke_quotes.csv --config smoke.cfg --out-dir smoke_fit
+test -s smoke_fit/fit_T0_252055.json && test -s smoke_fit/residuals_T0_252055.csv

@@ -20,8 +20,6 @@ from .pricing import MarketContext, OptionKey, OptionType, implied_vol_brent
 from .quadrature import LogNormal
 from .randomization import RandomizedSlice, randomized_prices, randomize
 
-DEFAULT_COUNTS = (1_000, 10_000, 50_000, 100_000)
-DEFAULT_ORDERS = (2, 4, 6)
 _N_EXPIRIES = 10
 _M_SPAN = 0.3
 
@@ -96,11 +94,7 @@ def time_brent(rs: RandomizedSlice, count: int) -> float:
     return time.perf_counter() - start
 
 
-def run_benchmark(
-    counts: Sequence[int] = DEFAULT_COUNTS,
-    orders: Sequence[int] = DEFAULT_ORDERS,
-    include_brent: bool = True,
-) -> list[BenchRow]:
+def run_benchmark(counts: Sequence[int], orders: Sequence[int], include_brent: bool) -> list[BenchRow]:
     """One row per count and method, labelled with the points timed; every order is checked first."""
     orders = [expansion_order("parameter", order) for order in orders]
     rs = reference_slice()

@@ -45,7 +45,6 @@ from .parametrizations import (
     SliceParams,
     params_to_json,
     plain_columns,
-    slice_columns,
 )
 from .pricing import MarketContext, OptionType
 from .quadrature import (
@@ -122,7 +121,7 @@ class FitConfig:
         if self.randomizer not in get_args(RandomizerName):
             raise ValueError(f"unknown randomizer {self.randomizer!r}")
         method, order = parse_engine(self.engine)
-        if method == "expansion" and self.randomizer != "none":
+        if method == "expansion":
             expansion_order("spot" if self.randomizer == "spot-lognormal" else "parameter", order)
         for key, least in (("multistart", 1), ("budget", 1), ("seed", 0)):
             if getattr(self, key) < least:
@@ -275,24 +274,10 @@ def _point_columns(cfg: FitConfig, values: dict, s0: float, failures: Optional[R
     return plain_columns(columns) if family == "discrete" else SliceColumns(target, family, cfg.n_q, columns)
 
 
-def model_vols(params, ctx: MarketContext, expiry, strikes, engine: str) -> np.ndarray:
-    """Model implied vols of a stack of points: a sequence of SliceParams, or their array form, `SliceColumns`.
-
-    ``expiry`` and ``strikes`` are one expiry and strike grid for every row, giving a (P, n) array, or one
-    expiry and one strike array per row, giving the rows' vols one after another in one flat array.  Both
-    are one `implied_vol_stack` call.  A row of parameter columns that fails a check reads NaN and spares
-    the others; SliceParams raise the first check's error, as the public entries do.
-    """
-    if isinstance(params, SliceParams):
-        raise TypeError("model_vols takes a sequence of SliceParams, or SliceColumns; got one SliceParams")
-    cols = params if isinstance(params, SliceColumns) else slice_columns(params)
-    shared = np.ndim(expiry) == 0  # one expiry and strike grid for every row
-    if shared:
-        expiry, strikes = [expiry] * len(cols), [np.asarray(strikes, dtype=float)] * len(cols)
-    vols, failures = implied_vol_stack(cols, ctx, expiry, strikes, engine)
-    if failures.any and cols is not params:
-        raise failures.error
-    return vols.reshape(len(cols), -1) if shared else vols
+# a name of its own: the benchmark's tracer counts the calibrator's model calls here
+def model_vols(cols: SliceColumns, ctx: MarketContext, expiries, strikes, engine: str) -> np.ndarray:
+    """`implied_vol_stack`'s flat vols of a stack of points, one expiry and strike array per row; a failed row's NaN."""
+    return implied_vol_stack(cols, ctx, expiries, strikes, engine)[0]
 
 
 _FTOL, _XTOL, _GTOL = 1e-14, 1e-12, 1e-14  # least_squares' ftol, xtol and gtol
@@ -597,15 +582,13 @@ def _best(problem: _SliceObjective, cfg: FitConfig, free: list, candidates: list
     return best
 
 
-def _lockstep(problems, searches: Sequence[Generator]) -> list:
+def _lockstep(problems: Sequence[_SliceObjective], searches: Sequence[Generator]) -> list:
     """Run `minimize` generators in lockstep, each on its slice's objective; return their results in order.
 
-    ``problems`` is one objective for all the searches, or one per search.  Each round evaluates the
-    points the live searches wait on, over every slice, as one `_evaluate` call, then resumes them in
-    order; a search asking only for memoized points goes on at once.
+    ``problems`` holds one objective per search.  Each round evaluates the points the live searches wait
+    on, over every slice, as one `_evaluate` call, then resumes them in order; a search asking only for
+    memoized points goes on at once.
     """
-    if isinstance(problems, _SliceObjective):
-        problems = [problems] * len(searches)
     results: list = [None] * len(searches)
     waiting: dict = {i: {} for i in range(len(searches))}  # each live search's fresh points
     while waiting:

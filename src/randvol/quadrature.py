@@ -140,7 +140,8 @@ class QuadratureRule:
 
     @classmethod
     def of_checked(cls, weights: np.ndarray, nodes: np.ndarray) -> "QuadratureRule":
-        """The rule of weights and nodes whose rows have all passed `_check_rules`, as read-only views, unchecked."""
+        """The rule of weights and nodes, as read-only views, unchecked: each row has passed `_check_rules`, or
+        the caller has marked it failed and discards what it gives."""
         rule = object.__new__(cls)
         for name, a in (("weights", weights.view()), ("nodes", nodes.view())):
             a.setflags(write=False)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .calibration import FitConfig, Quote, QuoteSet, select_liquid
@@ -84,16 +84,8 @@ class RunConfig:
 
 
 _MARKET_KEYS = ("spot", "rate", "trade_date")
-# FitConfig keys a file may set, with their converters; FitConfig holds the defaults
-_FIT_KEYS = {
-    "model": str,
-    "randomizer": str,
-    "engine": str,
-    "n_q": int,
-    "budget": int,
-    "multistart": int,
-    "seed": int,
-}
+# the FitConfig keys a file may set, each converted to its default's type; FitConfig holds the defaults
+_FIT_KEYS = {f.name: type(f.default) for f in fields(FitConfig) if f.default is not MISSING}
 
 
 def parse_config(path) -> RunConfig:

@@ -289,9 +289,10 @@ def implied_vol_stack(cols: SliceColumns, ctx: MarketContext, expiries, strikes,
 
     Returns the rows' vols one after another in one flat array, and the record of the rows that failed a
     check: their vols are NaN, and every other row is bit for bit its lone `implied_vol_grid`.  The stack is
-    evaluated in one pass: a row whose rule fails its checks takes the first good row's rule, and every check
-    after that, a refused inversion's included, marks a row instead of raising; escalations log at debug level.
-    Numpy's floating-point warnings are silenced here: a row they would concern reads NaN, or reads as it is.
+    evaluated in one pass, each row on its own rule, and every check, a refused inversion's included, marks a
+    row instead of raising; a marked row still goes through the pass and is set to NaN at the end.
+    Escalations log at debug level.  Numpy's floating-point warnings are silenced here: a row they would
+    concern reads NaN, or reads as it is.
     """
     method, order = parse_engine(engine)
     failures = RowFailures(len(expiries))
@@ -300,11 +301,7 @@ def implied_vol_stack(cols: SliceColumns, ctx: MarketContext, expiries, strikes,
     nodes = _checked_nodes(cols, ctx, weights, nodes, failures=failures)
     if failures.bad.all():
         return np.full(sum(np.size(k) for k in strikes), np.nan), failures
-    if failures.any:
-        good = np.argmin(failures.bad)
-        weights, nodes = (np.where(failures.bad[:, None], a[good], a) for a in (weights, nodes))
     grid = _grid(ctx, expiries, strikes)
-    # every row now holds rules that passed _check_rules: a good row's own, or the first good row's
     vols = _grid_vols(RandomizedSlice(cols, QuadratureRule.of_checked(weights, nodes), ctx), grid, method, order,
                       DEFAULT_M_MAX, True, failures)
     vols[np.repeat(failures.bad, grid.counts)] = np.nan
@@ -315,12 +312,13 @@ def _grid_vols(rs: RandomizedSlice, grid: _Grid, method: str, order: Optional[in
                failures: Optional[RowFailures] = None) -> np.ndarray:
     """Implied vols at a grid's pairs; a row failing a check raises, or, given ``failures``, is marked there."""
     vols = _node_vols(rs, grid, failures)
+    if method == "expansion":  # a one-node rule refuses an order its kind lacks, as any rule does
+        order = expansion.expansion_order(rs.expansion_kind, order)
     if rs.rule.size == 1:
         return vols[0].copy()
     if method == "brent":
         return _invert(grid, None, _prices(rs, grid, vols), failures)
 
-    order = expansion.expansion_order(rs.expansion_kind, order)
     m = np.log(rs.ctx.s0 / grid.strikes) + grid.by_pair(grid.r_tau)
     values = expansion.evaluate_polynomial(rs.expansion_kind, _coefficients(rs, grid, vols, failures), m, order)
     escalate = (np.abs(m) > m_max) | (values <= 0.0)

@@ -25,12 +25,19 @@ from randvol.calibration import (
     variance_of_randomizer,
 )
 from randvol.errors import CalibrationError, GramMatrixError, ParameterDomainError, RandvolError, RowFailures
-from randvol.parametrizations import FlatParams, RandomizerSpec, SabrParams, SliceParams
+from randvol.parametrizations import FlatParams, RandomizerSpec, SabrParams, SliceParams, slice_columns
 from randvol.pricing import MarketContext, OptionType
 from randvol.quadrature import DiscreteGiven, Gamma, LogNormal, SpotLogNormal, quadrature_for
 from randvol.randomization import implied_vol_grid, randomize
 
 CTX = MarketContext(s0=100.0, r=0.02)
+
+
+def grid_vols(params, ctx, expiry, strikes, engine):
+    """`model_vols` of a sequence of SliceParams, every row at one expiry and strike grid: a (rows, strikes) array."""
+    strikes = np.asarray(strikes, dtype=float)
+    return model_vols(slice_columns(params), ctx, [expiry] * len(params), [strikes] * len(params),
+                      engine).reshape(len(params), -1)
 
 
 def make_quotes(expiry, strikes, vols, ctx=CTX):
@@ -160,14 +167,12 @@ class TestFitConfig:
         [
             ({"randomizer": "spot-lognormal", "model": "flat", "engine": "expansion:6"}, "spot"),
             ({"randomizer": "gamma-gamma", "engine": "expansion:5"}, "parameter"),
+            ({"randomizer": "none", "engine": "expansion:5"}, "parameter"),
         ],
     )
     def test_order_the_randomizer_cannot_run_rejected(self, kwargs, kind):
         with pytest.raises(ValueError, match=f"{kind} expansion supports orders"):
             FitConfig(**kwargs)
-
-    def test_one_node_fit_ignores_the_engine_order(self):
-        assert FitConfig(randomizer="none", engine="expansion:5").engine == "expansion:5"
 
     @pytest.mark.parametrize("key,value", [("multistart", 0), ("multistart", -2), ("budget", 0), ("budget", -5)])
     def test_count_below_one_rejected(self, key, value):
@@ -385,7 +390,7 @@ class TestRandomizedSabrFit:
         result, cfg, quotes = fitted_randomized
         strikes = np.array([q.strike for q in quotes.quotes])
         market = np.array([q.iv for q in quotes.quotes])
-        refit = model_vols([result.params], quotes.ctx, quotes.expiries()[0], strikes, "brent")[0]
+        refit = grid_vols([result.params], quotes.ctx, quotes.expiries()[0], strikes, "brent")[0]
         sse_brent = float(np.sum((refit - market) ** 2))
         assert abs(sse_brent - result.sse) <= 0.1 * max(result.sse, 1e-8 * len(quotes))
 
@@ -403,7 +408,7 @@ class TestRandomizedSabrFit:
             values = _values_from_vector(cfg, free, start)
             try:
                 params = build_slice_params(cfg, values, quotes.ctx)
-                model = model_vols([params], quotes.ctx, expiry, strikes, cfg.engine)[0]
+                model = grid_vols([params], quotes.ctx, expiry, strikes, cfg.engine)[0]
             except Exception:
                 continue
             sse_start = float(np.sum((model - market) ** 2))
@@ -495,9 +500,9 @@ class TestStackedEvaluation:
             build_slice_params(cfg, calibration._values_from_vector(cfg, free, v), quotes.ctx) for v in starts
         ]
         strikes = np.array([q.strike for q in quotes.quotes])
-        stacked = model_vols(params, quotes.ctx, expiry, strikes, engine)
+        stacked = grid_vols(params, quotes.ctx, expiry, strikes, engine)
         assert stacked.shape == (5, strikes.size)
-        singles = [model_vols([p], quotes.ctx, expiry, strikes, engine)[0] for p in params]
+        singles = [grid_vols([p], quotes.ctx, expiry, strikes, engine)[0] for p in params]
         np.testing.assert_array_equal(stacked, singles)
 
     def test_failing_member_reads_none_and_spares_the_others(self, randomized_sabr_fixture):
@@ -509,8 +514,9 @@ class TestStackedEvaluation:
         failing = build_slice_params(
             cfg, calibration._values_from_vector(cfg, calibration._free_parameters(cfg), points[2]), quotes.ctx
         )
+        assert np.isnan(grid_vols([failing], quotes.ctx, 0.25, [100.0], "expansion")).all()
         with pytest.raises(GramMatrixError):
-            model_vols([failing], quotes.ctx, 0.25, [100.0], "expansion")
+            randomize(failing, quotes.ctx)
         problem = slice_objective(quotes, cfg)
         problem.evaluate(points)
         assert problem.memo[points[2].tobytes()] is None
@@ -573,10 +579,11 @@ class TestStackedEvaluation:
         columns = point_columns(cfg, free, points, quotes.ctx.s0)
         assert columns.columns["k"][1] == pytest.approx(1.5e8)
         # the stacked model call reads the failing row as NaN; the public randomize still raises for the stack
-        stacked = model_vols(columns, quotes.ctx, 0.25, [100.0], "expansion")
+        strikes = np.array([100.0])
+        stacked = model_vols(columns, quotes.ctx, [0.25] * 3, [strikes] * 3, "expansion")
         assert np.isnan(stacked[1]).all()
         for i in (0, 2):
-            np.testing.assert_array_equal(stacked[i], model_vols(columns[i : i + 1], quotes.ctx, 0.25, [100.0],
+            np.testing.assert_array_equal(stacked[i], model_vols(columns[i : i + 1], quotes.ctx, [0.25], [strikes],
                                                                  "expansion")[0])
         with pytest.raises(GramMatrixError):
             randomize(columns, quotes.ctx)
@@ -863,7 +870,7 @@ class TestLockstep:
         cfg = FitConfig(model="sabr", randomizer="gamma-gamma", n_q=2)
         problem = slice_objective(quotes, cfg)
         good = [_good_point(0), _good_point(3)]
-        results = calibration._lockstep(problem, [
+        results = calibration._lockstep([problem] * 3, [
             calibration._jacobian(problem.penalized, good[0]),
             point_search(problem, FAILING_POINT),
             calibration._jacobian(problem.penalized, good[1]),
@@ -888,21 +895,19 @@ class TestLockstep:
         problem = slice_objective(quotes, FitConfig(model="sabr", randomizer="gamma-gamma", n_q=2))
         problem.evaluate([_good_point(0)])
         # the first search's first request is in the memo, so its second shares round 1 with the other search
-        calibration._lockstep(problem, [asking([_good_point(0)], [_good_point(1)]), asking([_good_point(2)])])
+        calibration._lockstep([problem] * 2, [asking([_good_point(0)], [_good_point(1)]),
+                                              asking([_good_point(2)])])
         assert problem.model_calls == 1 + 1
         assert len(problem.memo) == 3
 
-    def test_no_searches(self, randomized_sabr_fixture):
-        quotes, _ = randomized_sabr_fixture
-        assert calibration._lockstep(slice_objective(quotes, FitConfig()), []) == []
+    def test_no_searches(self):
+        assert calibration._lockstep([], []) == []
 
 
 class TestModelVolsInput:
-    def test_lone_slice_params_refused_by_name(self):
+    def test_one_plain_row_reads_its_vol(self):
         params = SliceParams(FlatParams(0.2))
-        with pytest.raises(TypeError, match="a sequence of SliceParams, or SliceColumns"):
-            model_vols(params, CTX, 0.5, [100.0], "brent")
-        np.testing.assert_array_equal(model_vols([params], CTX, 0.5, [100.0], "brent"), [[0.2]])
+        np.testing.assert_array_equal(grid_vols([params], CTX, 0.5, [100.0], "brent"), [[0.2]])
 
 
 # each domain's parameter: a calibrator configuration that takes it as a column, good values of that

@@ -81,6 +81,7 @@ SQUARE_OVERFLOW = [
 UNRUNNABLE_ORDER = [
     pytest.param("model = flat\nrandomizer = spot-lognormal\nengine = expansion:6\n", id="spot-6"),
     pytest.param("randomizer = gamma-gamma\nengine = expansion:5\n", id="parameter-5"),
+    pytest.param("model = flat\nrandomizer = none\nengine = expansion:5\n", id="plain-5"),
 ]
 
 
@@ -508,6 +509,17 @@ class TestCli:
         assert rc == 2
         assert captured.err.startswith("error: node vols must be finite") and captured.err.count("\n") == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize("order", ["1", "5", "99"])
+    def test_iv_plain_slice_refuses_an_order_the_expansion_lacks(self, tmp_path, capsys, order):
+        # a plain slice is a one-node rule, whose vols need no expansion: the order is still checked
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"type": "flat", "sigma": 0.2}), encoding="utf-8")
+        rc = main(["iv", "--spot", "100", "--params", str(path), "--expiry", "1", "--strikes", "90,100",
+                   "--engine", f"expansion:{order}"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"error: parameter expansion supports orders (0, 2, 4, 6), got {order}\n"
 
     @pytest.mark.parametrize("lines", UNRUNNABLE_ORDER)
     def test_fit_unrunnable_order_fails_before_fitting(self, tmp_path, capsys, lines):

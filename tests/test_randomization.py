@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from randvol import quadrature, randomization
-from randvol.errors import ExpansionRangeError, NoImpliedVolError, ParameterDomainError, RowFailures
+from randvol.errors import (
+    ExpansionRangeError, MomentOverflowError, NoImpliedVolError, ParameterDomainError, RowFailures,
+)
 from randvol.expansion import evaluate_polynomial, parameter_coefficients
 from randvol.parametrizations import (
     FlatParams, RandomizerSpec, SabrParams, SliceColumns, SliceParams, eval_vol_curve, hagan_vol, slice_columns,
@@ -496,7 +498,7 @@ def discrete_stack(target, rules):
 
 
 class TestBorrowedRule:
-    """A row whose rule fails its checks takes a good row's rule, reads NaN, and leaves the others as they are."""
+    """A row whose rule fails its checks is evaluated on its own rule, reads NaN, and leaves the others as they are."""
 
     @pytest.mark.parametrize("engine", ["brent", "expansion"])
     @pytest.mark.parametrize("cols,failing,message", [
@@ -563,6 +565,27 @@ class TestBorrowedRule:
             randomize(cols, RATE_CTX)
         assert "weights must be nonnegative" in str(lone.value)
         assert type(failures.error) is type(lone.value) and str(failures.error) == str(lone.value)
+
+
+class TestMomentOverflowRow:
+    """A row whose moments overflow is marked alone: `rule_rows` builds it on a substitute recurrence, which keeps
+    the eigensolver off a non-finite Jacobi matrix, and every other row reads as it does alone."""
+
+    @pytest.mark.parametrize("engine", ["brent", "expansion"])
+    @pytest.mark.parametrize("n_q", [2, 3])  # at 3 nodes, eigh fails the whole stack on the row's own recurrence
+    def test_marked_alone_and_spares_the_others(self, rng, engine, n_q):
+        params = [sigma_stack([0.2], nu=nu, n_q=n_q)[0] for nu in (0.2, 30.0, 0.3)]
+        expiries, strikes = STACK_EXPIRIES[1:], stack_strikes(rng)[1:]
+        vols, failures = implied_vol_stack(slice_columns(params), RATE_CTX, expiries, strikes, engine)
+        assert failures.bad.tolist() == [False, True, False]
+        assert isinstance(failures.error, MomentOverflowError)
+        parts = np.split(vols, np.cumsum([k.size for k in strikes])[:-1])
+        assert np.isnan(parts[1]).all()
+        for r in (0, 2):
+            lone = implied_vol_grid(randomize(params[r], RATE_CTX), expiries[r], strikes[r], engine)
+            assert parts[r].tobytes() == lone.tobytes()
+        with pytest.raises(MomentOverflowError):
+            randomize(params[1], RATE_CTX)
 
 
 class TestVectorInversionOnly:
