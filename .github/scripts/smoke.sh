@@ -22,6 +22,11 @@ randvol iv --spot 100 --rate 0.02 --params smoke.json --expiry 0.5 --engine expa
   --k-min 40 --k-max 250 --n-strikes 41
 randvol density --spot 100 --rate 0.02 --params smoke.json --expiry 0.5
 randvol check-arb --spot 100 --rate 0.02 --params smoke.json --expiry 0.5
+# a params file of the wrong JSON shape, and --expiry with a two-slice file, each refused (exit 2)
+echo '[1,2]' > smoke_bad.json
+rc=0; randvol iv --spot 100 --params smoke_bad.json --expiry 1 --strikes 90,100 || rc=$?; test "$rc" -eq 2
+echo '{"slices": [{"expiry": 0.5, "params": {"type": "flat", "sigma": 0.2}}, {"expiry": 1, "params": {"type": "flat", "sigma": 0.2}}]}' > smoke_slices.json
+rc=0; randvol check-arb --spot 100 --params smoke_slices.json --expiry 1 || rc=$?; test "$rc" -eq 2
 # two interleaved expiries, behind a byte-order mark and with CRLF line endings
 printf '\xef\xbb\xbfexpiry,strike\r\n1.0,110\r\n0.5,90\r\n1.0,100\r\n0.5,105\r\n' > smoke_points.csv
 randvol iv --spot 100 --rate 0.02 --params smoke.json --points smoke_points.csv --engine expansion:6 \

@@ -24,7 +24,6 @@ so the embedded start is dropped.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
@@ -32,7 +31,6 @@ from types import SimpleNamespace
 from typing import Callable, Generator, Literal, Optional, Sequence, get_args
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .errors import CalibrationError, RowFailures, fail_rows
 from .expansion import expansion_order
@@ -332,20 +330,11 @@ def minimize(residuals, start, budget: int):
 
 
 def _svd(J: np.ndarray):
-    """``scipy.linalg.svd(J, full_matrices=False)`` bit for bit, layouts included: its gesdd call and workspace,
-    without its checks and dispatch."""
-    gesdd, lwork = _gesdd(*J.shape)
-    U, s, Vt, info = gesdd(J, compute_uv=1, lwork=lwork, full_matrices=0, overwrite_a=0)
-    if info:
-        raise LinAlgError(f"SVD did not converge (gesdd info {info})")
-    return U, s, Vt
-
-
-@functools.cache
-def _gesdd(m: int, n: int):
-    """LAPACK's gesdd for float m x n matrices, and the workspace size scipy.linalg.svd gives it."""
-    gesdd, gesdd_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=np.float64)
-    return gesdd, int(gesdd_lwork(m, n, compute_uv=1, full_matrices=0)[0])
+    """``scipy.linalg.svd(J, full_matrices=False)`` bit for bit, layouts included: numpy's gesdd, with U and Vt
+    copied to F order as scipy returns them (C-order factors round apart in ``U.T.dot(f)``).  A copy, not
+    ``np.asfortranarray``, so that a factor with a unit axis (one free parameter) gets scipy's strides too."""
+    U, s, Vt = np.linalg.svd(J, full_matrices=False)
+    return np.array(U, order="F"), s, np.array(Vt, order="F")
 
 
 def _trust_region_step(n: int, m: int, uf: np.ndarray, s: np.ndarray, V: np.ndarray, delta: float, alpha: float):

@@ -99,9 +99,12 @@ def _add_market_args(cmd: argparse.ArgumentParser) -> None:
 
 def _load_params_file(path, spot):
     data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    if "slices" in data:
+    if not isinstance(data, dict) or "slices" not in data:
+        return params_from_json(data, spot=spot)
+    try:
         return [(float(entry["expiry"]), params_from_json(entry["params"], spot=spot)) for entry in data["slices"]]
-    return params_from_json(data, spot=spot)
+    except TypeError as exc:
+        raise ValueError(f"malformed params file {path}: {exc}") from exc
 
 
 def _resolve_points(args) -> list[tuple[float, np.ndarray]]:
@@ -228,17 +231,19 @@ def _cmd_check_arb(args) -> int:
         if args.expiry is None:
             raise ValueError("single-slice params need --expiry")
         loaded = [(args.expiry, loaded)]
-    surfaces = [(expiry, randomize(params, ctx)) for expiry, params in loaded]
+    elif args.expiry is not None:
+        raise ValueError("--expiry applies to a single-slice params file, not to a {'slices': [...]} file")
+    surfaces = SliceSet(tuple((expiry, randomize(params, ctx)) for expiry, params in loaded))
 
     report = None
-    for expiry, rs in surfaces:
+    for expiry, rs in surfaces.slices:
         grid = default_strike_grid(ctx, expiry, args.grid_points, args.grid_lo, args.grid_hi)
         price_fn = lambda t, ks, s=rs: randomized_prices(s, t, ks)
         fragment = check_butterfly(price_fn, expiry, grid, ctx, check_intrinsic=rs.target != "spot")
         report = fragment if report is None else report.merge(fragment)
-    if len(surfaces) >= 2:
-        shared = default_strike_grid(ctx, surfaces[0][0], 51, 0.7, 1.4)
-        report = report.merge(check_calendar(SliceSet(tuple(surfaces)), shared))
+    if len(surfaces.slices) >= 2:
+        shared = default_strike_grid(ctx, surfaces.expiries[0], 51, 0.7, 1.4)
+        report = report.merge(check_calendar(surfaces, shared))
     print(json.dumps(report.to_json(), indent=2))
     return 0 if report.passed else 1
 

@@ -213,12 +213,16 @@ def params_to_json(params: SliceParams) -> dict:
 
 
 def params_from_json(data: dict, spot: Optional[float] = None) -> SliceParams:
-    if data.get("type") not in BASES:
-        raise ValueError(f"unknown parametrization type {data.get('type')!r}")
-    base_type, names = BASES[data["type"]]
-    base = base_type(*(float(data[name]) for name in names))
-    rnd = data.get("randomizer")
-    if rnd is None:
-        return SliceParams(base)
-    dist = dist_from_json(rnd["dist"], spot=spot)
-    return SliceParams(base, RandomizerSpec(rnd["target"], dist, int(rnd.get("n_q", 2))))
+    """The slice a params JSON object describes; JSON of another shape raises ValueError, not a TypeError."""
+    try:
+        if data.get("type") not in BASES:
+            raise ValueError(f"unknown parametrization type {data.get('type')!r}")
+        base_type, names = BASES[data["type"]]
+        base = base_type(*(float(data[name]) for name in names))
+        rnd = data.get("randomizer")
+        if rnd is None:
+            return SliceParams(base)
+        dist = dist_from_json(rnd["dist"], spot=spot)
+        return SliceParams(base, RandomizerSpec(rnd["target"], dist, int(rnd.get("n_q", 2))))
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"malformed slice params: {exc}") from exc

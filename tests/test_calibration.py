@@ -291,10 +291,13 @@ class TestTrustRegionStep:
 
 
 class TestSvd:
-    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (40, 4), (40, 5)])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (40, 4), (40, 5), (3, 4), (40, 5, 3), (40, 1)])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_equals_scipy_svd(self, rng, shape, order):
-        J = np.asarray(rng.standard_normal(shape), order=order)
+        J = rng.standard_normal(shape[:2])
+        if len(shape) == 3:  # (m, n, rank): the columns past the first ``rank`` repeat earlier ones
+            J[:, shape[2]:] = J[:, :shape[1] - shape[2]]
+        J = np.asarray(J, order=order)
         before = J.copy()
         want, got = svd(J, full_matrices=False), calibration._svd(J)
         for a, b in zip(want, got):

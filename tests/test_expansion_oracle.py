@@ -1,0 +1,89 @@
+"""The expansion coefficients against a 40-digit oracle: the Taylor coefficients of the exact mixture's implied vol.
+
+The oracle takes a slice's quadrature weights and nodes as exact inputs (the weights divided by their exact sum:
+the expansions assume a probability rule).  It prices the mixture in closed form at 40 digits, as a call
+normalized by the discounted forward in log-moneyness m = log(F/K), inverts it for the implied vol with
+``mp.findroot``, and takes P_k = k! times the k-th ``mp.taylor`` coefficient of that vol at m = 0.
+
+The tolerance is fixed before the comparison.  The oracle's own differentiation error is the change in its
+coefficients from 40 to 50 digits.  The float kernels are held to 16 rounding units of the vol in each term of
+the polynomial at one standard deviation of log-moneyness, m = S = P0 sqrt(T): 16 eps P0 k! / S^k on P_k.
+"""
+import functools
+import math
+
+import numpy as np
+import pytest
+from mpmath import mp, mpf
+
+from randvol import MarketContext, randomize
+from randvol.parametrizations import FlatParams, RandomizerSpec, SliceParams
+from randvol.quadrature import LogNormal, SpotLogNormal
+from randvol.randomization import expansion_coefficients
+
+CTX = MarketContext(s0=100.0, r=0.02)
+EPS = np.finfo(float).eps
+ULPS = 16
+SIGMA_LOGNORMAL = SliceParams(FlatParams(0.2), RandomizerSpec("sigma", LogNormal(math.log(0.2) - 0.02, 0.2), 4))
+FLAT_SPOT = SliceParams(FlatParams(0.2), RandomizerSpec("spot", SpotLogNormal(CTX.s0, 0.04), 3))
+# the spot kernel forms P0 as N^-1((1 + g) / 2) of the normalized mixture price g, which loses g's low bits where g
+# is small (short expiries); P2 is formed from P0.  2 sqrt(2) erfinv(g) / sqrt(T) is within 4 eps there.
+SHORT_SPOT_P0 = pytest.mark.xfail(reason="P0 = 2 N^-1((1 + g) / 2) / sqrt(T) is 21 eps off at T = 0.05")
+# a slice, an expiry, the orders its expansion returns, and a mark for each order it misses
+SLICES = {
+    "sigma-lognormal-T0.5": (SIGMA_LOGNORMAL, 0.5, (0, 2, 4, 6), {}),
+    "flat-spot-lognormal-T0.05": (FLAT_SPOT, 0.05, (0, 1, 2, 3, 4), {0: SHORT_SPOT_P0, 2: SHORT_SPOT_P0}),
+    "flat-spot-lognormal-T0.5": (FLAT_SPOT, 0.5, (0, 1, 2, 3, 4), {}),
+}
+# every P_k up to the slice's highest order: a parameter expansion's missing odd terms read 0
+CASES = [pytest.param(name, k, id=f"{name}-P{k}", marks=marks.get(k, ()))
+         for name, (_, _, orders, marks) in SLICES.items() for k in range(orders[-1] + 1)]
+
+
+def normalized_call(m, s):
+    """Black-Scholes call over the discounted forward at log-moneyness m and total vol s."""
+    return mp.ncdf(m / s + s / 2) - mp.exp(-m) * mp.ncdf(m / s - s / 2)
+
+
+def oracle_coefficients(rs, expiry: float, order: int, dps: int) -> list:
+    """P_0..P_order of the slice's mixture implied vol at m = 0, worked at ``dps`` digits."""
+    with mp.workdps(dps):
+        weights = [mpf(float(w)) for w in rs.rule.weights]
+        weights = [w / mp.fsum(weights) for w in weights]
+        nodes = [mpf(float(x)) for x in rs.rule.nodes]
+        sqrt_tau = mp.sqrt(mpf(expiry))
+        if rs.target == "spot":  # node i is a spot, whose forward is (node / s0) F
+            s = mpf(float(rs.columns.columns["sigma"])) * sqrt_tau
+            logs = [mp.log(x / mpf(CTX.s0)) for x in nodes]
+
+            def mixture(m):
+                return mp.fsum(w * mp.exp(b) * normalized_call(m + b, s) for w, b in zip(weights, logs))
+        else:  # node i is a vol
+            def mixture(m):
+                return mp.fsum(w * normalized_call(m, x * sqrt_tau) for w, x in zip(weights, nodes))
+
+        def vol(m):
+            price = mixture(m)
+            return mp.findroot(lambda s: normalized_call(m, s) - price, mpf("0.2") * sqrt_tau) / sqrt_tau
+
+        return [c * mp.factorial(k) for k, c in enumerate(mp.taylor(vol, 0, order))]
+
+
+@functools.cache
+def comparison(name: str):
+    """The slice's float coefficients by order, its 40-digit oracle's, and the tolerance on each."""
+    params, expiry, orders, _ = SLICES[name]
+    rs = randomize(params, CTX)
+    oracle = oracle_coefficients(rs, expiry, orders[-1], 40)
+    error = [abs(a - b) for a, b in zip(oracle, oracle_coefficients(rs, expiry, orders[-1], 50))]
+    p0 = float(oracle[0])
+    s = p0 * math.sqrt(expiry)
+    tolerance = [ULPS * EPS * p0 * math.factorial(k) / s**k + float(e) for k, e in enumerate(error)]
+    got = dict(zip(orders, expansion_coefficients(rs, expiry, [CTX.forward(expiry)])[:, 0]))
+    return got, [float(c) for c in oracle], tolerance
+
+
+@pytest.mark.parametrize("name,k", CASES)
+def test_coefficient_equals_the_oracle(name, k):
+    got, oracle, tolerance = comparison(name)
+    assert abs(got.get(k, 0.0) - oracle[k]) <= tolerance[k]

@@ -77,6 +77,22 @@ SQUARE_OVERFLOW = [
     pytest.param({"type": "flat", "sigma": 0.2, "randomizer": {
         "target": "spot", "dist": {"family": "spot-lognormal", "nu": 1e200}, "n_q": 3}}, "nu", id="spot-nu"),
 ]
+# a params file of the wrong JSON shape, and the command that loads it
+FLAT = {"type": "flat", "sigma": 0.2}
+IV = ["iv", "--expiry", "0.5", "--strikes", "90,100"]
+WRONG_SHAPE = [
+    pytest.param([1, 2], IV, id="top-level-array"),
+    pytest.param(None, IV, id="top-level-null"),
+    pytest.param("x", IV, id="top-level-string"),
+    pytest.param({"slices": 5}, IV, id="slices-number"),
+    pytest.param({"slices": [[1]]}, IV, id="slice-array"),
+    pytest.param({**FLAT, "randomizer": [1]}, IV, id="randomizer-array"),
+    pytest.param({**FLAT, "randomizer": {"target": "sigma", "dist": [1, 2]}}, IV, id="dist-array"),
+    pytest.param({**FLAT, "randomizer": {"target": "sigma", "dist": {"family": "discrete", "points": 5}}}, IV,
+                 id="points-number"),
+    pytest.param([1, 2], ["check-arb", "--expiry", "0.5"], id="check-arb-top-level-array"),
+    pytest.param({"slices": []}, ["check-arb"], id="check-arb-no-slices"),
+]
 # an expansion order the configured randomizer cannot run
 UNRUNNABLE_ORDER = [
     pytest.param("model = flat\nrandomizer = spot-lognormal\nengine = expansion:6\n", id="spot-6"),
@@ -376,6 +392,24 @@ class TestCli:
         assert rc == 1
         report = json.loads(capsys.readouterr().out)
         assert report["calendar_violations"]
+
+    def test_check_arb_refuses_expiry_with_a_slices_file(self, tmp_path, capsys):
+        slices = {"slices": [{"expiry": 0.5, "params": FLAT}, {"expiry": 1.0, "params": FLAT}]}
+        path = tmp_path / "slices.json"
+        path.write_text(json.dumps(slices), encoding="utf-8")
+        rc = main(["check-arb", "--spot", "100", "--rate", "0", "--params", str(path), "--expiry", "7"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: --expiry applies to a single-slice params file")
+
+    @pytest.mark.parametrize("data,command", WRONG_SHAPE)
+    def test_params_of_the_wrong_shape_fail(self, tmp_path, capsys, data, command):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        rc = main([command[0], "--spot", "100", "--params", str(path), *command[1:]])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_interp_flat_slices(self, tmp_path, capsys):
         slices = {
