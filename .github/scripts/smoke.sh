@@ -33,6 +33,25 @@ randvol iv --spot 100 --rate 0.02 --params smoke.json --points smoke_points.csv 
   --out smoke_iv.csv
 randvol price --spot 100 --rate 0.02 --params smoke.json --points smoke_points.csv --out smoke_price.csv
 test "$(wc -l < smoke_iv.csv)" -eq 5 && test "$(wc -l < smoke_price.csv)" -eq 5
+# a 3-expiry points file, evaluated in one stacked call, prints the bytes of the per-expiry runs, on each engine
+printf '%s\n' expiry,strike 1,100 0.25,95 0.5,90 0.25,105 0.5,110 0.5,100 > smoke_points3.csv
+for engine in brent expansion:6; do
+  for command in iv price; do
+    randvol "$command" --spot 100 --rate 0.02 --params smoke.json --points smoke_points3.csv --engine "$engine" \
+      --out smoke_points3_out.csv
+    { echo "expiry,strike,$command"
+      for run in "0.25 95,105" "0.5 90,110,100" "1 100"; do
+        read -r expiry strikes <<< "$run"
+        randvol "$command" --spot 100 --rate 0.02 --params smoke.json --expiry "$expiry" --strikes "$strikes" \
+          --engine "$engine" | tail -n +2
+      done; } > smoke_points3_each.csv
+    cmp smoke_points3_out.csv smoke_points3_each.csv
+  done
+done
+# a two-model slices file (flat, then the SABR slice): both stacks pass every check (exit 0)
+printf '{"slices": [{"expiry": 0.5, "params": %s}, {"expiry": 1, "params": %s}]}\n' "$(cat smoke_flat.json)" \
+  "$(cat smoke.json)" > smoke_surface.json
+randvol check-arb --spot 100 --rate 0.02 --params smoke_surface.json
 printf '%s\n' expiry_date,strike,type,iv,open_interest 2024-10-31,80,C,0.222,100 2024-10-31,85,C,0.21425,100 \
   2024-10-31,90,C,0.208,100 2024-10-31,95,C,0.20325,100 2024-10-31,100,C,0.2,100 2024-10-31,105,C,0.19825,100 \
   2024-10-31,110,C,0.198,100 2024-10-31,115,C,0.19925,100 2024-10-31,120,C,0.202,100 > smoke_quotes.csv

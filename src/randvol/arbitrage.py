@@ -127,14 +127,8 @@ def default_strike_grid(ctx: MarketContext, expiry: float, n: int = 201,
     return np.exp(np.linspace(math.log(lo * fwd), math.log(hi * fwd), n))
 
 
-def check_butterfly(
-    price_fn: Callable[[float, np.ndarray], np.ndarray],
-    expiry: float,
-    strike_grid,
-    ctx: MarketContext,
-    check_limits: bool = True,
-    check_intrinsic: bool = True,
-) -> ArbReport:
+def check_butterfly(price_fn: Callable[[float, np.ndarray], np.ndarray], expiry: float, strike_grid,
+                    ctx: MarketContext, check_limits: bool = True, check_intrinsic: bool = True) -> ArbReport:
     """Sample the butterfly conditions of a call pricing function at one expiry.
 
     Flags convexity breaches (second-derivative estimate below -tol),
@@ -147,63 +141,54 @@ def check_butterfly(
     probe for them (``check_intrinsic=False``); their no-arbitrage
     content is the per-expiry density, which the other checks cover.
     """
+    probes = butterfly_probes(expiry, strike_grid, ctx, check_limits, check_intrinsic)
+    return butterfly_report(probes, [price_fn(t, strikes) for t, strikes in probes], ctx)
+
+
+def butterfly_probes(expiry: float, strike_grid, ctx: MarketContext, check_limits: bool = True,
+                     check_intrinsic: bool = True) -> list[tuple[float, np.ndarray]]:
+    """The (expiry, strikes) call prices a butterfly check reads: the checked grid at ``expiry``, then, with the
+    limit checks, the far strike and, with the intrinsic probe, the grid just after the reference time."""
     grid = _checked_grid(strike_grid, "butterfly")
-    tol = _BUTTERFLY_RTOL * ctx.s0
-    report = ArbReport()
-    prices = np.asarray(price_fn(expiry, grid), dtype=float)
+    if not check_limits:
+        return [(expiry, grid)]
+    far = (expiry, np.array([_FAR_STRIKE_MULTIPLE * ctx.forward(expiry)]))
+    return [(expiry, grid), far, (ctx.t0 + _INTRINSIC_DT, grid)][:3 if check_intrinsic else 2]
 
-    second = _second_difference(grid, prices)
-    for idx in np.nonzero(second < -tol)[0]:
-        report.butterfly_violations.append(
-            ButterflyViolation(expiry, float(grid[idx + 1]), float(second[idx]))
-        )
 
-    first = np.diff(prices)
-    for idx in np.nonzero(first > tol)[0]:
-        report.butterfly_violations.append(
-            ButterflyViolation(expiry, float(grid[idx + 1]), float(first[idx]))
-        )
-
+def butterfly_report(probes: list, values: list, ctx: MarketContext) -> ArbReport:
+    """The butterfly conditions at `butterfly_probes`' requests, from their call prices ``values``, one array each."""
+    (expiry, grid), tol, report = probes[0], _BUTTERFLY_RTOL * ctx.s0, ArbReport()
+    prices, *limits = (np.asarray(v, dtype=float) for v in values)
+    second, first = _second_difference(grid, prices), np.diff(prices)
+    for values, breached in ((second, second < -tol), (first, first > tol)):
+        report.butterfly_violations += [ButterflyViolation(expiry, float(grid[idx + 1]), float(values[idx]))
+                                        for idx in np.nonzero(breached)[0]]
     intrinsic = np.maximum(ctx.s0 - grid, 0.0)
-    for idx in np.nonzero(prices < intrinsic - tol)[0]:
-        report.bound_violations.append(BoundViolation(expiry, float(grid[idx]), "below_intrinsic"))
-    for idx in np.nonzero(prices > ctx.s0 + tol)[0]:
-        report.bound_violations.append(BoundViolation(expiry, float(grid[idx]), "above_spot"))
-
-    if check_limits:
-        far_strike = _FAR_STRIKE_MULTIPLE * ctx.forward(expiry)
-        far_price = float(np.asarray(price_fn(expiry, np.array([far_strike])))[0])
-        if far_price >= _FAR_PRICE_RTOL * ctx.s0:
-            report.bound_violations.append(BoundViolation(expiry, far_strike, "far_strike_limit"))
-        if check_intrinsic:
-            near_expiry = ctx.t0 + _INTRINSIC_DT
-            near_prices = np.asarray(price_fn(near_expiry, grid), dtype=float)
-            gap = np.max(np.abs(near_prices - np.maximum(ctx.s0 - grid, 0.0)))
-            if gap >= _INTRINSIC_RTOL * ctx.s0:
-                report.bound_violations.append(
-                    BoundViolation(near_expiry, float("nan"), "intrinsic_limit")
-                )
+    for side, breached in (("below_intrinsic", prices < intrinsic - tol), ("above_spot", prices > ctx.s0 + tol)):
+        report.bound_violations += [BoundViolation(expiry, float(grid[idx]), side) for idx in np.nonzero(breached)[0]]
+    if limits and float(limits[0][0]) >= _FAR_PRICE_RTOL * ctx.s0:
+        report.bound_violations.append(BoundViolation(expiry, float(probes[1][1][0]), "far_strike_limit"))
+    if len(limits) == 2 and np.max(np.abs(limits[1] - intrinsic)) >= _INTRINSIC_RTOL * ctx.s0:
+        report.bound_violations.append(BoundViolation(probes[2][0], float("nan"), "intrinsic_limit"))
     return report
 
 
-def check_calendar(
-    slice_set: SliceSet,
-    strike_grid,
-    tol: float = _CALENDAR_TOL,
-) -> ArbReport:
+def check_calendar(slice_set: SliceSet, strike_grid, tol: float = _CALENDAR_TOL) -> ArbReport:
     """Flag decreasing total implied variance between adjacent slices."""
     if len(slice_set.slices) < 2:
         raise ValueError("calendar check needs at least two slices")
     grid = np.asarray(strike_grid, dtype=float)
-    report = ArbReport()
-    variances = [surface.implied_vol(t, grid) ** 2 * t for t, surface in slice_set.slices]
-    for (t_lo, _), (t_hi, _), w_lo, w_hi in zip(
-        slice_set.slices, slice_set.slices[1:], variances, variances[1:]
-    ):
-        for idx in np.nonzero(w_lo > w_hi + tol)[0]:
-            report.calendar_violations.append(
-                CalendarViolation(float(grid[idx]), t_lo, t_hi, float(w_lo[idx] - w_hi[idx]))
-            )
+    return calendar_report(slice_set.expiries, grid, [s.implied_vol(t, grid) for t, s in slice_set.slices], tol)
+
+
+def calendar_report(expiries: list, strike_grid: np.ndarray, vols: list, tol: float = _CALENDAR_TOL) -> ArbReport:
+    """The calendar violations of slices at increasing ``expiries`` from their implied vols on ``strike_grid``."""
+    report, variances = ArbReport(), [v ** 2 * t for t, v in zip(expiries, vols)]
+    for t_lo, t_hi, w_lo, w_hi in zip(expiries, expiries[1:], variances, variances[1:]):
+        report.calendar_violations += [
+            CalendarViolation(float(strike_grid[idx]), t_lo, t_hi, float(w_lo[idx] - w_hi[idx]))
+            for idx in np.nonzero(w_lo > w_hi + tol)[0]]
     return report
 
 

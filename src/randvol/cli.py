@@ -13,13 +13,17 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .arbitrage import SliceSet, check_butterfly, check_calendar, default_strike_grid, interp_total_variance
+# check_butterfly, check_calendar, implied_vol_grid and randomized_prices stay names: the benchmark's tracer wraps them
+from .arbitrage import (
+    ArbReport, SliceSet, butterfly_probes, butterfly_report, calendar_report, check_butterfly, check_calendar,
+    default_strike_grid, interp_total_variance,
+)
 from .calibration import fit_slice, fit_surface  # fit_slice stays a name here: the benchmark's tracer wraps it
 from .errors import CalibrationError, RandvolError
-from .parametrizations import params_from_json
-from .pricing import MarketContext, bs_call_values, expiry_terms
+from .parametrizations import _json_number, params_from_json
+from .pricing import MarketContext
 from .quotes import load_quotes, parse_config
-from .randomization import csv_rows, density, implied_vol_grid, parse_engine, randomize, randomized_prices
+from .randomization import csv_rows, density, implied_vol_grid, parse_engine, randomize, randomized_prices, stacked_grid
 
 
 def main(argv=None) -> int:
@@ -102,7 +106,8 @@ def _load_params_file(path, spot):
     if not isinstance(data, dict) or "slices" not in data:
         return params_from_json(data, spot=spot)
     try:
-        return [(float(entry["expiry"]), params_from_json(entry["params"], spot=spot)) for entry in data["slices"]]
+        return [(_json_number(entry["expiry"], "expiry"), params_from_json(entry["params"], spot=spot))
+                for entry in data["slices"]]
     except TypeError as exc:
         raise ValueError(f"malformed params file {path}: {exc}") from exc
 
@@ -191,20 +196,13 @@ def _single_slice(args):
 
 
 def _cmd_grid(args) -> int:
-    """`price` or `iv` on the requested points."""
+    """`price` or `iv` on the requested points: one stacked call over every expiry."""
+    parse_engine(args.engine)  # a bad --engine is refused before any file is read
     rs = _single_slice(args)
-    # the root-finder engine round-trips to the exact mixture price, so `price` takes that directly
-    exact_price = args.command == "price" and parse_engine(args.engine)[0] == "brent"
-    blocks = [f"expiry,strike,{args.command}\n"]
-    for expiry, strikes in _resolve_points(args):
-        if exact_price:
-            values = randomized_prices(rs, expiry, strikes)
-        else:
-            values = implied_vol_grid(rs, expiry, strikes, engine=args.engine)
-            if args.command == "price":  # expansion engines price off their vols
-                values = bs_call_values(rs.ctx.s0, *expiry_terms(rs.ctx, expiry)[1:4], strikes, values)
-        blocks.append(csv_rows(f"{expiry:.10g},%.10g,%.12g", np.column_stack((strikes, values))))
-    _emit("".join(blocks), args.out)
+    expiries, strikes = zip(*_resolve_points(args))
+    values = stacked_grid([rs] * len(expiries), expiries, strikes, args.command == "price", args.engine)
+    rows = [csv_rows(f"{t:.10g},%.10g,%.12g", np.column_stack(kv)) for t, *kv in zip(expiries, strikes, values)]
+    _emit(f"expiry,strike,{args.command}\n" + "".join(rows), args.out)
     return 0
 
 
@@ -235,15 +233,18 @@ def _cmd_check_arb(args) -> int:
         raise ValueError("--expiry applies to a single-slice params file, not to a {'slices': [...]} file")
     surfaces = SliceSet(tuple((expiry, randomize(params, ctx)) for expiry, params in loaded))
 
-    report = None
-    for expiry, rs in surfaces.slices:
-        grid = default_strike_grid(ctx, expiry, args.grid_points, args.grid_lo, args.grid_hi)
-        price_fn = lambda t, ks, s=rs: randomized_prices(s, t, ks)
-        fragment = check_butterfly(price_fn, expiry, grid, ctx, check_intrinsic=rs.target != "spot")
-        report = fragment if report is None else report.merge(fragment)
-    if len(surfaces.slices) >= 2:
+    # every slice's butterfly probes in one stacked price call, the calendar's vols in one exact vol call
+    slices = [rs for _, rs in surfaces.slices]
+    probes = [butterfly_probes(t, default_strike_grid(ctx, t, args.grid_points, args.grid_lo, args.grid_hi), ctx,
+                               check_intrinsic=rs.target != "spot") for t, rs in surfaces.slices]
+    rows = [(rs, t, strikes) for rs, asked in zip(slices, probes) for t, strikes in asked]
+    prices = iter(stacked_grid(*zip(*rows), prices=True))
+    report = functools.reduce(ArbReport.merge, [butterfly_report(asked, [next(prices) for _ in asked], ctx)
+                                                for asked in probes])
+    if len(slices) >= 2:
         shared = default_strike_grid(ctx, surfaces.expiries[0], 51, 0.7, 1.4)
-        report = report.merge(check_calendar(surfaces, shared))
+        vols = stacked_grid(slices, surfaces.expiries, [shared] * len(slices))
+        report = report.merge(calendar_report(surfaces.expiries, shared, vols))
     print(json.dumps(report.to_json(), indent=2))
     return 0 if report.passed else 1
 

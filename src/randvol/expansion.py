@@ -133,7 +133,7 @@ def _bs_call_partials(s_total):
     s = s_total
     ph = norm_pdf(0.5 * s)
     cdf_m = norm_cdf(-0.5 * s)
-    s_2, s_3 = s**2, s**3
+    s_2, s_3 = s * s, s * s * s
     return {
         (1, 0): cdf_m,
         (0, 1): ph,
@@ -184,7 +184,8 @@ def spot_coefficients(weights, nodes, s0, base_vol, tau, failures: RowFailures |
     p0 = 2.0 / sqrt_tau * norm_ppf(big_a)
 
     # m-derivatives of the mixture at m = 0 (all divided by the spot), from terms each formed once
-    phi_plus, phi_minus, s_k = _phi_derivs(d_plus), _phi_derivs(d_minus), {k: s**k for k in range(1, 5)}
+    s_2 = s * s
+    phi_plus, phi_minus, s_k = _phi_derivs(d_plus), _phi_derivs(d_minus), {1: s, 2: s_2, 3: s_2 * s, 4: s_2 * s_2}
 
     def g_deriv(k: int):
         term = a * phi_plus[k - 1] / s_k[k]
@@ -193,7 +194,7 @@ def spot_coefficients(weights, nodes, s0, base_vol, tau, failures: RowFailures |
             inner = inner + math.comb(k, j) * (-1.0) ** (k - j) * phi_minus[j - 1] / s_k[j]
         return _node_sum(lam * (term - inner))
 
-    tau_j = [tau ** (j / 2.0) for j in range(5)]
+    tau_j = [1.0, sqrt_tau, tau, tau * sqrt_tau, tau * tau]
     f = {(i, j): tau_j[j] * value for (i, j), value in _bs_call_partials(p0 * sqrt_tau).items()}
     # numpy's ** on a negative base leaves its vector loop, about 30x slower; P1 (negative wherever the base
     # skews down) and d+- (He_3 in _phi_derivs) take either sign, so their powers are products

@@ -7,6 +7,7 @@ a stack of slices, on which the model runs.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 from typing import Literal, Optional, Union
 
@@ -194,13 +195,20 @@ def dist_to_json(dist: DistributionSpec) -> dict:
 def dist_from_json(data: dict, spot: Optional[float] = None) -> DistributionSpec:
     family = data.get("family")
     if family == "discrete":
-        return DiscreteGiven(tuple((float(w), float(x)) for w, x in data["points"]))
+        return DiscreteGiven(tuple((_json_number(w, "points"), _json_number(x, "points")) for w, x in data["points"]))
     if family not in FAMILIES:
         raise ValueError(f"unknown distribution family {family!r}")
     if family == "spot-lognormal" and data.get("s0", spot) is None:
         raise ValueError("spot-lognormal distribution needs 's0' (or a market spot)")
     spec_type, names = FAMILIES[family]
-    return spec_type(*(float(data.get(name, spot) if name == "s0" else data[name]) for name in names))
+    return spec_type(*(_json_number(data.get(name, spot) if name == "s0" else data[name], name) for name in names))
+
+
+def _json_number(value, name: str, kind: type = float):
+    """A JSON number as a ``kind``; a boolean (read as 0 or 1), or for an int a non-integer, raises naming its field."""
+    if isinstance(value, bool) or (kind is int and type(value) is not int):
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {json.dumps(value)}")
+    return kind(value)
 
 
 def params_to_json(params: SliceParams) -> dict:
@@ -218,11 +226,11 @@ def params_from_json(data: dict, spot: Optional[float] = None) -> SliceParams:
         if data.get("type") not in BASES:
             raise ValueError(f"unknown parametrization type {data.get('type')!r}")
         base_type, names = BASES[data["type"]]
-        base = base_type(*(float(data[name]) for name in names))
+        base = base_type(*(_json_number(data[name], name) for name in names))
         rnd = data.get("randomizer")
         if rnd is None:
             return SliceParams(base)
         dist = dist_from_json(rnd["dist"], spot=spot)
-        return SliceParams(base, RandomizerSpec(rnd["target"], dist, int(rnd.get("n_q", 2))))
+        return SliceParams(base, RandomizerSpec(rnd["target"], dist, _json_number(rnd.get("n_q", 2), "n_q", int)))
     except (AttributeError, TypeError) as exc:
         raise ValueError(f"malformed slice params: {exc}") from exc

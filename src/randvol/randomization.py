@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
@@ -36,6 +36,9 @@ logger = logging.getLogger("randvol")
 DEFAULT_M_MAX = 0.5
 
 _SPOT_CENTER_RTOL = 1e-8
+#: Most (row, strike) pairs one `stacked_grid` pass holds: small passes are mostly numpy's per-call overhead, the
+#: cost per pair bottoms out at 4k-8k pairs, and one pass over a 1e5-point job only grows its temporaries.
+_PASS_PAIRS = 4096
 
 
 def parse_engine(engine: str) -> tuple[str, Optional[int]]:
@@ -306,6 +309,50 @@ def implied_vol_stack(cols: SliceColumns, ctx: MarketContext, expiries, strikes,
                       DEFAULT_M_MAX, True, failures)
     vols[np.repeat(failures.bad, grid.counts)] = np.nan
     return vols, failures
+
+
+def stacked_grid(slices, expiries, strikes, prices: bool = False, engine: str = "brent") -> list[np.ndarray]:
+    """Row i's implied vols on ``engine``, or with ``prices`` its call prices (the mixture's on 'brent', its vols'
+    Black-Scholes prices on 'expansion:N'), of the lone randomized ``slices[i]`` at ``expiries[i]`` on
+    ``strikes[i]``, bit for bit the row's lone call.  Rows whose slices share context, target, family, n_q, rule
+    size and columns stack, as in `implied_vol_stack`; a stack's rows, in order, share passes of at most `_PASS_PAIRS`
+    pairs, and a larger row runs alone (`_node_sums` rounds a row by its pass's rows).  Every grid is checked first.
+    """
+    method, order = parse_engine(engine)
+    stacks, passes, size = {}, [], 0
+    for i, rs in enumerate(slices):
+        stacks.setdefault((rs.ctx, rs.target, rs.columns.family, rs.columns.n_q, rs.rule.size, *rs.columns.columns),
+                          []).append(i)
+    for rows in stacks.values():
+        for i in rows:
+            if i == rows[0] or size + np.size(strikes[i]) > _PASS_PAIRS:
+                passes.append([])
+                size = 0
+            passes[-1].append(i)
+            size += np.size(strikes[i])
+    stacked = [(rows, _stack([slices[i] for i in rows])) for rows in passes]
+    grids = [_grid(rs.ctx, [expiries[i] for i in rows], [strikes[i] for i in rows]) for rows, rs in stacked]
+    found = {}
+    for (rows, rs), grid in zip(stacked, grids):
+        found.update(zip(rows, np.split(_row_pass(rs, grid, prices, method, order), np.cumsum(grid.counts[:-1]))))
+    return [found[i] for i in range(len(slices))]
+
+
+def _stack(slices) -> RandomizedSlice:
+    """Lone randomized slices as one stack: row i takes slice i's columns and rule."""
+    cols, rules = slices[0].columns, [rs.rule for rs in slices]
+    columns = {name: np.array([rs.columns.columns[name] for rs in slices]) for name in cols.columns}
+    rule = QuadratureRule.of_checked(np.array([r.weights for r in rules]), np.array([r.nodes for r in rules]))
+    return RandomizedSlice(replace(cols, columns=columns), rule, slices[0].ctx)
+
+
+def _row_pass(rs: RandomizedSlice, grid: _Grid, prices: bool, method: str, order: Optional[int]) -> np.ndarray:
+    """One `stacked_grid` pass: the vols, or the prices, at a grid's pairs."""
+    if prices and method == "brent":
+        return _prices(rs, grid, _node_vols(rs, grid))
+    vols = _grid_vols(rs, grid, method, order, DEFAULT_M_MAX, False)
+    terms = (grid.by_pair(t) for t in (grid.r_tau, grid.df, grid.sqrt_tau))
+    return bs_call_values(rs.ctx.s0, *terms, grid.strikes, vols) if prices else vols
 
 
 def _grid_vols(rs: RandomizedSlice, grid: _Grid, method: str, order: Optional[int], m_max: float, quiet: bool,

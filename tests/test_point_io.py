@@ -240,6 +240,26 @@ class TestRowWriter:
             expected += fstring_rows(t, ks, values)
         assert capsys.readouterr().out == expected
 
+    # `price` on brent takes the mixture prices as they are: nothing is inverted
+    @pytest.mark.parametrize("command, engine", [("iv", "brent"), ("iv", "expansion:6"), ("price", "expansion:6")])
+    def test_a_failing_expiry_fails_the_job_as_its_lone_run_does(self, tmp_path, capsys, command, engine):
+        # at 0.05y the sigma/lognormal slice prices deep in-the-money strikes on their intrinsic value: no vol exists
+        nu = 0.2
+        params = tmp_path / "flat.json"
+        params.write_text(json.dumps({"type": "flat", "sigma": 0.2, "randomizer": {
+            "target": "sigma", "dist": {"family": "lognormal", "mu": math.log(0.2) - 0.5 * nu**2, "nu": nu},
+            "n_q": 4}}), encoding="utf-8")
+        strikes = np.exp(np.linspace(math.log(50.0), math.log(200.0), 40))
+        points = write(tmp_path / "points.csv",
+                       "".join(f"{t:.10g},{k:.17g}\n" for t in (1.0, 0.05, 0.5) for k in strikes))
+        args = [command, *MARKET_ARGS, "--params", str(params), "--engine", engine]
+        assert main([*args, "--expiry", "0.05", "--strikes", ",".join(f"{k:.17g}" for k in strikes)]) == 2
+        lone = capsys.readouterr()
+        assert main([*args, "--points", str(points)]) == 2
+        captured = capsys.readouterr()
+        assert lone.err.startswith("error: no implied volatility exists") and lone.err.count("\n") == 1
+        assert captured.out == "" and captured.err == lone.err
+
     def test_fit_residual_file(self, tmp_path, capsys):
         quotes = write(tmp_path / "q.csv", "expiry_date,strike,type,iv,open_interest\n" + "".join(
             f"2024-10-29,{k:g},C,{0.2 + 0.001 * (k - 100.0) ** 2 / 100.0:.6f},5\n" for k in np.linspace(80, 120, 9)))

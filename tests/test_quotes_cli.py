@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from randvol.arbitrage import SliceSet, check_butterfly, check_calendar, default_strike_grid
 from randvol.calibration import FitConfig
 from randvol.cli import main
 from randvol.errors import QuoteFormatError
 from randvol.parametrizations import params_from_json
 from randvol.pricing import MarketContext, OptionKey, OptionType, bs_price
 from randvol.quotes import MarketConfig, load_quotes, parse_config, year_fraction
-from randvol.randomization import implied_vol_grid, randomize
+from randvol.randomization import implied_vol_grid, randomize, randomized_prices
 
 MARKET = MarketConfig(spot=5522.3, rate=0.053, trade_date=dt.date(2024, 7, 31))
 
@@ -98,6 +99,28 @@ UNRUNNABLE_ORDER = [
     pytest.param("model = flat\nrandomizer = spot-lognormal\nengine = expansion:6\n", id="spot-6"),
     pytest.param("randomizer = gamma-gamma\nengine = expansion:5\n", id="parameter-5"),
     pytest.param("model = flat\nrandomizer = none\nengine = expansion:5\n", id="plain-5"),
+]
+
+# a params JSON boolean where a number is read, or an n_q that is not a JSON integer, and the error naming the field
+SIGMA_LN = {**FLAT, "randomizer": {"target": "sigma", "dist": {"family": "lognormal", "mu": -1.63, "nu": 0.2}}}
+NOT_A_NUMBER = [
+    pytest.param({"type": "flat", "sigma": True}, IV, "sigma must be a number, got true", id="sigma-true"),
+    pytest.param({"type": "sabr", "alpha": 0.3, "beta": False, "rho": -0.3, "gamma": 0.4}, IV,
+                 "beta must be a number, got false", id="sabr-beta-false"),
+    pytest.param({**SIGMA_LN, "randomizer": {**SIGMA_LN["randomizer"], "n_q": 2.7}}, IV,
+                 "n_q must be an integer, got 2.7", id="n_q-fraction"),
+    pytest.param({**SIGMA_LN, "randomizer": {**SIGMA_LN["randomizer"], "n_q": True}}, IV,
+                 "n_q must be an integer, got true", id="n_q-true"),
+    pytest.param({**SIGMA_LN, "randomizer": {**SIGMA_LN["randomizer"], "n_q": "3"}}, IV,
+                 'n_q must be an integer, got "3"', id="n_q-string"),
+    pytest.param({**SIGMA_LN, "randomizer": {"target": "sigma", "dist": {"family": "lognormal", "mu": -1.63,
+                                                                          "nu": True}}}, IV,
+                 "nu must be a number, got true", id="dist-nu-true"),
+    pytest.param({**FLAT, "randomizer": {"target": "sigma", "dist": {"family": "discrete",
+                                                                     "points": [[0.5, 0.1], [0.5, True]]}}}, IV,
+                 "points must be a number, got true", id="discrete-node-true"),
+    pytest.param({"slices": [{"expiry": True, "params": FLAT}, {"expiry": 2, "params": FLAT}]}, ["check-arb"],
+                 "expiry must be a number, got true", id="slice-expiry-true"),
 ]
 
 
@@ -410,6 +433,44 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("data,command,message", NOT_A_NUMBER)
+    def test_params_booleans_and_fractional_n_q_fail(self, tmp_path, capsys, data, command, message):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        rc = main([command[0], "--spot", "100", "--params", str(path), *command[1:]])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("violating", [False, True], ids=["clean", "violating"])
+    def test_check_arb_mixed_slices_report_as_per_slice_checks(self, tmp_path, capsys, violating):
+        # flat sigma, gamma-gamma SABR and spot slices: three stacks in each stacked call
+        sigma = {**SIGMA_LN, "randomizer": {**SIGMA_LN["randomizer"], "n_q": 4}}
+        spot = {**FLAT, "randomizer": {"target": "spot", "dist": {"family": "spot-lognormal", "nu": 0.05}, "n_q": 3}}
+        gamma = {"type": "sabr", "alpha": 0.3, "beta": 0.9, "rho": -0.3, "gamma": 0.4,
+                 "randomizer": {"target": "gamma", "dist": {"family": "gamma", "k": 3.0, "theta": 0.13}, "n_q": 2}}
+        # steep wings break Hagan's convexity and far-strike limit; a high flat vol before them breaks the calendar
+        steep = {**gamma, "rho": -0.5, "gamma": 1.5,
+                 "randomizer": {**gamma["randomizer"], "dist": {"family": "gamma", "k": 3.0, "theta": 0.5}}}
+        rows = [(0.25, spot), (0.5, sigma), (0.75, gamma), (1.0, gamma), (1.5, sigma), (2.0, spot)]
+        if violating:
+            rows = [(0.25, spot), (0.5, {**FLAT, "sigma": 0.6}), (1.0, gamma), (2.0, steep), (3.0, spot)]
+        path = tmp_path / "slices.json"
+        path.write_text(json.dumps({"slices": [{"expiry": t, "params": p} for t, p in rows]}), encoding="utf-8")
+        rc = main(["check-arb", "--spot", "100", "--rate", "0.02", "--params", str(path)])
+        ctx = MarketContext(s0=100.0, r=0.02)
+        surfaces = SliceSet(tuple((t, randomize(params_from_json(p, spot=100.0), ctx)) for t, p in rows))
+        expected = check_calendar(surfaces, default_strike_grid(ctx, 0.25, 51, 0.7, 1.4))
+        for t, rs in reversed(surfaces.slices):
+            expected = check_butterfly(lambda t, ks, rs=rs: randomized_prices(rs, t, ks), t,
+                                       default_strike_grid(ctx, t), ctx, check_intrinsic=rs.target != "spot"
+                                       ).merge(expected)
+        assert rc == (1 if violating else 0) and expected.passed is not violating
+        if violating:
+            assert expected.butterfly_violations and expected.calendar_violations
+            assert "far_strike_limit" in {v.side for v in expected.bound_violations}
+        assert capsys.readouterr().out == json.dumps(expected.to_json(), indent=2) + "\n"
 
     def test_interp_flat_slices(self, tmp_path, capsys):
         slices = {

@@ -33,6 +33,7 @@ from randvol.randomization import (
     randomized_iv,
     randomized_price,
     randomized_prices,
+    stacked_grid,
 )
 
 CTX = MarketContext(s0=100.0, r=0.0)
@@ -635,3 +636,69 @@ class TestVectorInversionOnly:
             else:
                 lone = implied_vol_grid(randomize(params[r], RATE_CTX), expiries[r], strikes[r], engine)
                 assert np.isfinite(part).all() and part.tobytes() == lone.tobytes()
+
+
+# stacked_grid's rows: the four randomizers, each slice a lone one, some stacking with another of their kind
+STACKED_SLICES = {
+    "sigma-lognormal": sigma_stack([0.2, 0.3]),
+    "gamma-gamma": gamma_stack()[:2],
+    "spot-lognormal": [SliceParams(FlatParams(0.2), RandomizerSpec("spot", SpotLogNormal(100.0, nu), 3))
+                       for nu in (0.05, 0.1)],
+    "plain-sabr": [SliceParams(SabrParams(0.3, 0.9, rho, 0.5)) for rho in (-0.3, 0.2)],
+}
+
+
+class TestStackedGrid:
+    """`stacked_grid` gives each row bit for bit its lone call, and packs rows into passes of at most 4,096 pairs."""
+
+    @pytest.mark.parametrize("prices", [False, True], ids=["iv", "price"])
+    @pytest.mark.parametrize("engine", ["brent", "expansion"])
+    @pytest.mark.parametrize("counts", [[40, 40, 40, 40], [40, 7, 90, 1]], ids=["equal-rows", "unequal-rows"])
+    @pytest.mark.parametrize("kinds", [[name] for name in STACKED_SLICES] + [list(STACKED_SLICES)],
+                             ids=list(STACKED_SLICES) + ["mixed"])
+    def test_rows_equal_their_lone_calls(self, kinds, counts, engine, prices):
+        rng = np.random.default_rng(sum(counts))
+        members = [randomize(p, RATE_CTX) for name in kinds for p in STACKED_SLICES[name]]
+        slices = [members[3 * i % len(members)] for i in range(len(counts))]  # "mixed" interleaves its stacks
+        expiries = [0.25, 0.5, 0.5, 2.0]
+        # wide enough that the expansion guard escalates some strikes to the exact inversion
+        strikes = [100.0 * np.exp(rng.uniform(-0.6, 0.6, n)) for n in counts]
+        got = stacked_grid(slices, expiries, strikes, prices, engine)
+        for rs, expiry, k, row in zip(slices, expiries, strikes, got):
+            if prices and engine == "brent":
+                want = randomized_prices(rs, expiry, k)
+            else:
+                want = implied_vol_grid(rs, expiry, k, engine)
+                if prices:
+                    want = bs_call_values(rs.ctx.s0, *expiry_terms(rs.ctx, expiry)[1:4], k, want)
+            assert row.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("counts,passes", [
+        ([250] * 8, [[250] * 8]),
+        ([12_500] * 8, [[12_500]] * 8),
+        ([100, 5_000, 100], [[100], [5_000], [100]]),
+        ([3_000, 1_000, 96, 1], [[3_000, 1_000, 96], [1]]),
+    ])
+    def test_rows_pack_into_passes(self, monkeypatch, counts, passes):
+        seen, row_pass = [], randomization._row_pass
+        monkeypatch.setattr(randomization, "_row_pass", lambda rs, grid, *args: (
+            seen.append(grid.counts), row_pass(rs, grid, *args))[1])
+        rs = randomize(gamma_stack()[0], RATE_CTX)
+        got = stacked_grid([rs] * len(counts), [0.5] * len(counts), [np.linspace(80.0, 120.0, n) for n in counts],
+                           prices=True)
+        assert seen == passes and [row.size for row in got] == counts
+
+    def test_slices_that_do_not_stack_take_a_pass_each(self, monkeypatch):
+        seen, row_pass = [], randomization._row_pass
+        monkeypatch.setattr(randomization, "_row_pass", lambda rs, grid, *args: (
+            seen.append(rs.target), row_pass(rs, grid, *args))[1])
+        slices = [randomize(p, RATE_CTX) for name in STACKED_SLICES for p in STACKED_SLICES[name]]
+        stacked_grid(slices, [0.5] * len(slices), [np.array([90.0, 100.0])] * len(slices))
+        assert seen == ["sigma", "gamma", "spot", "gamma"]
+
+    def test_every_grid_is_checked_before_any_pass(self, monkeypatch):
+        monkeypatch.setattr(randomization, "_row_pass", lambda *args: pytest.fail("a pass ran"))
+        rs = randomize(gamma_stack()[0], RATE_CTX)
+        strikes = [np.linspace(80.0, 120.0, 5_000), np.array([90.0, -5.0])]
+        with pytest.raises(ValueError, match="strikes must be positive and finite, got -5"):
+            stacked_grid([rs, rs], [0.5, 1.0], strikes)
