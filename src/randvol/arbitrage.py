@@ -127,8 +127,14 @@ def default_strike_grid(ctx: MarketContext, expiry: float, n: int = 201,
     return np.exp(np.linspace(math.log(lo * fwd), math.log(hi * fwd), n))
 
 
-def check_butterfly(price_fn: Callable[[float, np.ndarray], np.ndarray], expiry: float, strike_grid,
-                    ctx: MarketContext, check_limits: bool = True, check_intrinsic: bool = True) -> ArbReport:
+def check_butterfly(
+    price_fn: Callable[[float, np.ndarray], np.ndarray],
+    expiry: float,
+    strike_grid,
+    ctx: MarketContext,
+    check_limits: bool = True,
+    check_intrinsic: bool = True,
+) -> ArbReport:
     """Sample the butterfly conditions of a call pricing function at one expiry.
 
     Flags convexity breaches (second-derivative estimate below -tol),
@@ -147,48 +153,81 @@ def check_butterfly(price_fn: Callable[[float, np.ndarray], np.ndarray], expiry:
 
 def butterfly_probes(expiry: float, strike_grid, ctx: MarketContext, check_limits: bool = True,
                      check_intrinsic: bool = True) -> list[tuple[float, np.ndarray]]:
-    """The (expiry, strikes) call prices a butterfly check reads: the checked grid at ``expiry``, then, with the
-    limit checks, the far strike and, with the intrinsic probe, the grid just after the reference time."""
+    """The (expiry, strikes) requests whose call prices a butterfly check reads: the checked grid at
+    ``expiry``, then, with the limit checks, the far strike and, with the intrinsic probe, the grid just
+    after the reference time."""
     grid = _checked_grid(strike_grid, "butterfly")
-    if not check_limits:
-        return [(expiry, grid)]
-    far = (expiry, np.array([_FAR_STRIKE_MULTIPLE * ctx.forward(expiry)]))
-    return [(expiry, grid), far, (ctx.t0 + _INTRINSIC_DT, grid)][:3 if check_intrinsic else 2]
+    probes = [(expiry, grid)]
+    if check_limits:
+        probes.append((expiry, np.array([_FAR_STRIKE_MULTIPLE * ctx.forward(expiry)])))
+        if check_intrinsic:
+            probes.append((ctx.t0 + _INTRINSIC_DT, grid))
+    return probes
 
 
 def butterfly_report(probes: list, values: list, ctx: MarketContext) -> ArbReport:
-    """The butterfly conditions at `butterfly_probes`' requests, from their call prices ``values``, one array each."""
-    (expiry, grid), tol, report = probes[0], _BUTTERFLY_RTOL * ctx.s0, ArbReport()
-    prices, *limits = (np.asarray(v, dtype=float) for v in values)
-    second, first = _second_difference(grid, prices), np.diff(prices)
-    for values, breached in ((second, second < -tol), (first, first > tol)):
-        report.butterfly_violations += [ButterflyViolation(expiry, float(grid[idx + 1]), float(values[idx]))
-                                        for idx in np.nonzero(breached)[0]]
+    """The butterfly conditions at `butterfly_probes`' requests, from their call prices ``values``."""
+    expiry, grid = probes[0]
+    tol = _BUTTERFLY_RTOL * ctx.s0
+    report = ArbReport()
+    prices = np.asarray(values[0], dtype=float)
+
+    second = _second_difference(grid, prices)
+    for idx in np.nonzero(second < -tol)[0]:
+        report.butterfly_violations.append(
+            ButterflyViolation(expiry, float(grid[idx + 1]), float(second[idx]))
+        )
+
+    first = np.diff(prices)
+    for idx in np.nonzero(first > tol)[0]:
+        report.butterfly_violations.append(
+            ButterflyViolation(expiry, float(grid[idx + 1]), float(first[idx]))
+        )
+
     intrinsic = np.maximum(ctx.s0 - grid, 0.0)
-    for side, breached in (("below_intrinsic", prices < intrinsic - tol), ("above_spot", prices > ctx.s0 + tol)):
-        report.bound_violations += [BoundViolation(expiry, float(grid[idx]), side) for idx in np.nonzero(breached)[0]]
-    if limits and float(limits[0][0]) >= _FAR_PRICE_RTOL * ctx.s0:
-        report.bound_violations.append(BoundViolation(expiry, float(probes[1][1][0]), "far_strike_limit"))
-    if len(limits) == 2 and np.max(np.abs(limits[1] - intrinsic)) >= _INTRINSIC_RTOL * ctx.s0:
-        report.bound_violations.append(BoundViolation(probes[2][0], float("nan"), "intrinsic_limit"))
+    for idx in np.nonzero(prices < intrinsic - tol)[0]:
+        report.bound_violations.append(BoundViolation(expiry, float(grid[idx]), "below_intrinsic"))
+    for idx in np.nonzero(prices > ctx.s0 + tol)[0]:
+        report.bound_violations.append(BoundViolation(expiry, float(grid[idx]), "above_spot"))
+
+    if len(probes) > 1:
+        far_strike = float(probes[1][1][0])
+        far_price = float(np.asarray(values[1])[0])
+        if far_price >= _FAR_PRICE_RTOL * ctx.s0:
+            report.bound_violations.append(BoundViolation(expiry, far_strike, "far_strike_limit"))
+    if len(probes) > 2:
+        near_expiry = probes[2][0]
+        near_prices = np.asarray(values[2], dtype=float)
+        gap = np.max(np.abs(near_prices - np.maximum(ctx.s0 - grid, 0.0)))
+        if gap >= _INTRINSIC_RTOL * ctx.s0:
+            report.bound_violations.append(
+                BoundViolation(near_expiry, float("nan"), "intrinsic_limit")
+            )
     return report
 
 
-def check_calendar(slice_set: SliceSet, strike_grid, tol: float = _CALENDAR_TOL) -> ArbReport:
+def check_calendar(
+    slice_set: SliceSet,
+    strike_grid,
+    tol: float = _CALENDAR_TOL,
+) -> ArbReport:
     """Flag decreasing total implied variance between adjacent slices."""
     if len(slice_set.slices) < 2:
         raise ValueError("calendar check needs at least two slices")
     grid = np.asarray(strike_grid, dtype=float)
-    return calendar_report(slice_set.expiries, grid, [s.implied_vol(t, grid) for t, s in slice_set.slices], tol)
+    vols = [surface.implied_vol(t, grid) for t, surface in slice_set.slices]
+    return calendar_report(slice_set.expiries, grid, vols, tol)
 
 
 def calendar_report(expiries: list, strike_grid: np.ndarray, vols: list, tol: float = _CALENDAR_TOL) -> ArbReport:
     """The calendar violations of slices at increasing ``expiries`` from their implied vols on ``strike_grid``."""
-    report, variances = ArbReport(), [v ** 2 * t for t, v in zip(expiries, vols)]
+    report = ArbReport()
+    variances = [vol ** 2 * t for t, vol in zip(expiries, vols)]
     for t_lo, t_hi, w_lo, w_hi in zip(expiries, expiries[1:], variances, variances[1:]):
-        report.calendar_violations += [
-            CalendarViolation(float(strike_grid[idx]), t_lo, t_hi, float(w_lo[idx] - w_hi[idx]))
-            for idx in np.nonzero(w_lo > w_hi + tol)[0]]
+        for idx in np.nonzero(w_lo > w_hi + tol)[0]:
+            report.calendar_violations.append(
+                CalendarViolation(float(strike_grid[idx]), t_lo, t_hi, float(w_lo[idx] - w_hi[idx]))
+            )
     return report
 
 

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-# check_butterfly, check_calendar, implied_vol_grid and randomized_prices stay names: the benchmark's tracer wraps them
+# check_butterfly, check_calendar, implied_vol_grid and randomized_prices stay names here: the benchmark's tracer
+# wraps them in this module and does not install without them
 from .arbitrage import (
-    ArbReport, SliceSet, butterfly_probes, butterfly_report, calendar_report, check_butterfly, check_calendar,
+    SliceSet, butterfly_probes, butterfly_report, calendar_report, check_butterfly, check_calendar,
     default_strike_grid, interp_total_variance,
 )
 from .calibration import fit_slice, fit_surface  # fit_slice stays a name here: the benchmark's tracer wraps it
@@ -201,8 +202,10 @@ def _cmd_grid(args) -> int:
     rs = _single_slice(args)
     expiries, strikes = zip(*_resolve_points(args))
     values = stacked_grid([rs] * len(expiries), expiries, strikes, args.command == "price", args.engine)
-    rows = [csv_rows(f"{t:.10g},%.10g,%.12g", np.column_stack(kv)) for t, *kv in zip(expiries, strikes, values)]
-    _emit(f"expiry,strike,{args.command}\n" + "".join(rows), args.out)
+    blocks = [f"expiry,strike,{args.command}\n"]
+    for expiry, k, v in zip(expiries, strikes, values):
+        blocks.append(csv_rows(f"{expiry:.10g},%.10g,%.12g", np.column_stack((k, v))))
+    _emit("".join(blocks), args.out)
     return 0
 
 
@@ -234,16 +237,17 @@ def _cmd_check_arb(args) -> int:
     surfaces = SliceSet(tuple((expiry, randomize(params, ctx)) for expiry, params in loaded))
 
     # every slice's butterfly probes in one stacked price call, the calendar's vols in one exact vol call
-    slices = [rs for _, rs in surfaces.slices]
     probes = [butterfly_probes(t, default_strike_grid(ctx, t, args.grid_points, args.grid_lo, args.grid_hi), ctx,
                                check_intrinsic=rs.target != "spot") for t, rs in surfaces.slices]
-    rows = [(rs, t, strikes) for rs, asked in zip(slices, probes) for t, strikes in asked]
+    rows = [(rs, t, strikes) for (_, rs), asked in zip(surfaces.slices, probes) for t, strikes in asked]
     prices = iter(stacked_grid(*zip(*rows), prices=True))
-    report = functools.reduce(ArbReport.merge, [butterfly_report(asked, [next(prices) for _ in asked], ctx)
-                                                for asked in probes])
-    if len(slices) >= 2:
+    report = None
+    for asked in probes:
+        fragment = butterfly_report(asked, [next(prices) for _ in asked], ctx)
+        report = fragment if report is None else report.merge(fragment)
+    if len(surfaces.slices) >= 2:
         shared = default_strike_grid(ctx, surfaces.expiries[0], 51, 0.7, 1.4)
-        vols = stacked_grid(slices, surfaces.expiries, [shared] * len(slices))
+        vols = stacked_grid([rs for _, rs in surfaces.slices], surfaces.expiries, [shared] * len(surfaces.slices))
         report = report.merge(calendar_report(surfaces.expiries, shared, vols))
     print(json.dumps(report.to_json(), indent=2))
     return 0 if report.passed else 1

@@ -205,8 +205,9 @@ def dist_from_json(data: dict, spot: Optional[float] = None) -> DistributionSpec
 
 
 def _json_number(value, name: str, kind: type = float):
-    """A JSON number as a ``kind``; a boolean (read as 0 or 1), or for an int a non-integer, raises naming its field."""
-    if isinstance(value, bool) or (kind is int and type(value) is not int):
+    """A JSON number as a ``kind``; anything else, a boolean or a string included, or for an int a non-integer,
+    raises naming its field."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {json.dumps(value)}")
     return kind(value)
 

@@ -318,7 +318,6 @@ def stacked_grid(slices, expiries, strikes, prices: bool = False, engine: str = 
     size and columns stack, as in `implied_vol_stack`; a stack's rows, in order, share passes of at most `_PASS_PAIRS`
     pairs, and a larger row runs alone (`_node_sums` rounds a row by its pass's rows).  Every grid is checked first.
     """
-    method, order = parse_engine(engine)
     stacks, passes, size = {}, [], 0
     for i, rs in enumerate(slices):
         stacks.setdefault((rs.ctx, rs.target, rs.columns.family, rs.columns.n_q, rs.rule.size, *rs.columns.columns),
@@ -330,11 +329,11 @@ def stacked_grid(slices, expiries, strikes, prices: bool = False, engine: str = 
                 size = 0
             passes[-1].append(i)
             size += np.size(strikes[i])
-    stacked = [(rows, _stack([slices[i] for i in rows])) for rows in passes]
-    grids = [_grid(rs.ctx, [expiries[i] for i in rows], [strikes[i] for i in rows]) for rows, rs in stacked]
+    grids = [_grid(slices[rows[0]].ctx, [expiries[i] for i in rows], [strikes[i] for i in rows]) for rows in passes]
     found = {}
-    for (rows, rs), grid in zip(stacked, grids):
-        found.update(zip(rows, np.split(_row_pass(rs, grid, prices, method, order), np.cumsum(grid.counts[:-1]))))
+    for rows, grid in zip(passes, grids):
+        values = _row_pass([slices[i] for i in rows], expiries[rows[0]], grid, prices, engine)
+        found.update(zip(rows, np.split(values, np.cumsum(grid.counts[:-1]))))
     return [found[i] for i in range(len(slices))]
 
 
@@ -346,11 +345,20 @@ def _stack(slices) -> RandomizedSlice:
     return RandomizedSlice(replace(cols, columns=columns), rule, slices[0].ctx)
 
 
-def _row_pass(rs: RandomizedSlice, grid: _Grid, prices: bool, method: str, order: Optional[int]) -> np.ndarray:
-    """One `stacked_grid` pass: the vols, or the prices, at a grid's pairs."""
+def _row_pass(slices: list, expiry: float, grid: _Grid, prices: bool, engine: str) -> np.ndarray:
+    """One `stacked_grid` pass: the vols, or the prices, at a grid's pairs.  A pass of one row, at ``expiry``, is
+    that row's lone `randomized_prices` or `implied_vol_grid` call, as a job of one expiry always was."""
+    method, order = parse_engine(engine)
+    lone = len(slices) == 1
+    rs = slices[0] if lone else _stack(slices)
     if prices and method == "brent":
+        if lone:
+            return randomized_prices(rs, expiry, grid.strikes)
         return _prices(rs, grid, _node_vols(rs, grid))
-    vols = _grid_vols(rs, grid, method, order, DEFAULT_M_MAX, False)
+    if lone:
+        vols = implied_vol_grid(rs, expiry, grid.strikes, engine)
+    else:
+        vols = _grid_vols(rs, grid, method, order, DEFAULT_M_MAX, False)
     terms = (grid.by_pair(t) for t in (grid.r_tau, grid.df, grid.sqrt_tau))
     return bs_call_values(rs.ctx.s0, *terms, grid.strikes, vols) if prices else vols
 

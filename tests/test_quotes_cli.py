@@ -105,6 +105,7 @@ UNRUNNABLE_ORDER = [
 SIGMA_LN = {**FLAT, "randomizer": {"target": "sigma", "dist": {"family": "lognormal", "mu": -1.63, "nu": 0.2}}}
 NOT_A_NUMBER = [
     pytest.param({"type": "flat", "sigma": True}, IV, "sigma must be a number, got true", id="sigma-true"),
+    pytest.param({"type": "flat", "sigma": "0.2"}, IV, 'sigma must be a number, got "0.2"', id="sigma-string"),
     pytest.param({"type": "sabr", "alpha": 0.3, "beta": False, "rho": -0.3, "gamma": 0.4}, IV,
                  "beta must be a number, got false", id="sabr-beta-false"),
     pytest.param({**SIGMA_LN, "randomizer": {**SIGMA_LN["randomizer"], "n_q": 2.7}}, IV,
@@ -121,6 +122,8 @@ NOT_A_NUMBER = [
                  "points must be a number, got true", id="discrete-node-true"),
     pytest.param({"slices": [{"expiry": True, "params": FLAT}, {"expiry": 2, "params": FLAT}]}, ["check-arb"],
                  "expiry must be a number, got true", id="slice-expiry-true"),
+    pytest.param({"slices": [{"expiry": "0.5", "params": FLAT}, {"expiry": 2, "params": FLAT}]}, ["check-arb"],
+                 'expiry must be a number, got "0.5"', id="slice-expiry-string"),
 ]
 
 
@@ -435,7 +438,7 @@ class TestCli:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("data,command,message", NOT_A_NUMBER)
-    def test_params_booleans_and_fractional_n_q_fail(self, tmp_path, capsys, data, command, message):
+    def test_params_that_are_not_json_numbers_fail(self, tmp_path, capsys, data, command, message):
         path = tmp_path / "params.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         rc = main([command[0], "--spot", "100", "--params", str(path), *command[1:]])

@@ -681,17 +681,31 @@ class TestStackedGrid:
     ])
     def test_rows_pack_into_passes(self, monkeypatch, counts, passes):
         seen, row_pass = [], randomization._row_pass
-        monkeypatch.setattr(randomization, "_row_pass", lambda rs, grid, *args: (
-            seen.append(grid.counts), row_pass(rs, grid, *args))[1])
+        monkeypatch.setattr(randomization, "_row_pass", lambda slices, expiry, grid, *args: (
+            seen.append(grid.counts), row_pass(slices, expiry, grid, *args))[1])
         rs = randomize(gamma_stack()[0], RATE_CTX)
         got = stacked_grid([rs] * len(counts), [0.5] * len(counts), [np.linspace(80.0, 120.0, n) for n in counts],
                            prices=True)
         assert seen == passes and [row.size for row in got] == counts
 
+    @pytest.mark.parametrize("prices,engine,lone_call", [
+        (False, "brent", "implied_vol_grid"),
+        (True, "expansion", "implied_vol_grid"),
+        (True, "brent", "randomized_prices"),
+    ])
+    def test_a_row_alone_is_its_lone_call(self, monkeypatch, prices, engine, lone_call):
+        calls, lone = [], getattr(randomization, lone_call)
+        monkeypatch.setattr(randomization, lone_call, lambda rs, expiry, strikes, *args: (
+            calls.append(np.size(strikes)), lone(rs, expiry, strikes, *args))[1])
+        rs = randomize(gamma_stack()[0], RATE_CTX)
+        counts = [100, 5_000, 100, 100]  # passes [100], [5,000], [100, 100]
+        stacked_grid([rs] * 4, [0.5, 1.0, 1.5, 2.0], [np.linspace(80.0, 120.0, n) for n in counts], prices, engine)
+        assert calls == [100, 5_000]
+
     def test_slices_that_do_not_stack_take_a_pass_each(self, monkeypatch):
         seen, row_pass = [], randomization._row_pass
-        monkeypatch.setattr(randomization, "_row_pass", lambda rs, grid, *args: (
-            seen.append(rs.target), row_pass(rs, grid, *args))[1])
+        monkeypatch.setattr(randomization, "_row_pass", lambda slices, *args: (
+            seen.append(slices[0].target), row_pass(slices, *args))[1])
         slices = [randomize(p, RATE_CTX) for name in STACKED_SLICES for p in STACKED_SLICES[name]]
         stacked_grid(slices, [0.5] * len(slices), [np.array([90.0, 100.0])] * len(slices))
         assert seen == ["sigma", "gamma", "spot", "gamma"]
