@@ -59,3 +59,10 @@ printf '%s\n' 'spot = 100' 'rate = 0.02' 'trade_date = 2024-07-31' 'model = sabr
   'n_q = 2' 'beta = 0.9' 'multistart = 2' > smoke.cfg
 randvol fit --quotes smoke_quotes.csv --config smoke.cfg --out-dir smoke_fit
 test -s smoke_fit/fit_T0_252055.json && test -s smoke_fit/residuals_T0_252055.csv
+# gamma-gamma on the expansion engine, named (its default before the exact engine), and spot-lognormal on its
+# default engine; a key's last line wins
+for extra in 'engine = expansion' 'randomizer = spot-lognormal'; do
+  { cat smoke.cfg; echo "$extra"; } > smoke_fit_extra.cfg
+  randvol fit --quotes smoke_quotes.csv --config smoke_fit_extra.cfg --out-dir smoke_fit_extra 2> smoke_fit.err
+  grep -q '^fit: slices=1 failed=0 model_calls=[0-9]* evaluations=[0-9]*$' smoke_fit.err
+done

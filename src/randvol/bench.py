@@ -1,10 +1,11 @@
-"""Timing harness comparing the expansion engines against the root finder.
+"""Timing harness comparing the expansion engines against the exact inversions.
 
 The workload mirrors a realistic surface build: a fixed set of expiries,
 each carrying an equal share of strikes.  The expansion engines build
 one set of coefficients per expiry and evaluate the polynomial across
-that expiry's strikes; the root finder inverts every point, warm-started
-from its neighbor.
+that expiry's strikes; scalar Brent inverts every point, warm-started
+from its neighbor; the vectorized exact pass (what the 'brent' engine
+runs) inverts each expiry's prices in one call.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .expansion import evaluate_polynomial, expansion_order, parameter_coefficients
 from .parametrizations import FlatParams, RandomizerSpec, SliceParams
-from .pricing import MarketContext, OptionKey, OptionType, implied_vol_brent
+from .pricing import MarketContext, OptionKey, OptionType, implied_vol_brent, implied_vols
 from .quadrature import LogNormal
 from .randomization import RandomizedSlice, randomized_prices, randomize
 
@@ -94,8 +95,18 @@ def time_brent(rs: RandomizedSlice, count: int) -> float:
     return time.perf_counter() - start
 
 
+def time_exact(rs: RandomizedSlice, count: int) -> float:
+    """Seconds to invert `count` randomized prices with the vectorized exact pass, one call per expiry."""
+    grid = _point_grid(rs, count)
+    start = time.perf_counter()
+    for expiry, strikes, _ in grid:
+        implied_vols(rs.ctx, expiry, strikes, randomized_prices(rs, expiry, strikes))
+    return time.perf_counter() - start
+
+
 def run_benchmark(counts: Sequence[int], orders: Sequence[int], include_brent: bool) -> list[BenchRow]:
-    """One row per count and method, labelled with the points timed; every order is checked first."""
+    """One row per count and method, labelled with the points timed: scalar Brent unless ``include_brent`` is
+    false, the vectorized exact pass, then each expansion order; every order is checked first."""
     orders = [expansion_order("parameter", order) for order in orders]
     rs = reference_slice()
     rows: list[BenchRow] = []
@@ -103,6 +114,7 @@ def run_benchmark(counts: Sequence[int], orders: Sequence[int], include_brent: b
         timed = _points_timed(count)
         if include_brent:
             rows.append(BenchRow("brent", timed, time_brent(rs, count)))
+        rows.append(BenchRow("exact", timed, time_exact(rs, count)))
         for order in orders:
             rows.append(BenchRow(f"expansion:{order}", timed, time_expansion(rs, count, order)))
     return rows

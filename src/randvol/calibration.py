@@ -1,7 +1,12 @@
 """Slice-wise least-squares calibration of plain and randomized parametrizations.
 
-The objective is the unweighted sum of squared implied-vol differences
-against the retained market quotes.  Free parameters are optimized
+A fit is reported by its unweighted sum of squared implied-vol differences
+against the retained market quotes, and its searches minimize that sum,
+except on the exact engine for gamma-gamma: there each residual is the
+mixture's call price less the quote's Black-Scholes price, over the quote's
+vega (Christoffersen & Jacobs, J. Financial Economics 72, 2004), the vol
+difference to first order, so that no search round inverts a price; the
+chosen point is then inverted once.  Free parameters are optimized
 unconstrained through bound-respecting transforms (log for positives,
 scaled tanh for correlation and the exponent), with multistart
 unbounded trust-region least squares on the residual vector in that
@@ -44,7 +49,7 @@ from .parametrizations import (
     params_to_json,
     plain_columns,
 )
-from .pricing import MarketContext, OptionType
+from .pricing import MarketContext, OptionType, bs_call_values, bs_vegas, expiry_terms
 from .quadrature import (
     FAMILIES, MAX_NQ, DiscreteGiven, DistributionSpec, Gamma, LogNormal, SpotLogNormal, check_domains,
 )
@@ -108,7 +113,9 @@ class FitConfig:
     randomizer: RandomizerName = "gamma-gamma"
     n_q: int = 2
     fixed: dict = field(default_factory=lambda: {"beta": 0.9})
-    engine: str = "expansion"
+    # '' takes the randomizer's default: 'expansion' for sigma-lognormal, whose exact fits cost more CPU, else
+    # 'brent', measured no slower and exact where the expansion misses short-dated W-shaped smiles
+    engine: str = ""
     budget: int = 2000
     multistart: int = 8
     seed: int = 0
@@ -118,6 +125,8 @@ class FitConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.randomizer not in get_args(RandomizerName):
             raise ValueError(f"unknown randomizer {self.randomizer!r}")
+        if not self.engine:
+            object.__setattr__(self, "engine", "expansion" if self.randomizer == "sigma-lognormal" else "brent")
         method, order = parse_engine(self.engine)
         if method == "expansion":
             expansion_order("spot" if self.randomizer == "spot-lognormal" else "parameter", order)
@@ -273,9 +282,34 @@ def _point_columns(cfg: FitConfig, values: dict, s0: float, failures: Optional[R
 
 
 # a name of its own: the benchmark's tracer counts the calibrator's model calls here
-def model_vols(cols: SliceColumns, ctx: MarketContext, expiries, strikes, engine: str) -> np.ndarray:
-    """`implied_vol_stack`'s flat vols of a stack of points, one expiry and strike array per row; a failed row's NaN."""
-    return implied_vol_stack(cols, ctx, expiries, strikes, engine)[0]
+def model_vols(cols: SliceColumns, ctx: MarketContext, expiries, strikes, engine: str,
+               prices: bool = False) -> np.ndarray:
+    """`implied_vol_stack`'s flat vols of a stack of points, one expiry and strike array per row, or with ``prices``
+    its call prices; a failed row's NaN."""
+    return implied_vol_stack(cols, ctx, expiries, strikes, engine, prices)[0]
+
+
+def check_vegas(quotes: QuoteSet) -> None:
+    """Refuse, with a ValueError naming it, a quote whose Black-Scholes vega at its own vol is not a positive normal
+    float: a price residual is scaled by it."""
+    for expiry in quotes.expiries():
+        _market_terms(quotes.at_expiry(expiry))
+
+
+def _market_terms(quotes: QuoteSet) -> np.ndarray:
+    """Rows of the Black-Scholes call values of one expiry's quotes at their own vols, their vegas, and the open
+    bounds of a call value, (intrinsic, s0); raises as `check_vegas` says."""
+    ctx, expiry = quotes.ctx, quotes.quotes[0].expiry
+    strikes, vols = np.array([(q.strike, q.iv) for q in quotes.quotes]).T
+    _, r_tau, df, sqrt_tau, _ = expiry_terms(ctx, expiry)
+    vegas = bs_vegas(ctx.s0, r_tau, sqrt_tau, strikes, vols)
+    bad = ~(np.isfinite(vegas) & (vegas >= np.finfo(float).tiny))
+    if bad.any():
+        quote = quotes.quotes[bad.argmax()]
+        raise ValueError(f"quote at expiry {expiry!r} and strike {quote.strike!r}: its Black-Scholes vega "
+                         f"{float(vegas[bad.argmax()])!r} at its vol {quote.iv!r} is not a positive normal float")
+    return np.array([bs_call_values(ctx.s0, r_tau, df, sqrt_tau, strikes, vols), vegas,
+                     np.maximum(ctx.s0 - strikes * df, 0.0), np.full(strikes.size, ctx.s0)])
 
 
 _FTOL, _XTOL, _GTOL = 1e-14, 1e-12, 1e-14  # least_squares' ftol, xtol and gtol
@@ -390,16 +424,24 @@ def _jacobian(residuals, x: np.ndarray, f: Optional[np.ndarray] = None):
 
 
 class _SliceObjective:
-    """Vol residuals of one slice, memoized per parameter point so that none is evaluated twice.
+    """Residuals of one slice, memoized per parameter point so that none is evaluated twice.
 
-    A point maps to None where its transform or the model failed, or gave a non-finite vol.
-    ``model_calls`` counts the stacked model calls that held at least one of its points.
+    They are vega-scaled price residuals on the exact engine for a gamma-gamma rule of more than one node, else
+    vol residuals: on misfit quotes the price loss's chosen point was measured further off in vol for spot- and
+    sigma-lognormal.  A point maps to None where its transform or the model failed, or gave a non-finite vol or a
+    price outside (intrinsic, s0), which has no vol.  ``model_calls`` counts the stacked model calls that held at
+    least one of its points.
     """
 
     def __init__(self, quotes: QuoteSet, cfg: FitConfig, free: list, surface: Optional["SurfaceFit"] = None):
         self.cfg, self.free, self.ctx, self.expiry = cfg, free, quotes.ctx, quotes.expiries()[0]
         self.strikes = np.array([q.strike for q in quotes.quotes])
         self.market = np.array([q.iv for q in quotes.quotes])
+        self.prices = cfg.randomizer == "gamma-gamma" and cfg.n_q > 1 and parse_engine(cfg.engine)[0] == "brent"
+        # a model row's target, scale and open bounds per quote: its residual is (row - target) / scale
+        n = self.market.size
+        self.terms = _market_terms(quotes) if self.prices else np.array([self.market, np.ones(n), np.full(n, -np.inf),
+                                                                         np.full(n, np.inf)])
         self.memo: dict[bytes, Optional[np.ndarray]] = {}
         self.model_calls = 0
         self.surface = surface
@@ -432,8 +474,8 @@ def _evaluate(requests) -> None:
     model call.
 
     The objectives share one fit configuration and market; each slice's points go at its own expiry
-    and strikes.  A point whose transform or model fails reads None in its slice's memo and spares
-    the others, whose rows are bit for bit their lone evaluations.
+    and strikes.  A point whose transform or model fails, or whose row has a value outside its bounds,
+    reads None in its slice's memo and spares the others, whose rows are bit for bit their lone evaluations.
     """
     fresh: dict = {}
     for problem, points in requests:
@@ -456,12 +498,13 @@ def _evaluate(requests) -> None:
         problem.model_calls += 1
     if first.surface is not None:
         first.surface.model_calls += 1
-    vols = model_vols(columns[good] if failures.any else columns, first.ctx, [p.expiry for p in held],
-                      [p.strikes for p in held], first.cfg.engine)
-    diff = vols - np.concatenate([p.market for p in held])
+    values = model_vols(columns[good] if failures.any else columns, first.ctx, [p.expiry for p in held],
+                        [p.strikes for p in held], first.cfg.engine, first.prices)
+    target, scale, lower, upper = np.concatenate([p.terms for p in held], axis=1)
+    diff = (values - target) / scale
     starts = [0, *accumulate(p.market.size for p in held)]
-    finite = np.logical_and.reduceat(np.isfinite(vols), starts[:-1])
-    for i, problem, start, end, ok in zip(good, held, starts, starts[1:], finite):
+    inside = np.logical_and.reduceat((values > lower) & (values < upper), starts[:-1])
+    for i, problem, start, end, ok in zip(good, held, starts, starts[1:], inside):
         if ok:
             problem.memo[keys[i]] = diff[start:end]
 
@@ -502,7 +545,9 @@ def fit_surface(quotes: QuoteSet, cfg: FitConfig) -> SurfaceFit:
     points every slice's searches wait on.  Each slice keeps its own
     memo, starts, budget and result, equal bit for bit to `fit_slice` on
     it alone; the result's ``model_calls`` counts each shared call once.
+    A quote that `check_vegas` refuses raises before any fit starts.
     """
+    check_vegas(quotes)
     free = _free_parameters(cfg)
     slices = [quotes.at_expiry(expiry) for expiry in quotes.expiries()]
     fits = SurfaceFit(
@@ -542,25 +587,28 @@ def _multistart(slices: list, cfg: FitConfig, embedded: list, plain: list, surfa
 
 
 def _best(problem: _SliceObjective, cfg: FitConfig, free: list, candidates: list, embedded, plain):
-    """A slice's FitResult from its searches' (sse, x, success) and its embedded start, or its CalibrationError."""
+    """A slice's FitResult from its searches' (objective, x, success) and its embedded start, or its
+    CalibrationError.  The point is chosen by the searches' objective; its sse, mse and residuals are in vol."""
     if embedded is not None:
         candidates = [(problem.objective(embedded), np.asarray(embedded), False)] + candidates
     finite = [c for c in candidates if math.isfinite(c[0])]
     if not finite:
         return CalibrationError("no multistart point produced a finite objective")
     # on a tie, prefer a converged search over the unsearched embedding
-    best_sse, best_x, best_converged = min(finite, key=lambda c: (c[0], not c[2]))
+    _, best_x, best_converged = min(finite, key=lambda c: (c[0], not c[2]))
     params = build_slice_params(cfg, _values_from_vector(cfg, free, best_x), problem.ctx)
     variance = 0.0 if params.randomizer is None else variance_of_randomizer(params.randomizer.dist)
     strikes = problem.strikes
-    # the residuals are the public model's at the result's parameters: bit for bit the point's stacked row
-    model = implied_vol_grid(randomize(params, problem.ctx), problem.expiry, strikes, engine=cfg.engine, quiet=True)
+    # the public model's vols at the result's parameters: on vol residuals, bit for bit the point's stacked row
+    diff = implied_vol_grid(randomize(params, problem.ctx), problem.expiry, strikes, engine=cfg.engine,
+                            quiet=True) - problem.market
+    sse = float(np.sum(diff**2))
     best = FitResult(
         params=params,
         expiry=problem.expiry,
-        sse=float(best_sse),
-        mse=float(best_sse) / len(strikes),
-        residuals=[(problem.expiry, float(k), float(d)) for k, d in zip(strikes, model - problem.market)],
+        sse=sse,
+        mse=sse / len(strikes),
+        residuals=[(problem.expiry, float(k), float(d)) for k, d in zip(strikes, diff)],
         randomizer_variance=variance,
         converged=best_converged,
         evaluations=len(problem.memo) + (plain.evaluations if plain else 0),

@@ -88,10 +88,10 @@ def _build_parser() -> argparse.ArgumentParser:
     interp.add_argument("--strike", type=float, required=True)
     interp.set_defaults(handler=_cmd_interp)
 
-    bench = sub.add_parser("bench", help="expansion vs Brent wall-clock table")
+    bench = sub.add_parser("bench", help="expansion vs exact inversion wall-clock table")
     bench.add_argument("--counts", default="1000,10000,50000,100000")
     bench.add_argument("--orders", default="2,4,6")
-    bench.add_argument("--skip-brent", action="store_true")
+    bench.add_argument("--skip-brent", action="store_true", help="skip scalar Brent; the vectorized exact row runs")
     bench.add_argument("--out", help="output CSV path (default stdout)")
     bench.set_defaults(handler=_cmd_bench)
     return parser

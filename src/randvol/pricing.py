@@ -126,6 +126,14 @@ def bs_call_values(s0, r_tau, df, sqrt_tau, strikes, sigmas) -> np.ndarray:
     return np.where(st > 0, values, intrinsic)
 
 
+def bs_vegas(s0, r_tau, sqrt_tau, strikes, sigmas) -> np.ndarray:
+    """Vectorized Black-Scholes vegas, the call value's derivative in sigma > 0, from an expiry's r*tau and sqrt(tau)
+    (`expiry_terms`); broadcasts as `bs_call_values` does."""
+    st = np.asarray(sigmas, dtype=float) * sqrt_tau
+    d1 = (np.log(s0 / np.asarray(strikes, dtype=float)) + r_tau) / st + 0.5 * st
+    return s0 * sqrt_tau * norm_pdf(d1)
+
+
 def implied_vols(ctx: MarketContext, expiry: float, strikes, call_prices) -> np.ndarray:
     """Implied vols of call prices on a strike grid by one vectorized Newton pass.
 

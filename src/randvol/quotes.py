@@ -12,7 +12,7 @@ import datetime as dt
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-from .calibration import FitConfig, Quote, QuoteSet, select_liquid
+from .calibration import FitConfig, Quote, QuoteSet, check_vegas, select_liquid
 from .errors import QuoteFormatError
 from .pricing import MarketContext, OptionType
 
@@ -36,7 +36,8 @@ def year_fraction(start: dt.date, end: dt.date) -> float:
 
 
 def load_quotes(path, market: MarketConfig) -> QuoteSet:
-    """Parse a quote CSV, compute ACT/365 expiries, keep the liquid quotes."""
+    """Parse a quote CSV, compute ACT/365 expiries, keep the liquid quotes; refuse a kept quote as `check_vegas`
+    does."""
     with Path(path).open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
@@ -47,7 +48,12 @@ def load_quotes(path, market: MarketConfig) -> QuoteSet:
         quotes = [_parse_row(row, market, reader.line_num) for row in reader]
     if not quotes:
         raise QuoteFormatError("quote file contains no data rows")
-    return select_liquid(QuoteSet(tuple(quotes), market.context()))
+    kept = select_liquid(QuoteSet(tuple(quotes), market.context()))
+    try:
+        check_vegas(kept)
+    except ValueError as exc:
+        raise QuoteFormatError(str(exc)) from exc
+    return kept
 
 
 def _parse_row(row: dict, market: MarketConfig, line: int) -> Quote:

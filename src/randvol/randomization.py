@@ -286,16 +286,17 @@ def implied_vol_grid(
 
 
 @np.errstate(all="ignore")  # a row far out of range overflows on its way to NaN, which is all it should do
-def implied_vol_stack(cols: SliceColumns, ctx: MarketContext, expiries, strikes,
-                      engine: str = "brent") -> tuple[np.ndarray, RowFailures]:
-    """Implied vols of a stack of slices, each row at its own expiry on its own strikes (one of each per row).
+def implied_vol_stack(cols: SliceColumns, ctx: MarketContext, expiries, strikes, engine: str = "brent",
+                      prices: bool = False) -> tuple[np.ndarray, RowFailures]:
+    """Implied vols of a stack of slices, each row at its own expiry on its own strikes (one of each per row), or
+    with ``prices`` their call prices, as `stacked_grid` gives them: on 'brent' the mixture's, never inverted.
 
-    Returns the rows' vols one after another in one flat array, and the record of the rows that failed a
-    check: their vols are NaN, and every other row is bit for bit its lone `implied_vol_grid`.  The stack is
-    evaluated in one pass, each row on its own rule, and every check, a refused inversion's included, marks a
-    row instead of raising; a marked row still goes through the pass and is set to NaN at the end.
-    Escalations log at debug level.  Numpy's floating-point warnings are silenced here: a row they would
-    concern reads NaN, or reads as it is.
+    Returns the rows' values one after another in one flat array, and the record of the rows that failed a
+    check: their values are NaN, and every other row is bit for bit its lone `implied_vol_grid` (or
+    `randomized_prices`).  The stack is evaluated in one pass, each row on its own rule, and every check, a refused
+    inversion's included, marks a row instead of raising; a marked row still goes through the pass and is set to
+    NaN at the end.  Escalations log at debug level.  Numpy's floating-point warnings are silenced here: a row
+    they would concern reads NaN, or reads as it is.
     """
     method, order = parse_engine(engine)
     failures = RowFailures(len(expiries))
@@ -305,10 +306,10 @@ def implied_vol_stack(cols: SliceColumns, ctx: MarketContext, expiries, strikes,
     if failures.bad.all():
         return np.full(sum(np.size(k) for k in strikes), np.nan), failures
     grid = _grid(ctx, expiries, strikes)
-    vols = _grid_vols(RandomizedSlice(cols, QuadratureRule.of_checked(weights, nodes), ctx), grid, method, order,
-                      DEFAULT_M_MAX, True, failures)
-    vols[np.repeat(failures.bad, grid.counts)] = np.nan
-    return vols, failures
+    rs = RandomizedSlice(cols, QuadratureRule.of_checked(weights, nodes), ctx)
+    values = _grid_values(rs, grid, prices, method, order, True, failures)
+    values[np.repeat(failures.bad, grid.counts)] = np.nan
+    return values, failures
 
 
 def stacked_grid(slices, expiries, strikes, prices: bool = False, engine: str = "brent") -> list[np.ndarray]:
@@ -349,18 +350,28 @@ def _row_pass(slices: list, expiry: float, grid: _Grid, prices: bool, engine: st
     """One `stacked_grid` pass: the vols, or the prices, at a grid's pairs.  A pass of one row, at ``expiry``, is
     that row's lone `randomized_prices` or `implied_vol_grid` call, as a job of one expiry always was."""
     method, order = parse_engine(engine)
-    lone = len(slices) == 1
-    rs = slices[0] if lone else _stack(slices)
+    if len(slices) > 1:
+        return _grid_values(_stack(slices), grid, prices, method, order, False)
     if prices and method == "brent":
-        if lone:
-            return randomized_prices(rs, expiry, grid.strikes)
-        return _prices(rs, grid, _node_vols(rs, grid))
-    if lone:
-        vols = implied_vol_grid(rs, expiry, grid.strikes, engine)
-    else:
-        vols = _grid_vols(rs, grid, method, order, DEFAULT_M_MAX, False)
+        return randomized_prices(slices[0], expiry, grid.strikes)
+    vols = implied_vol_grid(slices[0], expiry, grid.strikes, engine)
+    return _bs_values(slices[0], grid, vols) if prices else vols
+
+
+def _grid_values(rs: RandomizedSlice, grid: _Grid, prices: bool, method: str, order: Optional[int], quiet: bool,
+                 failures: Optional[RowFailures] = None) -> np.ndarray:
+    """The vols at a grid's pairs, or with ``prices`` the call prices: on 'brent' the mixture's, on 'expansion:N'
+    its vols' Black-Scholes prices.  A row failing a check raises, or, given ``failures``, is marked there."""
+    if prices and method == "brent":
+        return _prices(rs, grid, _node_vols(rs, grid, failures))
+    vols = _grid_vols(rs, grid, method, order, DEFAULT_M_MAX, quiet, failures)
+    return _bs_values(rs, grid, vols) if prices else vols
+
+
+def _bs_values(rs: RandomizedSlice, grid: _Grid, vols: np.ndarray) -> np.ndarray:
+    """Black-Scholes call values of vols at a grid's pairs."""
     terms = (grid.by_pair(t) for t in (grid.r_tau, grid.df, grid.sqrt_tau))
-    return bs_call_values(rs.ctx.s0, *terms, grid.strikes, vols) if prices else vols
+    return bs_call_values(rs.ctx.s0, *terms, grid.strikes, vols)
 
 
 def _grid_vols(rs: RandomizedSlice, grid: _Grid, method: str, order: Optional[int], m_max: float, quiet: bool,

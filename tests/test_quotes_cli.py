@@ -2,6 +2,7 @@
 import datetime as dt
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,13 @@ class TestLoadQuotes:
     def test_percent_iv_rejected(self, tmp_path):
         rows = ["2024-08-16,5000,C,25.0,10\n"]
         with pytest.raises(QuoteFormatError, match="fraction"):
+            load_quotes(write_quotes(tmp_path / "q.csv", rows), MARKET)
+
+    def test_quote_without_a_normal_vega_rejected(self, tmp_path):
+        # 1 day out at 1% vol, a strike about 3 times the spot has a vega that underflows to 0
+        rows = ["2024-08-01,5000,C,0.25,10\n", "2024-08-01,16000,C,0.01,10\n"]
+        with pytest.raises(QuoteFormatError, match=re.escape(f"quote at expiry {1 / 365!r} and strike 16000.0: its "
+                                                             "Black-Scholes vega 0.0 at its vol 0.01 is not")):
             load_quotes(write_quotes(tmp_path / "q.csv", rows), MARKET)
 
     def test_duplicate_pair_resolved_by_liquidity(self, tmp_path):
@@ -722,9 +730,9 @@ class TestCli:
         assert rc == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "method,count,seconds"
-        assert len(lines) == 1 + 2 * 4  # (brent + 3 orders) x 2 counts
+        assert len(lines) == 1 + 2 * 5  # (brent + exact + 3 orders) x 2 counts
         methods = {line.split(",")[0] for line in lines[1:]}
-        assert methods == {"brent", "expansion:2", "expansion:4", "expansion:6"}
+        assert methods == {"brent", "exact", "expansion:2", "expansion:4", "expansion:6"}
 
     @pytest.mark.parametrize("order", ["5", "8"])
     def test_bench_refuses_an_order_the_expansion_lacks(self, capsys, order):
@@ -745,7 +753,11 @@ class TestCli:
         assert main(["bench", "--counts", "1005,5,30", "--orders", "2,0"]) == 0
         rows = [line.split(",")[:2] for line in capsys.readouterr().out.splitlines()[1:]]
         assert rows == [[method, count] for count in ("1000", "10", "30")
-                        for method in ("brent", "expansion:2", "expansion:0")]
+                        for method in ("brent", "exact", "expansion:2", "expansion:0")]
+
+    def test_skip_brent_skips_only_scalar_brent(self, capsys):
+        assert main(["bench", "--counts", "100", "--orders", "2", "--skip-brent"]) == 0
+        assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]] == ["exact", "expansion:2"]
 
     def test_missing_file_reports_error(self, capsys):
         rc = main(["iv", "--spot", "100", "--params", "/nonexistent.json", "--expiry", "1", "--strikes", "100"])
