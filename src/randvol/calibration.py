@@ -113,9 +113,10 @@ class FitConfig:
     randomizer: RandomizerName = "gamma-gamma"
     n_q: int = 2
     fixed: dict = field(default_factory=lambda: {"beta": 0.9})
-    # '' takes the randomizer's default: 'expansion' for sigma-lognormal, whose exact fits cost more CPU, else
-    # 'brent', measured no slower and exact where the expansion misses short-dated W-shaped smiles
-    engine: str = ""
+    # None takes the randomizer's default: 'expansion' for sigma-lognormal, whose exact fits cost more CPU, else
+    # 'brent', measured no slower and exact where the expansion misses short-dated W-shaped smiles.  It is resolved
+    # on construction, so `dataclasses.replace` with another randomizer keeps the engine already resolved.
+    engine: Optional[str] = None
     budget: int = 2000
     multistart: int = 8
     seed: int = 0
@@ -125,7 +126,7 @@ class FitConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.randomizer not in get_args(RandomizerName):
             raise ValueError(f"unknown randomizer {self.randomizer!r}")
-        if not self.engine:
+        if self.engine is None:
             object.__setattr__(self, "engine", "expansion" if self.randomizer == "sigma-lognormal" else "brent")
         method, order = parse_engine(self.engine)
         if method == "expansion":
@@ -427,8 +428,8 @@ class _SliceObjective:
     """Residuals of one slice, memoized per parameter point so that none is evaluated twice.
 
     They are vega-scaled price residuals on the exact engine for a gamma-gamma rule of more than one node, else
-    vol residuals: on misfit quotes the price loss's chosen point was measured further off in vol for spot- and
-    sigma-lognormal.  A point maps to None where its transform or the model failed, or gave a non-finite vol or a
+    vol residuals.  The split is measured, not derived: where the model misfits the quotes, the price loss's chosen
+    point lies further off in vol, and on the benchmark's gamma-gamma quotes only gamma-gamma fits.  A point maps to None where its transform or the model failed, or gave a non-finite vol or a
     price outside (intrinsic, s0), which has no vol.  ``model_calls`` counts the stacked model calls that held at
     least one of its points.
     """

@@ -90,8 +90,11 @@ class RunConfig:
 
 
 _MARKET_KEYS = ("spot", "rate", "trade_date")
-# the FitConfig keys a file may set, each converted to its default's type; FitConfig holds the defaults
-_FIT_KEYS = {f.name: type(f.default) for f in fields(FitConfig) if f.default is not MISSING}
+# the FitConfig keys a file may set, each converted to its default's type, or read as a string where the default is
+# None (engine: the randomizer's); FitConfig holds the defaults
+_FIT_KEYS = {
+    f.name: str if f.default is None else type(f.default) for f in fields(FitConfig) if f.default is not MISSING
+}
 
 
 def parse_config(path) -> RunConfig:

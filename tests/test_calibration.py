@@ -857,6 +857,8 @@ class TestLockstep:
             if problem.cfg == cfg:
                 finals.append((alone.objective(want.x), want.x))
         # a search never ends worse than its start, so the unsearched embedding never wins alone
+        if not slice_objective(quotes, cfg).prices:  # on vol residuals, the reported sse is the objective
+            assert float(fitted.sse).hex() == min(final[0] for final in finals).hex()
         best = min(finals, key=lambda final: final[0])[1]
         free = calibration._free_parameters(cfg)
         assert fitted.params == build_slice_params(cfg, calibration._values_from_vector(cfg, free, best), quotes.ctx)

@@ -24,6 +24,8 @@ MARKET_LINES = "spot = 100\nrate = 0.0\ntrade_date = 2024-07-31\n"
 MISSPELLED = [
     pytest.param("engine = expansoin:6", "expansoin:6", id="engine"),
     pytest.param("engine = expansion6", "expansion6", id="engine-no-colon"),
+    # an empty value is refused, not read as the randomizer's default
+    pytest.param("engine =", "unknown engine ''", id="empty-engine"),
     pytest.param("randomizer = gama-gamma", "gama-gamma", id="randomizer"),
     # a value outside its domain: the error names the key
     pytest.param("seed = -1", "seed must be at least 0, got -1", id="negative-seed"),
