@@ -27,6 +27,10 @@ echo '[1,2]' > smoke_bad.json
 rc=0; randvol iv --spot 100 --params smoke_bad.json --expiry 1 --strikes 90,100 || rc=$?; test "$rc" -eq 2
 echo '{"slices": [{"expiry": 0.5, "params": {"type": "flat", "sigma": 0.2}}, {"expiry": 1, "params": {"type": "flat", "sigma": 0.2}}]}' > smoke_slices.json
 rc=0; randvol check-arb --spot 100 --params smoke_slices.json --expiry 1 || rc=$?; test "$rc" -eq 2
+# a slices-file entry without its params: refused (exit 2) with a line naming the field
+echo '{"slices": [{"expiry": 0.5}]}' > smoke_bad.json
+rc=0; randvol check-arb --spot 100 --params smoke_bad.json 2> smoke_bad.err || rc=$?; test "$rc" -eq 2
+grep -qx "error: malformed params file smoke_bad.json: slices entry 1 has no 'params'" smoke_bad.err
 # two interleaved expiries, behind a byte-order mark and with CRLF line endings
 printf '\xef\xbb\xbfexpiry,strike\r\n1.0,110\r\n0.5,90\r\n1.0,100\r\n0.5,105\r\n' > smoke_points.csv
 randvol iv --spot 100 --rate 0.02 --params smoke.json --points smoke_points.csv --engine expansion:6 \
@@ -57,8 +61,9 @@ printf '%s\n' expiry_date,strike,type,iv,open_interest 2024-10-31,80,C,0.222,100
   2024-10-31,110,C,0.198,100 2024-10-31,115,C,0.19925,100 2024-10-31,120,C,0.202,100 > smoke_quotes.csv
 printf '%s\n' 'spot = 100' 'rate = 0.02' 'trade_date = 2024-07-31' 'model = sabr' 'randomizer = gamma-gamma' \
   'n_q = 2' 'beta = 0.9' 'multistart = 2' > smoke.cfg
-randvol fit --quotes smoke_quotes.csv --config smoke.cfg --out-dir smoke_fit
+randvol fit --quotes smoke_quotes.csv --config smoke.cfg --out-dir smoke_fit 2> smoke_fit.err
 test -s smoke_fit/fit_T0_252055.json && test -s smoke_fit/residuals_T0_252055.csv
+grep -q '^fit: slices=1 failed=0 model_calls=[0-9]* evaluations=[0-9]*$' smoke_fit.err
 # gamma-gamma on the expansion engine, named (its default before the exact engine), and spot-lognormal on its
 # default engine; a key's last line wins
 for extra in 'engine = expansion' 'randomizer = spot-lognormal'; do

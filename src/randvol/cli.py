@@ -106,11 +106,16 @@ def _load_params_file(path, spot):
     data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     if not isinstance(data, dict) or "slices" not in data:
         return params_from_json(data, spot=spot)
-    try:
-        return [(_json_number(entry["expiry"], "expiry"), params_from_json(entry["params"], spot=spot))
-                for entry in data["slices"]]
-    except TypeError as exc:
-        raise ValueError(f"malformed params file {path}: {exc}") from exc
+    entries = data["slices"]
+    if not isinstance(entries, list):
+        raise ValueError(f"malformed params file {path}: 'slices' is not an array")
+    for n, entry in enumerate(entries, 1):
+        fault = "is not an object" if not isinstance(entry, dict) else next(
+            (f"has no {key!r}" for key in ("expiry", "params") if key not in entry), None)
+        if fault:
+            raise ValueError(f"malformed params file {path}: slices entry {n} {fault}")
+    return [(_json_number(entry["expiry"], "expiry"), params_from_json(entry["params"], spot=spot))
+            for entry in entries]
 
 
 def _resolve_points(args) -> list[tuple[float, np.ndarray]]:

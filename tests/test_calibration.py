@@ -246,7 +246,7 @@ def run_search(search, asked=None):
 def scipy_search(residuals, start, budget):
     """The least_squares call that `minimize` reproduces."""
     return least_squares(residuals, start, method="trf", max_nfev=max(budget // (len(start) + 1), 1),
-                         xtol=1e-12, ftol=1e-14, gtol=1e-14)
+                         xtol=calibration._XTOL, ftol=calibration._FTOL, gtol=calibration._GTOL)
 
 
 def rosenbrock(calls):
@@ -374,9 +374,9 @@ class TestRandomizedSabrFit:
         assert result.converged
 
     def test_evaluation_count(self, randomized_sabr_fixture, monkeypatch):
-        # least squares on the residual vector needs about 900 model
-        # evaluations here, prefit included; a simplex search on the SSE
-        # needs over 10,000; no parameter point is evaluated twice
+        # least squares on the residual vector needs about 430 model
+        # evaluations here; a simplex search on the SSE needs over
+        # 10,000; no parameter point is evaluated twice
         quotes, _ = randomized_sabr_fixture
         calls = []
         real = calibration.model_vols
@@ -516,6 +516,30 @@ class TestNestedDominanceDegenerateBoundary:
         assert plain_rms_bp >= 10.0 * rms_bp
         curve = density(randomize(result.params, ctx), expiry, default_strike_grid(ctx, expiry, n=501))
         assert count_local_maxima(curve.values) == 2
+
+    def test_prefit_runs_only_where_its_start_is_used(self, randomized_sabr_fixture, monkeypatch):
+        # gamma-gamma's embedding fails its moment check here, so its fit runs no plain (one-node) prefit; the
+        # spot-lognormal embedding of the prefit scores finite on the 1-day W-shape, so that fit keeps its prefit
+        families, embedded = [], []
+        real_vols, real_embedding = calibration.model_vols, calibration._degenerate_embedding
+        monkeypatch.setattr(calibration, "model_vols",
+                            lambda cols, *a, **k: families.append(cols.family) or real_vols(cols, *a, **k))
+        monkeypatch.setattr(calibration, "_degenerate_embedding",
+                            lambda *a: embedded.append(real_embedding(*a)) or embedded[-1])
+        quotes, _ = randomized_sabr_fixture
+        fit_slice(quotes, FitConfig(model="sabr", randomizer="gamma-gamma", n_q=2, seed=3))
+        assert set(families) == {"gamma"} and embedded == []
+        families.clear()
+        ctx, expiry = MarketContext(s0=1496.45, r=0.02), 1.0 / 365.0
+        true = SliceParams(SabrParams(alpha=0.3, beta=0.9, rho=-0.2, gamma=2.0),
+                           RandomizerSpec("spot", SpotLogNormal(1496.45, 0.03), 2))
+        strikes = np.linspace(0.96, 1.04, 30) * ctx.forward(expiry)
+        quotes = make_quotes(expiry, strikes, implied_vol_grid(randomize(true, ctx), expiry, strikes, engine="brent"),
+                             ctx)
+        cfg = FitConfig(model="sabr", randomizer="spot-lognormal", n_q=2)
+        fit_slice(quotes, cfg)
+        assert set(families) == {"discrete", "spot-lognormal"} and len(embedded) == 1
+        assert math.isfinite(slice_objective(quotes, cfg).objective(embedded[0]))
 
     def test_spot_randomizer_variance_from_fit(self):
         # fit a gently smiling synthetic market with the spot randomizer
@@ -790,9 +814,6 @@ def surface_quote_set():
     return QuoteSet(tuple(quotes), CTX)
 
 
-SURFACE_CONFIG = FitConfig(model="sabr", randomizer="gamma-gamma", n_q=2, seed=3, multistart=4)
-
-
 def lone_fit(quotes, cfg):
     try:
         return fit_slice(quotes, cfg)
@@ -801,8 +822,10 @@ def lone_fit(quotes, cfg):
 
 
 class TestSurfaceFit:
-    def test_shared_lockstep_changes_no_fit(self, monkeypatch):
-        quotes, cfg = surface_quote_set(), SURFACE_CONFIG
+    # gamma-gamma runs its randomized searches alone; spot-lognormal runs a plain prefit phase first
+    @pytest.mark.parametrize("randomizer,phases", [("gamma-gamma", 1), ("spot-lognormal", 2)])
+    def test_shared_lockstep_changes_no_fit(self, monkeypatch, randomizer, phases):
+        quotes, cfg = surface_quote_set(), FitConfig(model="sabr", randomizer=randomizer, n_q=2, seed=3, multistart=4)
         calls = []
         real = calibration.model_vols
         monkeypatch.setattr(calibration, "model_vols", lambda *a, **k: calls.append(1) or real(*a, **k))
@@ -820,9 +843,10 @@ class TestSurfaceFit:
             assert (fitted.converged, fitted.evaluations, fitted.model_calls) == (
                 alone.converged, alone.evaluations, alone.model_calls)
             assert fitted.residuals == alone.residuals
-            prefit = lone_fit(quotes.at_expiry(expiry), calibration._plain_config(cfg))
-            phase_rounds[0].append(prefit.model_calls)
-            phase_rounds[1].append(alone.model_calls - prefit.model_calls)
+            plain_cfg = calibration._plain_config(cfg)
+            prefit = lone_fit(quotes.at_expiry(expiry), plain_cfg).model_calls if phases == 2 else 0
+            phase_rounds[0].append(prefit)
+            phase_rounds[1].append(alone.model_calls - prefit)
         # a round holds every slice still searching: each phase takes its longest slice's rounds
         assert fits.model_calls == max(phase_rounds[0]) + max(phase_rounds[1])
         assert fits.model_calls < sum(fit.model_calls for fit in fits[:2])
@@ -845,7 +869,9 @@ class TestLockstep:
         cfg = FitConfig(seed=3, **kwargs)
         fitted = fit_slice(quotes, cfg)
         monkeypatch.undo()
-        assert {problem.cfg.randomizer for problem, *_ in searches} == {"none", cfg.randomizer}
+        # a plain prefit runs where its embedded start builds: not for gamma-gamma
+        prefit = set() if cfg.randomizer == "gamma-gamma" else {"none"}
+        assert {problem.cfg.randomizer for problem, *_ in searches} == prefit | {cfg.randomizer}
         finals = []
         for problem, start, budget, result, asked in searches:
             # each lockstep search is scipy's least_squares from its start, on a fresh objective
@@ -875,8 +901,8 @@ class TestLockstep:
 
         monkeypatch.setattr(calibration, "model_vols", counting)
         result = fit_slice(quotes, FitConfig(model="sabr", randomizer="gamma-gamma", n_q=2, seed=3))
-        # measured: 151 calls, prefit included (471 with one search at a time); 20% margin
-        assert len(calls) <= 180
+        # measured: 64 calls (176 with one search at a time); 20% margin
+        assert len(calls) <= 77
         assert result.model_calls == len(calls)
         assert result.evaluations == len(points)
         blob = result.to_json()

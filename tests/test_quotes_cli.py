@@ -129,6 +129,14 @@ NOT_A_NUMBER = [
                  'expiry must be a number, got "0.5"', id="slice-expiry-string"),
 ]
 
+# a slices-file entry that is not a JSON object, or lacks a field, and the fault the error names
+BAD_ENTRY = [
+    pytest.param({"slices": [{"expiry": 0.5, "params": FLAT}, {"expiry": 1.0}]}, "slices entry 2 has no 'params'",
+                 id="no-params"),
+    pytest.param({"slices": [{"params": FLAT}]}, "slices entry 1 has no 'expiry'", id="no-expiry"),
+    pytest.param({"slices": [3]}, "slices entry 1 is not an object", id="entry-number"),
+]
+
 
 def write_quotes(path, rows):
     path.write_text(QUOTE_HEADER + "".join(rows), encoding="utf-8")
@@ -455,6 +463,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("data,fault", BAD_ENTRY)
+    @pytest.mark.parametrize("command", [["check-arb"], ["interp", "--expiry", "0.5", "--strike", "100"]],
+                             ids=["check-arb", "interp"])
+    def test_slices_entry_faults_are_named(self, tmp_path, capsys, data, fault, command):
+        path = tmp_path / "slices.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        rc = main([command[0], "--spot", "100", "--params", str(path), *command[1:]])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"error: malformed params file {path}: {fault}\n"
 
     @pytest.mark.parametrize("violating", [False, True], ids=["clean", "violating"])
     def test_check_arb_mixed_slices_report_as_per_slice_checks(self, tmp_path, capsys, violating):
