@@ -26,8 +26,7 @@ where they collapse to the plain model, so their fit's objective is at
 most that start's.  Gamma-gamma runs no prefit and claims no such
 dominance: its embedding, θ = 1e-8 and k = γ/θ, builds a rule only for
 γ up to about 0.01, and on plain-SABR quotes of such γ its vol sse can
-exceed the plain fit's (measured: by up to 0.03 bp RMS), since its
-searches minimize price residuals.
+exceed the plain fit's, since its searches minimize price residuals.
 """
 from __future__ import annotations
 
