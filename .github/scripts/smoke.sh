@@ -20,7 +20,10 @@ randvol price --spot 100 --rate 0.02 --params smoke.json --expiry 0.5 --strikes 
 randvol iv --spot 100 --rate 0.02 --params smoke.json --expiry 0.5 --strikes 90,100,110 --engine brent
 randvol iv --spot 100 --rate 0.02 --params smoke.json --expiry 0.5 --engine expansion:6 \
   --k-min 40 --k-max 250 --n-strikes 41
-randvol density --spot 100 --rate 0.02 --params smoke.json --expiry 0.5
+randvol density --spot 100 --rate 0.02 --params smoke.json --expiry 0.5 2> smoke_density.err
+# its stderr line: the density's mass within 1e-3 of 1, and its mean within 1e-3 of the forward, relative
+awk -F'[= ]' '/^mass=/ { m = $4 / $6; ok = $2 - 1 <= 1e-3 && 1 - $2 <= 1e-3 && m - 1 <= 1e-3 && 1 - m <= 1e-3 }
+  END { exit !ok }' smoke_density.err
 randvol check-arb --spot 100 --rate 0.02 --params smoke.json --expiry 0.5
 # a params file of the wrong JSON shape, and --expiry with a two-slice file, each refused (exit 2)
 echo '[1,2]' > smoke_bad.json

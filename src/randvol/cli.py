@@ -118,23 +118,37 @@ def _load_params_file(path, spot):
             for entry in entries]
 
 
+def _raise_first_bad_row(path, rows, first: int):
+    """Raise the first malformed points row's error, in file order, naming the file and the row's line (rows[0]'s
+    is ``first``)."""
+    for line, row in enumerate(rows, first):
+        try:
+            expiry_s, strike_s = row.split(",")
+            float(expiry_s), float(strike_s)
+        except ValueError as exc:
+            raise ValueError(f"points file {path} line {line}: {exc}") from None
+
+
 def _resolve_points(args) -> list[tuple[float, np.ndarray]]:
     """The (expiry, strikes) groups asked for; a points file's come in expiry order, rows in file order within one."""
     if args.points:
         if given := [flag for flag in ("--expiry", "--strikes", "--k-min", "--k-max")
                      if getattr(args, flag[2:].replace("-", "_")) is not None]:
             raise ValueError(f"--points cannot be combined with {', '.join(given)}")
-        rows = Path(args.points).read_text(encoding="utf-8-sig").strip().splitlines()
+        text = Path(args.points).read_text(encoding="utf-8-sig")
+        rows = text.strip().splitlines()
+        first = len((text[:len(text) - len(text.lstrip())] + "x").splitlines())  # the first row's line
         if rows and rows[0].lower().replace(" ", "") == "expiry,strike":
-            rows = rows[1:]
+            rows, first = rows[1:], first + 1
         if not rows:
             raise ValueError(f"points file {args.points} contains no data rows")
-        if set(map(str.count, rows, repeat(","))) != {1}:
-            for row in rows:  # raise the first bad row's error, in file order
-                expiry_s, strike_s = row.split(",")
-                float(expiry_s), float(strike_s)
-        fields = chain.from_iterable(map(str.split, rows, repeat(",")))  # one row's strings alive at a time
-        expiries, strikes = np.fromiter(map(float, fields), float, 2 * len(rows)).reshape(-1, 2).T
+        try:
+            if set(map(str.count, rows, repeat(","))) != {1}:
+                raise ValueError
+            fields = chain.from_iterable(map(str.split, rows, repeat(",")))  # one row's strings alive at a time
+            expiries, strikes = np.fromiter(map(float, fields), float, 2 * len(rows)).reshape(-1, 2).T
+        except ValueError:
+            _raise_first_bad_row(args.points, rows, first)
         order = np.argsort(expiries, kind="stable")
         keys, starts = np.unique(expiries[order], return_index=True)
         return list(zip(keys.tolist(), np.split(strikes[order], starts[1:])))

@@ -105,8 +105,9 @@ def _node_first(batch: tuple, *arrays) -> list:
 
 
 def _node_sum(x):
-    """The sum of a node-first array over its nodes, row after row: for up to 7 nodes, bit for bit numpy's
-    sum over a last node axis (which sums 8 or more pairwise)."""
+    """The sum of a node-first array over its nodes, row after row, the package's one node sum (mixture prices
+    take it too): each entry's sum is the same whatever the array's other entries, and for up to 7 nodes it is bit
+    for bit numpy's sum over a last node axis (which sums 8 or more pairwise)."""
     return reduce(np.add, x)
 
 

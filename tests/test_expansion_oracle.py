@@ -29,11 +29,21 @@ FLAT_SPOT = SliceParams(FlatParams(0.2), RandomizerSpec("spot", SpotLogNormal(CT
 # the spot kernel forms P0 as N^-1((1 + g) / 2) of the normalized mixture price g, which loses g's low bits where g
 # is small (short expiries); P2 is formed from P0.  2 sqrt(2) erfinv(g) / sqrt(T) is within 4 eps there.
 SHORT_SPOT_P0 = pytest.mark.xfail(reason="P0 = 2 N^-1((1 + g) / 2) / sqrt(T) is 21 eps off at T = 0.05")
+# the parameter kernel's P0 = 2 N^-1(A) / sqrt(T), with A = sum(lambda N(h)), loses the low bits of A - 1/2 in the
+# same way where h = eta sqrt(T) / 2 is small; P2 is formed from P0.  At 1 day the rounding happens to land inside.
+SIGMA_7_DAY_MISSES = {0: pytest.mark.xfail(reason="P0 is 1.64e-15 off at 7 days, against a 7.1e-16 tolerance"),
+                      2: pytest.mark.xfail(reason="P2 is 2.14e-12 off at 7 days, against a 1.85e-12 tolerance")}
+SIGMA_T005_MISSES = {0: pytest.mark.xfail(reason="P0 is 1.25e-15 off at T = 0.05, against a 7.1e-16 tolerance")}
 # a slice, an expiry, the orders its expansion returns, and a mark for each order it misses
 SLICES = {
+    "sigma-lognormal-T1d": (SIGMA_LOGNORMAL, 1.0 / 365.0, (0, 2, 4, 6), {}),
+    "sigma-lognormal-T7d": (SIGMA_LOGNORMAL, 7.0 / 365.0, (0, 2, 4, 6), SIGMA_7_DAY_MISSES),
+    "sigma-lognormal-T0.05": (SIGMA_LOGNORMAL, 0.05, (0, 2, 4, 6), SIGMA_T005_MISSES),
     "sigma-lognormal-T0.5": (SIGMA_LOGNORMAL, 0.5, (0, 2, 4, 6), {}),
+    "sigma-lognormal-T2": (SIGMA_LOGNORMAL, 2.0, (0, 2, 4, 6), {}),
     "flat-spot-lognormal-T0.05": (FLAT_SPOT, 0.05, (0, 1, 2, 3, 4), {0: SHORT_SPOT_P0, 2: SHORT_SPOT_P0}),
     "flat-spot-lognormal-T0.5": (FLAT_SPOT, 0.5, (0, 1, 2, 3, 4), {}),
+    "flat-spot-lognormal-T2": (FLAT_SPOT, 2.0, (0, 1, 2, 3, 4), {}),
 }
 # every P_k up to the slice's highest order: a parameter expansion's missing odd terms read 0
 CASES = [pytest.param(name, k, id=f"{name}-P{k}", marks=marks.get(k, ()))

@@ -2,8 +2,8 @@
 
 `oracle_points` is the earlier per-row `--points` parser, kept verbatim as
 the reference: the array parser must return its groups and arrays bit for
-bit and fail with its messages.  The row writer must print the bytes of
-the per-value f-strings it replaced.
+bit and fail with its messages, after the file and the failing row's line.
+The row writer must print the bytes of the per-value f-strings it replaced.
 """
 import argparse
 import datetime as dt
@@ -98,28 +98,30 @@ class TestPointsParser:
                      "expiry,strike\n" + "".join(f"{t:.10g},{k:.17g}\n" for t, k in zip(expiries, strikes)))
         assert bits(_resolve_points(points_args(path))) == bits(oracle_points(path))
 
-    @pytest.mark.parametrize("text", [
-        pytest.param("expiry,strike\n0.5,100\n0.5\n", id="one-field"),
-        pytest.param("expiry,strike\n0.5,100\n0.5,100,3\n", id="three-fields"),
-        pytest.param("expiry,strike\n0.5,100,7\n0.5\n0.5,100\n", id="three-and-one-balance"),
-        pytest.param("expiry,strike\n0.5\n0.5,100,7\n", id="one-and-three-balance"),
-        pytest.param("expiry,strike\n0.5,abc\n", id="non-numeric-strike"),
-        pytest.param("expiry,strike\nsoon,100\n", id="non-numeric-expiry"),
-        pytest.param("expiry,strike\n0.5,100\n\n1.0,100\n", id="blank-interior-line"),
-        pytest.param("expiry,strike\n0.5,100\n  \n1.0,100\n", id="spaces-only-interior-line"),
-        pytest.param("expiry,strike\n0.5,1x0\n0.5,100,7\n", id="bad-number-before-bad-count"),
-        pytest.param("expiry,strike\n0.5,100,7\n0.5,1x0\n", id="bad-count-before-bad-number"),
-        pytest.param("expiry;strike\n0.5;100\n", id="semicolons"),
-        pytest.param("expiry,strike\n0x10,100\n", id="hex"),
+    @pytest.mark.parametrize("text,line", [
+        pytest.param("expiry,strike\n0.5,100\n0.5\n", 3, id="one-field"),
+        pytest.param("expiry,strike\n0.5,100\n0.5,100,3\n", 3, id="three-fields"),
+        pytest.param("expiry,strike\n0.5,100,7\n0.5\n0.5,100\n", 2, id="three-and-one-balance"),
+        pytest.param("expiry,strike\n0.5\n0.5,100,7\n", 2, id="one-and-three-balance"),
+        pytest.param("expiry,strike\n0.5,abc\n", 2, id="non-numeric-strike"),
+        pytest.param("expiry,strike\nsoon,100\n", 2, id="non-numeric-expiry"),
+        pytest.param("expiry,strike\n0.5,100\n\n1.0,100\n", 3, id="blank-interior-line"),
+        pytest.param("expiry,strike\n0.5,100\n  \n1.0,100\n", 3, id="spaces-only-interior-line"),
+        pytest.param("expiry,strike\n0.5,1x0\n0.5,100,7\n", 2, id="bad-number-before-bad-count"),
+        pytest.param("expiry,strike\n0.5,100,7\n0.5,1x0\n", 2, id="bad-count-before-bad-number"),
+        pytest.param("expiry;strike\n0.5;100\n", 1, id="semicolons"),
+        pytest.param("expiry,strike\n0x10,100\n", 2, id="hex"),
+        pytest.param("\n \n expiry,strike\n0.5,100\n0.5,abc\n", 5, id="leading-blank-lines"),
     ])
-    def test_malformed_file_fails_with_the_per_row_message(self, tmp_path, params_file, capsys, text):
+    def test_malformed_file_fails_with_the_per_row_message(self, tmp_path, params_file, capsys, text, line):
+        # the per-row parser's message, after the file and the row's 1-based line, the header counted
         path = write(tmp_path / "points.csv", text)
         with pytest.raises(ValueError) as expected:
             oracle_points(path)
         rc = main(["iv", *MARKET_ARGS, "--params", str(params_file), "--points", str(path)])
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
-        assert captured.err == f"error: {expected.value}\n"
+        assert captured.err == f"error: points file {path} line {line}: {expected.value}\n"
 
     @pytest.mark.parametrize("text", ["", "\n\n", "expiry,strike\n", "Expiry, Strike\r\n\r\n", "  \n"])
     def test_file_without_data_rows_fails_naming_it(self, tmp_path, params_file, capsys, text):

@@ -414,8 +414,8 @@ class TestSigmaCoefficientsOncePerRow:
                 assert part.tobytes() == lone.tobytes()
 
 
-def pair_major_prices(rs, expiry, strikes):
-    """Mixture prices as the node-last layout formed them: (strikes, n_q) node vols and one gemv over them."""
+def pair_major_values(rs, expiry, strikes):
+    """Each node's call values as the node-last layout formed them: (strikes, n_q), from node vols of their own."""
     tau, n_q = expiry - rs.ctx.t0, rs.rule.size
     cols = {name: float(value) for name, value in rs.columns.columns.items() if np.ndim(value) == 0}
     if rs.target == "sigma":
@@ -427,8 +427,32 @@ def pair_major_prices(rs, expiry, strikes):
         base = FlatParams(cols["sigma"])
         vols = np.broadcast_to(eval_vol_curve(base, rs.ctx, expiry, strikes)[:, None], (strikes.size, n_q))
     spot = rs.rule.nodes[None, :] if rs.target == "spot" else rs.ctx.s0
-    values = bs_call_values(spot, *expiry_terms(rs.ctx, expiry)[1:4], strikes[:, None], vols)
+    return bs_call_values(spot, *expiry_terms(rs.ctx, expiry)[1:4], strikes[:, None], vols)
+
+
+def pair_major_prices(rs, expiry, strikes):
+    """Mixture prices from `pair_major_values`: each pair's weighted nodes added one after another, in node order."""
+    weighted = pair_major_values(rs, expiry, strikes) * rs.rule.weights
+    total = weighted[:, 0]
+    for i in range(1, rs.rule.size):
+        total = total + weighted[:, i]
+    return total
+
+
+def pair_major_gemv(rs, expiry, strikes):
+    """Mixture prices as they were once formed: one gemv of `pair_major_values` against the weights."""
+    n_q = rs.rule.size
+    values = pair_major_values(rs, expiry, strikes)
     return np.matmul(values.reshape(1, strikes.size, n_q), rs.rule.weights.reshape(1, n_q, 1)).ravel()
+
+
+def node_slice(target, n_q):
+    """A lone slice of each randomization target on ``n_q`` nodes."""
+    return {
+        "sigma": sigma_stack([0.2], n_q=n_q)[0],
+        "gamma": SliceParams(SabrParams(0.3, 0.9, -0.5, 1.2), RandomizerSpec("gamma", Gamma(3.0, 0.4), n_q)),
+        "spot": SliceParams(FlatParams(0.25), RandomizerSpec("spot", SpotLogNormal(100.0, 0.1), n_q)),
+    }[target]
 
 
 class TestPricePathUnchanged:
@@ -437,10 +461,22 @@ class TestPricePathUnchanged:
         gamma_stack()[0],
         SliceParams(FlatParams(0.25), RandomizerSpec("spot", SpotLogNormal(100.0, 0.1), 3)),
     ], ids=["sigma", "gamma", "spot"])
-    def test_prices_equal_the_pair_major_gemv(self, params):
+    def test_prices_equal_the_pair_major_node_adds(self, params):
         rs = randomize(params, RATE_CTX)
         strikes = np.linspace(60.0, 160.0, 101)
         assert randomized_prices(rs, 0.5, strikes).tobytes() == pair_major_prices(rs, 0.5, strikes).tobytes()
+
+    @pytest.mark.parametrize("n_q", [2, 4, 10])
+    @pytest.mark.parametrize("target", ["sigma", "gamma", "spot"])
+    def test_node_adds_are_within_n_q_minus_1_ulps_of_the_gemv(self, target, n_q):
+        # the gemv and the node adds sum the same positive terms in another order: n_q - 1 adds, each within
+        # half an ulp of the sum on either side
+        rs = randomize(node_slice(target, n_q), RATE_CTX)
+        for expiry in (0.1, 0.5, 2.0):
+            strikes = np.linspace(40.0, 250.0, 2_001)
+            gemv = pair_major_gemv(rs, expiry, strikes)
+            gap = np.abs(randomized_prices(rs, expiry, strikes) - gemv)
+            assert np.all(gap <= (n_q - 1) * np.spacing(gemv))
 
     @pytest.mark.parametrize("params", [sigma_stack([0.15, 0.2, 0.3, 0.25]), gamma_stack()], ids=["sigma", "gamma"])
     def test_stacked_rows_price_as_lone_slices(self, rng, params):
@@ -646,6 +682,8 @@ STACKED_SLICES = {
                        for nu in (0.05, 0.1)],
     "plain-sabr": [SliceParams(SabrParams(0.3, 0.9, rho, 0.5)) for rho in (-0.3, 0.2)],
 }
+# and a slice on 9 nodes, where numpy's own sum over a last node axis would go pairwise
+ROW_SLICES = {**STACKED_SLICES, "sigma-lognormal-9": sigma_stack([0.2, 0.3], n_q=9)}
 
 
 class TestStackedGrid:
@@ -654,11 +692,11 @@ class TestStackedGrid:
     @pytest.mark.parametrize("prices", [False, True], ids=["iv", "price"])
     @pytest.mark.parametrize("engine", ["brent", "expansion"])
     @pytest.mark.parametrize("counts", [[40, 40, 40, 40], [40, 7, 90, 1]], ids=["equal-rows", "unequal-rows"])
-    @pytest.mark.parametrize("kinds", [[name] for name in STACKED_SLICES] + [list(STACKED_SLICES)],
-                             ids=list(STACKED_SLICES) + ["mixed"])
+    @pytest.mark.parametrize("kinds", [[name] for name in ROW_SLICES] + [list(STACKED_SLICES)],
+                             ids=list(ROW_SLICES) + ["mixed"])
     def test_rows_equal_their_lone_calls(self, kinds, counts, engine, prices):
         rng = np.random.default_rng(sum(counts))
-        members = [randomize(p, RATE_CTX) for name in kinds for p in STACKED_SLICES[name]]
+        members = [randomize(p, RATE_CTX) for name in kinds for p in ROW_SLICES[name]]
         slices = [members[3 * i % len(members)] for i in range(len(counts))]  # "mixed" interleaves its stacks
         expiries = [0.25, 0.5, 0.5, 2.0]
         # wide enough that the expansion guard escalates some strikes to the exact inversion
