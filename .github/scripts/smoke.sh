@@ -18,8 +18,10 @@ test "$rc" -eq 2
 echo '{"type": "sabr", "alpha": 0.3, "beta": 0.9, "rho": -0.3, "gamma": 0.4, "randomizer": {"target": "gamma", "dist": {"family": "gamma", "k": 3.0, "theta": 0.13}, "n_q": 2}}' > smoke.json
 randvol price --spot 100 --rate 0.02 --params smoke.json --expiry 0.5 --strikes 90,100,110 --engine expansion:6
 randvol iv --spot 100 --rate 0.02 --params smoke.json --expiry 0.5 --strikes 90,100,110 --engine brent
+# a public call whose guard trips warns on stderr
 randvol iv --spot 100 --rate 0.02 --params smoke.json --expiry 0.5 --engine expansion:6 \
-  --k-min 40 --k-max 250 --n-strikes 41
+  --k-min 40 --k-max 250 --n-strikes 41 2> smoke_iv_wide.err
+grep -qx 'expansion guard tripped at 21 of 41 grid points; falling back to the exact inversion' smoke_iv_wide.err
 randvol density --spot 100 --rate 0.02 --params smoke.json --expiry 0.5 2> smoke_density.err
 # its stderr line: the density's mass within 1e-3 of 1, and its mean within 1e-3 of the forward, relative
 awk -F'[= ]' '/^mass=/ { m = $4 / $6; ok = $2 - 1 <= 1e-3 && 1 - $2 <= 1e-3 && m - 1 <= 1e-3 && 1 - m <= 1e-3 }
@@ -64,13 +66,23 @@ printf '%s\n' expiry_date,strike,type,iv,open_interest 2024-10-31,80,C,0.222,100
   2024-10-31,110,C,0.198,100 2024-10-31,115,C,0.19925,100 2024-10-31,120,C,0.202,100 > smoke_quotes.csv
 printf '%s\n' 'spot = 100' 'rate = 0.02' 'trade_date = 2024-07-31' 'model = sabr' 'randomizer = gamma-gamma' \
   'n_q = 2' 'beta = 0.9' 'multistart = 2' > smoke.cfg
+# a fit's stderr is its one summary line: the calibrator's escalations log below warning level
+fit_line_only() {
+  test "$(wc -l < smoke_fit.err)" -eq 1
+  grep -qx 'fit: slices=1 failed=0 model_calls=[0-9]* evaluations=[0-9]*' smoke_fit.err
+}
 randvol fit --quotes smoke_quotes.csv --config smoke.cfg --out-dir smoke_fit 2> smoke_fit.err
 test -s smoke_fit/fit_T0_252055.json && test -s smoke_fit/residuals_T0_252055.csv
-grep -q '^fit: slices=1 failed=0 model_calls=[0-9]* evaluations=[0-9]*$' smoke_fit.err
+fit_line_only
 # gamma-gamma on the expansion engine, named (its default before the exact engine), and spot-lognormal on its
 # default engine; a key's last line wins
 for extra in 'engine = expansion' 'randomizer = spot-lognormal'; do
   { cat smoke.cfg; echo "$extra"; } > smoke_fit_extra.cfg
   randvol fit --quotes smoke_quotes.csv --config smoke_fit_extra.cfg --out-dir smoke_fit_extra 2> smoke_fit.err
-  grep -q '^fit: slices=1 failed=0 model_calls=[0-9]* evaluations=[0-9]*$' smoke_fit.err
+  fit_line_only
 done
+# a config value that does not convert: refused (exit 2) with its line and key
+{ cat smoke.cfg; echo 'n_q = 2.5'; } > smoke_bad.cfg
+rc=0; randvol fit --quotes smoke_quotes.csv --config smoke_bad.cfg --out-dir smoke_fit_bad 2> smoke_bad_cfg.err || rc=$?
+test "$rc" -eq 2
+grep -qx "error: config line 9: n_q: invalid literal for int() with base 10: '2.5'" smoke_bad_cfg.err

@@ -132,36 +132,32 @@ def check_butterfly(
     expiry: float,
     strike_grid,
     ctx: MarketContext,
-    check_limits: bool = True,
     check_intrinsic: bool = True,
 ) -> ArbReport:
     """Sample the butterfly conditions of a call pricing function at one expiry.
 
     Flags convexity breaches (second-derivative estimate below -tol),
     monotonicity breaches (price increasing in strike), bound breaches
-    ((s0 - K)+ <= V <= s0), and optionally the two limit conditions:
-    vanishing price at very large strike and the intrinsic limit as the
-    expiry collapses onto the reference time.  Spot-randomized surfaces
-    converge to the node mixture of payoffs rather than the point
-    intrinsic as the expiry collapses, so callers disable the intrinsic
-    probe for them (``check_intrinsic=False``); their no-arbitrage
-    content is the per-expiry density, which the other checks cover.
+    ((s0 - K)+ <= V <= s0), the vanishing price at a far strike, and the
+    intrinsic limit as the expiry collapses onto the valuation date.
+    Spot-randomized surfaces converge to the node mixture of payoffs
+    rather than the point intrinsic as the expiry collapses, so callers
+    disable the intrinsic probe for them (``check_intrinsic=False``);
+    their no-arbitrage content is the per-expiry density, which the
+    other checks cover.
     """
-    probes = butterfly_probes(expiry, strike_grid, ctx, check_limits, check_intrinsic)
+    probes = butterfly_probes(expiry, strike_grid, ctx, check_intrinsic)
     return butterfly_report(probes, [price_fn(t, strikes) for t, strikes in probes], ctx)
 
 
-def butterfly_probes(expiry: float, strike_grid, ctx: MarketContext, check_limits: bool = True,
+def butterfly_probes(expiry: float, strike_grid, ctx: MarketContext,
                      check_intrinsic: bool = True) -> list[tuple[float, np.ndarray]]:
     """The (expiry, strikes) requests whose call prices a butterfly check reads: the checked grid at
-    ``expiry``, then, with the limit checks, the far strike and, with the intrinsic probe, the grid just
-    after the reference time."""
+    ``expiry``, the far strike, then, with the intrinsic probe, the grid just after the valuation date."""
     grid = _checked_grid(strike_grid, "butterfly")
-    probes = [(expiry, grid)]
-    if check_limits:
-        probes.append((expiry, np.array([_FAR_STRIKE_MULTIPLE * ctx.forward(expiry)])))
-        if check_intrinsic:
-            probes.append((ctx.t0 + _INTRINSIC_DT, grid))
+    probes = [(expiry, grid), (expiry, np.array([_FAR_STRIKE_MULTIPLE * ctx.forward(expiry)]))]
+    if check_intrinsic:
+        probes.append((_INTRINSIC_DT, grid))
     return probes
 
 
@@ -190,11 +186,10 @@ def butterfly_report(probes: list, values: list, ctx: MarketContext) -> ArbRepor
     for idx in np.nonzero(prices > ctx.s0 + tol)[0]:
         report.bound_violations.append(BoundViolation(expiry, float(grid[idx]), "above_spot"))
 
-    if len(probes) > 1:
-        far_strike = float(probes[1][1][0])
-        far_price = float(np.asarray(values[1])[0])
-        if far_price >= _FAR_PRICE_RTOL * ctx.s0:
-            report.bound_violations.append(BoundViolation(expiry, far_strike, "far_strike_limit"))
+    far_strike = float(probes[1][1][0])
+    far_price = float(np.asarray(values[1])[0])
+    if far_price >= _FAR_PRICE_RTOL * ctx.s0:
+        report.bound_violations.append(BoundViolation(expiry, far_strike, "far_strike_limit"))
     if len(probes) > 2:
         near_expiry = probes[2][0]
         near_prices = np.asarray(values[2], dtype=float)
@@ -206,25 +201,21 @@ def butterfly_report(probes: list, values: list, ctx: MarketContext) -> ArbRepor
     return report
 
 
-def check_calendar(
-    slice_set: SliceSet,
-    strike_grid,
-    tol: float = _CALENDAR_TOL,
-) -> ArbReport:
+def check_calendar(slice_set: SliceSet, strike_grid) -> ArbReport:
     """Flag decreasing total implied variance between adjacent slices."""
     if len(slice_set.slices) < 2:
         raise ValueError("calendar check needs at least two slices")
     grid = np.asarray(strike_grid, dtype=float)
     vols = [surface.implied_vol(t, grid) for t, surface in slice_set.slices]
-    return calendar_report(slice_set.expiries, grid, vols, tol)
+    return calendar_report(slice_set.expiries, grid, vols)
 
 
-def calendar_report(expiries: list, strike_grid: np.ndarray, vols: list, tol: float = _CALENDAR_TOL) -> ArbReport:
+def calendar_report(expiries: list, strike_grid: np.ndarray, vols: list) -> ArbReport:
     """The calendar violations of slices at increasing ``expiries`` from their implied vols on ``strike_grid``."""
     report = ArbReport()
     variances = [vol ** 2 * t for t, vol in zip(expiries, vols)]
     for t_lo, t_hi, w_lo, w_hi in zip(expiries, expiries[1:], variances, variances[1:]):
-        for idx in np.nonzero(w_lo > w_hi + tol)[0]:
+        for idx in np.nonzero(w_lo > w_hi + _CALENDAR_TOL)[0]:
             report.calendar_violations.append(
                 CalendarViolation(float(strike_grid[idx]), t_lo, t_hi, float(w_lo[idx] - w_hi[idx]))
             )

@@ -74,8 +74,7 @@ def time_expansion(rs: RandomizedSlice, count: int, order: int) -> float:
     node_vols = rs.rule.nodes
     start = time.perf_counter()
     for expiry, _, m in grid:
-        tau = expiry - rs.ctx.t0
-        coeffs = parameter_coefficients(weights, node_vols, tau)
+        coeffs = parameter_coefficients(weights, node_vols, expiry)
         evaluate_polynomial("parameter", coeffs, m, order)
     return time.perf_counter() - start
 

@@ -598,9 +598,13 @@ def _best(problem: _SliceObjective, cfg: FitConfig, free: list, candidates: list
     params = build_slice_params(cfg, _values_from_vector(cfg, free, best_x), problem.ctx)
     variance = 0.0 if params.randomizer is None else variance_of_randomizer(params.randomizer.dist)
     strikes = problem.strikes
-    # the public model's vols at the result's parameters: on vol residuals, bit for bit the point's stacked row
-    diff = implied_vol_grid(randomize(params, problem.ctx), problem.expiry, strikes, engine=cfg.engine,
-                            quiet=True) - problem.market
+    # the public model's vols at the result's parameters: on vol residuals the point's memoized row, which is bit
+    # for bit the public call; a price-residual point is inverted once, on 'brent', where no guard runs
+    if problem.prices:
+        rs = randomize(params, problem.ctx)
+        diff = implied_vol_grid(rs, problem.expiry, strikes, engine=cfg.engine) - problem.market
+    else:
+        diff = problem.residuals(best_x)
     sse = float(np.sum(diff**2))
     best = FitResult(
         params=params,

@@ -19,13 +19,14 @@ import math
 from functools import reduce
 
 import numpy as np
-from scipy.special import ndtr as norm_cdf, ndtri as norm_ppf
+from scipy.special import erf, erfinv, ndtr as norm_cdf
 
 from .errors import ExpansionRangeError, RowFailures, fail_rows
 from .pricing import norm_pdf
 
 PARAMETER_ORDERS = (0, 2, 4, 6)
 SPOT_ORDERS = (0, 1, 2, 3, 4)
+_SQRT_2 = math.sqrt(2.0)
 
 
 def expansion_order(kind: str, order: int | None = None) -> int:
@@ -58,8 +59,7 @@ def parameter_coefficients(weights, node_vols, tau, failures: RowFailures | None
     sqrt_tau = np.sqrt(tau)
 
     h = 0.5 * eta * sqrt_tau
-    big_a = _checked_cdf_sum(_node_sum(lam * norm_cdf(h)), failures)
-    p0 = 2.0 / sqrt_tau * norm_ppf(big_a)
+    p0 = _atm_vol(_node_sum(lam * erf(h / _SQRT_2)), sqrt_tau, failures)
 
     sig0 = 0.5 * p0 * sqrt_tau
     # repeated subterms are formed once, and integer powers as products
@@ -111,12 +111,14 @@ def _node_sum(x):
     return reduce(np.add, x)
 
 
-def _checked_cdf_sum(big_a, failures: RowFailures | None):
-    """The weighted normal CDF sum A, checked below 1: a point at 1 raises, or is marked and reads 3/4."""
-    if fail_rows(failures, big_a >= 1.0,
+def _atm_vol(g, sqrt_tau, failures: RowFailures | None):
+    """P0 from g, the mixture's at-the-money call over the forward (2 A - 1 of the weighted normal CDF sum A):
+    2 N^-1((1 + g) / 2) / sqrt(T), formed as 2 sqrt(2) erfinv(g) / sqrt(T) so that a small g (a short expiry)
+    keeps its low bits.  A point with g at 1 raises, or is marked and reads g = 1/2."""
+    if fail_rows(failures, g >= 1.0,
                  lambda: ExpansionRangeError("weighted normal CDF sum reached 1; precision exhausted")):
-        return np.where(failures.bad, 0.75, big_a)
-    return big_a
+        g = np.where(failures.bad, 0.5, g)
+    return 2.0 * _SQRT_2 / sqrt_tau * erfinv(g)
 
 
 def _phi_derivs(x) -> tuple:
@@ -181,8 +183,7 @@ def spot_coefficients(weights, nodes, s0, base_vol, tau, failures: RowFailures |
 
     cdf_minus = norm_cdf(d_minus)
     sig_n = a * norm_cdf(d_plus) - cdf_minus
-    big_a = _checked_cdf_sum(0.5 * (1.0 + _node_sum(lam * sig_n)), failures)
-    p0 = 2.0 / sqrt_tau * norm_ppf(big_a)
+    p0 = _atm_vol(_node_sum(lam * sig_n), sqrt_tau, failures)
 
     # m-derivatives of the mixture at m = 0 (all divided by the spot), from terms each formed once
     s_2 = s * s

@@ -36,21 +36,19 @@ class OptionType(str, Enum):
 
 @dataclass(frozen=True)
 class MarketContext:
-    """Spot, continuously compounded flat rate, and the reference time."""
+    """Spot and continuously compounded flat rate at the valuation date; expiries are year fractions from it."""
 
     s0: float
     r: float = 0.0
-    t0: float = 0.0
 
     def __post_init__(self):
         if not (self.s0 > 0.0 and math.isfinite(self.s0)):
             raise ValueError(f"spot must be positive and finite, got {self.s0}")
-        for name, value in (("rate", self.r), ("reference time", self.t0)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        if not math.isfinite(self.r):
+            raise ValueError(f"rate must be finite, got {self.r}")
 
     def forward(self, expiry: float) -> float:
-        return self.s0 * math.exp(self.r * (expiry - self.t0))
+        return self.s0 * math.exp(self.r * expiry)
 
 
 @dataclass(frozen=True)
@@ -69,9 +67,9 @@ def norm_pdf(x):
 
 
 def log_moneyness(ctx: MarketContext, key: OptionKey) -> float:
-    """m = log(s0/K) + r*(T - t0); zero exactly at the forward strike."""
-    _check_expiry(ctx, key.expiry)
-    return math.log(ctx.s0 / key.strike) + ctx.r * (key.expiry - ctx.t0)
+    """m = log(s0/K) + r*T; zero exactly at the forward strike."""
+    _check_expiry(key.expiry)
+    return math.log(ctx.s0 / key.strike) + ctx.r * key.expiry
 
 
 def bs_price(ctx: MarketContext, key: OptionKey, sigma: float) -> float:
@@ -86,7 +84,7 @@ def bs_price(ctx: MarketContext, key: OptionKey, sigma: float) -> float:
 
 def _bs_pricer(ctx: MarketContext, key: OptionKey):
     """`bs_price` at one option as a function of sigma >= 0, with the option's terms formed once."""
-    tau = _check_expiry(ctx, key.expiry)
+    tau = _check_expiry(key.expiry)
     k_df = key.strike * math.exp(-ctx.r * tau)
     fwd_gap, sqrt_tau, log_m = ctx.s0 - k_df, math.sqrt(tau), math.log(ctx.s0 / key.strike) + ctx.r * tau
     parity = fwd_gap if key.kind is OptionType.PUT else 0.0  # put-call parity; x - 0.0 is x, bit for bit
@@ -103,8 +101,8 @@ def _bs_pricer(ctx: MarketContext, key: OptionKey):
 
 def expiry_terms(ctx: MarketContext, expiry: float) -> tuple:
     """An expiry's tau, r*tau, discount factor, sqrt(tau) and forward, formed with math; raises unless the
-    expiry is finite and after the reference time."""
-    tau = _check_expiry(ctx, expiry)
+    expiry is positive and finite."""
+    tau = _check_expiry(expiry)
     return tau, ctx.r * tau, math.exp(-ctx.r * tau), math.sqrt(tau), ctx.forward(expiry)
 
 
@@ -251,11 +249,10 @@ def _scalar_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT_2)
 
 
-def _check_expiry(ctx: MarketContext, expiry: float) -> float:
-    tau = expiry - ctx.t0
-    if not (tau > 0 and math.isfinite(tau)):
-        raise ValueError(f"expiry {expiry} must exceed the reference time {ctx.t0} and be finite")
-    return tau
+def _check_expiry(expiry: float) -> float:
+    if not (expiry > 0 and math.isfinite(expiry)):
+        raise ValueError(f"expiry {expiry} must be positive and finite")
+    return expiry
 
 
 def _check_strikes(strikes) -> np.ndarray:

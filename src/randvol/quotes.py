@@ -28,7 +28,7 @@ class MarketConfig:
     trade_date: dt.date
 
     def context(self) -> MarketContext:
-        return MarketContext(s0=self.spot, r=self.rate, t0=0.0)
+        return MarketContext(s0=self.spot, r=self.rate)
 
 
 def year_fraction(start: dt.date, end: dt.date) -> float:
@@ -98,8 +98,9 @@ _FIT_KEYS = {
 
 
 def parse_config(path) -> RunConfig:
-    """Parse a ``key = value`` config file; '#' starts a comment."""
-    entries: dict[str, str] = {}
+    """Parse a ``key = value`` config file; '#' starts a comment, and a key's last line wins.  A value that does not
+    convert is refused with its line and key."""
+    entries: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -110,17 +111,24 @@ def parse_config(path) -> RunConfig:
         key = key.strip()
         if key not in {*_MARKET_KEYS, "beta", *_FIT_KEYS}:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        entries[key] = value.strip()
+        entries[key] = (lineno, value.strip())
+
+    def converted(key: str, convert):
+        lineno, value = entries[key]
+        try:
+            return convert(value)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {key}: {exc}") from exc
 
     for required in _MARKET_KEYS:
         if required not in entries:
             raise ValueError(f"config is missing the required key {required!r}")
     market = MarketConfig(
-        spot=float(entries["spot"]),
-        rate=float(entries["rate"]),
-        trade_date=dt.date.fromisoformat(entries["trade_date"]),
+        spot=converted("spot", float),
+        rate=converted("rate", float),
+        trade_date=converted("trade_date", dt.date.fromisoformat),
     )
-    fit = {key: convert(entries[key]) for key, convert in _FIT_KEYS.items() if key in entries}
+    fit = {key: converted(key, convert) for key, convert in _FIT_KEYS.items() if key in entries}
     if "beta" in entries:
-        fit["fixed"] = {"beta": float(entries["beta"])}
+        fit["fixed"] = {"beta": converted("beta", float)}
     return RunConfig(market=market, fit=FitConfig(**fit))

@@ -84,41 +84,36 @@ class RandomizedSlice:
         return float(vols[0]) if np.ndim(strikes) == 0 else vols
 
 
-def randomize(params, ctx: MarketContext, recenter_spot: bool = False) -> RandomizedSlice:
+def randomize(params, ctx: MarketContext) -> RandomizedSlice:
     """Build the quadrature rule for a slice and validate the mixing invariants.
 
     A plain slice (no randomizer) becomes a one-node rule: a point mass at
     sigma (flat base) or gamma (SABR base).  Spot randomization requires
-    the rule mean to sit on the market spot; an off-center explicit
-    discrete rule is rejected unless ``recenter_spot`` asks for its nodes
-    to be rescaled onto the spot.  A sequence of SliceParams with one
-    base model, target and n_q, or a stack of `SliceColumns` (their array
-    form), gives a stack, which fails if any member fails a check.
+    the rule mean to sit on the market spot; an off-center rule, an
+    explicit discrete one included, is rejected.  A sequence of SliceParams
+    with one base model, target and n_q, or a stack of `SliceColumns`
+    (their array form), gives a stack, which fails if any member fails a
+    check.
     """
     cols = params if isinstance(params, SliceColumns) else slice_columns(params)
     rule = quadrature_for(cols.columns, cols.n_q, family=cols.family)
-    nodes = _checked_nodes(cols, ctx, rule.weights, rule.nodes, recenter_spot)
-    return RandomizedSlice(cols, rule if nodes is rule.nodes else QuadratureRule(rule.weights, nodes), ctx)
+    _check_nodes(cols, ctx, rule.weights, rule.nodes)
+    return RandomizedSlice(cols, rule, ctx)
 
 
-def _checked_nodes(cols: SliceColumns, ctx: MarketContext, weights: np.ndarray, nodes: np.ndarray,
-                   recenter_spot: bool = False, failures: Optional[RowFailures] = None) -> np.ndarray:
-    """The nodes of each slice's rule, recentered if asked, checked for the slice's target: a failing slice
-    raises, or, given ``failures``, is marked there."""
+def _check_nodes(cols: SliceColumns, ctx: MarketContext, weights: np.ndarray, nodes: np.ndarray,
+                 failures: Optional[RowFailures] = None) -> None:
+    """Check the nodes of each slice's rule for the slice's target: a failing slice raises, or, given
+    ``failures``, is marked there."""
     if cols.target == "spot":
         mean = np.matmul(weights[..., None, :], nodes[..., :, None])[..., 0, 0]
-        off = np.abs(mean - ctx.s0) > _SPOT_CENTER_RTOL * ctx.s0
-        if off.any() and recenter_spot and cols.family == "discrete":
-            nodes = nodes * (ctx.s0 / np.expand_dims(mean, -1))
-        else:
-            shown = float(mean) if mean.ndim == 0 else mean
-            fail_rows(failures, off, lambda: ParameterDomainError(
-                f"spot randomizer mean {shown!r} is not centered at the spot {ctx.s0!r}"))
+        shown = float(mean) if mean.ndim == 0 else mean
+        fail_rows(failures, np.abs(mean - ctx.s0) > _SPOT_CENTER_RTOL * ctx.s0, lambda: ParameterDomainError(
+            f"spot randomizer mean {shown!r} is not centered at the spot {ctx.s0!r}"))
         fail_rows(failures, nodes <= 0, lambda: ParameterDomainError("spot nodes must be strictly positive"), axes=1)
     else:
         fail_rows(failures, nodes < 0, lambda: ParameterDomainError(f"{cols.target} nodes must be nonnegative"),
                   axes=1)
-    return nodes
 
 
 class _Grid(NamedTuple):
@@ -249,7 +244,6 @@ def implied_vol_grid(
     strikes,
     engine: str = "brent",
     m_max: float = DEFAULT_M_MAX,
-    quiet: bool = False,
 ) -> np.ndarray:
     """Implied vols on a strike grid, vectorized on every engine.
 
@@ -257,12 +251,11 @@ def implied_vol_grid(
     rule prices a single Black-Scholes value, whose implied vol is the
     node vol itself; it is returned exactly on every engine.  Otherwise
     points outside the expansion validity region (|m| > m_max or a
-    nonpositive polynomial value) escalate to the exact inversion;
-    ``quiet`` demotes the escalation log to debug level (used by the
-    calibrator, whose exploratory evaluations trip the guard routinely).
+    nonpositive polynomial value) escalate to the exact inversion, and
+    the escalation is logged as a warning.
     """
     method, order = parse_engine(engine)
-    vols = _grid_vols(rs, _uniform_grid(rs, expiry, strikes), method, order, m_max, quiet)
+    vols = _grid_vols(rs, _uniform_grid(rs, expiry, strikes), method, order, m_max)
     return vols.reshape(rs.batch_shape + (-1,))
 
 
@@ -283,12 +276,12 @@ def implied_vol_stack(cols: SliceColumns, ctx: MarketContext, expiries, strikes,
     failures = RowFailures(len(expiries))
     weights, nodes = rule_rows(cols.columns, cols.n_q, cols.family, failures)
     _check_rules(weights, nodes, failures)
-    nodes = _checked_nodes(cols, ctx, weights, nodes, failures=failures)
+    _check_nodes(cols, ctx, weights, nodes, failures)
     if failures.bad.all():
         return np.full(sum(np.size(k) for k in strikes), np.nan), failures
     grid = _grid(ctx, expiries, strikes)
     rs = RandomizedSlice(cols, QuadratureRule.of_checked(weights, nodes), ctx)
-    values = _grid_values(rs, grid, prices, method, order, True, failures)
+    values = _grid_values(rs, grid, prices, method, order, failures)
     values[np.repeat(failures.bad, grid.counts)] = np.nan
     return values, failures
 
@@ -333,20 +326,20 @@ def _row_pass(slices: list, expiry: float, grid: _Grid, prices: bool, engine: st
     branch stays because the benchmark's tracer counts `implied_vol_grid` calls, and a one-row job reaches it here."""
     method, order = parse_engine(engine)
     if len(slices) > 1:
-        return _grid_values(_stack(slices), grid, prices, method, order, False)
+        return _grid_values(_stack(slices), grid, prices, method, order)
     if prices and method == "brent":
         return randomized_prices(slices[0], expiry, grid.strikes)
     vols = implied_vol_grid(slices[0], expiry, grid.strikes, engine)
     return _bs_values(slices[0], grid, vols) if prices else vols
 
 
-def _grid_values(rs: RandomizedSlice, grid: _Grid, prices: bool, method: str, order: Optional[int], quiet: bool,
+def _grid_values(rs: RandomizedSlice, grid: _Grid, prices: bool, method: str, order: Optional[int],
                  failures: Optional[RowFailures] = None) -> np.ndarray:
     """The vols at a grid's pairs, or with ``prices`` the call prices: on 'brent' the mixture's, on 'expansion:N'
     its vols' Black-Scholes prices.  A row failing a check raises, or, given ``failures``, is marked there."""
     if prices and method == "brent":
         return _prices(rs, grid, _node_vols(rs, grid, failures))
-    vols = _grid_vols(rs, grid, method, order, DEFAULT_M_MAX, quiet, failures)
+    vols = _grid_vols(rs, grid, method, order, DEFAULT_M_MAX, failures)
     return _bs_values(rs, grid, vols) if prices else vols
 
 
@@ -356,9 +349,11 @@ def _bs_values(rs: RandomizedSlice, grid: _Grid, vols: np.ndarray) -> np.ndarray
     return bs_call_values(rs.ctx.s0, *terms, grid.strikes, vols)
 
 
-def _grid_vols(rs: RandomizedSlice, grid: _Grid, method: str, order: Optional[int], m_max: float, quiet: bool,
+def _grid_vols(rs: RandomizedSlice, grid: _Grid, method: str, order: Optional[int], m_max: float,
                failures: Optional[RowFailures] = None) -> np.ndarray:
-    """Implied vols at a grid's pairs; a row failing a check raises, or, given ``failures``, is marked there."""
+    """Implied vols at a grid's pairs; a row failing a check raises, or, given ``failures``, is marked there.
+    An escalation to the exact inversion logs a warning, or, where rows are marked (the calibrator's stack, whose
+    exploratory points trip the guard routinely), at debug level."""
     vols = _node_vols(rs, grid, failures)
     if method == "expansion":  # a one-node rule refuses an order its kind lacks, as any rule does
         order = expansion.expansion_order(rs.expansion_kind, order)
@@ -374,7 +369,7 @@ def _grid_vols(rs: RandomizedSlice, grid: _Grid, method: str, order: Optional[in
         escalate &= ~np.repeat(failures.bad, grid.counts)
     if np.any(escalate):
         logger.log(
-            logging.DEBUG if quiet else logging.WARNING,
+            logging.WARNING if failures is None else logging.DEBUG,
             "expansion guard tripped at %d of %d grid points; falling back to the exact inversion",
             int(escalate.sum()),
             values.size,
@@ -463,9 +458,8 @@ def density(rs: RandomizedSlice, expiry: float, grid) -> DensityCurve:
     diagnostics to be meaningful.
     """
     grid = _checked_grid(grid, "density")
-    tau = expiry - rs.ctx.t0
     prices = randomized_prices(rs, expiry, grid)
-    values = math.exp(rs.ctx.r * tau) * _second_difference(grid, prices)
+    values = math.exp(rs.ctx.r * expiry) * _second_difference(grid, prices)
     strikes = grid[1:-1]
     mass = float(np.trapezoid(values, strikes))
     mean = float(np.trapezoid(strikes * values, strikes) / mass)

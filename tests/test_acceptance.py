@@ -92,7 +92,7 @@ def test_criterion_02_arbitrage_free_mixing():
         ctx = rs.ctx
         grid = default_strike_grid(ctx, expiry, n=201)
         # spot-randomized surfaces converge to the node-mixture payoff as
-        # T -> t0, so the point-intrinsic probe does not apply to them
+        # T -> 0, so the point-intrinsic probe does not apply to them
         report = check_butterfly(
             lambda t, ks: randomized_prices(rs, t, ks),
             expiry,

@@ -59,7 +59,7 @@ class TestButterfly:
             # a hump makes the vector locally concave
             return np.interp(strikes, grid, base + 5 * np.exp(-((grid - 100) / 10) ** 2))
 
-        report = check_butterfly(price, 1.0, grid, CTX, check_limits=False)
+        report = check_butterfly(price, 1.0, grid, CTX)
         assert not report.passed
         assert report.butterfly_violations
 

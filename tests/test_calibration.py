@@ -47,7 +47,7 @@ def public_residuals(params, cfg, ctx, expiry, strikes, market):
     (intrinsic, s0); else the vol residuals."""
     rs = randomize(params, ctx)
     if not (cfg.randomizer == "gamma-gamma" and cfg.engine == "brent"):
-        return implied_vol_grid(rs, expiry, strikes, engine=cfg.engine, quiet=True) - market
+        return implied_vol_grid(rs, expiry, strikes, engine=cfg.engine) - market
     _, r_tau, df, sqrt_tau, _ = expiry_terms(ctx, expiry)
     prices = randomized_prices(rs, expiry, strikes)
     if not ((prices > np.maximum(ctx.s0 - strikes * df, 0.0)) & (prices < ctx.s0)).all():

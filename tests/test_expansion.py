@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr as norm_cdf, ndtri as norm_ppf
+from scipy.special import erf, erfinv, ndtr as norm_cdf
 
 from conftest import nth_derivative
 from randvol import expansion
@@ -48,7 +48,7 @@ def exact_iv_of_m(rs, expiry):
     """The implicit function m -> implied vol, via pricing + tight Brent."""
 
     def fun(m):
-        strike = rs.ctx.s0 * math.exp(rs.ctx.r * (expiry - rs.ctx.t0) - m)
+        strike = rs.ctx.s0 * math.exp(rs.ctx.r * expiry - m)
         key = OptionKey(expiry, strike)
         price = randomized_price(rs, key)
         return implied_vol_brent(rs.ctx, key, price, rtol=1e-15)
@@ -183,7 +183,7 @@ def reference_spot_coefficients(weights, nodes, s0, base_vol, tau):
     d_plus = beta / s + 0.5 * s
     d_minus = beta / s - 0.5 * s
     sig_n = a * norm_cdf(d_plus) - norm_cdf(d_minus)
-    p0 = 2.0 / sqrt_tau * norm_ppf(0.5 * (1.0 + np.sum(lam * sig_n, axis=-1)))
+    p0 = 2.0 * math.sqrt(2.0) / sqrt_tau * erfinv(np.sum(lam * sig_n, axis=-1))
 
     def g_deriv(k):
         term = a * reference_phi_deriv(k - 1, d_plus) / s**k
@@ -231,8 +231,7 @@ def reference_parameter_coefficients(weights, node_vols, tau):
     sqrt_tau = np.sqrt(tau)
 
     h = 0.5 * eta * sqrt_tau[..., None]
-    big_a = (lam * norm_cdf(h)).sum(-1)
-    p0 = 2.0 / sqrt_tau * norm_ppf(big_a)
+    p0 = 2.0 * math.sqrt(2.0) / sqrt_tau * erfinv((lam * erf(h / math.sqrt(2.0))).sum(-1))
 
     sig0 = 0.5 * p0 * sqrt_tau
     sig0_2, h_2 = sig0 * sig0, h * h

@@ -86,8 +86,8 @@ class TestEvalVol:
 
     @pytest.mark.parametrize("base", [FlatParams(0.2), SabrParams(0.3, 0.9, -0.3, 0.4)], ids=["flat", "sabr"])
     @pytest.mark.parametrize("expiry,strikes,message", [
-        (-0.5, [90.0, 110.0], "expiry -0.5 must exceed"),
-        (math.nan, [100.0], "expiry nan must exceed"),
+        (-0.5, [90.0, 110.0], "expiry -0.5 must be positive"),
+        (math.nan, [100.0], "expiry nan must be positive"),
         (0.5, [100.0, -5.0], "strikes must be positive and finite, got -5"),
         (0.5, [math.nan], "strikes must be positive and finite, got nan"),
         (0.5, [[90.0, 110.0]], "strikes must be a scalar or a 1-d array"),

@@ -85,7 +85,7 @@ class TestBsPrice:
         ctx = MarketContext(s0=100.0, r=0.03)
         got = bs_call_values(ctx.s0, *expiry_terms(ctx, 0.5)[1:4], strikes, np.array([0.2, 0.25, 0.3]))
         want = [
-            bs_price(ctx, OptionKey(0.5 + ctx.t0, k, OptionType.CALL), s)
+            bs_price(ctx, OptionKey(0.5, k, OptionType.CALL), s)
             for k, s in zip(strikes, (0.2, 0.25, 0.3))
         ]
         np.testing.assert_allclose(got, want, rtol=1e-13)
@@ -147,9 +147,9 @@ class TestBrentRootUnchanged:
     @pytest.mark.parametrize("kind", [OptionType.CALL, OptionType.PUT])
     @pytest.mark.parametrize("warm", [False, True])
     def test_vol_is_brentq_on_bs_price(self, rng, kind, warm):
-        ctx = MarketContext(s0=100.0, r=0.03, t0=0.1)
+        ctx = MarketContext(s0=100.0, r=0.03)
         for _ in range(40):
-            key = OptionKey(0.1 + rng.uniform(0.01, 3.0), rng.uniform(50.0, 180.0), kind)
+            key = OptionKey(rng.uniform(0.01, 3.0), rng.uniform(50.0, 180.0), kind)
             sigma = rng.uniform(0.05, 1.5)
             price = bs_price(ctx, key, sigma)
             warm_start = sigma * rng.uniform(0.8, 1.25) if warm else None
@@ -291,7 +291,6 @@ class TestInputChecks:
             ({"s0": math.inf}, "spot must be positive and finite, got inf"),
             ({"s0": math.nan}, "spot must be positive and finite, got nan"),
             ({"s0": 100.0, "r": math.nan}, "rate must be finite, got nan"),
-            ({"s0": 100.0, "t0": -math.inf}, "reference time must be finite, got -inf"),
         ],
     )
     def test_market_context_refuses_non_finite_input(self, kwargs, message):
@@ -302,7 +301,7 @@ class TestInputChecks:
     def test_expiry_must_be_finite_and_ahead(self, expiry):
         rs = randomize(SliceParams(FlatParams(0.2)), CTX)
         for grid in (implied_vol_grid, randomized_prices):
-            with pytest.raises(ValueError, match=f"expiry {expiry} must exceed the reference time .* and be finite"):
+            with pytest.raises(ValueError, match=f"expiry {expiry} must be positive and finite"):
                 grid(rs, expiry, [100.0])
 
     @pytest.mark.parametrize("params", [

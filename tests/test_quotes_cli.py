@@ -30,6 +30,11 @@ MISSPELLED = [
     # a value outside its domain: the error names the key
     pytest.param("seed = -1", "seed must be at least 0, got -1", id="negative-seed"),
     pytest.param("beta = 2", "beta must be in", id="beta-outside-its-domain"),
+    # a value that does not convert: the error names its line and key
+    pytest.param("n_q = 2.5", "config line 4: n_q: invalid literal for int", id="non-integer-n_q"),
+    pytest.param("spot = abc", "config line 4: spot: could not convert string to float: 'abc'", id="non-numeric-spot"),
+    pytest.param("trade_date = 07/31/2024", "config line 4: trade_date: Invalid isoformat string: '07/31/2024'",
+                 id="non-iso-trade-date"),
 ]
 # a search count below one, and the key its error must name
 BELOW_ONE = [

@@ -56,15 +56,6 @@ class TestRandomize:
         with pytest.raises(ParameterDomainError, match="centered"):
             randomize(params, CTX)
 
-    def test_spot_recenter_flag_scales_nodes(self):
-        params = SliceParams(
-            FlatParams(0.1),
-            RandomizerSpec("spot", DiscreteGiven(((0.5, 80.0), (0.5, 90.0))), 2),
-        )
-        rs = randomize(params, CTX, recenter_spot=True)
-        assert rs.rule.mean() == pytest.approx(100.0, rel=1e-12)
-        np.testing.assert_allclose(rs.rule.nodes[1] / rs.rule.nodes[0], 90.0 / 80.0, rtol=1e-12)
-
     def test_negative_sigma_node_rejected(self):
         params = SliceParams(
             FlatParams(0.1),
@@ -105,7 +96,7 @@ class TestNodeVols:
         rs = randomize(SliceParams(base, RandomizerSpec("gamma", dist, n_q)), CTX)
         expiry = 0.25
         strikes = np.linspace(70.0, 140.0, 29)
-        tau = expiry - CTX.t0
+        tau = expiry
         want = np.column_stack([
             hagan_vol(CTX.forward(expiry), strikes, tau, base.alpha, base.beta, base.rho, g)
             for g in rs.rule.nodes
@@ -240,8 +231,8 @@ class TestRandomizedIv:
             rs = randomize(SliceParams(FlatParams(0.2)), CTX)
         else:
             rs = sigma_mixture([(0.5, 0.1), (0.5, 0.3)])
-        with pytest.raises(ValueError, match="must exceed"):
-            implied_vol_grid(rs, CTX.t0, [90.0, 110.0], engine=engine)
+        with pytest.raises(ValueError, match="must be positive"):
+            implied_vol_grid(rs, 0.0, [90.0, 110.0], engine=engine)
 
     def test_unknown_engine_rejected(self):
         for engine in ("newton", "expansions", "expansion6", "expansion:"):
@@ -370,7 +361,7 @@ class TestGridChecksOnce:
         vols, failures = implied_vol_stack(slice_columns(params), RATE_CTX, expiries, strikes, engine)
         assert not failures.any
         for r, part in enumerate(np.split(vols, np.cumsum([k.size for k in strikes])[:-1])):
-            lone = implied_vol_grid(randomize(params[r], RATE_CTX), expiries[r], strikes[r], engine, quiet=True)
+            lone = implied_vol_grid(randomize(params[r], RATE_CTX), expiries[r], strikes[r], engine)
             assert part.tobytes() == lone.tobytes()
 
 
@@ -416,7 +407,7 @@ class TestSigmaCoefficientsOncePerRow:
 
 def pair_major_values(rs, expiry, strikes):
     """Each node's call values as the node-last layout formed them: (strikes, n_q), from node vols of their own."""
-    tau, n_q = expiry - rs.ctx.t0, rs.rule.size
+    tau, n_q = expiry, rs.rule.size
     cols = {name: float(value) for name, value in rs.columns.columns.items() if np.ndim(value) == 0}
     if rs.target == "sigma":
         vols = np.broadcast_to(rs.rule.nodes, (strikes.size, n_q))
