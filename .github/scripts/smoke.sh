@@ -36,6 +36,11 @@ rc=0; randvol check-arb --spot 100 --params smoke_slices.json --expiry 1 || rc=$
 echo '{"slices": [{"expiry": 0.5}]}' > smoke_bad.json
 rc=0; randvol check-arb --spot 100 --params smoke_bad.json 2> smoke_bad.err || rc=$?; test "$rc" -eq 2
 grep -qx "error: malformed params file smoke_bad.json: slices entry 1 has no 'params'" smoke_bad.err
+# a params file that lacks a field: refused (exit 2) with a line naming it
+echo '{"type": "sabr", "alpha": 0.3, "beta": 0.9, "rho": -0.3}' > smoke_bad.json
+rc=0; randvol iv --spot 100 --params smoke_bad.json --expiry 1 --strikes 90,100 2> smoke_bad.err || rc=$?
+test "$rc" -eq 2
+grep -qx "error: malformed slice params: missing field 'gamma'" smoke_bad.err
 # two interleaved expiries, behind a byte-order mark and with CRLF line endings
 printf '\xef\xbb\xbfexpiry,strike\r\n1.0,110\r\n0.5,90\r\n1.0,100\r\n0.5,105\r\n' > smoke_points.csv
 randvol iv --spot 100 --rate 0.02 --params smoke.json --points smoke_points.csv --engine expansion:6 \
@@ -81,6 +86,11 @@ for extra in 'engine = expansion' 'randomizer = spot-lognormal'; do
   randvol fit --quotes smoke_quotes.csv --config smoke_fit_extra.cfg --out-dir smoke_fit_extra 2> smoke_fit.err
   fit_line_only
 done
+# beta is pinned at the config's value
+{ cat smoke.cfg; echo 'beta = 0.7'; } > smoke_beta.cfg
+randvol fit --quotes smoke_quotes.csv --config smoke_beta.cfg --out-dir smoke_fit_beta 2> smoke_fit.err
+fit_line_only
+grep -q '"beta": 0.7,' smoke_fit_beta/fit_T0_252055.json
 # a config value that does not convert: refused (exit 2) with its line and key
 { cat smoke.cfg; echo 'n_q = 2.5'; } > smoke_bad.cfg
 rc=0; randvol fit --quotes smoke_quotes.csv --config smoke_bad.cfg --out-dir smoke_fit_bad 2> smoke_bad_cfg.err || rc=$?

@@ -4,8 +4,8 @@ The workload mirrors a realistic surface build: a fixed set of expiries,
 each carrying an equal share of strikes.  The expansion engines build
 one set of coefficients per expiry and evaluate the polynomial across
 that expiry's strikes; scalar Brent inverts every point, warm-started
-from its neighbor; the vectorized exact pass (what the 'brent' engine
-runs) inverts each expiry's prices in one call.
+from its neighbor; the exact pass is `implied_vol_grid` on the 'brent'
+engine, one call per expiry, as the CLI runs it.
 """
 from __future__ import annotations
 
@@ -17,9 +17,9 @@ import numpy as np
 
 from .expansion import evaluate_polynomial, expansion_order, parameter_coefficients
 from .parametrizations import FlatParams, RandomizerSpec, SliceParams
-from .pricing import MarketContext, OptionKey, OptionType, implied_vol_brent, implied_vols
+from .pricing import MarketContext, OptionKey, OptionType, implied_vol_brent
 from .quadrature import LogNormal
-from .randomization import RandomizedSlice, randomized_prices, randomize
+from .randomization import RandomizedSlice, implied_vol_grid, randomized_prices, randomize
 
 _N_EXPIRIES = 10
 _M_SPAN = 0.3
@@ -31,13 +31,13 @@ class BenchRow(NamedTuple):
     seconds: float
 
 
-def reference_slice(n_q: int = 4) -> RandomizedSlice:
-    """Flat base with a lognormal volatility randomizer (mean level 0.2)."""
+def reference_slice() -> RandomizedSlice:
+    """Flat base with a four-node lognormal volatility randomizer (mean level 0.2)."""
     ctx = MarketContext(s0=100.0, r=0.02)
     nu = 0.2
     params = SliceParams(
         FlatParams(0.2),
-        RandomizerSpec("sigma", LogNormal(math.log(0.2) - 0.5 * nu**2, nu), n_q),
+        RandomizerSpec("sigma", LogNormal(math.log(0.2) - 0.5 * nu**2, nu), 4),
     )
     return randomize(params, ctx)
 
@@ -95,11 +95,11 @@ def time_brent(rs: RandomizedSlice, count: int) -> float:
 
 
 def time_exact(rs: RandomizedSlice, count: int) -> float:
-    """Seconds to invert `count` randomized prices with the vectorized exact pass, one call per expiry."""
+    """Seconds to produce implied vols for `count` points on 'brent', one `implied_vol_grid` call per expiry."""
     grid = _point_grid(rs, count)
     start = time.perf_counter()
     for expiry, strikes, _ in grid:
-        implied_vols(rs.ctx, expiry, strikes, randomized_prices(rs, expiry, strikes))
+        implied_vol_grid(rs, expiry, strikes, "brent")
     return time.perf_counter() - start
 
 

@@ -8,7 +8,7 @@ vega (Christoffersen & Jacobs, J. Financial Economics 72, 2004), the vol
 difference to first order, so that no search round inverts a price; the
 chosen point is then inverted once.  Free parameters are optimized
 unconstrained through bound-respecting transforms (log for positives,
-scaled tanh for correlation and the exponent), with multistart
+scaled tanh for correlation; SABR's beta is pinned), with multistart
 unbounded trust-region least squares on the residual vector in that
 transformed space (scipy's TRF iteration in this module's code, one
 gesdd per SVD; forward-difference Jacobian).  The slices of a surface advance in
@@ -31,7 +31,7 @@ exceed the plain fit's, since its searches minimize price residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from types import SimpleNamespace
 from typing import Callable, Generator, Literal, Optional, Sequence, get_args
@@ -113,7 +113,7 @@ class FitConfig:
     model: ModelName = "sabr"
     randomizer: RandomizerName = "gamma-gamma"
     n_q: int = 2
-    fixed: dict = field(default_factory=lambda: {"beta": 0.9})
+    beta: float = 0.9  # SABR's exponent, pinned in every fit
     # None takes the randomizer's default: 'expansion' for sigma-lognormal, whose exact fits cost more CPU, else
     # 'brent', measured no slower and exact where the expansion misses short-dated W-shaped smiles.  It is resolved
     # on construction, so `dataclasses.replace` with another randomizer keeps the engine already resolved.
@@ -137,7 +137,7 @@ class FitConfig:
                 raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
         if not 1 <= self.n_q <= MAX_NQ:
             raise ValueError(f"n_q must be between 1 and {MAX_NQ}, got {self.n_q}")
-        check_domains({name: [value] for name, value in self.fixed.items()})
+        check_domains({"beta": [self.beta]})
 
 
 @dataclass
@@ -218,8 +218,6 @@ def _free_parameters(cfg: FitConfig) -> list[_FreeParam]:
         if cfg.randomizer == "sigma-lognormal":
             raise ValueError("sigma randomization applies to the flat model only")
         params.append(_FreeParam("alpha", math.log, np.exp, (math.log(0.05), math.log(1.0))))
-        params.append(_FreeParam("beta", lambda x: math.atanh(min(max(2.0 * x - 1.0, -0.999999), 0.999999)),
-                                 lambda y: 0.5 * (1.0 + np.tanh(y)), (-1.0, 1.0)))
         params.append(_FreeParam("rho", lambda x: math.atanh(min(max(x / RHO_MAX, -0.999999), 0.999999)),
                                  lambda y: RHO_MAX * np.tanh(y), (-1.2, 1.2)))
         if cfg.randomizer == "gamma-gamma":
@@ -229,11 +227,11 @@ def _free_parameters(cfg: FitConfig) -> list[_FreeParam]:
             params.append(_FreeParam("gamma", math.log, np.exp, (math.log(0.05), math.log(4.0))))
     if cfg.randomizer == "spot-lognormal":
         params.append(_FreeParam("nu", math.log, np.exp, (math.log(5e-3), math.log(0.4))))
-    return [p for p in params if p.name not in cfg.fixed]
+    return params
 
 
 def _free_values(cfg: FitConfig, free: list[_FreeParam], points, failures: Optional[RowFailures] = None) -> dict:
-    """Each parameter's column over (P, n) transformed points, the fixed ones included.  A transform that overflows
+    """Each parameter's column over (P, n) transformed points, the pinned beta included.  A transform that overflows
     raises OverflowError; given ``failures``, its point is marked there instead (its values are then meaningless)."""
     columns = np.asarray(points, dtype=float).reshape(-1, len(free)).T
     with np.errstate(over="ignore"):
@@ -241,7 +239,7 @@ def _free_values(cfg: FitConfig, free: list[_FreeParam], points, failures: Optio
     bad = ~np.isfinite(np.array(list(values.values())))
     fail_rows(failures, bad.T, lambda: OverflowError(f"{free[bad.any(1).argmax()].name} overflows its transform"),
               axes=1)
-    return values | {name: np.full(columns.shape[1], float(value)) for name, value in cfg.fixed.items()}
+    return values | {"beta": np.full(columns.shape[1], float(cfg.beta))}
 
 
 def _values_from_vector(cfg: FitConfig, free: list[_FreeParam], vector) -> dict:

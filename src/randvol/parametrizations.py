@@ -102,9 +102,6 @@ class SliceColumns:
     n_q: int
     columns: dict
 
-    def __len__(self) -> int:
-        return len(self.columns["sigma" if "sigma" in self.columns else "alpha"])
-
     def __getitem__(self, p: int) -> "SliceColumns":
         return replace(self, columns={name: column[p] for name, column in self.columns.items()})
 
@@ -222,7 +219,7 @@ def params_to_json(params: SliceParams) -> dict:
 
 
 def params_from_json(data: dict, spot: Optional[float] = None) -> SliceParams:
-    """The slice a params JSON object describes; JSON of another shape raises ValueError, not a TypeError."""
+    """The slice a params JSON object describes; JSON of another shape, or a missing field, raises ValueError."""
     try:
         if data.get("type") not in BASES:
             raise ValueError(f"unknown parametrization type {data.get('type')!r}")
@@ -235,3 +232,5 @@ def params_from_json(data: dict, spot: Optional[float] = None) -> SliceParams:
         return SliceParams(base, RandomizerSpec(rnd["target"], dist, _json_number(rnd.get("n_q", 2), "n_q", int)))
     except (AttributeError, TypeError) as exc:
         raise ValueError(f"malformed slice params: {exc}") from exc
+    except KeyError as exc:
+        raise ValueError(f"malformed slice params: missing field {exc}") from exc

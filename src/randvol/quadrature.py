@@ -164,8 +164,9 @@ def _check_rules(w: np.ndarray, x: np.ndarray, failures: Optional[RowFailures] =
     """A rule's checks, row by row: raise ValueError at the first failing, or, given ``failures``, mark it there."""
     fail_rows(failures, ~(np.isfinite(w) & np.isfinite(x)),
               lambda: ValueError("quadrature weights and nodes must be finite"), axes=1)
-    fail_rows(failures, np.abs(w.sum(-1) - 1.0) > _WEIGHT_SUM_TOL,
-              lambda: ValueError(f"quadrature weights must sum to 1, got {w.sum(-1)!r}"))
+    sums = w.sum(-1)
+    fail_rows(failures, off := np.abs(sums - 1.0) > _WEIGHT_SUM_TOL,
+              lambda: ValueError(f"quadrature weights must sum to 1, got {float(np.ravel(sums)[np.argmax(off)])!r}"))
     fail_rows(failures, w < 0, lambda: ValueError("quadrature weights must be nonnegative"), axes=1)
     fail_rows(failures, x[..., 1:] <= x[..., :-1], lambda: ValueError("quadrature nodes must be strictly increasing"),
               axes=1)

@@ -109,7 +109,7 @@ def parse_config(path) -> RunConfig:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in {*_MARKET_KEYS, "beta", *_FIT_KEYS}:
+        if key not in {*_MARKET_KEYS, *_FIT_KEYS}:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         entries[key] = (lineno, value.strip())
 
@@ -129,6 +129,4 @@ def parse_config(path) -> RunConfig:
         trade_date=converted("trade_date", dt.date.fromisoformat),
     )
     fit = {key: converted(key, convert) for key, convert in _FIT_KEYS.items() if key in entries}
-    if "beta" in entries:
-        fit["fixed"] = {"beta": converted("beta", float)}
     return RunConfig(market=market, fit=FitConfig(**fit))

@@ -466,8 +466,8 @@ def density(rs: RandomizedSlice, expiry: float, grid) -> DensityCurve:
     return DensityCurve(strikes=strikes, values=values, mass=mass, mean=mean)
 
 
-def count_local_maxima(values, rel_floor: float = 1e-8) -> int:
-    """Strict local maxima above a floor relative to the global peak.
+def count_local_maxima(values) -> int:
+    """Strict local maxima above 1e-8 of the global peak.
 
     The floor suppresses float-level ripples in regions where the curve
     is numerically zero (e.g. far density wings).
@@ -475,6 +475,6 @@ def count_local_maxima(values, rel_floor: float = 1e-8) -> int:
     v = np.asarray(values, dtype=float)
     if v.size < 3:
         return 0
-    floor = v.max() * rel_floor
+    floor = v.max() * 1e-8
     mid = v[1:-1]
     return int(np.sum((mid > v[:-2]) & (mid > v[2:]) & (mid > floor)))

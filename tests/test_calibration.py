@@ -134,7 +134,7 @@ class TestFitSlice:
     def test_flat_exact_recovery(self):
         strikes = np.linspace(70, 140, 15)
         quotes = make_quotes(1.0, strikes, np.full(strikes.size, 0.2))
-        cfg = FitConfig(model="flat", randomizer="none", fixed={}, multistart=4)
+        cfg = FitConfig(model="flat", randomizer="none", multistart=4)
         result = fit_slice(quotes, cfg)
         assert result.params.base.sigma == pytest.approx(0.2, abs=1e-6)
         assert result.sse < 1e-10
@@ -165,7 +165,7 @@ class TestFitSlice:
             CTX,
         )
         with pytest.raises(ValueError):
-            fit_slice(quotes, FitConfig(model="flat", randomizer="none", fixed={}))
+            fit_slice(quotes, FitConfig(model="flat", randomizer="none"))
 
 
 class TestFitConfig:
@@ -185,13 +185,13 @@ class TestFitConfig:
     def test_default_engine_is_the_randomizers(self, model, randomizer, params, engine):
         rs = randomize(params, CTX)
         strikes = np.linspace(80.0, 125.0, 31)
-        cfg = FitConfig(model=model, randomizer=randomizer, fixed={})
+        cfg = FitConfig(model=model, randomizer=randomizer)
         np.testing.assert_array_equal(
             implied_vol_grid(rs, 0.25, strikes, engine=cfg.engine),
             implied_vol_grid(rs, 0.25, strikes, engine=engine),
         )
         # an explicit engine is honoured, and the plain prefit runs on its fit's engine
-        assert FitConfig(model=model, randomizer=randomizer, fixed={}, engine="expansion").engine == "expansion"
+        assert FitConfig(model=model, randomizer=randomizer, engine="expansion").engine == "expansion"
         assert calibration._plain_config(cfg).engine == cfg.engine
 
     def test_unknown_model_rejected(self):
@@ -229,7 +229,11 @@ class TestFitConfig:
     @pytest.mark.parametrize("beta,shown", [(2.0, "2.0"), (-0.1, "-0.1"), (math.nan, "nan")])
     def test_fixed_value_outside_its_domain_rejected(self, model, beta, shown):
         with pytest.raises(ParameterDomainError, match=re.escape(f"beta must be in [0, 1], got {shown}")):
-            FitConfig(model=model, fixed={"beta": beta})
+            FitConfig(model=model, beta=beta)
+
+    def test_beta_pins_the_fit(self, randomized_sabr_fixture):
+        quotes, _ = randomized_sabr_fixture
+        assert fit_slice(quotes, FitConfig(beta=0.7, multistart=2)).params.base.beta == 0.7
 
 
 def run_search(search, asked=None):
@@ -460,10 +464,10 @@ class TestNestedDominanceDegenerateBoundary:
     def test_flat_quotes_fit_by_randomized_flat(self):
         strikes = np.linspace(70, 140, 12)
         quotes = make_quotes(1.0, strikes, np.full(strikes.size, 0.25))
-        plain = fit_slice(quotes, FitConfig(model="flat", randomizer="none", fixed={}, multistart=4))
+        plain = fit_slice(quotes, FitConfig(model="flat", randomizer="none", multistart=4))
         rand = fit_slice(
             quotes,
-            FitConfig(model="flat", randomizer="sigma-lognormal", fixed={}, multistart=4, seed=1),
+            FitConfig(model="flat", randomizer="sigma-lognormal", multistart=4, seed=1),
         )
         assert rand.sse <= plain.sse + 1e-12
 
@@ -550,7 +554,7 @@ class TestNestedDominanceDegenerateBoundary:
         strikes = np.linspace(0.9 * fwd, 1.1 * fwd, 21)
         vols = implied_vol_grid(rs, expiry, strikes, engine="brent")
         quotes = make_quotes(expiry, strikes, vols)
-        cfg = FitConfig(model="flat", randomizer="spot-lognormal", fixed={}, multistart=6, seed=2)
+        cfg = FitConfig(model="flat", randomizer="spot-lognormal", multistart=6, seed=2)
         result = fit_slice(quotes, cfg)
         assert result.mse < 1e-8
         assert result.params.randomizer.dist.nu == pytest.approx(0.04, rel=5e-2)
@@ -560,9 +564,9 @@ class TestNestedDominanceDegenerateBoundary:
 STACK_CONFIGS = [
     pytest.param(dict(model="sabr", randomizer="none"), id="sabr-none"),
     pytest.param(dict(model="sabr", randomizer="gamma-gamma"), id="gamma-gamma"),
-    pytest.param(dict(model="flat", randomizer="none", fixed={}), id="flat-none"),
-    pytest.param(dict(model="flat", randomizer="sigma-lognormal", fixed={}), id="sigma-lognormal"),
-    pytest.param(dict(model="flat", randomizer="spot-lognormal", fixed={}), id="spot-lognormal"),
+    pytest.param(dict(model="flat", randomizer="none"), id="flat-none"),
+    pytest.param(dict(model="flat", randomizer="sigma-lognormal"), id="sigma-lognormal"),
+    pytest.param(dict(model="flat", randomizer="spot-lognormal"), id="spot-lognormal"),
     pytest.param(dict(model="sabr", randomizer="spot-lognormal"), id="sabr-spot-lognormal"),
 ]
 
@@ -574,6 +578,11 @@ def slice_objective(quotes, cfg):
 def point_columns(cfg, free, points, s0):
     """The calibrator's parameter columns of transformed points, as `_SliceObjective.evaluate` forms them."""
     return calibration._point_columns(cfg, calibration._free_values(cfg, free, points), s0)
+
+
+@pytest.mark.parametrize("kwargs", STACK_CONFIGS)
+def test_beta_is_never_searched(kwargs):
+    assert "beta" not in [p.name for p in calibration._free_parameters(FitConfig(**kwargs))]
 
 
 class TestStackedEvaluation:
@@ -895,7 +904,7 @@ class TestLockstep:
         real = calibration.model_vols
 
         def counting(params, *a, **k):
-            calls.append(len(params))
+            calls.append(params)
             points.update(repr(p) for p in params)
             return real(params, *a, **k)
 
@@ -915,7 +924,7 @@ class TestLockstep:
             raise AssertionError("fit_slice started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        result = fit_slice(quotes, FitConfig(model="flat", randomizer="sigma-lognormal", fixed={}, seed=3))
+        result = fit_slice(quotes, FitConfig(model="flat", randomizer="sigma-lognormal", seed=3))
         assert result.model_calls > 0
 
     @pytest.mark.parametrize("failing_call", [1, 4])
@@ -950,7 +959,7 @@ class TestLockstep:
 
         def third_call_breaks(params, *a, **k):
             # the probe, then the first round; the second round raises what no retry catches
-            calls.append(len(params))
+            calls.append(params)
             if len(calls) == 3:
                 raise MemoryError("round failed")
             return real(params, *a, **k)
@@ -1039,7 +1048,7 @@ class TestDomainsRefuseNan:
         values = {key: np.full(3, value) for key, value in good.items()}
         values[name][1] = bad
         failures = RowFailures(3)
-        calibration._point_columns(FitConfig(model=model, randomizer=randomizer, fixed={}), values, 100.0, failures)
+        calibration._point_columns(FitConfig(model=model, randomizer=randomizer), values, 100.0, failures)
         assert failures.bad.tolist() == [False, True, False]
         assert isinstance(failures.error, ParameterDomainError)
 
@@ -1050,6 +1059,6 @@ class TestDomainsRefuseNan:
             LogNormal(0.0, math.nan)
         # the spot is one value for every row of a stack: a NaN spot marks them all
         failures = RowFailures(2)
-        calibration._point_columns(FitConfig(model="flat", randomizer="spot-lognormal", fixed={}),
+        calibration._point_columns(FitConfig(model="flat", randomizer="spot-lognormal"),
                                    {"sigma": [0.2, 0.3], "nu": [0.1, 0.2]}, math.nan, failures)
         assert failures.bad.all() and "s0 must be > 0, got nan" in str(failures.error)

@@ -225,6 +225,10 @@ class TestQuadratureFor:
         with pytest.raises(ValueError, match="quadrature weights and nodes must be finite"):
             make()
 
+    def test_weight_sum_named_as_a_float(self):
+        with pytest.raises(ValueError, match=r"^quadrature weights must sum to 1, got 0\.5$"):
+            quadrature_for(DiscreteGiven(((0.5, 90.0),)), 1)
+
     def test_discrete_shift_moves_nodes_exactly(self):
         base = DiscreteGiven(((0.3, 1.0), (0.7, 2.0)))
         shifted = DiscreteGiven(((0.3, 1.0 + 5.0), (0.7, 2.0 + 5.0)))

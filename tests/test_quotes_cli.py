@@ -134,6 +134,18 @@ NOT_A_NUMBER = [
                  'expiry must be a number, got "0.5"', id="slice-expiry-string"),
 ]
 
+# a params file that lacks a field, and the line that names it
+GAMMA_GAMMA = {"type": "sabr", "alpha": 0.3, "beta": 0.9, "rho": -0.3, "gamma": 0.4,
+               "randomizer": {"target": "gamma", "dist": {"family": "gamma", "k": 3.0, "theta": 0.13}, "n_q": 2}}
+MISSING_FIELD = [
+    pytest.param({key: GAMMA_GAMMA[key] for key in ("type", "alpha", "beta", "rho")}, "gamma", id="gamma"),
+    pytest.param({**GAMMA_GAMMA, "randomizer": {**GAMMA_GAMMA["randomizer"],
+                                                "dist": {"family": "gamma", "k": 3.0}}}, "theta", id="theta"),
+    pytest.param({**GAMMA_GAMMA, "randomizer": {"dist": GAMMA_GAMMA["randomizer"]["dist"]}}, "target", id="target"),
+    pytest.param({**GAMMA_GAMMA, "randomizer": {"target": "gamma"}}, "dist", id="dist"),
+    pytest.param({**FLAT, "randomizer": {"target": "sigma", "dist": {"family": "discrete"}}}, "points", id="points"),
+]
+
 # a slices-file entry that is not a JSON object, or lacks a field, and the fault the error names
 BAD_ENTRY = [
     pytest.param({"slices": [{"expiry": 0.5, "params": FLAT}, {"expiry": 1.0}]}, "slices entry 2 has no 'params'",
@@ -239,7 +251,7 @@ class TestRunConfig:
         cfg = parse_config(path)
         assert cfg.market.spot == 100.0
         assert cfg.fit.randomizer == "gamma-gamma"
-        assert cfg.fit.fixed == {"beta": 0.9}
+        assert cfg.fit.beta == 0.9
         assert cfg.fit.multistart == 4
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -281,7 +293,7 @@ class TestRunConfig:
         )
         assert parse_config(path).fit == FitConfig(
             model="flat", randomizer="spot-lognormal", engine="brent", n_q=3,
-            fixed={"beta": 0.7}, budget=500, multistart=5, seed=7,
+            beta=0.7, budget=500, multistart=5, seed=7,
         )
 
 
@@ -468,6 +480,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("data,field", MISSING_FIELD)
+    def test_params_missing_a_field_name_it(self, tmp_path, capsys, data, field):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        rc = main(["iv", "--spot", "100", "--params", str(path), "--expiry", "0.5", "--strikes", "90,100"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"error: malformed slice params: missing field '{field}'\n"
 
     @pytest.mark.parametrize("data,fault", BAD_ENTRY)
     @pytest.mark.parametrize("command", [["check-arb"], ["interp", "--expiry", "0.5", "--strike", "100"]],
