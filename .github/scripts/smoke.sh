@@ -27,6 +27,14 @@ randvol density --spot 100 --rate 0.02 --params smoke.json --expiry 0.5 2> smoke
 awk -F'[= ]' '/^mass=/ { m = $4 / $6; ok = $2 - 1 <= 1e-3 && 1 - $2 <= 1e-3 && m - 1 <= 1e-3 && 1 - m <= 1e-3 }
   END { exit !ok }' smoke_density.err
 randvol check-arb --spot 100 --rate 0.02 --params smoke.json --expiry 0.5
+# the 1-day W-shape spot-SABR slice: at the money the order-4 expansion prints the exact (Brent) vol within 1e-10
+echo '{"type": "sabr", "alpha": 0.3, "beta": 0.9, "rho": -0.2, "gamma": 2, "randomizer": {"target": "spot", "dist": {"family": "spot-lognormal", "nu": 0.03}, "n_q": 2}}' > smoke_wshape.json
+for engine in expansion:4 brent; do
+  randvol iv --spot 100 --params smoke_wshape.json --expiry 0.0027397 --strikes 96,100,104 --engine "$engine" \
+    > "smoke_wshape_${engine%%:*}.csv"
+done
+awk -F, 'FNR > 1 && $2 == 100 { v[++n] = $3 } END { d = v[1] - v[2]; exit !(n == 2 && d <= 1e-10 && -d <= 1e-10) }' \
+  smoke_wshape_expansion.csv smoke_wshape_brent.csv
 # a params file of the wrong JSON shape, and --expiry with a two-slice file, each refused (exit 2)
 echo '[1,2]' > smoke_bad.json
 rc=0; randvol iv --spot 100 --params smoke_bad.json --expiry 1 --strikes 90,100 || rc=$?; test "$rc" -eq 2

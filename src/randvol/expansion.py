@@ -11,7 +11,9 @@ The coefficients follow from implicit differentiation of
     bs_call(m, P(m)) = mixture_call(m)
 
 and every closed form below is pinned by finite-difference tests against
-a root-finding oracle on that implicit function.
+a root-finding oracle on that implicit function.  The spot derivatives
+take a phi(d+) = phi(d-) at each node, so no density difference is
+divided by a power of the total vol s.
 """
 from __future__ import annotations
 
@@ -121,12 +123,6 @@ def _atm_vol(g, sqrt_tau, failures: RowFailures | None):
     return 2.0 * _SQRT_2 / sqrt_tau * erfinv(g)
 
 
-def _phi_derivs(x) -> tuple:
-    """The standard normal density's derivatives of orders 0..3 at x: phi^(n)(x) = (-1)^n He_n(x) phi(x)."""
-    ph, x_2 = norm_pdf(x), x * x
-    return ph, -x * ph, (x_2 - 1.0) * ph, -((x_2 - 3.0) * x) * ph
-
-
 def _bs_call_partials(s_total):
     """Partial derivatives of the normalized BS call C(m, s) at m = 0.
 
@@ -185,27 +181,27 @@ def spot_coefficients(weights, nodes, s0, base_vol, tau, failures: RowFailures |
     sig_n = a * norm_cdf(d_plus) - cdf_minus
     p0 = _atm_vol(_node_sum(lam * sig_n), sqrt_tau, failures)
 
-    # m-derivatives of the mixture at m = 0 (all divided by the spot), from terms each formed once
-    s_2 = s * s
-    phi_plus, phi_minus, s_k = _phi_derivs(d_plus), _phi_derivs(d_minus), {1: s, 2: s_2, 3: s_2 * s, 4: s_2 * s_2}
-
-    def g_deriv(k: int):
-        term = a * phi_plus[k - 1] / s_k[k]
-        inner = (-1.0) ** k * cdf_minus
-        for j in range(1, k + 1):
-            inner = inner + math.comb(k, j) * (-1.0) ** (k - j) * phi_minus[j - 1] / s_k[j]
-        return _node_sum(lam * (term - inner))
+    # m-derivatives at m = 0 (over the spot): a phi(d+) = phi(d-) node by node, so they are polynomials in u = 1/s
+    # over node sums of lam N(d-) and psi = lam phi(d-) d-^j, j = 0..2; no density difference is amplified by 1/s^k
+    u = 1.0 / s
+    psi = lam * norm_pdf(d_minus)
+    psi_d = psi * d_minus
+    g1, b0, b1, b2 = _node_sum(lam * cdf_minus), _node_sum(psi), _node_sum(psi_d), _node_sum(psi_d * d_minus)
+    u_b0, u2_b1 = u * b0, u * u * b1
+    g2 = u_b0 - g1
+    g3 = g1 - 2.0 * u_b0 - u2_b1
+    g4 = 3.0 * (u_b0 + u2_b1) - u * u * u * (b0 - b2) - g1
 
     tau_j = [1.0, sqrt_tau, tau, tau * sqrt_tau, tau * tau]
     f = {(i, j): tau_j[j] * value for (i, j), value in _bs_call_partials(p0 * sqrt_tau).items()}
     # numpy's ** on a negative base leaves its vector loop, about 30x slower; P1 (negative wherever the base
-    # skews down) and d+- (He_3 in _phi_derivs) take either sign, so their powers are products
-    p1 = (g_deriv(1) - f[1, 0]) / f[0, 1]
+    # skews down) takes either sign, so its powers are products
+    p1 = (g1 - f[1, 0]) / f[0, 1]
     p1_2 = p1**2
     p1_3, p1_4 = p1_2 * p1, p1_2 * p1_2
-    p2 = (g_deriv(2) - f[2, 0] - 2.0 * f[1, 1] * p1 - f[0, 2] * p1_2) / f[0, 1]
+    p2 = (g2 - f[2, 0] - 2.0 * f[1, 1] * p1 - f[0, 2] * p1_2) / f[0, 1]
     p3 = (
-        g_deriv(3)
+        g3
         - f[3, 0]
         - 3.0 * f[2, 1] * p1
         - 3.0 * f[1, 2] * p1_2
@@ -214,7 +210,7 @@ def spot_coefficients(weights, nodes, s0, base_vol, tau, failures: RowFailures |
         - 3.0 * f[0, 2] * p1 * p2
     ) / f[0, 1]
     p4 = (
-        g_deriv(4)
+        g4
         - f[4, 0]
         - 4.0 * f[3, 1] * p1
         - 6.0 * f[2, 2] * p1_2

@@ -103,6 +103,9 @@ class SliceColumns:
     columns: dict
 
     def __getitem__(self, p: int) -> "SliceColumns":
+        # a 0-d column's IndexError would end iteration at once: a lone slice would read as no rows
+        if any(np.ndim(column) == 0 for column in self.columns.values()):
+            raise TypeError("a lone slice has no rows to index: its columns are 0-d")
         return replace(self, columns={name: column[p] for name, column in self.columns.items()})
 
 

@@ -15,6 +15,7 @@ from randvol.parametrizations import (
     hagan_vol,
     params_from_json,
     params_to_json,
+    slice_columns,
 )
 from randvol.pricing import MarketContext, OptionKey
 from randvol.quadrature import DiscreteGiven, Gamma, LogNormal, SpotLogNormal, quadrature_for
@@ -227,3 +228,15 @@ class TestJson:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             params_from_json({"type": "svi"})
+
+
+class TestSliceColumnsRows:
+    def test_lone_slice_refuses_indexing(self):
+        with pytest.raises(TypeError, match="lone slice has no rows"):
+            list(slice_columns(SliceParams(FlatParams(0.2))))
+
+    def test_stack_yields_its_rows(self):
+        spec = RandomizerSpec("spot", SpotLogNormal(100.0, 0.05), 2)
+        stack = [SliceParams(FlatParams(vol), spec) for vol in (0.2, 0.3)]
+        rows = list(slice_columns(stack))
+        assert [float(row.columns["sigma"]) for row in rows] == [0.2, 0.3]
