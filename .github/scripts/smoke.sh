@@ -87,6 +87,17 @@ fit_line_only() {
 randvol fit --quotes smoke_quotes.csv --config smoke.cfg --out-dir smoke_fit 2> smoke_fit.err
 test -s smoke_fit/fit_T0_252055.json && test -s smoke_fit/residuals_T0_252055.csv
 fit_line_only
+# the same fit again writes the same bytes: trial points and their memoized stencils keep a fit deterministic
+randvol fit --quotes smoke_quotes.csv --config smoke.cfg --out-dir smoke_fit_again 2> smoke_fit.err
+fit_line_only
+cmp smoke_fit/fit_T0_252055.json smoke_fit_again/fit_T0_252055.json
+cmp smoke_fit/residuals_T0_252055.csv smoke_fit_again/residuals_T0_252055.csv
+# a short quote row: refused (exit 2) with its line and the first column it lacks
+printf '%s\n' strike,expiry_date,type,iv,open_interest 105 > smoke_short_quotes.csv
+rc=0; randvol fit --quotes smoke_short_quotes.csv --config smoke.cfg --out-dir smoke_fit_short 2> smoke_short.err \
+  || rc=$?
+test "$rc" -eq 2
+grep -qx "error: line 2: missing value for 'expiry_date'" smoke_short.err
 # gamma-gamma on the expansion engine, named (its default before the exact engine), and spot-lognormal on its
 # default engine; a key's last line wins
 for extra in 'engine = expansion' 'randomizer = spot-lognormal'; do

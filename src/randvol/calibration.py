@@ -13,9 +13,10 @@ unbounded trust-region least squares on the residual vector in that
 transformed space (scipy's TRF iteration in this module's code, one
 gesdd per SVD; forward-difference Jacobian).  The slices of a surface advance in
 one lockstep (`fit_surface`; `fit_slice` is its one-slice case): each
-round evaluates every point their searches wait on, trial points and
-Jacobian points alike, as one stacked model call in which each row
-carries its slice's expiry and strikes.  A failed row is a value, not a
+round evaluates every point their searches wait on as one stacked model
+call, in which each row carries its slice's expiry and strikes.  A search
+asks for each trial point with its Jacobian's stencil, so it takes one
+round per trial.  A failed row is a value, not a
 retry: its point reads None, and the round is never sent again.  The
 points of a round stay arrays from the transform to the rule: they
 become one set of parameter columns (`SliceColumns`), from which the
@@ -118,7 +119,7 @@ class FitConfig:
     # 'brent', measured no slower and exact where the expansion misses short-dated W-shaped smiles.  It is resolved
     # on construction, so `dataclasses.replace` with another randomizer keeps the engine already resolved.
     engine: Optional[str] = None
-    budget: int = 2000
+    budget: int = 2000  # points per search, Jacobians included: at most max(budget, n + 1) for n free parameters
     multistart: int = 8
     seed: int = 0
 
@@ -323,8 +324,12 @@ def minimize(residuals, start, budget: int):
     Sci. Comput. 21, 1999) with the exact solver, unit ``x_scale``, linear loss, '2-point'
     Jacobian and its default tolerances (ftol, xtol and gtol 1e-8), bit for bit.  It yields the
     points each step needs, reads their residuals once resumed, and returns least_squares' ``x``
-    and ``success``.  The step, radius update and termination test are this module's code with
-    scipy's arithmetic; a norm is sqrt(x.x).
+    and ``success``.  Each trial point is yielded with its Jacobian's `_stencil` (Byrd, Schnabel &
+    Shultz, Math. Programming 42, 1988), so a memoizing caller evaluates an accepted step's Jacobian
+    in its trial's round; a rejected trial's stencil is never read.  It reads scipy's points in
+    scipy's order and asks for at most (n + 1)·max_nfev ≤ max(budget, n + 1) points.  The step,
+    radius update and termination test are this module's code with scipy's arithmetic; a norm is
+    sqrt(x.x).
     """
     x = np.array(start, dtype=float)
     f, J = yield from _jacobian(residuals, x)
@@ -342,7 +347,7 @@ def minimize(residuals, start, budget: int):
             Js = J.dot(step)
             predicted = -(0.5 * np.dot(Js, Js) + np.dot(step, g))
             x_new = x + step
-            yield [x_new]
+            yield np.vstack([x_new, _stencil(x_new)])
             f_new, nfev, step_norm = residuals(x_new), nfev + 1, math.sqrt(step.dot(step))
             if not np.isfinite(f_new).all():
                 delta = 0.25 * step_norm
@@ -412,13 +417,20 @@ def _trust_region_step(n: int, m: int, uf: np.ndarray, s: np.ndarray, V: np.ndar
     return p, alpha
 
 
-def _jacobian(residuals, x: np.ndarray, f: Optional[np.ndarray] = None):
-    """least_squares' '2-point' Jacobian at x bit for bit, as a generator returning (f, J).
-
-    It yields its n points, after x itself unless f, the residuals at x, is given."""
+def _stencil(x: np.ndarray) -> np.ndarray:
+    """The n points of least_squares' '2-point' Jacobian at x, one forward step per row."""
     h = _EPS ** 0.5 * ((x >= 0).astype(float) * 2 - 1) * np.maximum(1.0, np.abs(x))
     points = np.broadcast_to(x, (x.size, x.size)).copy()
     points[np.diag_indices(x.size)] = x + h
+    return points
+
+
+def _jacobian(residuals, x: np.ndarray, f: Optional[np.ndarray] = None):
+    """least_squares' '2-point' Jacobian at x bit for bit, as a generator returning (f, J).
+
+    It yields its `_stencil`, after x itself unless f, the residuals at x, is given.  In `minimize` an accepted
+    trial's stencil was asked for with the trial, so a memoizing caller evaluates nothing new for it."""
+    points = _stencil(x)
     yield points if f is not None else np.vstack([x, points])
     f = residuals(x) if f is None else f
     return f, np.array([(residuals(p) - f) / (p[i] - x[i]) for i, p in enumerate(points)]).T
@@ -523,9 +535,10 @@ def fit_slice(quotes: QuoteSet, cfg: FitConfig) -> FitResult:
 
     Runs ``cfg.multistart`` least-squares searches on the slice's residuals (`_SliceObjective`) from a Latin grid
     over the transformed parameter space, plus one from a lognormal randomizer's embedded plain prefit, and returns
-    the best result.  ``cfg.budget`` caps the objective evaluations of each search, finite-difference Jacobian
-    included.  The starting probes are evaluated as one batch; the searches then run in lockstep, one stacked model
-    call per round.
+    the best result.  Each search evaluates at most max(``cfg.budget``, n + 1) points for n free parameters,
+    finite-difference Jacobians included: its start and the start's stencil always.  The starting probes are
+    evaluated as one batch; the searches then run in lockstep, one stacked model call per round, one round per
+    trial point.
     """
     expiries = quotes.expiries()
     if len(expiries) != 1:
@@ -625,7 +638,7 @@ def _lockstep(problems: Sequence[_SliceObjective], searches: Sequence[Generator]
 
     ``problems`` holds one objective per search.  Each round evaluates the points the live searches wait
     on, over every slice, as one `_evaluate` call, then resumes them in order; a search asking only for
-    memoized points goes on at once.
+    memoized points goes on at once, as a `minimize` does for the Jacobian of an accepted trial.
     """
     results: list = [None] * len(searches)
     waiting: dict = {i: {} for i in range(len(searches))}  # each live search's fresh points

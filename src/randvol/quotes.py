@@ -57,6 +57,10 @@ def load_quotes(path, market: MarketConfig) -> QuoteSet:
 
 
 def _parse_row(row: dict, market: MarketConfig, line: int) -> Quote:
+    # csv.DictReader fills the fields a short row lacks with None
+    missing = next((c for c in _REQUIRED_COLUMNS if row[c] is None), None)
+    if missing is not None:
+        raise QuoteFormatError(f"missing value for {missing!r}", line=line)
     try:
         expiry_date = dt.date.fromisoformat(row["expiry_date"].strip())
         trade_raw = (row.get("trade_date") or "").strip()

@@ -253,6 +253,16 @@ def scipy_search(residuals, start, budget):
                          xtol=calibration._XTOL, ftol=calibration._FTOL, gtol=calibration._GTOL)
 
 
+def with_stencils(points):
+    """The distinct points `minimize` asks for, in its order, given the points scipy's search evaluates in its order:
+    the start and each trial come with their Jacobian's stencil, so an accepted trial's Jacobian adds nothing."""
+    want = {}
+    for p in points:
+        if p.tobytes() not in want:  # the start or a trial
+            want.update(dict.fromkeys([p.tobytes(), *(q.tobytes() for q in calibration._stencil(p))]))
+    return list(want)
+
+
 def rosenbrock(calls):
     # Rosenbrock residuals take dozens of iterations from (-1.2, 1)
     def residuals(x):
@@ -277,8 +287,9 @@ class TestMinimize:
         got = run_search(minimize(rosenbrock(calls), [-1.2, 1.0], budget), asked)
         assert got.x.tobytes() == want.x.tobytes()
         assert got.success == want.success == converges
-        # it asks for the points scipy evaluates, in scipy's order, and reads each once
-        assert [p.tobytes() for p in asked] == [p.tobytes() for p in scipy_calls]
+        # it asks for the points scipy evaluates, in scipy's order, each trial with its stencil, and reads
+        # scipy's points once, in scipy's order
+        assert list(dict.fromkeys(p.tobytes() for p in asked)) == with_stencils(scipy_calls)
         assert [p.tobytes() for p in calls] == [p.tobytes() for p in scipy_calls]
 
 
@@ -888,7 +899,7 @@ class TestLockstep:
             want = scipy_search(alone.penalized, start, budget)
             assert result.x.tobytes() == want.x.tobytes()
             assert result.success == want.success
-            assert {np.asarray(p).tobytes() for p in asked} == set(alone.memo)
+            assert {np.asarray(p).tobytes() for p in asked} == set(with_stencils(map(np.frombuffer, alone.memo)))
             if problem.cfg == cfg:
                 finals.append((alone.objective(want.x), want.x))
         # a search never ends worse than its start, so the unsearched embedding never wins alone
@@ -910,12 +921,48 @@ class TestLockstep:
 
         monkeypatch.setattr(calibration, "model_vols", counting)
         result = fit_slice(quotes, FitConfig(model="sabr", randomizer="gamma-gamma", n_q=2, seed=3))
-        # measured: 64 calls (176 with one search at a time); 20% margin
-        assert len(calls) <= 77
+        # measured: 37 calls (64 with a round per Jacobian, 176 with one search at a time); 20% margin
+        assert len(calls) <= 44
         assert result.model_calls == len(calls)
         assert result.evaluations == len(points)
         blob = result.to_json()
         assert (blob["model_calls"], blob["evaluations"]) == (result.model_calls, result.evaluations)
+
+    @pytest.mark.parametrize("kwargs", [c for c in STACK_CONFIGS if c.id in ("sabr-none", "gamma-gamma")])
+    def test_one_round_per_trial(self, randomized_sabr_fixture, kwargs):
+        quotes, _ = randomized_sabr_fixture
+        cfg = FitConfig(**kwargs)
+        free = calibration._free_parameters(cfg)
+        start = calibration._latin_starts(np.random.default_rng(3), [p.start_range for p in free], 8)[0]
+        problem = slice_objective(quotes, cfg)
+        result, = calibration._lockstep([problem], [minimize(problem.penalized, start, cfg.budget)])
+        alone = slice_objective(quotes, cfg)
+        want = scipy_search(alone.penalized, start, cfg.budget)
+        assert result.x.tobytes() == want.x.tobytes()
+        # the start's round, then one per trial (scipy's nfev counts the start and its trials, no Jacobian point)
+        assert want.nfev > 5
+        assert problem.model_calls == want.nfev
+
+    @pytest.mark.parametrize("budget", [1, 3, 10, 40])
+    def test_search_asks_for_at_most_its_budget(self, randomized_sabr_fixture, monkeypatch, budget):
+        quotes, _ = randomized_sabr_fixture
+        real_minimize = calibration.minimize
+        searches = []  # the distinct points each search asked for
+
+        def recording_minimize(residuals, start, budget):
+            asked = []
+            result = yield from recorded(real_minimize(residuals, start, budget), asked)
+            searches.append({np.asarray(p).tobytes() for p in asked})
+            return result
+
+        monkeypatch.setattr(calibration, "minimize", recording_minimize)
+        cfg = FitConfig(model="sabr", randomizer="gamma-gamma", n_q=2, seed=3, budget=budget)
+        with contextlib.suppress(CalibrationError):  # whether the searches converge does not matter here
+            fit_slice(quotes, cfg)
+        n = len(calibration._free_parameters(cfg))
+        assert 0 < len(searches) <= cfg.multistart  # a start whose objective is not finite is not searched
+        # the stencils of rejected trials included
+        assert max(len(points) for points in searches) <= max(budget, n + 1)
 
     def test_fit_starts_no_thread(self, randomized_sabr_fixture, monkeypatch):
         quotes, _ = randomized_sabr_fixture

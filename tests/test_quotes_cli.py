@@ -685,6 +685,22 @@ class TestCli:
         assert "expansion supports orders" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("header,row,column", [
+        ("strike,expiry_date,type,iv,open_interest\n", "105\n", "expiry_date"),
+        (QUOTE_HEADER, "2024-10-29,105,C,0.2\n", "open_interest"),
+    ], ids=["strike-only", "no-open-interest"])
+    def test_fit_short_row_fails_before_fitting(self, tmp_path, capsys, header, row, column):
+        # csv.DictReader reads the fields a short row lacks as None: refused with the row's line, not a crash
+        quotes = tmp_path / "q.csv"
+        quotes.write_text(header + row, encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MARKET_LINES, encoding="utf-8")
+        out_dir = tmp_path / "fits"
+        rc = main(["fit", "--quotes", str(quotes), "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: line 2: missing value for '{column}'\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("row", INFINITE_ROWS)
     def test_fit_infinite_quote_fails_before_fitting(self, tmp_path, capsys, row):
         rows = [row] + [f"2024-10-29,{k},C,0.2,5\n" for k in (90, 95, 105, 110)]
