@@ -98,6 +98,12 @@ rc=0; randvol fit --quotes smoke_short_quotes.csv --config smoke.cfg --out-dir s
   || rc=$?
 test "$rc" -eq 2
 grep -qx "error: line 2: missing value for 'expiry_date'" smoke_short.err
+# a quote row whose open interest has a thousands separator, one field more than the header: refused (exit 2) with its
+# line, not read as an open interest of 1
+printf '%s\n' expiry_date,strike,type,iv,open_interest 2024-10-31,80,C,0.222,1,000 > smoke_long_quotes.csv
+rc=0; randvol fit --quotes smoke_long_quotes.csv --config smoke.cfg --out-dir smoke_fit_long 2> smoke_long.err || rc=$?
+test "$rc" -eq 2
+grep -qx "error: line 2: 1 field(s) more than the header" smoke_long.err
 # gamma-gamma on the expansion engine, named (its default before the exact engine), and spot-lognormal on its
 # default engine; a key's last line wins
 for extra in 'engine = expansion' 'randomizer = spot-lognormal'; do

@@ -49,7 +49,6 @@ from .quadrature import (
     LogNormal,
     QuadratureRule,
     SpotLogNormal,
-    golub_welsch,
     moments,
     quadrature_for,
 )

@@ -25,9 +25,10 @@ and JSON type only, built for the result.  The lognormal randomizers
 (sigma and spot) also start from a plain prefit embedded at ν = 1e-8,
 where they collapse to the plain model, so their fit's objective is at
 most that start's.  Gamma-gamma runs no prefit and claims no such
-dominance: its embedding, θ = 1e-8 and k = γ/θ, builds a rule only for
-γ up to about 0.01, and on plain-SABR quotes of such γ its vol sse can
-exceed the plain fit's, since its searches minimize price residuals.
+dominance: its embedding, θ = 1e-8 and k = γ/θ, builds a rule, but as a
+start it never scored in a measured default fit, and on low-γ plain-SABR
+quotes its vol sse can exceed the plain fit's, since its searches
+minimize price residuals.
 """
 from __future__ import annotations
 
@@ -661,8 +662,8 @@ def _plain_config(cfg: FitConfig) -> FitConfig:
 
 def _degenerate_embedding(cfg: FitConfig, free, plain: FitResult):
     """Transformed-space point where a lognormal randomizer collapses to the plain fit: ν = 1e-8, the sigma one
-    about μ = log(σ).  Gamma-gamma has none that builds: θ = 1e-8 makes k = γ/θ, whose rule fails its moment check
-    for γ above about 0.01, so its fits run no plain prefit."""
+    about μ = log(σ).  Gamma-gamma's, θ = 1e-8 and k = γ/θ, builds a rule too, but its fits run no plain prefit:
+    as a start it never scored in a measured default fit."""
     base = plain.params.base
     values = {name: getattr(base, name) for name in BASES[cfg.model][1]} | {"nu": 1e-8}
     try:

@@ -13,13 +13,9 @@ class MomentOverflowError(RandvolError):
 
 
 class GramMatrixError(RandvolError):
-    """Cholesky factorization of the moment Gram matrix failed, or a built
-    rule does not reproduce its distribution's moments.
-
-    Either the moment sequence is inconsistent (not a valid moment
-    sequence) or the requested quadrature size exhausts the numerical
-    precision of the moments.
-    """
+    """A built rule does not reproduce its distribution's moments: the
+    requested quadrature size exhausts the precision of the rule's
+    construction."""
 
 
 class NoImpliedVolError(RandvolError):

@@ -9,12 +9,9 @@ Welsch, 1969).
 The parametric randomizers have these coefficients in closed form, at
 unit scale: generalized Laguerre for the gamma family and Stieltjes-Wigert
 for the lognormal ones (Gautschi, 2004).  `quadrature_for` builds them
-directly and maps the nodes back by the exact scaling.  The classical
-moment route (Gram/Hankel matrix of raw moments, Cholesky factor,
-recurrence coefficients), `build_workspace` and `golub_welsch`, serves
-arbitrary moment sequences and is the test oracle for the closed forms.
-Either way the rule must reproduce the distribution's moments, so lost
-precision raises instead of returning a bad rule.
+directly and maps the nodes back by the exact scaling.  The rule must
+reproduce the distribution's moments, so lost precision raises instead of
+returning a bad rule.
 """
 from __future__ import annotations
 
@@ -23,7 +20,6 @@ from dataclasses import dataclass, fields
 from typing import ClassVar, Optional, Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import GramMatrixError, MomentOverflowError, ParameterDomainError, RowFailures, fail_rows
 
@@ -37,7 +33,6 @@ MAX_NQ = 10
 
 _WEIGHT_SUM_TOL = 1e-12
 _MOMENT_REPRODUCTION_RTOL = 1e-8
-_PIVOT_RTOL = 1e-13
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _ROOT_FLOAT_MAX = math.sqrt(np.finfo(float).max)  # the largest float whose square is finite
 #: the domain of each parameter of a slice and of its randomizer: a mask of the values inside it, which NaN fails,
@@ -172,17 +167,6 @@ def _check_rules(w: np.ndarray, x: np.ndarray, failures: Optional[RowFailures] =
               axes=1)
 
 
-@dataclass(frozen=True)
-class QuadratureWorkspace:
-    """Intermediates of the moment factorization, exposed for validation."""
-
-    gram: np.ndarray
-    cholesky: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    jacobi: np.ndarray
-
-
 def moments(spec: DistributionSpec, order: int) -> np.ndarray:
     """Raw moments E[X^i] for i = 0..order of the given distribution."""
     if order < 0:
@@ -202,7 +186,9 @@ def _moments(family: str, columns: dict, order: int, failures: Optional[RowFailu
     if family == "gamma":
         k = np.asarray(columns["k"])[..., None]
         log_theta = np.log(columns["theta"])[..., None] if "theta" in columns else 0.0
-        exponents = i * log_theta + gammaln(k + i) - gammaln(k)
+        # log k(k+1)...(k+i-1) as a sum of logs; a gammaln difference would cancel at large k
+        log_rising = np.cumsum(np.log(k + i[:-1]), axis=-1)
+        exponents = i * log_theta + np.concatenate([np.zeros_like(k), log_rising], axis=-1)
     else:
         v = columns["nu"] * columns["nu"]
         exponents = i * _mu(family, columns, v)[..., None] + 0.5 * i**2 * v[..., None]
@@ -218,59 +204,6 @@ def _mu(family: str, columns: dict, v) -> np.ndarray:
     if family == "spot-lognormal":
         return np.log(columns["s0"]) - 0.5 * v
     return np.asarray(columns.get("mu", 0.0))
-
-
-def build_workspace(moment_values: np.ndarray, n_q: int) -> QuadratureWorkspace:
-    """Gram matrix, Cholesky factor, recurrence coefficients and Jacobi matrix.
-
-    The pivot test is relative to each row's own diagonal entry: moment
-    sequences routinely span tens of orders of magnitude, and a tolerance
-    tied to the largest diagonal entry would reject perfectly well
-    conditioned matrices.
-    """
-    mom = np.asarray(moment_values, dtype=float)
-    if n_q < 1:
-        raise ValueError("n_q must be >= 1")
-    if mom.size < 2 * n_q + 1:
-        raise ValueError(f"need moments up to order {2 * n_q}, got {mom.size - 1}")
-    if abs(mom[0] - 1.0) > 1e-12:
-        raise ValueError(f"moment sequence must start with mu_0 = 1, got {mom[0]!r}")
-
-    n = n_q + 1
-    gram = np.empty((n, n))
-    for i in range(n):
-        gram[i, :] = mom[i : i + n]
-
-    chol = np.zeros((n, n))
-    for i in range(n):
-        s = gram[i, i] - float(np.dot(chol[:i, i], chol[:i, i]))
-        if s < _PIVOT_RTOL * gram[i, i]:
-            if i == n - 1 and abs(s) <= _PIVOT_RTOL * gram[i, i]:
-                # The last pivot is allowed to vanish: it corresponds to a
-                # measure with exactly n_q atoms and is not used by the rule.
-                s = 0.0
-            else:
-                raise GramMatrixError(
-                    f"Cholesky pivot ratio {s / gram[i, i]:.3e} at row {i}: moment "
-                    f"sequence inconsistent or n_q={n_q} too large for the "
-                    "available moment precision"
-                )
-        chol[i, i] = math.sqrt(s)
-        if i < n - 1:
-            chol[i, i + 1 :] = (gram[i, i + 1 :] - chol[:i, i] @ chol[:i, i + 1 :]) / chol[i, i]
-
-    alpha = np.empty(n_q)
-    beta = np.empty(max(n_q - 1, 0))
-    for j in range(n_q):
-        alpha[j] = chol[j, j + 1] / chol[j, j]
-        if j >= 1:
-            alpha[j] -= chol[j - 1, j] / chol[j - 1, j - 1]
-        if j < n_q - 1:
-            beta[j] = (chol[j + 1, j + 1] / chol[j, j]) ** 2
-
-    return QuadratureWorkspace(
-        gram=gram, cholesky=chol, alpha=alpha, beta=beta, jacobi=_jacobi(alpha, beta)
-    )
 
 
 def _jacobi(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -312,19 +245,6 @@ def _check_moment_reproduction(weights, nodes, mom: np.ndarray, n_q: int, failur
     fail_rows(failures, ~ok, error, axes=1)
 
 
-def golub_welsch(moment_values: np.ndarray, n_q: int) -> QuadratureRule:
-    """Quadrature rule of size n_q matching the given raw moment sequence.
-
-    The returned rule reproduces the input moments through order
-    2*n_q - 1 to relative 1e-8; anything worse signals that the moment
-    precision is exhausted and raises instead of returning a bad rule.
-    """
-    ws = build_workspace(moment_values, n_q)
-    rule = QuadratureRule(*_weights_nodes(ws.jacobi))
-    _check_moment_reproduction(rule.weights, rule.nodes, np.asarray(moment_values, dtype=float), n_q)
-    return rule
-
-
 def quadrature_for(spec, n_q: int, family: Optional[str] = None) -> QuadratureRule:
     """Build the quadrature rule discretizing a randomizer distribution.
 
@@ -332,12 +252,12 @@ def quadrature_for(spec, n_q: int, family: Optional[str] = None) -> QuadratureRu
     specs (nu = 0) collapse to a one-node rule at the mean regardless of
     n_q.  Parametric specs get the closed-form Jacobi matrix of their
     unit-scale family; the nodes are scaled back afterwards, and the
-    unit-scale rule must reproduce its family's moments like any
-    `golub_welsch` rule.  A sequence of specs of one type gives a stack,
-    one row per spec from one stacked eigendecomposition and one check (a
-    failing row fails the stack), each row equal bit for bit to that spec's
-    own rule.  With ``family``, ``spec`` is that family's parameter columns,
-    as `spec_columns` makes them.
+    unit-scale rule must reproduce its family's moments through order
+    2*n_q - 1 to relative 1e-8.  A sequence of specs of one type gives a
+    stack, one row per spec from one stacked eigendecomposition and one
+    check (a failing row fails the stack), each row equal bit for bit to
+    that spec's own rule.  With ``family``, ``spec`` is that family's
+    parameter columns, as `spec_columns` makes them.
     """
     columns = spec
     if family is None:

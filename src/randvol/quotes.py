@@ -57,10 +57,12 @@ def load_quotes(path, market: MarketConfig) -> QuoteSet:
 
 
 def _parse_row(row: dict, market: MarketConfig, line: int) -> Quote:
-    # csv.DictReader fills the fields a short row lacks with None
+    # csv.DictReader fills the fields a short row lacks with None, and keeps a long row's extra fields under None
     missing = next((c for c in _REQUIRED_COLUMNS if row[c] is None), None)
     if missing is not None:
         raise QuoteFormatError(f"missing value for {missing!r}", line=line)
+    if None in row:
+        raise QuoteFormatError(f"{len(row[None])} field(s) more than the header", line=line)
     try:
         expiry_date = dt.date.fromisoformat(row["expiry_date"].strip())
         trade_raw = (row.get("trade_date") or "").strip()

@@ -228,34 +228,23 @@ def randomized_price(rs: RandomizedSlice, key: OptionKey) -> float:
     return call - (rs.ctx.s0 - key.strike * expiry_terms(rs.ctx, key.expiry)[2])
 
 
-def randomized_iv(
-    rs: RandomizedSlice,
-    key: OptionKey,
-    engine: str = "brent",
-    m_max: float = DEFAULT_M_MAX,
-) -> float:
+def randomized_iv(rs: RandomizedSlice, key: OptionKey, engine: str = "brent") -> float:
     """Implied volatility of the randomized price at one (T, K): a one-point grid call."""
-    return float(implied_vol_grid(rs, key.expiry, [key.strike], engine, m_max)[0])
+    return float(implied_vol_grid(rs, key.expiry, [key.strike], engine)[0])
 
 
-def implied_vol_grid(
-    rs: RandomizedSlice,
-    expiry: float,
-    strikes,
-    engine: str = "brent",
-    m_max: float = DEFAULT_M_MAX,
-) -> np.ndarray:
+def implied_vol_grid(rs: RandomizedSlice, expiry: float, strikes, engine: str = "brent") -> np.ndarray:
     """Implied vols on a strike grid, vectorized on every engine.
 
     The result has shape ``rs.batch_shape + (n_strikes,)``.  A one-node
     rule prices a single Black-Scholes value, whose implied vol is the
     node vol itself; it is returned exactly on every engine.  Otherwise
-    points outside the expansion validity region (|m| > m_max or a
+    points outside the expansion validity region (|m| > DEFAULT_M_MAX or a
     nonpositive polynomial value) escalate to the exact inversion, and
     the escalation is logged as a warning.
     """
     method, order = parse_engine(engine)
-    vols = _grid_vols(rs, _uniform_grid(rs, expiry, strikes), method, order, m_max)
+    vols = _grid_vols(rs, _uniform_grid(rs, expiry, strikes), method, order)
     return vols.reshape(rs.batch_shape + (-1,))
 
 
@@ -339,7 +328,7 @@ def _grid_values(rs: RandomizedSlice, grid: _Grid, prices: bool, method: str, or
     its vols' Black-Scholes prices.  A row failing a check raises, or, given ``failures``, is marked there."""
     if prices and method == "brent":
         return _prices(rs, grid, _node_vols(rs, grid, failures))
-    vols = _grid_vols(rs, grid, method, order, DEFAULT_M_MAX, failures)
+    vols = _grid_vols(rs, grid, method, order, failures)
     return _bs_values(rs, grid, vols) if prices else vols
 
 
@@ -349,7 +338,7 @@ def _bs_values(rs: RandomizedSlice, grid: _Grid, vols: np.ndarray) -> np.ndarray
     return bs_call_values(rs.ctx.s0, *terms, grid.strikes, vols)
 
 
-def _grid_vols(rs: RandomizedSlice, grid: _Grid, method: str, order: Optional[int], m_max: float,
+def _grid_vols(rs: RandomizedSlice, grid: _Grid, method: str, order: Optional[int],
                failures: Optional[RowFailures] = None) -> np.ndarray:
     """Implied vols at a grid's pairs; a row failing a check raises, or, given ``failures``, is marked there.
     An escalation to the exact inversion logs a warning, or, where rows are marked (the calibrator's stack, whose
@@ -364,7 +353,7 @@ def _grid_vols(rs: RandomizedSlice, grid: _Grid, method: str, order: Optional[in
 
     m = np.log(rs.ctx.s0 / grid.strikes) + grid.by_pair(grid.r_tau)
     values = expansion.evaluate_polynomial(rs.expansion_kind, _coefficients(rs, grid, vols, failures), m, order)
-    escalate = (np.abs(m) > m_max) | (values <= 0.0)
+    escalate = (np.abs(m) > DEFAULT_M_MAX) | (values <= 0.0)
     if failures is not None and failures.any:  # a failed row takes no inversion
         escalate &= ~np.repeat(failures.bad, grid.counts)
     if np.any(escalate):

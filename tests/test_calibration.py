@@ -616,9 +616,9 @@ class TestStackedEvaluation:
     def test_failing_member_reads_none_and_spares_the_others(self, randomized_sabr_fixture):
         quotes, _ = randomized_sabr_fixture
         cfg = FitConfig(model="sabr", randomizer="gamma-gamma", n_q=2)
-        # alpha, rho, k, theta in transformed space; theta = 1e-8 fails the moment check
+        # alpha, rho, k, theta in transformed space; k = 1e-9 fails the moment check
         points = [np.array([math.log(0.25), 0.1 * i - 0.2, math.log(3.0), math.log(0.5)]) for i in range(5)]
-        points[2] = np.array([math.log(0.25), 0.0, math.log(1.5e8), math.log(1e-8)])
+        points[2] = np.array([math.log(0.25), 0.0, math.log(1e-9), math.log(0.5)])
         failing = build_slice_params(
             cfg, calibration._values_from_vector(cfg, calibration._free_parameters(cfg), points[2]), quotes.ctx
         )
@@ -685,7 +685,7 @@ class TestStackedEvaluation:
         free = calibration._free_parameters(cfg)
         points = np.array([_good_point(0), FAILING_POINT, _good_point(3)])
         columns = point_columns(cfg, free, points, quotes.ctx.s0)
-        assert columns.columns["k"][1] == pytest.approx(1.5e8)
+        assert columns.columns["k"][1] == pytest.approx(1e-9)
         # the stacked model call reads the failing row as NaN; the public randomize still raises for the stack
         strikes = np.array([100.0])
         stacked = model_vols(columns, quotes.ctx, [0.25] * 3, [strikes] * 3, "expansion")
@@ -745,8 +745,8 @@ def _good_point(i):
     return np.array([math.log(0.25), 0.1 * i - 0.2, math.log(3.0), math.log(0.5)])
 
 
-# theta = 1e-8 makes k = 1.5e8, whose rule fails its moment check
-FAILING_POINT = np.array([math.log(0.25), 0.0, math.log(1.5e8), math.log(1e-8)])
+# k = 1e-9 makes a rule that fails to reproduce its moment 2
+FAILING_POINT = np.array([math.log(0.25), 0.0, math.log(1e-9), math.log(0.5)])
 
 
 def recorded(search, asked):

@@ -1,10 +1,12 @@
 """Tests for moment-based quadrature construction."""
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import quad
 from scipy.special import roots_genlaguerre
@@ -17,12 +19,91 @@ from randvol.quadrature import (
     LogNormal,
     QuadratureRule,
     SpotLogNormal,
-    build_workspace,
-    golub_welsch,
     moments,
     quadrature_for,
 )
-from randvol.quadrature import _recurrence
+from randvol.quadrature import _check_moment_reproduction, _jacobi, _recurrence, _weights_nodes
+
+# The classical moment route (Hankel matrix of raw moments, Cholesky factor, recurrence coefficients): it serves
+# arbitrary moment sequences, and it is the independent oracle for the closed-form recurrences of `quadrature_for`.
+_PIVOT_RTOL = 1e-13
+
+
+@dataclass(frozen=True)
+class QuadratureWorkspace:
+    """Intermediates of the moment factorization, exposed for validation."""
+
+    gram: np.ndarray
+    cholesky: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    jacobi: np.ndarray
+
+
+def build_workspace(moment_values: np.ndarray, n_q: int) -> QuadratureWorkspace:
+    """Gram matrix, Cholesky factor, recurrence coefficients and Jacobi matrix.
+
+    The pivot test is relative to each row's own diagonal entry: moment
+    sequences routinely span tens of orders of magnitude, and a tolerance
+    tied to the largest diagonal entry would reject perfectly well
+    conditioned matrices.
+    """
+    mom = np.asarray(moment_values, dtype=float)
+    if n_q < 1:
+        raise ValueError("n_q must be >= 1")
+    if mom.size < 2 * n_q + 1:
+        raise ValueError(f"need moments up to order {2 * n_q}, got {mom.size - 1}")
+    if abs(mom[0] - 1.0) > 1e-12:
+        raise ValueError(f"moment sequence must start with mu_0 = 1, got {mom[0]!r}")
+
+    n = n_q + 1
+    gram = np.empty((n, n))
+    for i in range(n):
+        gram[i, :] = mom[i : i + n]
+
+    chol = np.zeros((n, n))
+    for i in range(n):
+        s = gram[i, i] - float(np.dot(chol[:i, i], chol[:i, i]))
+        if s < _PIVOT_RTOL * gram[i, i]:
+            if i == n - 1 and abs(s) <= _PIVOT_RTOL * gram[i, i]:
+                # The last pivot is allowed to vanish: it corresponds to a
+                # measure with exactly n_q atoms and is not used by the rule.
+                s = 0.0
+            else:
+                raise GramMatrixError(
+                    f"Cholesky pivot ratio {s / gram[i, i]:.3e} at row {i}: moment "
+                    f"sequence inconsistent or n_q={n_q} too large for the "
+                    "available moment precision"
+                )
+        chol[i, i] = math.sqrt(s)
+        if i < n - 1:
+            chol[i, i + 1 :] = (gram[i, i + 1 :] - chol[:i, i] @ chol[:i, i + 1 :]) / chol[i, i]
+
+    alpha = np.empty(n_q)
+    beta = np.empty(max(n_q - 1, 0))
+    for j in range(n_q):
+        alpha[j] = chol[j, j + 1] / chol[j, j]
+        if j >= 1:
+            alpha[j] -= chol[j - 1, j] / chol[j - 1, j - 1]
+        if j < n_q - 1:
+            beta[j] = (chol[j + 1, j + 1] / chol[j, j]) ** 2
+
+    return QuadratureWorkspace(
+        gram=gram, cholesky=chol, alpha=alpha, beta=beta, jacobi=_jacobi(alpha, beta)
+    )
+
+
+def golub_welsch(moment_values: np.ndarray, n_q: int) -> QuadratureRule:
+    """Quadrature rule of size n_q matching the given raw moment sequence.
+
+    The returned rule reproduces the input moments through order
+    2*n_q - 1 to relative 1e-8; anything worse signals that the moment
+    precision is exhausted and raises instead of returning a bad rule.
+    """
+    ws = build_workspace(moment_values, n_q)
+    rule = QuadratureRule(*_weights_nodes(ws.jacobi))
+    _check_moment_reproduction(rule.weights, rule.nodes, np.asarray(moment_values, dtype=float), n_q)
+    return rule
 
 
 def lognormal_moment_by_quadrature(mu, nu, order):
@@ -40,6 +121,13 @@ def lognormal_moment_by_quadrature(mu, nu, order):
 class TestMoments:
     def test_gamma_example(self):
         np.testing.assert_allclose(moments(Gamma(k=2, theta=0.5), 2), [1.0, 1.0, 1.5], rtol=1e-14)
+
+    @pytest.mark.parametrize("k", [1e6, 1e8, 1e10])
+    def test_gamma_large_k_matches_rising_factorial(self, k):
+        # a gammaln difference cancels here: 2.5e-5 relative at k = 1e10
+        with mp.workdps(40):
+            exact = [float(mp.rf(mpf(k), i)) for i in range(5)]
+        np.testing.assert_allclose(moments(Gamma(k, 1.0), 4), exact, rtol=1e-13)
 
     def test_lognormal_degenerate(self):
         np.testing.assert_allclose(moments(LogNormal(0.0, 0.0), 2), [1.0, 1.0, 1.0], rtol=0)
@@ -169,9 +257,16 @@ class TestStackedRules:
             assert alone.nodes.tobytes() == single.nodes.tobytes()
             np.testing.assert_array_equal(stack.nodes[row], single.nodes)
 
-    def test_huge_k_row_fails_the_column_stack(self):
+    @pytest.mark.parametrize("n_q", [2, 4])
+    @pytest.mark.parametrize("gamma", [0.4, 1.0, 3.0])
+    def test_plain_sabr_embedding_builds(self, gamma, n_q):
+        # gamma-gamma collapses to plain SABR at theta = 1e-8, k = gamma / theta
+        rule = quadrature_for(Gamma(gamma / 1e-8, 1e-8), n_q)
+        np.testing.assert_allclose(rule.mean(), gamma, rtol=1e-12)
+
+    def test_tiny_k_row_fails_the_column_stack(self):
         with pytest.raises(GramMatrixError, match="reproduce moment"):
-            quadrature_for({"k": np.array([3.0, 1.5e8, 2.0]), "theta": np.array([0.5, 1e-8, 0.7])}, 2, family="gamma")
+            quadrature_for({"k": np.array([3.0, 1e-9, 2.0]), "theta": np.array([0.5, 0.5, 0.7])}, 2, family="gamma")
 
     def test_failing_row_fails_the_stack(self):
         with pytest.raises(GramMatrixError, match="reproduce moment"):

@@ -701,6 +701,22 @@ class TestCli:
         assert capsys.readouterr().err == f"error: line 2: missing value for '{column}'\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("row,extra", [
+        ("2024-10-29,80,C,0.222,1,000\n", 1),
+        ("2024-10-29,1,080,C,0.222,1,000\n", 2),
+    ], ids=["thousands-open-interest", "thousands-strike-and-open-interest"])
+    def test_fit_long_row_fails_before_fitting(self, tmp_path, capsys, row, extra):
+        # csv.DictReader keeps the fields past the header under None: refused, not read as an open interest of 1
+        quotes = tmp_path / "q.csv"
+        quotes.write_text(QUOTE_HEADER + row, encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MARKET_LINES, encoding="utf-8")
+        out_dir = tmp_path / "fits"
+        rc = main(["fit", "--quotes", str(quotes), "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: line 2: {extra} field(s) more than the header\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("row", INFINITE_ROWS)
     def test_fit_infinite_quote_fails_before_fitting(self, tmp_path, capsys, row):
         rows = [row] + [f"2024-10-29,{k},C,0.2,5\n" for k in (90, 95, 105, 110)]
