@@ -49,6 +49,11 @@ echo '{"type": "sabr", "alpha": 0.3, "beta": 0.9, "rho": -0.3}' > smoke_bad.json
 rc=0; randvol iv --spot 100 --params smoke_bad.json --expiry 1 --strikes 90,100 2> smoke_bad.err || rc=$?
 test "$rc" -eq 2
 grep -qx "error: malformed slice params: missing field 'gamma'" smoke_bad.err
+# an infinite gamma shape: refused (exit 2) by its domain, with a line naming the parameter
+sed 's/"k": 3.0/"k": Infinity/' smoke.json > smoke_inf.json
+rc=0; randvol iv --spot 100 --params smoke_inf.json --expiry 1 --strikes 90,100 2> smoke_inf.err || rc=$?
+test "$rc" -eq 2
+grep -qx "error: k must be > 0 and finite, got inf" smoke_inf.err
 # two interleaved expiries, behind a byte-order mark and with CRLF line endings
 printf '\xef\xbb\xbfexpiry,strike\r\n1.0,110\r\n0.5,90\r\n1.0,100\r\n0.5,105\r\n' > smoke_points.csv
 randvol iv --spot 100 --rate 0.02 --params smoke.json --points smoke_points.csv --engine expansion:6 \

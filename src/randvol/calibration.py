@@ -321,16 +321,14 @@ _EPS = np.finfo(float).eps
 def minimize(residuals, start, budget: int):
     """Trust-region least squares from ``start`` within ``budget`` evaluations, as a generator.
 
-    Scipy's unbounded ``least_squares(method="trf")`` iteration (Branch, Coleman & Li, SIAM J.
-    Sci. Comput. 21, 1999) with the exact solver, unit ``x_scale``, linear loss, '2-point'
-    Jacobian and its default tolerances (ftol, xtol and gtol 1e-8), bit for bit.  It yields the
-    points each step needs, reads their residuals once resumed, and returns least_squares' ``x``
-    and ``success``.  Each trial point is yielded with its Jacobian's `_stencil` (Byrd, Schnabel &
-    Shultz, Math. Programming 42, 1988), so a memoizing caller evaluates an accepted step's Jacobian
-    in its trial's round; a rejected trial's stencil is never read.  It reads scipy's points in
-    scipy's order and asks for at most (n + 1)·max_nfev ≤ max(budget, n + 1) points.  The step,
-    radius update and termination test are this module's code with scipy's arithmetic; a norm is
-    sqrt(x.x).
+    Scipy's unbounded ``least_squares(method="trf")`` iteration (Branch, Coleman & Li, SIAM J. Sci. Comput. 21,
+    1999) with the exact solver, unit ``x_scale``, linear loss, '2-point' Jacobian and its default tolerances (ftol,
+    xtol and gtol 1e-8), bit for bit.  It yields the points each step needs, reads their residuals once resumed, and
+    returns least_squares' ``x`` and ``success``.  Each trial point is yielded with its Jacobian's `_stencil` (Byrd,
+    Schnabel & Shultz, Math. Programming 42, 1988), built once: a memoizing caller evaluates it in the trial's round,
+    and an accepted trial hands it to `_jacobian`; a rejected trial's stencil is never read.  It reads scipy's points
+    in scipy's order and asks for at most (n + 1)·max_nfev ≤ max(budget, n + 1) points.  The step, radius update and
+    termination test are this module's code with scipy's arithmetic; a norm is sqrt(x.x).
     """
     x = np.array(start, dtype=float)
     f, J = yield from _jacobian(residuals, x)
@@ -348,7 +346,7 @@ def minimize(residuals, start, budget: int):
             Js = J.dot(step)
             predicted = -(0.5 * np.dot(Js, Js) + np.dot(step, g))
             x_new = x + step
-            yield np.vstack([x_new, _stencil(x_new)])
+            yield np.concatenate((x_new[None], points := _stencil(x_new)))
             f_new, nfev, step_norm = residuals(x_new), nfev + 1, math.sqrt(step.dot(step))
             if not np.isfinite(f_new).all():
                 delta = 0.25 * step_norm
@@ -365,7 +363,7 @@ def minimize(residuals, start, budget: int):
             alpha, delta = alpha * (delta / delta_new), delta_new
         if reduction > 0:
             x, cost = x_new, cost_new
-            f, J = yield from _jacobian(residuals, x, f_new)
+            f, J = yield from _jacobian(residuals, x, f_new, points)
             g = J.T.dot(f)
     return SimpleNamespace(x=x, success=bool(done))
 
@@ -419,22 +417,23 @@ def _trust_region_step(n: int, m: int, uf: np.ndarray, s: np.ndarray, V: np.ndar
 
 
 def _stencil(x: np.ndarray) -> np.ndarray:
-    """The n points of least_squares' '2-point' Jacobian at x, one forward step per row."""
+    """The n points of least_squares' '2-point' Jacobian at x: n copies of x, each stepped forward on the diagonal."""
     h = _EPS ** 0.5 * ((x >= 0).astype(float) * 2 - 1) * np.maximum(1.0, np.abs(x))
-    points = np.broadcast_to(x, (x.size, x.size)).copy()
-    points[np.diag_indices(x.size)] = x + h
+    points = x[None].repeat(x.size, 0)
+    points.flat[::x.size + 1] = x + h
     return points
 
 
-def _jacobian(residuals, x: np.ndarray, f: Optional[np.ndarray] = None):
+def _jacobian(residuals, x: np.ndarray, f: Optional[np.ndarray] = None, points: Optional[np.ndarray] = None):
     """least_squares' '2-point' Jacobian at x bit for bit, as a generator returning (f, J).
 
-    It yields its `_stencil`, after x itself unless f, the residuals at x, is given.  In `minimize` an accepted
-    trial's stencil was asked for with the trial, so a memoizing caller evaluates nothing new for it."""
-    points = _stencil(x)
-    yield points if f is not None else np.vstack([x, points])
+    It yields ``points``, x's `_stencil` unless given, after x itself unless f, the residuals at x, is given: in
+    `minimize` an accepted trial hands in the stencil its round evaluated.  J is ((R - f) / (diag - x)).T over the
+    stencil's residual rows R, in scipy's F-ordered layout and strides."""
+    points = _stencil(x) if points is None else points
+    yield points if f is not None else np.concatenate((x[None], points))
     f = residuals(x) if f is None else f
-    return f, np.array([(residuals(p) - f) / (p[i] - x[i]) for i, p in enumerate(points)]).T
+    return f, ((np.array([residuals(p) for p in points]) - f) / (points.diagonal() - x)[:, None]).T
 
 
 class _SliceObjective:

@@ -40,7 +40,7 @@ _ROOT_FLOAT_MAX = math.sqrt(np.finfo(float).max)  # the largest float whose squa
 _DOMAINS = {"sigma": (lambda x: x >= 0.0, ">= 0")} | {
     name: (lambda x: (x >= 0.0) & (x <= _ROOT_FLOAT_MAX), ">= 0 with a finite square")
     for name in ("alpha", "gamma", "nu")} | {
-    name: (lambda x: x > 0.0, "> 0") for name in ("k", "theta", "s0")} | {
+    name: (lambda x: (x > 0.0) & (x < np.inf), "> 0 and finite") for name in ("k", "theta", "s0")} | {
     "beta": (lambda x: (x >= 0.0) & (x <= 1.0), "in [0, 1]"),
     "rho": (lambda x: (x > -1.0) & (x < 1.0), "in (-1, 1)"),
 }
@@ -71,7 +71,7 @@ class LogNormal:
 
 @dataclass(frozen=True)
 class Gamma:
-    """Gamma distribution with shape k > 0 and scale theta > 0."""
+    """Gamma distribution with finite shape k > 0 and scale theta > 0."""
 
     family: ClassVar[str] = "gamma"
     k: float

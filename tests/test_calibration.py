@@ -263,6 +263,14 @@ def with_stencils(points):
     return list(want)
 
 
+def scattered_stencil(x):
+    """`calibration._stencil` built the long way: a broadcast copy of x, with x + h scattered onto its diagonal."""
+    h = np.finfo(float).eps ** 0.5 * ((x >= 0).astype(float) * 2 - 1) * np.maximum(1.0, np.abs(x))
+    points = np.broadcast_to(x, (x.size, x.size)).copy()
+    points[np.diag_indices(x.size)] = x + h
+    return points
+
+
 def rosenbrock(calls):
     # Rosenbrock residuals take dozens of iterations from (-1.2, 1)
     def residuals(x):
@@ -291,6 +299,41 @@ class TestMinimize:
         # scipy's points once, in scipy's order
         assert list(dict.fromkeys(p.tobytes() for p in asked)) == with_stencils(scipy_calls)
         assert [p.tobytes() for p in calls] == [p.tobytes() for p in scipy_calls]
+
+    @pytest.mark.parametrize("budget", [3, 10, 40, 100])
+    def test_one_stencil_per_trial(self, budget, monkeypatch):
+        # the start and each trial build their stencil once; an accepted trial's Jacobian reuses the one it was
+        # asked for with.  scipy's nfev counts the start and the trials, not the Jacobians' evaluations
+        built, real = [], calibration._stencil
+        monkeypatch.setattr(calibration, "_stencil", lambda x: built.append(x.copy()) or real(x))
+        want = scipy_search(rosenbrock([]), [-1.2, 1.0], budget)
+        got = run_search(minimize(rosenbrock([]), [-1.2, 1.0], budget))
+        assert got.x.tobytes() == want.x.tobytes()
+        assert len(built) == want.nfev
+        assert len({p.tobytes() for p in built}) == len(built)
+
+
+class TestStencil:
+    SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6, 9])
+    def test_equals_broadcast_scatter(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            pool = self.SPECIAL + list(rng.standard_normal(6) * 10.0 ** rng.integers(-8, 8, 6))
+            x = np.array(pool)[rng.integers(0, len(pool), n)]
+            got, want = calibration._stencil(x), scattered_stencil(x)
+            assert got.shape == want.shape == (n, n) and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+    def test_special_values_and_signs(self):
+        x = np.array(self.SPECIAL)
+        got = calibration._stencil(x)
+        assert got.tobytes() == scattered_stencil(x).tobytes()
+        # off the diagonal each row is x itself, -0.0 included; on it, a forward step whose sign follows x >= 0
+        off = ~np.eye(x.size, dtype=bool)
+        assert np.broadcast_to(x, got.shape)[off].tobytes() == got[off].tobytes()
+        assert np.array_equal(np.sign(got.diagonal() - x), [1, 1, 1, -1, 1, -1])
 
 
 def trust_region_problem(seed, m, n, rank_deficient=False):
@@ -1085,9 +1128,10 @@ class TestDomainsRefuseNan:
         assert set(NAN_DOMAINS) | {"s0"} == set(_DOMAINS)
 
     @pytest.mark.parametrize("name,bad", [(name, math.nan) for name in sorted(NAN_DOMAINS)]
-                             + [(name, 1e200) for name in ("alpha", "gamma", "nu")])
+                             + [(name, 1e200) for name in ("alpha", "gamma", "nu")]
+                             + [(name, math.inf) for name in ("k", "theta")])
     def test_refused_alone_and_as_one_stacked_row(self, name, bad):
-        # 1e200 has a square that overflows to inf in numpy: alpha, gamma and nu refuse it
+        # 1e200 has a square that overflows to inf in numpy: alpha, gamma and nu refuse it; k and theta refuse inf
         model, randomizer, good, constructor = NAN_DOMAINS[name]
         with pytest.raises(ParameterDomainError) as lone:
             constructor(bad)
@@ -1100,7 +1144,7 @@ class TestDomainsRefuseNan:
         assert isinstance(failures.error, ParameterDomainError)
 
     def test_nan_spot_and_lognormal_nu(self):
-        with pytest.raises(ParameterDomainError, match="s0 must be > 0, got nan"):
+        with pytest.raises(ParameterDomainError, match="s0 must be > 0 and finite, got nan"):
             SpotLogNormal(math.nan, 0.1)
         with pytest.raises(ParameterDomainError, match="nu must be >= 0 with a finite square, got nan"):
             LogNormal(0.0, math.nan)
@@ -1108,4 +1152,4 @@ class TestDomainsRefuseNan:
         failures = RowFailures(2)
         calibration._point_columns(FitConfig(model="flat", randomizer="spot-lognormal"),
                                    {"sigma": [0.2, 0.3], "nu": [0.1, 0.2]}, math.nan, failures)
-        assert failures.bad.all() and "s0 must be > 0, got nan" in str(failures.error)
+        assert failures.bad.all() and "s0 must be > 0 and finite, got nan" in str(failures.error)

@@ -11,16 +11,19 @@ from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import quad
 from scipy.special import roots_genlaguerre
 
-from randvol.errors import GramMatrixError, MomentOverflowError
+from randvol.errors import GramMatrixError, MomentOverflowError, ParameterDomainError, RowFailures
 from randvol.quadrature import (
+    FAMILIES,
     MAX_NQ,
     DiscreteGiven,
     Gamma,
     LogNormal,
     QuadratureRule,
     SpotLogNormal,
+    check_domains,
     moments,
     quadrature_for,
+    rule_rows,
 )
 from randvol.quadrature import _check_moment_reproduction, _jacobi, _recurrence, _weights_nodes
 
@@ -284,6 +287,45 @@ class TestStackedRules:
     def test_mixed_stack_rejected(self, specs):
         with pytest.raises(ValueError):
             quadrature_for(specs, 2)
+
+
+# each parameter whose domain is "> 0 and finite": its family, its lone spec at a value, and a stack's good columns
+FINITE_DOMAINS = {
+    "k": ("gamma", lambda x: Gamma(x, 0.5), {"k": [3.0, 0.5, 7.5], "theta": [0.5, 1.2, 0.1]}),
+    "theta": ("gamma", lambda x: Gamma(3.0, x), {"k": [3.0, 0.5, 7.5], "theta": [0.5, 1.2, 0.1]}),
+    "s0": ("spot-lognormal", lambda x: SpotLogNormal(x, 0.1), {"s0": [100.0, 90.0, 1496.45], "nu": [0.02, 0.1, 0.3]}),
+}
+
+
+class TestInfiniteParameters:
+    """Infinity fails the domain of k, theta and s0 by name, alone and as one row of a stack, instead of failing
+    later as a moment overflow or a non-finite rule."""
+
+    @pytest.mark.parametrize("name", sorted(FINITE_DOMAINS))
+    def test_lone_spec_refused_by_name(self, name):
+        with pytest.raises(ParameterDomainError, match=rf"^{name} must be > 0 and finite, got inf$"):
+            FINITE_DOMAINS[name][1](math.inf)
+
+    @pytest.mark.parametrize("n_q", [2, 5])
+    @pytest.mark.parametrize("name", sorted(FINITE_DOMAINS))
+    def test_stacked_row_marked_alone(self, name, n_q):
+        family, _, good = FINITE_DOMAINS[name]
+        spec_type, names = FAMILIES[family]
+        columns = {key: np.array(values) for key, values in good.items()}
+        columns[name][1] = math.inf
+        # a stack's points meet their domain checks before their rules are built, as the calibrator's do
+        failures = RowFailures(3)
+        check_domains(columns, failures)
+        weights, nodes = rule_rows(columns, n_q, family, failures)
+        assert failures.bad.tolist() == [False, True, False]
+        assert isinstance(failures.error, ParameterDomainError)
+        assert str(failures.error) == f"{name} must be > 0 and finite, got inf"
+        for row in (0, 2):
+            lone = quadrature_for(spec_type(*(columns[key][row] for key in names)), n_q)
+            assert weights[row].tobytes() == lone.weights.tobytes()
+            assert nodes[row].tobytes() == lone.nodes.tobytes()
+        with pytest.raises(ParameterDomainError, match=rf"^{name} must be > 0 and finite, got inf$"):
+            check_domains(columns)
 
 
 class TestQuadratureFor:
