@@ -7,11 +7,7 @@ if [ "$#" -eq 0 ]; then set -- randvol; fi
 cmd=("$@")
 randvol() { command "${cmd[@]}" "$@"; }
 
-randvol bench --counts 1000 --orders 2,6 --skip-brent
-# Brent's method, the one path that imports scipy.optimize, and an order the expansion lacks (exit 2)
-randvol bench --counts 100 --orders 6
-rc=0; randvol bench --orders 8 || rc=$?; test "$rc" -eq 2
-# a plain slice refuses an order the expansion lacks too (exit 2)
+# a plain slice refuses an order the expansion lacks (exit 2)
 echo '{"type": "flat", "sigma": 0.2}' > smoke_flat.json
 rc=0; randvol iv --spot 100 --params smoke_flat.json --expiry 1 --strikes 90,100 --engine expansion:5 || rc=$?
 test "$rc" -eq 2
@@ -54,6 +50,15 @@ sed 's/"k": 3.0/"k": Infinity/' smoke.json > smoke_inf.json
 rc=0; randvol iv --spot 100 --params smoke_inf.json --expiry 1 --strikes 90,100 2> smoke_inf.err || rc=$?
 test "$rc" -eq 2
 grep -qx "error: k must be > 0 and finite, got inf" smoke_inf.err
+# an infinite flat vol: refused (exit 2) by its domain, not by the quadrature
+echo '{"type": "flat", "sigma": Infinity}' > smoke_inf.json
+rc=0; randvol iv --spot 100 --params smoke_inf.json --expiry 1 --strikes 90,100 2> smoke_inf.err || rc=$?
+test "$rc" -eq 2
+grep -qx "error: sigma must be >= 0 and finite, got inf" smoke_inf.err
+# a negative butterfly grid size: refused (exit 2) with a line naming the flag
+rc=0; randvol check-arb --spot 100 --params smoke_flat.json --expiry 0.5 --grid-points -1 2> smoke_grid.err || rc=$?
+test "$rc" -eq 2
+grep -qx "error: --grid-points must be at least 1, got -1" smoke_grid.err
 # two interleaved expiries, behind a byte-order mark and with CRLF line endings
 printf '\xef\xbb\xbfexpiry,strike\r\n1.0,110\r\n0.5,90\r\n1.0,100\r\n0.5,105\r\n' > smoke_points.csv
 randvol iv --spot 100 --rate 0.02 --params smoke.json --points smoke_points.csv --engine expansion:6 \

@@ -272,7 +272,7 @@ def _point_columns(cfg: FitConfig, values: dict, s0: float, failures: Optional[R
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails its point below
         if cfg.randomizer == "sigma-lognormal":
             values["sigma"] = np.exp(values["mu"] + 0.5 * (values["nu"] * values["nu"]))
-            fail_rows(failures, ~np.isfinite(values["sigma"]), lambda: OverflowError("the lognormal mean overflows"))
+            fail_rows(failures, np.isinf(values["sigma"]), lambda: OverflowError("the lognormal mean overflows"))
         elif cfg.randomizer == "gamma-gamma":
             values.setdefault("gamma", values["k"] * values["theta"])
     target, family = {"gamma-gamma": ("gamma", "gamma"), "sigma-lognormal": ("sigma", "lognormal"),

@@ -1,4 +1,4 @@
-"""Command-line interface: fit, price, iv, density, check-arb, interp, bench."""
+"""Command-line interface: fit, price, iv, density, check-arb, interp."""
 from __future__ import annotations
 
 import argparse
@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bench as bench_mod
 # check_butterfly, check_calendar, implied_vol_grid and randomized_prices stay names here: the benchmark's tracer
 # wraps them in this module and does not install without them
 from .arbitrage import (
@@ -87,13 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     interp.add_argument("--expiry", type=float, required=True)
     interp.add_argument("--strike", type=float, required=True)
     interp.set_defaults(handler=_cmd_interp)
-
-    bench = sub.add_parser("bench", help="expansion vs exact inversion wall-clock table")
-    bench.add_argument("--counts", default="1000,10000,50000,100000")
-    bench.add_argument("--orders", default="2,4,6")
-    bench.add_argument("--skip-brent", action="store_true", help="skip scalar Brent; the vectorized exact row runs")
-    bench.add_argument("--out", help="output CSV path (default stdout)")
-    bench.set_defaults(handler=_cmd_bench)
     return parser
 
 
@@ -165,13 +157,15 @@ def _resolve_points(args) -> list[tuple[float, np.ndarray]]:
 
 
 def _check_grid_flags(args, *flags: str) -> None:
-    """Refuse a given grid-bound flag that is not positive and finite, and an --n-strikes below 1."""
+    """Refuse a given grid-bound flag that is not positive and finite, and a grid size (--n-strikes or --grid-points)
+    below 1."""
     for flag in flags:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None and not (value > 0 and math.isfinite(value)):
             raise ValueError(f"{flag} must be positive and finite, got {value}")
-    if getattr(args, "n_strikes", 1) < 1:
-        raise ValueError(f"--n-strikes must be at least 1, got {args.n_strikes}")
+    for flag in ("--n-strikes", "--grid-points"):
+        if (size := getattr(args, flag[2:].replace("-", "_"), 1)) < 1:
+            raise ValueError(f"{flag} must be at least 1, got {size}")
 
 
 def _emit(text: str, out_path) -> None:
@@ -280,16 +274,6 @@ def _cmd_interp(args) -> int:
     slice_set = SliceSet(tuple((t, randomize(p, ctx)) for t, p in loaded))
     vol = interp_total_variance(slice_set, args.expiry, args.strike)
     print(f"{vol:.10g}")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    counts = [int(c) for c in args.counts.split(",")]
-    if min(counts) < 1:
-        raise ValueError(f"--counts must be at least 1, got {min(counts)}")
-    orders = [int(o) for o in args.orders.split(",")]
-    rows = bench_mod.run_benchmark(counts, orders, include_brent=not args.skip_brent)
-    _emit(bench_mod.rows_to_csv(rows), args.out)
     return 0
 
 

@@ -37,7 +37,7 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _ROOT_FLOAT_MAX = math.sqrt(np.finfo(float).max)  # the largest float whose square is finite
 #: the domain of each parameter of a slice and of its randomizer: a mask of the values inside it, which NaN fails,
 #: and its description (the model squares alpha, gamma and nu, and a square that overflows would read inf)
-_DOMAINS = {"sigma": (lambda x: x >= 0.0, ">= 0")} | {
+_DOMAINS = {"sigma": (lambda x: (x >= 0.0) & (x < np.inf), ">= 0 and finite"), "mu": (np.isfinite, "finite")} | {
     name: (lambda x: (x >= 0.0) & (x <= _ROOT_FLOAT_MAX), ">= 0 with a finite square")
     for name in ("alpha", "gamma", "nu")} | {
     name: (lambda x: (x > 0.0) & (x < np.inf), "> 0 and finite") for name in ("k", "theta", "s0")} | {
@@ -66,7 +66,7 @@ class LogNormal:
     nu: float
 
     def __post_init__(self):
-        check_domains({"nu": [self.nu]})
+        check_domains({"mu": [self.mu], "nu": [self.nu]})
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import nth_derivative
+from conftest import nth_derivative, reference_slice, time_brent, time_expansion
 from randvol.arbitrage import SliceSet, check_butterfly, check_calendar, default_strike_grid, interp_total_variance
 from randvol.calibration import FitConfig, Quote, QuoteSet, fit_slice, variance_of_randomizer
 from randvol.expansion import evaluate_polynomial
@@ -25,7 +25,6 @@ from randvol.randomization import (
     randomized_price,
     randomized_prices,
 )
-from randvol import bench
 
 
 def _report(number: int, message: str) -> None:
@@ -258,15 +257,15 @@ def _expansion_scaling_ratio(rs) -> float:
     """min-of-7 interleaved timings so both counts see the same noise."""
     small, large = [], []
     for _ in range(7):
-        small.append(bench.time_expansion(rs, 1_000, 4))
-        large.append(bench.time_expansion(rs, 100_000, 4))
+        small.append(time_expansion(rs, 1_000, 4))
+        large.append(time_expansion(rs, 100_000, 4))
     return min(large) / min(small)
 
 
 def test_criterion_09_expansion_performance():
-    rs = bench.reference_slice()
-    brent_seconds = bench.time_brent(rs, 10_000)
-    expansion_seconds = min(bench.time_expansion(rs, 10_000, 4) for _ in range(3))
+    rs = reference_slice()
+    brent_seconds = time_brent(rs, 10_000)
+    expansion_seconds = min(time_expansion(rs, 10_000, 4) for _ in range(3))
     ratio = brent_seconds / expansion_seconds
     assert ratio >= 100.0
     scaling = _expansion_scaling_ratio(rs)

@@ -1108,6 +1108,7 @@ class TestModelVolsInput:
 # configuration's columns, and the parameter's lone constructor
 NAN_DOMAINS = {
     "sigma": ("flat", "none", {"sigma": 0.2}, lambda x: FlatParams(x)),
+    "mu": ("flat", "sigma-lognormal", {"mu": -1.63, "nu": 0.2}, lambda x: LogNormal(x, 0.2)),
     **{name: ("sabr", "none", {"alpha": 0.3, "beta": 0.9, "rho": -0.3, "gamma": 0.8},
               lambda x, name=name: SabrParams(**{"alpha": 0.3, "beta": 0.9, "rho": -0.3, "gamma": 0.8, name: x}))
        for name in ("alpha", "beta", "rho", "gamma")},
@@ -1129,9 +1130,10 @@ class TestDomainsRefuseNan:
 
     @pytest.mark.parametrize("name,bad", [(name, math.nan) for name in sorted(NAN_DOMAINS)]
                              + [(name, 1e200) for name in ("alpha", "gamma", "nu")]
-                             + [(name, math.inf) for name in ("k", "theta")])
+                             + [(name, math.inf) for name in ("k", "theta", "sigma")] + [("mu", -math.inf)])
     def test_refused_alone_and_as_one_stacked_row(self, name, bad):
-        # 1e200 has a square that overflows to inf in numpy: alpha, gamma and nu refuse it; k and theta refuse inf
+        # 1e200 has a square that overflows to inf in numpy: alpha, gamma and nu refuse it; k, theta and sigma refuse
+        # inf, and mu -inf (a lognormal mean of 0; +inf fails the stacked row earlier, as the mean's overflow)
         model, randomizer, good, constructor = NAN_DOMAINS[name]
         with pytest.raises(ParameterDomainError) as lone:
             constructor(bad)

@@ -7,9 +7,10 @@ import re
 import numpy as np
 import pytest
 
+from conftest import reference_slice, time_brent, time_expansion
 from randvol.arbitrage import SliceSet, check_butterfly, check_calendar, default_strike_grid
 from randvol.calibration import FitConfig
-from randvol.cli import main
+from randvol.cli import _build_parser, main
 from randvol.errors import QuoteFormatError
 from randvol.parametrizations import params_from_json
 from randvol.pricing import MarketContext, OptionKey, OptionType, bs_price
@@ -71,6 +72,8 @@ BAD_GRID_INPUT = [
                  "--grid-lo must be positive and finite, got -1.0", id="check-arb-negative-grid-lo"),
     pytest.param(["check-arb", "--expiry", "0.5", "--grid-hi", "nan"],
                  "--grid-hi must be positive and finite, got nan", id="check-arb-nan-grid-hi"),
+    pytest.param(["check-arb", "--expiry", "0.5", "--grid-points", "-1"],
+                 "--grid-points must be at least 1, got -1", id="check-arb-negative-grid-points"),
     pytest.param(["iv", "--expiry", "0.5", "--k-min", "80", "--k-max", "120", "--n-strikes", "-3"],
                  "--n-strikes must be at least 1, got -3", id="iv-negative-n-strikes"),
     pytest.param(["iv", "--expiry", "0.5", "--k-min", "0", "--k-max", "120"],
@@ -109,11 +112,16 @@ UNRUNNABLE_ORDER = [
     pytest.param("model = flat\nrandomizer = none\nengine = expansion:5\n", id="plain-5"),
 ]
 
-# a params JSON boolean where a number is read, or an n_q that is not a JSON integer, and the error naming the field
+# a params JSON boolean where a number is read, an infinite sigma or mu (JSON's Infinity is not a number), or an
+# n_q that is not a JSON integer, and the error naming the field
 SIGMA_LN = {**FLAT, "randomizer": {"target": "sigma", "dist": {"family": "lognormal", "mu": -1.63, "nu": 0.2}}}
 NOT_A_NUMBER = [
     pytest.param({"type": "flat", "sigma": True}, IV, "sigma must be a number, got true", id="sigma-true"),
     pytest.param({"type": "flat", "sigma": "0.2"}, IV, 'sigma must be a number, got "0.2"', id="sigma-string"),
+    pytest.param({"type": "flat", "sigma": math.inf}, IV, "sigma must be >= 0 and finite, got inf", id="sigma-inf"),
+    *(pytest.param({**SIGMA_LN, "randomizer": {"target": "sigma", "dist": {"family": "lognormal", "mu": mu,
+                                                                            "nu": 0.2}}}, IV,
+                   f"mu must be finite, got {mu}", id=f"dist-mu-{mu}") for mu in (math.inf, -math.inf)),
     pytest.param({"type": "sabr", "alpha": 0.3, "beta": False, "rho": -0.3, "gamma": 0.4}, IV,
                  "beta must be a number, got false", id="sabr-beta-false"),
     pytest.param({**SIGMA_LN, "randomizer": {**SIGMA_LN["randomizer"], "n_q": 2.7}}, IV,
@@ -803,40 +811,13 @@ class TestCli:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
 
-    def test_bench_row_shape(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        rc = main(["bench", "--counts", "200,400", "--orders", "2,4,6", "--out", str(out)])
-        assert rc == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "method,count,seconds"
-        assert len(lines) == 1 + 2 * 5  # (brent + exact + 3 orders) x 2 counts
-        methods = {line.split(",")[0] for line in lines[1:]}
-        assert methods == {"brent", "exact", "expansion:2", "expansion:4", "expansion:6"}
-
-    @pytest.mark.parametrize("order", ["5", "8"])
-    def test_bench_refuses_an_order_the_expansion_lacks(self, capsys, order):
-        assert main(["bench", "--counts", "10", "--orders", f"2,{order}", "--skip-brent"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: parameter expansion supports orders (0, 2, 4, 6), got {order}\n"
-
-    @pytest.mark.parametrize("counts", ["0", "-100", "100,0"])
-    def test_bench_refuses_a_count_below_one(self, capsys, counts):
-        assert main(["bench", "--counts", counts, "--orders", "2"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: --counts must be at least 1, got ")
-
-    def test_bench_labels_rows_with_the_points_timed(self, capsys):
-        # ten expiries, an equal share on each and at least one point each
-        assert main(["bench", "--counts", "1005,5,30", "--orders", "2,0"]) == 0
-        rows = [line.split(",")[:2] for line in capsys.readouterr().out.splitlines()[1:]]
-        assert rows == [[method, count] for count in ("1000", "10", "30")
-                        for method in ("brent", "exact", "expansion:2", "expansion:0")]
-
-    def test_skip_brent_skips_only_scalar_brent(self, capsys):
-        assert main(["bench", "--counts", "100", "--orders", "2", "--skip-brent"]) == 0
-        assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]] == ["exact", "expansion:2"]
+    def test_the_commands_are_the_six_user_commands(self, capsys):
+        commands, = (action.choices for action in _build_parser()._actions if action.dest == "command")
+        assert set(commands) == {"fit", "price", "iv", "density", "check-arb", "interp"}
+        with pytest.raises(SystemExit) as exited:
+            main(["bench"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_missing_file_reports_error(self, capsys):
         rc = main(["iv", "--spot", "100", "--params", "/nonexistent.json", "--expiry", "1", "--strikes", "100"])
@@ -848,13 +829,11 @@ class TestBenchTrend:
     def test_brent_to_expansion_ratio_grows_with_count(self):
         # the root finder scales linearly while the expansion is dominated
         # by per-expiry setup, so the speedup widens as counts grow
-        from randvol import bench as bench_mod
-
-        rs = bench_mod.reference_slice()
+        rs = reference_slice()
 
         def ratio(count):
-            brent = bench_mod.time_brent(rs, count)
-            expansion = min(bench_mod.time_expansion(rs, count, 4) for _ in range(5))
+            brent = time_brent(rs, count)
+            expansion = min(time_expansion(rs, count, 4) for _ in range(5))
             return brent / expansion
 
         small, large = ratio(1_000), ratio(10_000)
