@@ -55,10 +55,17 @@ echo '{"type": "flat", "sigma": Infinity}' > smoke_inf.json
 rc=0; randvol iv --spot 100 --params smoke_inf.json --expiry 1 --strikes 90,100 2> smoke_inf.err || rc=$?
 test "$rc" -eq 2
 grep -qx "error: sigma must be >= 0 and finite, got inf" smoke_inf.err
-# a negative butterfly grid size: refused (exit 2) with a line naming the flag
-rc=0; randvol check-arb --spot 100 --params smoke_flat.json --expiry 0.5 --grid-points -1 2> smoke_grid.err || rc=$?
+# a negative or too coarse butterfly grid, and a too coarse density grid: refused (exit 2) with a line naming the
+# flag, its value and the floor the second differences need
+for size in -1 10; do
+  rc=0; randvol check-arb --spot 100 --params smoke_flat.json --expiry 0.5 --grid-points "$size" 2> smoke_grid.err \
+    || rc=$?
+  test "$rc" -eq 2
+  grep -qx "error: --grid-points must be at least 50, got $size" smoke_grid.err
+done
+rc=0; randvol density --spot 100 --params smoke_flat.json --expiry 0.5 --n-strikes 10 2> smoke_grid.err || rc=$?
 test "$rc" -eq 2
-grep -qx "error: --grid-points must be at least 1, got -1" smoke_grid.err
+grep -qx "error: --n-strikes must be at least 50, got 10" smoke_grid.err
 # two interleaved expiries, behind a byte-order mark and with CRLF line endings
 printf '\xef\xbb\xbfexpiry,strike\r\n1.0,110\r\n0.5,90\r\n1.0,100\r\n0.5,105\r\n' > smoke_points.csv
 randvol iv --spot 100 --rate 0.02 --params smoke.json --points smoke_points.csv --engine expansion:6 \

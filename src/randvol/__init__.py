@@ -29,7 +29,6 @@ from .parametrizations import (
     RandomizerSpec,
     SabrParams,
     SliceParams,
-    eval_vol,
     hagan_vol,
     params_from_json,
     params_to_json,

@@ -264,21 +264,23 @@ def _point_columns(cfg: FitConfig, values: dict, s0: float, failures: Optional[R
     """The parameter columns of points given as an array of values per parameter, each checked against its domain.
 
     A point outside raises; given ``failures``, it is marked there instead (its columns are then meaningless).
-    Derived values are a SABR gamma from k and theta, and a flat sigma as the lognormal mean, whose overflow
-    fails the point as a transform's does.
+    The given values are checked first, then the derived one: a SABR gamma from k and theta, or a flat sigma as
+    the lognormal mean, whose overflow fails the point as a transform's does.
     """
     values = {name: np.asarray(column, dtype=float) for name, column in values.items()}
     values["s0"] = np.full(len(next(iter(values.values()))), float(s0))
+    target, family = {"gamma-gamma": ("gamma", "gamma"), "sigma-lognormal": ("sigma", "lognormal"),
+                      "spot-lognormal": ("spot", "spot-lognormal")}.get(cfg.randomizer, (None, "discrete"))
+    names = BASES[cfg.model][1] + (FAMILIES[family][1] if family in FAMILIES else ())
+    derived = target if target in names else None  # a randomized base parameter is its distribution's mean
+    check_domains({name: values[name] for name in names if name != derived}, failures)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails its point below
         if cfg.randomizer == "sigma-lognormal":
             values["sigma"] = np.exp(values["mu"] + 0.5 * (values["nu"] * values["nu"]))
             fail_rows(failures, np.isinf(values["sigma"]), lambda: OverflowError("the lognormal mean overflows"))
         elif cfg.randomizer == "gamma-gamma":
             values.setdefault("gamma", values["k"] * values["theta"])
-    target, family = {"gamma-gamma": ("gamma", "gamma"), "sigma-lognormal": ("sigma", "lognormal"),
-                      "spot-lognormal": ("spot", "spot-lognormal")}.get(cfg.randomizer, (None, "discrete"))
-    names = BASES[cfg.model][1] + (FAMILIES[family][1] if family in FAMILIES else ())
-    check_domains({name: values[name] for name in names}, failures)
+    check_domains({name: values[name] for name in names if name == derived}, failures)
     columns = {name: values[name] for name in names}
     return plain_columns(columns) if family == "discrete" else SliceColumns(target, family, cfg.n_q, columns)
 

@@ -15,7 +15,7 @@ import numpy as np
 # check_butterfly, check_calendar, implied_vol_grid and randomized_prices stay names here: the benchmark's tracer
 # wraps them in this module and does not install without them
 from .arbitrage import (
-    SliceSet, butterfly_probes, butterfly_report, calendar_report, check_butterfly, check_calendar,
+    _MIN_GRID, SliceSet, butterfly_probes, butterfly_report, calendar_report, check_butterfly, check_calendar,
     default_strike_grid, interp_total_variance,
 )
 from .calibration import fit_slice, fit_surface  # fit_slice stays a name here: the benchmark's tracer wraps it
@@ -158,14 +158,15 @@ def _resolve_points(args) -> list[tuple[float, np.ndarray]]:
 
 def _check_grid_flags(args, *flags: str) -> None:
     """Refuse a given grid-bound flag that is not positive and finite, and a grid size (--n-strikes or --grid-points)
-    below 1."""
+    below 1, or, for the second differences of `density` and `check-arb`, below the strike grids' floor."""
     for flag in flags:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None and not (value > 0 and math.isfinite(value)):
             raise ValueError(f"{flag} must be positive and finite, got {value}")
+    floor = 1 if args.command in ("iv", "price") else _MIN_GRID
     for flag in ("--n-strikes", "--grid-points"):
-        if (size := getattr(args, flag[2:].replace("-", "_"), 1)) < 1:
-            raise ValueError(f"{flag} must be at least 1, got {size}")
+        if (size := getattr(args, flag[2:].replace("-", "_"), floor)) < floor:
+            raise ValueError(f"{flag} must be at least {floor}, got {size}")
 
 
 def _emit(text: str, out_path) -> None:

@@ -1,9 +1,9 @@
 """Base implied-volatility parametrizations: flat level and the SABR formula.
 
-Both are exposed behind a single evaluation interface together with the
-slice-level parameter container (base parameters plus an optional
-randomizer specification) and its array form, the parameter columns of
-a stack of slices, on which the model runs.
+Holds the slice-level parameter container (base parameters plus an
+optional randomizer specification), its array form (the parameter
+columns of a stack of slices, on which the model runs), Hagan's formula
+and the JSON form.  A plain slice's vols are its one-node randomization's.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from typing import Literal, Optional, Union
 import numpy as np
 
 from .errors import ParameterDomainError
-from .pricing import MarketContext, OptionKey, _check_strikes, expiry_terms
 from .quadrature import FAMILIES, DiscreteGiven, DistributionSpec, SpotLogNormal, check_domains, spec_columns
 
 #: correlation clamp used by the calibrator; the type itself only
@@ -166,20 +165,6 @@ def hagan_vol(forward, strikes, tau, alpha, beta, rho, gamma):
                         + c / 24.0 * (gamma * gamma)) * tau
     vol = np.where(live, alpha / denom * ratio * correction, 0.0)
     return float(vol) if vol.ndim == 0 else vol
-
-
-def eval_vol(base: BaseParams, ctx: MarketContext, key: OptionKey) -> float:
-    """Implied volatility of the base (non-randomized) parametrization."""
-    return float(eval_vol_curve(base, ctx, key.expiry, [key.strike])[0])
-
-
-def eval_vol_curve(base: BaseParams, ctx: MarketContext, expiry: float, strikes) -> np.ndarray:
-    """Vectorized eval_vol over a strike array at one expiry; the expiry and strikes are checked as a grid's are."""
-    tau, *_, fwd = expiry_terms(ctx, expiry)
-    strikes = _check_strikes(strikes)
-    if isinstance(base, FlatParams):
-        return np.full(strikes.shape, base.sigma)
-    return hagan_vol(fwd, strikes, tau, base.alpha, base.beta, base.rho, base.gamma)
 
 
 # ---------------------------------------------------------------------------

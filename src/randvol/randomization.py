@@ -310,16 +310,12 @@ def _stack(slices) -> RandomizedSlice:
 
 
 def _row_pass(slices: list, expiry: float, grid: _Grid, prices: bool, engine: str) -> np.ndarray:
-    """One `stacked_grid` pass: the vols, or the prices, at a grid's pairs.  A pass of one row, at ``expiry``, is
-    that row's lone `randomized_prices` or `implied_vol_grid` call.  A stacked pass would give the same bytes; the
-    branch stays because the benchmark's tracer counts `implied_vol_grid` calls, and a one-row job reaches it here."""
-    method, order = parse_engine(engine)
-    if len(slices) > 1:
-        return _grid_values(_stack(slices), grid, prices, method, order)
-    if prices and method == "brent":
-        return randomized_prices(slices[0], expiry, grid.strikes)
-    vols = implied_vol_grid(slices[0], expiry, grid.strikes, engine)
-    return _bs_values(slices[0], grid, vols) if prices else vols
+    """One `stacked_grid` pass: the vols, or the prices, at a grid's pairs, of the slices as one stack.  A vol pass
+    of one row, at ``expiry``, is that row's lone `implied_vol_grid` call.  A stacked pass would give the same bytes;
+    the branch stays because the benchmark's tracer counts `implied_vol_grid` calls, and a one-row job reaches it."""
+    if len(slices) == 1 and not prices:
+        return implied_vol_grid(slices[0], expiry, grid.strikes, engine)
+    return _grid_values(_stack(slices), grid, prices, *parse_engine(engine))
 
 
 def _grid_values(rs: RandomizedSlice, grid: _Grid, prices: bool, method: str, order: Optional[int],
@@ -329,13 +325,8 @@ def _grid_values(rs: RandomizedSlice, grid: _Grid, prices: bool, method: str, or
     if prices and method == "brent":
         return _prices(rs, grid, _node_vols(rs, grid, failures))
     vols = _grid_vols(rs, grid, method, order, failures)
-    return _bs_values(rs, grid, vols) if prices else vols
-
-
-def _bs_values(rs: RandomizedSlice, grid: _Grid, vols: np.ndarray) -> np.ndarray:
-    """Black-Scholes call values of vols at a grid's pairs."""
     terms = (grid.by_pair(t) for t in (grid.r_tau, grid.df, grid.sqrt_tau))
-    return bs_call_values(rs.ctx.s0, *terms, grid.strikes, vols)
+    return bs_call_values(rs.ctx.s0, *terms, grid.strikes, vols) if prices else vols
 
 
 def _grid_vols(rs: RandomizedSlice, grid: _Grid, method: str, order: Optional[int],

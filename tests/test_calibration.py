@@ -1130,10 +1130,12 @@ class TestDomainsRefuseNan:
 
     @pytest.mark.parametrize("name,bad", [(name, math.nan) for name in sorted(NAN_DOMAINS)]
                              + [(name, 1e200) for name in ("alpha", "gamma", "nu")]
-                             + [(name, math.inf) for name in ("k", "theta", "sigma")] + [("mu", -math.inf)])
+                             + [(name, math.inf) for name in ("k", "theta", "sigma")]
+                             + [("mu", -math.inf), ("mu", math.inf)])
     def test_refused_alone_and_as_one_stacked_row(self, name, bad):
         # 1e200 has a square that overflows to inf in numpy: alpha, gamma and nu refuse it; k, theta and sigma refuse
-        # inf, and mu -inf (a lognormal mean of 0; +inf fails the stacked row earlier, as the mean's overflow)
+        # inf, and mu either infinity.  A stacked row fails on the parameter itself, checked before the sigma or
+        # gamma derived from it: mu = +inf before its lognormal mean's overflow, k or theta before their product
         model, randomizer, good, constructor = NAN_DOMAINS[name]
         with pytest.raises(ParameterDomainError) as lone:
             constructor(bad)
@@ -1143,7 +1145,7 @@ class TestDomainsRefuseNan:
         failures = RowFailures(3)
         calibration._point_columns(FitConfig(model=model, randomizer=randomizer), values, 100.0, failures)
         assert failures.bad.tolist() == [False, True, False]
-        assert isinstance(failures.error, ParameterDomainError)
+        assert isinstance(failures.error, ParameterDomainError) and str(failures.error).startswith(f"{name} must be ")
 
     def test_nan_spot_and_lognormal_nu(self):
         with pytest.raises(ParameterDomainError, match="s0 must be > 0 and finite, got nan"):

@@ -10,8 +10,6 @@ from randvol.parametrizations import (
     RandomizerSpec,
     SabrParams,
     SliceParams,
-    eval_vol,
-    eval_vol_curve,
     hagan_vol,
     params_from_json,
     params_to_json,
@@ -19,7 +17,7 @@ from randvol.parametrizations import (
 )
 from randvol.pricing import MarketContext, OptionKey
 from randvol.quadrature import DiscreteGiven, Gamma, LogNormal, SpotLogNormal, quadrature_for
-from randvol.randomization import _node_vols, _uniform_grid, implied_vol_grid, randomize
+from randvol.randomization import _node_vols, _uniform_grid, implied_vol_grid, randomize, randomized_prices
 
 CTX = MarketContext(s0=100.0, r=0.0)
 
@@ -54,35 +52,30 @@ class TestDomains:
             SliceParams(FlatParams(0.2), spot_rand)
 
 
-class TestEvalVol:
+class TestBaseVol:
     def test_flat_constant(self):
+        # a plain slice's vols are its one-node randomization's
         for key in (OptionKey(0.5, 80.0), OptionKey(2.0, 140.0)):
-            assert eval_vol(FlatParams(0.3), CTX, key) == 0.3
+            assert randomize(SliceParams(FlatParams(0.3)), CTX).implied_vol(key.expiry, key.strike) == 0.3
 
     def test_sabr_atm_no_volvol(self):
-        params = SabrParams(alpha=0.2, beta=1.0, rho=0.0, gamma=0.0)
-        assert eval_vol(params, CTX, OptionKey(1.0, 100.0)) == pytest.approx(0.2, rel=1e-14)
+        assert hagan_vol(100.0, 100.0, 1.0, 0.2, 1.0, 0.0, 0.0) == pytest.approx(0.2, rel=1e-14)
 
     def test_sabr_atm_time_correction(self):
         # at the forward with beta=1, rho=0 only the (2-3rho^2)/24 gamma^2 term survives
-        params = SabrParams(alpha=0.2, beta=1.0, rho=0.0, gamma=0.5)
         want = 0.2 * (1.0 + 2.0 / 24.0 * 0.25)
-        assert eval_vol(params, CTX, OptionKey(1.0, 100.0)) == pytest.approx(want, rel=1e-13)
+        assert hagan_vol(100.0, 100.0, 1.0, 0.2, 1.0, 0.0, 0.5) == pytest.approx(want, rel=1e-13)
 
     def test_alpha_scaling_lognormal_case(self):
         # with beta=1 and gamma=0 the value is exactly alpha
         for c in (0.5, 2.0, 3.7):
-            params = SabrParams(alpha=0.2 * c, beta=1.0, rho=0.3, gamma=0.0)
-            got = eval_vol(params, CTX, OptionKey(1.0, 83.0))
-            assert got == pytest.approx(0.2 * c, rel=1e-13)
+            assert hagan_vol(100.0, 83.0, 1.0, 0.2 * c, 1.0, 0.3, 0.0) == pytest.approx(0.2 * c, rel=1e-13)
 
     def test_continuity_across_forward(self):
-        ctx = MarketContext(s0=100.0, r=0.03)
-        params = SabrParams(alpha=0.3, beta=0.7, rho=-0.4, gamma=1.2)
-        fwd = ctx.forward(0.75)
-        center = eval_vol(params, ctx, OptionKey(0.75, fwd))
+        fwd = MarketContext(s0=100.0, r=0.03).forward(0.75)
+        center = hagan_vol(fwd, fwd, 0.75, 0.3, 0.7, -0.4, 1.2)
         for bump in (1 + 1e-8, 1 - 1e-8):
-            nearby = eval_vol(params, ctx, OptionKey(0.75, fwd * bump))
+            nearby = hagan_vol(fwd, fwd * bump, 0.75, 0.3, 0.7, -0.4, 1.2)
             assert abs(nearby - center) < 1e-6
 
     @pytest.mark.parametrize("base", [FlatParams(0.2), SabrParams(0.3, 0.9, -0.3, 0.4)], ids=["flat", "sabr"])
@@ -93,13 +86,12 @@ class TestEvalVol:
         (0.5, [math.nan], "strikes must be positive and finite, got nan"),
         (0.5, [[90.0, 110.0]], "strikes must be a scalar or a 1-d array"),
     ], ids=["negative-expiry", "nan-expiry", "negative-strike", "nan-strike", "2-d-strikes"])
-    def test_curve_checks_its_inputs_as_the_grid_does(self, base, expiry, strikes, message):
-        ctx = MarketContext(s0=100.0, r=0.02)
-        with pytest.raises(ValueError, match=message) as curve:
-            eval_vol_curve(base, ctx, expiry, strikes)
-        with pytest.raises(ValueError) as grid:
-            implied_vol_grid(randomize(SliceParams(base), ctx), expiry, strikes)
-        assert str(curve.value) == str(grid.value)
+    def test_plain_slice_checks_its_inputs(self, base, expiry, strikes, message):
+        # a plain slice's vols and prices come from its one-node randomization, which refuses what the grid refuses
+        rs = randomize(SliceParams(base), MarketContext(s0=100.0, r=0.02))
+        for grid in (implied_vol_grid, randomized_prices):
+            with pytest.raises(ValueError, match=message):
+                grid(rs, expiry, strikes)
 
     def test_series_matches_direct_near_cutover(self):
         # z/x(z) must agree across the series switch at |z| = 1e-6
@@ -164,7 +156,7 @@ class TestHaganParameterArrays:
                 assert got[:, rows == i].tobytes() == want.tobytes()
 
 
-class TestEvalVolAtNodes:
+class TestBaseVolAtNodes:
     def test_flat_sigma_identity(self):
         params = SliceParams(
             FlatParams(0.2),
@@ -178,9 +170,7 @@ class TestEvalVolAtNodes:
         rule = quadrature_for(rnd.dist, rnd.n_q)
         key = OptionKey(0.4, 92.0)
         got = node_vols(params, key)
-        want = [
-            eval_vol(SabrParams(0.25, 0.9, -0.135, g), CTX, key) for g in rule.nodes
-        ]
+        want = [hagan_vol(CTX.forward(key.expiry), key.strike, key.expiry, 0.25, 0.9, -0.135, g) for g in rule.nodes]
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
     def test_one_node_rule_mean(self):
@@ -188,7 +178,8 @@ class TestEvalVolAtNodes:
         params = SliceParams(SabrParams(0.25, 0.9, -0.135, 1.5), rnd)
         key = OptionKey(0.4, 105.0)
         got = node_vols(params, key)
-        assert got[0] == pytest.approx(eval_vol(SabrParams(0.25, 0.9, -0.135, 1.5), CTX, key), rel=1e-12)
+        want = hagan_vol(CTX.forward(key.expiry), key.strike, key.expiry, 0.25, 0.9, -0.135, 1.5)
+        assert got[0] == pytest.approx(want, rel=1e-12)
 
     def test_spot_target_repeats_base_vol(self):
         rnd = RandomizerSpec("spot", SpotLogNormal(100.0, 0.1), 2)

@@ -67,13 +67,20 @@ BAD_GRID_INPUT = [
     pytest.param(["density", "--expiry", "0.5", "--k-max", "inf"],
                  "--k-max must be positive and finite, got inf", id="density-infinite-k-max"),
     pytest.param(["density", "--expiry", "0.5", "--n-strikes", "-1"],
-                 "--n-strikes must be at least 1, got -1", id="density-negative-n-strikes"),
+                 "--n-strikes must be at least 50, got -1", id="density-negative-n-strikes"),
+    # density and check-arb take second differences: their grids need at least `arbitrage._MIN_GRID` strikes
+    pytest.param(["density", "--expiry", "0.5", "--n-strikes", "1"],
+                 "--n-strikes must be at least 50, got 1", id="density-one-n-strikes"),
+    pytest.param(["density", "--expiry", "0.5", "--n-strikes", "49"],
+                 "--n-strikes must be at least 50, got 49", id="density-coarse-n-strikes"),
     pytest.param(["check-arb", "--expiry", "0.5", "--grid-lo", "-1"],
                  "--grid-lo must be positive and finite, got -1.0", id="check-arb-negative-grid-lo"),
     pytest.param(["check-arb", "--expiry", "0.5", "--grid-hi", "nan"],
                  "--grid-hi must be positive and finite, got nan", id="check-arb-nan-grid-hi"),
     pytest.param(["check-arb", "--expiry", "0.5", "--grid-points", "-1"],
-                 "--grid-points must be at least 1, got -1", id="check-arb-negative-grid-points"),
+                 "--grid-points must be at least 50, got -1", id="check-arb-negative-grid-points"),
+    pytest.param(["check-arb", "--expiry", "0.5", "--grid-points", "10"],
+                 "--grid-points must be at least 50, got 10", id="check-arb-coarse-grid-points"),
     pytest.param(["iv", "--expiry", "0.5", "--k-min", "80", "--k-max", "120", "--n-strikes", "-3"],
                  "--n-strikes must be at least 1, got -3", id="iv-negative-n-strikes"),
     pytest.param(["iv", "--expiry", "0.5", "--k-min", "0", "--k-max", "120"],

@@ -11,7 +11,7 @@ from randvol.errors import (
 )
 from randvol.expansion import evaluate_polynomial, parameter_coefficients
 from randvol.parametrizations import (
-    FlatParams, RandomizerSpec, SabrParams, SliceColumns, SliceParams, eval_vol_curve, hagan_vol, slice_columns,
+    FlatParams, RandomizerSpec, SabrParams, SliceColumns, SliceParams, hagan_vol, slice_columns,
 )
 from randvol.pricing import (
     MarketContext, OptionKey, OptionType, bs_call_values, bs_price, expiry_terms, implied_vol_brent,
@@ -75,10 +75,11 @@ class TestRandomize:
         assert rs.rule.size == 1
         assert rs.target == target
         strikes = np.linspace(40.0, 250.0, 43)
-        np.testing.assert_array_equal(
-            implied_vol_grid(rs, 0.5, strikes, engine=engine),
-            eval_vol_curve(base, CTX, 0.5, strikes),
-        )
+        if target == "sigma":
+            want = np.full(strikes.shape, base.sigma)
+        else:
+            want = hagan_vol(CTX.forward(0.5), strikes, 0.5, base.alpha, base.beta, base.rho, base.gamma)
+        np.testing.assert_array_equal(implied_vol_grid(rs, 0.5, strikes, engine=engine), want)
 
 
 class TestNodeVols:
@@ -415,8 +416,7 @@ def pair_major_values(rs, expiry, strikes):
         vols = hagan_vol(rs.ctx.forward(expiry), strikes[:, None], tau, cols["alpha"], cols["beta"], cols["rho"],
                          rs.rule.nodes[None, :])
     else:
-        base = FlatParams(cols["sigma"])
-        vols = np.broadcast_to(eval_vol_curve(base, rs.ctx, expiry, strikes)[:, None], (strikes.size, n_q))
+        vols = np.broadcast_to(cols["sigma"], (strikes.size, n_q))
     spot = rs.rule.nodes[None, :] if rs.target == "spot" else rs.ctx.s0
     return bs_call_values(spot, *expiry_terms(rs.ctx, expiry)[1:4], strikes[:, None], vols)
 
@@ -717,19 +717,23 @@ class TestStackedGrid:
                            prices=True)
         assert seen == passes and [row.size for row in got] == counts
 
-    @pytest.mark.parametrize("prices,engine,lone_call", [
-        (False, "brent", "implied_vol_grid"),
-        (True, "expansion", "implied_vol_grid"),
-        (True, "brent", "randomized_prices"),
-    ])
-    def test_a_row_alone_is_its_lone_call(self, monkeypatch, prices, engine, lone_call):
-        calls, lone = [], getattr(randomization, lone_call)
-        monkeypatch.setattr(randomization, lone_call, lambda rs, expiry, strikes, *args: (
+    def test_a_row_alone_is_its_lone_call(self, monkeypatch):
+        calls, lone = [], randomization.implied_vol_grid
+        monkeypatch.setattr(randomization, "implied_vol_grid", lambda rs, expiry, strikes, *args: (
             calls.append(np.size(strikes)), lone(rs, expiry, strikes, *args))[1])
         rs = randomize(gamma_stack()[0], RATE_CTX)
         counts = [100, 5_000, 100, 100]  # passes [100], [5,000], [100, 100]
-        stacked_grid([rs] * 4, [0.5, 1.0, 1.5, 2.0], [np.linspace(80.0, 120.0, n) for n in counts], prices, engine)
+        stacked_grid([rs] * 4, [0.5, 1.0, 1.5, 2.0], [np.linspace(80.0, 120.0, n) for n in counts])
         assert calls == [100, 5_000]
+
+    @pytest.mark.parametrize("engine", ["brent", "expansion"])
+    def test_a_price_row_alone_takes_the_stacked_pass(self, monkeypatch, engine):
+        for name in ("randomized_prices", "implied_vol_grid"):
+            monkeypatch.setattr(randomization, name, lambda *args, name=name: pytest.fail(f"{name} was called"))
+        rs = randomize(gamma_stack()[0], RATE_CTX)
+        counts = [100, 5_000, 100, 100]  # passes [100], [5,000], [100, 100]
+        got = stacked_grid([rs] * 4, [0.5, 1.0, 1.5, 2.0], [np.linspace(80.0, 120.0, n) for n in counts], True, engine)
+        assert [row.size for row in got] == counts
 
     def test_slices_that_do_not_stack_take_a_pass_each(self, monkeypatch):
         seen, row_pass = [], randomization._row_pass
