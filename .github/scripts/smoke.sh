@@ -23,6 +23,11 @@ randvol density --spot 100 --rate 0.02 --params smoke.json --expiry 0.5 2> smoke
 awk -F'[= ]' '/^mass=/ { m = $4 / $6; ok = $2 - 1 <= 1e-3 && 1 - $2 <= 1e-3 && m - 1 <= 1e-3 && 1 - m <= 1e-3 }
   END { exit !ok }' smoke_density.err
 randvol check-arb --spot 100 --rate 0.02 --params smoke.json --expiry 0.5
+# plain Black-Scholes slices pass: a large vol at a short expiry, and a negative rate against the discounted bound
+echo '{"type": "flat", "sigma": 3.2}' > smoke_bs_vol.json
+randvol check-arb --spot 100 --rate 0.02 --params smoke_bs_vol.json --expiry 0.02
+echo '{"type": "flat", "sigma": 0.025}' > smoke_bs_rate.json
+randvol check-arb --spot 1 --rate -0.01 --params smoke_bs_rate.json --expiry 1
 # the 1-day W-shape spot-SABR slice: at the money the order-4 expansion prints the exact (Brent) vol within 1e-10
 echo '{"type": "sabr", "alpha": 0.3, "beta": 0.9, "rho": -0.2, "gamma": 2, "randomizer": {"target": "spot", "dist": {"family": "spot-lognormal", "nu": 0.03}, "n_q": 2}}' > smoke_wshape.json
 for engine in expansion:4 brent; do

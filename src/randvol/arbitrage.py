@@ -1,9 +1,9 @@
 """Static no-arbitrage checks and calendar-consistent surface interpolation.
 
 The checks are grid-based reports, not proofs: butterfly conditions
-(convexity, monotonicity, price bounds and the two limit conditions) are
-sampled on a strike grid, calendar consistency as monotonicity of total
-implied variance across adjacent slices.
+(convexity, monotonicity, discounted price bounds, far-strike limit) are
+sampled on a strike grid at the slice's expiry, calendar consistency as
+monotonicity of total implied variance across adjacent slices.
 """
 from __future__ import annotations
 
@@ -20,8 +20,6 @@ _BUTTERFLY_RTOL = 1e-10
 _CALENDAR_TOL = 1e-9
 _FAR_STRIKE_MULTIPLE = 10.0
 _FAR_PRICE_RTOL = 1e-4
-_INTRINSIC_DT = 1e-4
-_INTRINSIC_RTOL = 1e-2
 _MIN_GRID = 50
 
 
@@ -132,41 +130,31 @@ def check_butterfly(
     expiry: float,
     strike_grid,
     ctx: MarketContext,
-    check_intrinsic: bool = True,
 ) -> ArbReport:
     """Sample the butterfly conditions of a call pricing function at one expiry.
 
-    Flags convexity breaches (second-derivative estimate below -tol),
-    monotonicity breaches (price increasing in strike), bound breaches
-    ((s0 - K)+ <= V <= s0), the vanishing price at a far strike, and the
-    intrinsic limit as the expiry collapses onto the valuation date.
-    Spot-randomized surfaces converge to the node mixture of payoffs
-    rather than the point intrinsic as the expiry collapses, so callers
-    disable the intrinsic probe for them (``check_intrinsic=False``);
-    their no-arbitrage content is the per-expiry density, which the
-    other checks cover.
+    Prices the grid and the far strike in one call of ``price_fn`` and flags
+    convexity breaches (second-derivative estimate below -tol), monotonicity
+    breaches (price increasing in strike), bound breaches
+    ((s0 - K e^(-rT))+ <= V <= s0) and the vanishing price at the far strike.
     """
-    probes = butterfly_probes(expiry, strike_grid, ctx, check_intrinsic)
-    return butterfly_report(probes, [price_fn(t, strikes) for t, strikes in probes], ctx)
+    strikes = butterfly_strikes(expiry, strike_grid, ctx)
+    return butterfly_report(expiry, strikes, price_fn(expiry, strikes), ctx)
 
 
-def butterfly_probes(expiry: float, strike_grid, ctx: MarketContext,
-                     check_intrinsic: bool = True) -> list[tuple[float, np.ndarray]]:
-    """The (expiry, strikes) requests whose call prices a butterfly check reads: the checked grid at
-    ``expiry``, the far strike, then, with the intrinsic probe, the grid just after the valuation date."""
+def butterfly_strikes(expiry: float, strike_grid, ctx: MarketContext) -> np.ndarray:
+    """The strikes whose call prices a butterfly check at ``expiry`` reads: the checked grid, then the far strike."""
     grid = _checked_grid(strike_grid, "butterfly")
-    probes = [(expiry, grid), (expiry, np.array([_FAR_STRIKE_MULTIPLE * ctx.forward(expiry)]))]
-    if check_intrinsic:
-        probes.append((_INTRINSIC_DT, grid))
-    return probes
+    return np.append(grid, _FAR_STRIKE_MULTIPLE * ctx.forward(expiry))
 
 
-def butterfly_report(probes: list, values: list, ctx: MarketContext) -> ArbReport:
-    """The butterfly conditions at `butterfly_probes`' requests, from their call prices ``values``."""
-    expiry, grid = probes[0]
+def butterfly_report(expiry: float, strikes: np.ndarray, prices, ctx: MarketContext) -> ArbReport:
+    """The butterfly conditions at ``expiry`` from the call ``prices`` on `butterfly_strikes`' ``strikes``."""
+    grid, far_strike = strikes[:-1], float(strikes[-1])
+    prices = np.asarray(prices, dtype=float)
+    prices, far_price = prices[:-1], float(prices[-1])
     tol = _BUTTERFLY_RTOL * ctx.s0
     report = ArbReport()
-    prices = np.asarray(values[0], dtype=float)
 
     second = _second_difference(grid, prices)
     for idx in np.nonzero(second < -tol)[0]:
@@ -180,24 +168,14 @@ def butterfly_report(probes: list, values: list, ctx: MarketContext) -> ArbRepor
             ButterflyViolation(expiry, float(grid[idx + 1]), float(first[idx]))
         )
 
-    intrinsic = np.maximum(ctx.s0 - grid, 0.0)
-    for idx in np.nonzero(prices < intrinsic - tol)[0]:
+    lower = np.maximum(ctx.s0 - grid * math.exp(-ctx.r * expiry), 0.0)
+    for idx in np.nonzero(prices < lower - tol)[0]:
         report.bound_violations.append(BoundViolation(expiry, float(grid[idx]), "below_intrinsic"))
     for idx in np.nonzero(prices > ctx.s0 + tol)[0]:
         report.bound_violations.append(BoundViolation(expiry, float(grid[idx]), "above_spot"))
 
-    far_strike = float(probes[1][1][0])
-    far_price = float(np.asarray(values[1])[0])
     if far_price >= _FAR_PRICE_RTOL * ctx.s0:
         report.bound_violations.append(BoundViolation(expiry, far_strike, "far_strike_limit"))
-    if len(probes) > 2:
-        near_expiry = probes[2][0]
-        near_prices = np.asarray(values[2], dtype=float)
-        gap = np.max(np.abs(near_prices - np.maximum(ctx.s0 - grid, 0.0)))
-        if gap >= _INTRINSIC_RTOL * ctx.s0:
-            report.bound_violations.append(
-                BoundViolation(near_expiry, float("nan"), "intrinsic_limit")
-            )
     return report
 
 

@@ -15,8 +15,8 @@ import numpy as np
 # check_butterfly, check_calendar, implied_vol_grid and randomized_prices stay names here: the benchmark's tracer
 # wraps them in this module and does not install without them
 from .arbitrage import (
-    _MIN_GRID, SliceSet, butterfly_probes, butterfly_report, calendar_report, check_butterfly, check_calendar,
-    default_strike_grid, interp_total_variance,
+    _MIN_GRID, ArbReport, SliceSet, butterfly_report, butterfly_strikes, calendar_report, check_butterfly,
+    check_calendar, default_strike_grid, interp_total_variance,
 )
 from .calibration import fit_slice, fit_surface  # fit_slice stays a name here: the benchmark's tracer wraps it
 from .errors import CalibrationError, RandvolError
@@ -235,6 +235,9 @@ def _cmd_density(args) -> int:
     curve.to_csv(buffer)
     _emit(buffer.getvalue(), args.out)
     print(f"mass={curve.mass:.6f} mean={curve.mean:.6f} forward={fwd:.6f}", file=sys.stderr)
+    if not curve.mass > 0:
+        print(f"warning: the density grid [{k_lo:.6g}, {k_hi:.6g}] holds mass {curve.mass:.6g}; widen --k-min/--k-max",
+              file=sys.stderr)
     return 0
 
 
@@ -250,15 +253,13 @@ def _cmd_check_arb(args) -> int:
         raise ValueError("--expiry applies to a single-slice params file, not to a {'slices': [...]} file")
     surfaces = SliceSet(tuple((expiry, randomize(params, ctx)) for expiry, params in loaded))
 
-    # every slice's butterfly probes in one stacked price call, the calendar's vols in one exact vol call
-    probes = [butterfly_probes(t, default_strike_grid(ctx, t, args.grid_points, args.grid_lo, args.grid_hi), ctx,
-                               check_intrinsic=rs.target != "spot") for t, rs in surfaces.slices]
-    rows = [(rs, t, strikes) for (_, rs), asked in zip(surfaces.slices, probes) for t, strikes in asked]
-    prices = iter(stacked_grid(*zip(*rows), prices=True))
-    report = None
-    for asked in probes:
-        fragment = butterfly_report(asked, [next(prices) for _ in asked], ctx)
-        report = fragment if report is None else report.merge(fragment)
+    # every slice's butterfly row in one stacked price call, the calendar's vols in one exact vol call
+    strikes = [butterfly_strikes(t, default_strike_grid(ctx, t, args.grid_points, args.grid_lo, args.grid_hi), ctx)
+               for t in surfaces.expiries]
+    prices = stacked_grid([rs for _, rs in surfaces.slices], surfaces.expiries, strikes, prices=True)
+    report = ArbReport()
+    for t, row, values in zip(surfaces.expiries, strikes, prices):
+        report = report.merge(butterfly_report(t, row, values, ctx))
     if len(surfaces.slices) >= 2:
         shared = default_strike_grid(ctx, surfaces.expiries[0], 51, 0.7, 1.4)
         vols = stacked_grid([rs for _, rs in surfaces.slices], surfaces.expiries, [shared] * len(surfaces.slices))

@@ -435,14 +435,15 @@ def density(rs: RandomizedSlice, expiry: float, grid) -> DensityCurve:
 
     Uses the grid-native non-uniform three-point stencil; the grid should
     be wide enough (roughly [0.3 F, 3 F] or more) for the mass and mean
-    diagnostics to be meaningful.
+    diagnostics to be meaningful.  A grid that holds no positive mass gets
+    a NaN mean.
     """
     grid = _checked_grid(grid, "density")
     prices = randomized_prices(rs, expiry, grid)
     values = math.exp(rs.ctx.r * expiry) * _second_difference(grid, prices)
     strikes = grid[1:-1]
     mass = float(np.trapezoid(values, strikes))
-    mean = float(np.trapezoid(strikes * values, strikes) / mass)
+    mean = float(np.trapezoid(strikes * values, strikes) / mass) if mass > 0 else math.nan
     return DensityCurve(strikes=strikes, values=values, mass=mass, mean=mean)
 
 

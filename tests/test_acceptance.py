@@ -90,14 +90,11 @@ def test_criterion_02_arbitrage_free_mixing():
         rs, expiry = random_slice(rng, kinds[i % 3])
         ctx = rs.ctx
         grid = default_strike_grid(ctx, expiry, n=201)
-        # spot-randomized surfaces converge to the node-mixture payoff as
-        # T -> 0, so the point-intrinsic probe does not apply to them
         report = check_butterfly(
             lambda t, ks: randomized_prices(rs, t, ks),
             expiry,
             grid,
             ctx,
-            check_intrinsic=rs.target != "spot",
         )
         assert report.passed, f"slice {i}: {report.to_json()}"
         wide = default_strike_grid(ctx, expiry, n=4001, lo=0.02, hi=20.0)

@@ -86,6 +86,35 @@ class TestButterfly:
         with pytest.raises(ValueError, match="coarse"):
             check_butterfly(bs_price_fn(0.2), 1.0, np.linspace(80, 120, 30), CTX)
 
+    def test_one_price_call_holding_grid_and_far_strike(self):
+        calls = []
+
+        def price(expiry, strikes):
+            calls.append((expiry, strikes))
+            return bs_price_fn(0.25)(expiry, strikes)
+
+        grid = default_strike_grid(CTX, 0.5)
+        assert check_butterfly(price, 0.5, grid, CTX).passed
+        assert len(calls) == 1 and calls[0][0] == 0.5
+        np.testing.assert_array_equal(calls[0][1], np.append(grid, 10.0 * CTX.forward(0.5)))
+
+    def test_negative_rate_black_scholes_slice_passes(self):
+        # a call's lower bound is s0 - K e^(-rT), above s0 - K when r < 0
+        ctx = MarketContext(s0=1.0, r=-0.01)
+        rs = randomize(SliceParams(FlatParams(0.025)), ctx)
+        report = check_butterfly(lambda t, ks: randomized_prices(rs, t, ks), 1.0,
+                                 default_strike_grid(ctx, 1.0), ctx)
+        assert report.passed, report.to_json()
+
+    def test_price_below_discounted_bound_flagged(self):
+        # above max(s0 - K, 0) but below max(s0 - K e^(-rT), 0) for every strike below the forward
+        ctx = MarketContext(s0=100.0, r=0.05)
+        grid = default_strike_grid(ctx, 1.0)
+        report = check_butterfly(lambda t, ks: np.maximum(ctx.s0 - ks, 0.0) + 1e-6 * ctx.s0, 1.0, grid, ctx)
+        flagged = [v.strike for v in report.bound_violations if v.side == "below_intrinsic"]
+        assert len(flagged) == 105
+        assert flagged == grid[grid < ctx.forward(1.0)].tolist()
+
 
 class TestCalendar:
     def test_equal_flat_slices_pass(self):

@@ -3,6 +3,7 @@ import datetime as dt
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ import pytest
 from conftest import reference_slice, time_brent, time_expansion
 from randvol.arbitrage import SliceSet, check_butterfly, check_calendar, default_strike_grid
 from randvol.calibration import FitConfig
+from randvol import cli
 from randvol.cli import _build_parser, main
 from randvol.errors import QuoteFormatError
 from randvol.parametrizations import params_from_json
 from randvol.pricing import MarketContext, OptionKey, OptionType, bs_price
 from randvol.quotes import MarketConfig, load_quotes, parse_config, year_fraction
-from randvol.randomization import implied_vol_grid, randomize, randomized_prices
+from randvol.randomization import implied_vol_grid, randomize, randomized_prices, stacked_grid
 
 MARKET = MarketConfig(spot=5522.3, rate=0.053, trade_date=dt.date(2024, 7, 31))
 
@@ -446,6 +448,53 @@ class TestCli:
         assert "mass=" in err and "mean=" in err
         assert out.read_text().splitlines()[0] == "strike,density"
 
+    def test_density_grid_without_mass_warns(self, tmp_path, capsys):
+        # the default grid, 0.3-3 F, holds none of this slice's mass
+        path = tmp_path / "sabr.json"
+        path.write_text(json.dumps({
+            "type": "sabr", "alpha": 1000, "beta": 0.5, "rho": -0.99, "gamma": 0.1,
+            "randomizer": {"target": "gamma", "dist": {"family": "gamma", "k": 30, "theta": 0.00333}, "n_q": 4},
+        }), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["density", "--spot", "100", "--rate", "0.02", "--params", str(path), "--expiry", "30",
+                       "--out", str(tmp_path / "d.csv")])
+        assert rc == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "mass=0.000000 mean=nan forward=182.211880",
+            "warning: the density grid [54.6636, 546.636] holds mass 0; widen --k-min/--k-max",
+        ]
+
+    @pytest.mark.parametrize("spot,rate,expiry,sigma", [("100", "0.02", "0.02", 3.2), ("1", "-0.01", "1", 0.025)],
+                             ids=["large-vol", "negative-rate"])
+    def test_check_arb_black_scholes_slice_exit_zero(self, tmp_path, capsys, spot, rate, expiry, sigma):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"type": "flat", "sigma": sigma}), encoding="utf-8")
+        rc = main(["check-arb", "--spot", spot, "--rate", rate, "--params", str(path), "--expiry", expiry])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "passed": True, "butterfly_violations": [], "calendar_violations": [], "bound_violations": []}
+
+    def test_check_arb_prices_one_stacked_row_per_slice(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def recording(slices, expiries, strikes, **kwargs):
+            calls.append((kwargs.get("prices", False), list(expiries), strikes))
+            return stacked_grid(slices, expiries, strikes, **kwargs)
+
+        monkeypatch.setattr(cli, "stacked_grid", recording)
+        spot = {**FLAT, "randomizer": {"target": "spot", "dist": {"family": "spot-lognormal", "nu": 0.05}, "n_q": 3}}
+        rows = [(0.25, SIGMA_LN), (0.5, spot), (1.0, FLAT)]
+        path = tmp_path / "slices.json"
+        path.write_text(json.dumps({"slices": [{"expiry": t, "params": p} for t, p in rows]}), encoding="utf-8")
+        assert main(["check-arb", "--spot", "100", "--rate", "0.02", "--params", str(path),
+                     "--grid-points", "60"]) == 0
+        (_, expiries, strikes), = [call for call in calls if call[0]]
+        ctx = MarketContext(s0=100.0, r=0.02)
+        assert expiries == [0.25, 0.5, 1.0]
+        for t, row in zip(expiries, strikes):
+            np.testing.assert_array_equal(row, np.append(default_strike_grid(ctx, t, 60), 10.0 * ctx.forward(t)))
+
     def test_check_arb_clean_exit_zero(self, sigma_params_file, capsys):
         rc = main([
             "check-arb", "--spot", "100", "--rate", "0.02",
@@ -537,8 +586,7 @@ class TestCli:
         expected = check_calendar(surfaces, default_strike_grid(ctx, 0.25, 51, 0.7, 1.4))
         for t, rs in reversed(surfaces.slices):
             expected = check_butterfly(lambda t, ks, rs=rs: randomized_prices(rs, t, ks), t,
-                                       default_strike_grid(ctx, t), ctx, check_intrinsic=rs.target != "spot"
-                                       ).merge(expected)
+                                       default_strike_grid(ctx, t), ctx).merge(expected)
         assert rc == (1 if violating else 0) and expected.passed is not violating
         if violating:
             assert expected.butterfly_violations and expected.calendar_violations
