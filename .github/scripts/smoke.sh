@@ -22,6 +22,11 @@ randvol density --spot 100 --rate 0.02 --params smoke.json --expiry 0.5 2> smoke
 # its stderr line: the density's mass within 1e-3 of 1, and its mean within 1e-3 of the forward, relative
 awk -F'[= ]' '/^mass=/ { m = $4 / $6; ok = $2 - 1 <= 1e-3 && 1 - $2 <= 1e-3 && m - 1 <= 1e-3 && 1 - m <= 1e-3 }
   END { exit !ok }' smoke_density.err
+test "$(wc -l < smoke_density.err)" -eq 1
+# a grid that holds only a sliver of the density's mass (flat sigma = 5 at 10y): a warning line, and exit 0
+echo '{"type": "flat", "sigma": 5}' > smoke_density_wide.json
+randvol density --spot 100 --rate 0.02 --params smoke_density_wide.json --expiry 10 > /dev/null 2> smoke_density.err
+grep -q '^warning: ' smoke_density.err
 randvol check-arb --spot 100 --rate 0.02 --params smoke.json --expiry 0.5
 # plain Black-Scholes slices pass: a large vol at a short expiry, and a negative rate against the discounted bound
 echo '{"type": "flat", "sigma": 3.2}' > smoke_bs_vol.json
@@ -36,6 +41,15 @@ for engine in expansion:4 brent; do
 done
 awk -F, 'FNR > 1 && $2 == 100 { v[++n] = $3 } END { d = v[1] - v[2]; exit !(n == 2 && d <= 1e-10 && -d <= 1e-10) }' \
   smoke_wshape_expansion.csv smoke_wshape_brent.csv
+# the sigma-lognormal slice at 0.05y: the guard escalates K = 55 and 60, whose mixture prices have no implied vol;
+# `price` on the expansion prints those prices as they are, the `brent` job's bytes, and exits 0
+echo '{"type": "flat", "sigma": 0.2, "randomizer": {"target": "sigma", "dist": {"family": "lognormal", "mu": -1.6294379124341003, "nu": 0.2}, "n_q": 4}}' > smoke_mixture.json
+for engine in expansion:6 brent; do
+  randvol price --spot 100 --rate 0.02 --params smoke_mixture.json --expiry 0.05 --strikes 55,60,100 \
+    --engine "$engine" > "smoke_mixture_${engine%%:*}.csv"
+done
+grep -qx '0.05,55,45.0549725092' smoke_mixture_expansion.csv
+cmp smoke_mixture_expansion.csv smoke_mixture_brent.csv
 # a params file of the wrong JSON shape, and --expiry with a two-slice file, each refused (exit 2)
 echo '[1,2]' > smoke_bad.json
 rc=0; randvol iv --spot 100 --params smoke_bad.json --expiry 1 --strikes 90,100 || rc=$?; test "$rc" -eq 2

@@ -147,7 +147,10 @@ def _resolve_points(args) -> list[tuple[float, np.ndarray]]:
     if args.expiry is None:
         raise ValueError("provide --points or --expiry with strike flags")
     if args.strikes:
-        strikes = np.array([float(s) for s in args.strikes.split(",")])
+        try:
+            strikes = np.array([float(s) for s in args.strikes.split(",")])
+        except ValueError:
+            raise ValueError(f"--strikes must be comma-separated numbers, got {args.strikes!r}") from None
     elif args.k_min is not None and args.k_max is not None:
         _check_grid_flags(args, "--k-min", "--k-max")
         strikes = np.linspace(args.k_min, args.k_max, args.n_strikes)
@@ -157,13 +160,15 @@ def _resolve_points(args) -> list[tuple[float, np.ndarray]]:
 
 
 def _check_grid_flags(args, *flags: str) -> None:
-    """Refuse a given grid-bound flag that is not positive and finite, and a grid size (--n-strikes or --grid-points)
-    below 1, or, for the second differences of `density` and `check-arb`, below the strike grids' floor."""
-    for flag in flags:
-        value = getattr(args, flag[2:].replace("-", "_"))
+    """Refuse a given grid-bound flag that is not positive and finite, or for `density` and `check-arb` out of order,
+    and a grid size (--n-strikes or --grid-points) below 1, or, for their second differences, below the grids' floor."""
+    bounds = [getattr(args, flag[2:].replace("-", "_")) for flag in flags]
+    for flag, value in zip(flags, bounds):
         if value is not None and not (value > 0 and math.isfinite(value)):
             raise ValueError(f"{flag} must be positive and finite, got {value}")
     floor = 1 if args.command in ("iv", "price") else _MIN_GRID
+    if floor > 1 and None not in bounds and not bounds[0] < bounds[1]:  # their grids must increase
+        raise ValueError(f"{flags[0]} must be less than {flags[1]}, got {bounds[0]} and {bounds[1]}")
     for flag in ("--n-strikes", "--grid-points"):
         if (size := getattr(args, flag[2:].replace("-", "_"), floor)) < floor:
             raise ValueError(f"{flag} must be at least {floor}, got {size}")
@@ -235,7 +240,7 @@ def _cmd_density(args) -> int:
     curve.to_csv(buffer)
     _emit(buffer.getvalue(), args.out)
     print(f"mass={curve.mass:.6f} mean={curve.mean:.6f} forward={fwd:.6f}", file=sys.stderr)
-    if not curve.mass > 0:
+    if not abs(curve.mass - 1.0) <= 1e-3:  # a NaN mass too
         print(f"warning: the density grid [{k_lo:.6g}, {k_hi:.6g}] holds mass {curve.mass:.6g}; widen --k-min/--k-max",
               file=sys.stderr)
     return 0

@@ -240,11 +240,11 @@ def implied_vol_grid(rs: RandomizedSlice, expiry: float, strikes, engine: str = 
     rule prices a single Black-Scholes value, whose implied vol is the
     node vol itself; it is returned exactly on every engine.  Otherwise
     points outside the expansion validity region (|m| > DEFAULT_M_MAX or a
-    nonpositive polynomial value) escalate to the exact inversion, and
-    the escalation is logged as a warning.
+    nonpositive polynomial value) escalate to the exact inversion of
+    their mixture price, and the escalation is logged as a warning.
     """
     method, order = parse_engine(engine)
-    vols = _grid_vols(rs, _uniform_grid(rs, expiry, strikes), method, order)
+    vols = _grid_values(rs, _uniform_grid(rs, expiry, strikes), False, method, order)
     return vols.reshape(rs.batch_shape + (-1,))
 
 
@@ -252,13 +252,13 @@ def implied_vol_grid(rs: RandomizedSlice, expiry: float, strikes, engine: str = 
 def implied_vol_stack(cols: SliceColumns, ctx: MarketContext, expiries, strikes, engine: str = "brent",
                       prices: bool = False) -> tuple[np.ndarray, RowFailures]:
     """Implied vols of a stack of slices, each row at its own expiry on its own strikes (one of each per row), or
-    with ``prices`` their call prices, as `stacked_grid` gives them: on 'brent' the mixture's, never inverted.
+    with ``prices`` their call prices, as `stacked_grid` gives them: a price pass never inverts.
 
     Returns the rows' values one after another in one flat array, and the record of the rows that failed a
-    check: their values are NaN, and every other row is bit for bit its lone `implied_vol_grid` (or
-    `randomized_prices`).  The stack is evaluated in one pass, each row on its own rule, and every check, a refused
-    inversion's included, marks a row instead of raising; a marked row still goes through the pass and is set to
-    NaN at the end.  Escalations log at debug level.  Numpy's floating-point warnings are silenced here: a row
+    check: their values are NaN, and every other row is bit for bit its lone `implied_vol_grid` (or, for prices,
+    its lone `stacked_grid` row).  The stack is evaluated in one pass, each row on its own rule, and every check, a
+    refused inversion's included, marks a row instead of raising; a marked row still goes through the pass and is
+    set to NaN at the end.  Escalations log at debug level.  Numpy's floating-point warnings are silenced here: a row
     they would concern reads NaN, or reads as it is.
     """
     method, order = parse_engine(engine)
@@ -276,11 +276,12 @@ def implied_vol_stack(cols: SliceColumns, ctx: MarketContext, expiries, strikes,
 
 
 def stacked_grid(slices, expiries, strikes, prices: bool = False, engine: str = "brent") -> list[np.ndarray]:
-    """Row i's implied vols on ``engine``, or with ``prices`` its call prices (the mixture's on 'brent', its vols'
-    Black-Scholes prices on 'expansion:N'), of the lone randomized ``slices[i]`` at ``expiries[i]`` on
-    ``strikes[i]``, bit for bit the row's lone call.  Rows whose slices share context, target, family, n_q, rule
-    size and columns stack, as in `implied_vol_stack`; a stack's rows, in order, share passes of at most `_PASS_PAIRS`
-    pairs, and a larger row takes a pass of its own.  Every grid is checked first.
+    """Row i's implied vols on ``engine``, or with ``prices`` its call prices, of the lone randomized ``slices[i]``
+    at ``expiries[i]`` on ``strikes[i]``, bit for bit the row alone (its vols are its lone `implied_vol_grid`).  A
+    price is never inverted: on 'brent', and where the 'expansion:N' guard escalates, it is the mixture's, else its
+    vol's Black-Scholes price.  Rows whose slices share context, target, family, n_q, rule size and columns stack,
+    as in `implied_vol_stack`; a stack's rows, in order, share passes of at most `_PASS_PAIRS` pairs, and a larger
+    row takes a pass of its own.  Every grid is checked first.
     """
     stacks, passes, size = {}, [], 0
     for i, rs in enumerate(slices):
@@ -320,43 +321,36 @@ def _row_pass(slices: list, expiry: float, grid: _Grid, prices: bool, engine: st
 
 def _grid_values(rs: RandomizedSlice, grid: _Grid, prices: bool, method: str, order: Optional[int],
                  failures: Optional[RowFailures] = None) -> np.ndarray:
-    """The vols at a grid's pairs, or with ``prices`` the call prices: on 'brent' the mixture's, on 'expansion:N'
-    its vols' Black-Scholes prices.  A row failing a check raises, or, given ``failures``, is marked there."""
-    if prices and method == "brent":
-        return _prices(rs, grid, _node_vols(rs, grid, failures))
-    vols = _grid_vols(rs, grid, method, order, failures)
-    terms = (grid.by_pair(t) for t in (grid.r_tau, grid.df, grid.sqrt_tau))
-    return bs_call_values(rs.ctx.s0, *terms, grid.strikes, vols) if prices else vols
-
-
-def _grid_vols(rs: RandomizedSlice, grid: _Grid, method: str, order: Optional[int],
-               failures: Optional[RowFailures] = None) -> np.ndarray:
-    """Implied vols at a grid's pairs; a row failing a check raises, or, given ``failures``, is marked there.
-    An escalation to the exact inversion logs a warning, or, where rows are marked (the calibrator's stack, whose
-    exploratory points trip the guard routinely), at debug level."""
+    """The vols at a grid's pairs, or with ``prices`` the call prices; a row failing a check raises, or, given
+    ``failures``, is marked there.  A price on 'brent', or at a pair the 'expansion:N' guard escalates, is the
+    mixture's, and only a vol pass inverts it; any other 'expansion:N' price is its polynomial vol's Black-Scholes
+    price.  An escalation logs a warning, or, where rows are marked (the calibrator's stack, whose exploratory
+    points trip the guard routinely), at debug level."""
     vols = _node_vols(rs, grid, failures)
+    if method == "brent" and (prices or rs.rule.size > 1):
+        mixture = _prices(rs, grid, vols)
+        return mixture if prices else _invert(grid, None, mixture, failures)
     if method == "expansion":  # a one-node rule refuses an order its kind lacks, as any rule does
         order = expansion.expansion_order(rs.expansion_kind, order)
     if rs.rule.size == 1:
-        return vols[0].copy()
-    if method == "brent":
-        return _invert(grid, None, _prices(rs, grid, vols), failures)
-
-    m = np.log(rs.ctx.s0 / grid.strikes) + grid.by_pair(grid.r_tau)
-    values = expansion.evaluate_polynomial(rs.expansion_kind, _coefficients(rs, grid, vols, failures), m, order)
-    escalate = (np.abs(m) > DEFAULT_M_MAX) | (values <= 0.0)
-    if failures is not None and failures.any:  # a failed row takes no inversion
-        escalate &= ~np.repeat(failures.bad, grid.counts)
+        values, escalate = vols[0].copy(), False
+    else:
+        m = np.log(rs.ctx.s0 / grid.strikes) + grid.by_pair(grid.r_tau)
+        values = expansion.evaluate_polynomial(rs.expansion_kind, _coefficients(rs, grid, vols, failures), m, order)
+        escalate = (np.abs(m) > DEFAULT_M_MAX) | (values <= 0.0)
+        if failures is not None and failures.any:  # a failed row escalates nothing
+            escalate &= ~np.repeat(failures.bad, grid.counts)
+    if prices:  # an escalated pair's price is replaced below
+        terms = (grid.by_pair(t) for t in (grid.r_tau, grid.df, grid.sqrt_tau))
+        values = bs_call_values(rs.ctx.s0, *terms, grid.strikes, values)
     if np.any(escalate):
-        logger.log(
-            logging.WARNING if failures is None else logging.DEBUG,
-            "expansion guard tripped at %d of %d grid points; falling back to the exact inversion",
-            int(escalate.sum()),
-            values.size,
-        )
+        logger.log(logging.WARNING if failures is None else logging.DEBUG,
+                   "expansion guard tripped at %d of %d grid points; falling back to the %s", int(escalate.sum()),
+                   values.size, "mixture price" if prices else "exact inversion")
         # each slice prices its own escalated strikes, as a lone slice would; one inversion for all
         sel = np.flatnonzero(escalate)
-        values[sel] = _invert(grid, sel, _prices(rs, grid, vols, sel), failures)
+        mixture = _prices(rs, grid, vols, sel)
+        values[sel] = mixture if prices else _invert(grid, sel, mixture, failures)
     return values
 
 

@@ -57,6 +57,16 @@ def write(path, text: str, newline: str = "\n"):
     return path
 
 
+def sigma_lognormal_file(tmp_path):
+    """The sigma/lognormal slice of mean vol 0.2 and nu 0.2 on 4 nodes, as a params file."""
+    nu = 0.2
+    params = tmp_path / "flat.json"
+    params.write_text(json.dumps({"type": "flat", "sigma": 0.2, "randomizer": {
+        "target": "sigma", "dist": {"family": "lognormal", "mu": math.log(0.2) - 0.5 * nu**2, "nu": nu},
+        "n_q": 4}}), encoding="utf-8")
+    return params
+
+
 @pytest.fixture
 def params_file(tmp_path):
     path = tmp_path / "params.json"
@@ -242,15 +252,11 @@ class TestRowWriter:
             expected += fstring_rows(t, ks, values)
         assert capsys.readouterr().out == expected
 
-    # `price` on brent takes the mixture prices as they are: nothing is inverted
-    @pytest.mark.parametrize("command, engine", [("iv", "brent"), ("iv", "expansion:6"), ("price", "expansion:6")])
+    # a price pass takes the mixture prices as they are: nothing is inverted
+    @pytest.mark.parametrize("command, engine", [("iv", "brent"), ("iv", "expansion:6")])
     def test_a_failing_expiry_fails_the_job_as_its_lone_run_does(self, tmp_path, capsys, command, engine):
         # at 0.05y the sigma/lognormal slice prices deep in-the-money strikes on their intrinsic value: no vol exists
-        nu = 0.2
-        params = tmp_path / "flat.json"
-        params.write_text(json.dumps({"type": "flat", "sigma": 0.2, "randomizer": {
-            "target": "sigma", "dist": {"family": "lognormal", "mu": math.log(0.2) - 0.5 * nu**2, "nu": nu},
-            "n_q": 4}}), encoding="utf-8")
+        params = sigma_lognormal_file(tmp_path)
         strikes = np.exp(np.linspace(math.log(50.0), math.log(200.0), 40))
         points = write(tmp_path / "points.csv",
                        "".join(f"{t:.10g},{k:.17g}\n" for t in (1.0, 0.05, 0.5) for k in strikes))
@@ -261,6 +267,32 @@ class TestRowWriter:
         captured = capsys.readouterr()
         assert lone.err.startswith("error: no implied volatility exists") and lone.err.count("\n") == 1
         assert captured.out == "" and captured.err == lone.err
+
+    def test_an_escalated_price_is_the_mixture_price(self, tmp_path, capsys, caplog):
+        # the guard escalates K = 55 and 60, whose mixture prices have no vol: `price` prints them as `brent` does
+        args = [*MARKET_ARGS, "--params", str(sigma_lognormal_file(tmp_path)), "--expiry", "0.05",
+                "--strikes", "55,60,100"]
+        assert main(["price", *args, "--engine", "expansion:6"]) == 0
+        expansion = capsys.readouterr().out
+        assert "expansion guard tripped at 2 of 3 grid points; falling back to the mixture price" in caplog.text
+        assert main(["price", *args, "--engine", "brent"]) == 0
+        assert expansion == capsys.readouterr().out == (
+            "expiry,strike,price\n0.05,55,45.0549725092\n0.05,60,40.05997001\n0.05,100,1.83350381931\n")
+        assert main(["iv", *args, "--engine", "expansion:6"]) == 2  # `iv` still inverts, and K = 55 has no vol
+        assert capsys.readouterr().err.startswith("error: no implied volatility exists")
+
+    def test_a_price_the_guard_keeps_is_its_vol_black_scholes_price(self, tmp_path, capsys, caplog):
+        params = sigma_lognormal_file(tmp_path)
+        strikes = np.array([80.0, 90.0, 100.0, 110.0, 125.0])
+        assert main(["price", *MARKET_ARGS, "--params", str(params), "--expiry", "0.05",
+                     "--strikes", "80,90,100,110,125", "--engine", "expansion:6"]) == 0
+        assert "guard" not in caplog.text
+        rs = randomize(params_from_json(json.loads(params.read_text()), spot=SPOT), MarketContext(s0=SPOT, r=RATE))
+        vols = implied_vol_grid(rs, 0.05, strikes, engine="expansion:6")
+        assert capsys.readouterr().out == "expiry,strike,price\n" + fstring_rows(
+            0.05, strikes, bs_call_values(SPOT, *expiry_terms(rs.ctx, 0.05)[1:4], strikes, vols)) == (
+            "expiry,strike,price\n0.05,80,20.0828814016\n0.05,90,10.1140546748\n0.05,100,1.83350381931\n"
+            "0.05,110,0.0473895377357\n0.05,125,0.00327923218618\n")
 
     def test_fit_residual_file(self, tmp_path, capsys):
         quotes = write(tmp_path / "q.csv", "expiry_date,strike,type,iv,open_interest\n" + "".join(

@@ -89,6 +89,14 @@ BAD_GRID_INPUT = [
                  "--k-min must be positive and finite, got 0.0", id="iv-zero-k-min"),
     pytest.param(["price", "--expiry", "0.5", "--k-min", "80", "--k-max", "120", "--n-strikes", "0"],
                  "--n-strikes must be at least 1, got 0", id="price-zero-n-strikes"),
+    pytest.param(["iv", "--expiry", "0.5", "--strikes", "abc"],
+                 "--strikes must be comma-separated numbers, got 'abc'", id="iv-text-strikes"),
+    pytest.param(["iv", "--expiry", "0.5", "--strikes", "100,,110"],
+                 "--strikes must be comma-separated numbers, got '100,,110'", id="iv-empty-strike"),
+    pytest.param(["check-arb", "--expiry", "0.5", "--grid-lo", "3", "--grid-hi", "0.3"],
+                 "--grid-lo must be less than --grid-hi, got 3.0 and 0.3", id="check-arb-reversed-grid"),
+    pytest.param(["density", "--expiry", "0.5", "--k-min", "300", "--k-max", "30"],
+                 "--k-min must be less than --k-max, got 300.0 and 30.0", id="density-reversed-grid"),
 ]
 # a slice with a parameter the model squares as a Python float, too large for its square to be finite
 SQUARE_OVERFLOW = [
@@ -464,6 +472,20 @@ class TestCli:
             "mass=0.000000 mean=nan forward=182.211880",
             "warning: the density grid [54.6636, 546.636] holds mass 0; widen --k-min/--k-max",
         ]
+
+    @pytest.mark.parametrize("sigma,expiry,lines", [
+        (5.0, "10", ["mass=0.000000 mean=233.868228 forward=122.140276",
+                     "warning: the density grid [36.6421, 366.421] holds mass 2.47365e-13; widen --k-min/--k-max"]),
+        (0.2, "0.5", ["mass=1.000000 mean=101.005017 forward=101.005017"]),
+    ], ids=["sliver-of-mass", "whole-mass"])
+    def test_density_warns_when_mass_is_not_one(self, tmp_path, capsys, sigma, expiry, lines):
+        # the default grid, 0.3-3 F, holds a sliver of flat sigma = 5's mass at 10y, and all of sigma = 0.2's at 0.5y
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"type": "flat", "sigma": sigma}), encoding="utf-8")
+        rc = main(["density", "--spot", "100", "--rate", "0.02", "--params", str(path), "--expiry", expiry,
+                   "--out", str(tmp_path / "d.csv")])
+        assert rc == 0
+        assert capsys.readouterr().err.splitlines() == lines
 
     @pytest.mark.parametrize("spot,rate,expiry,sigma", [("100", "0.02", "0.02", 3.2), ("1", "-0.01", "1", 0.025)],
                              ids=["large-vol", "negative-rate"])

@@ -9,7 +9,7 @@ from randvol import quadrature, randomization
 from randvol.errors import (
     ExpansionRangeError, MomentOverflowError, NoImpliedVolError, ParameterDomainError, RowFailures,
 )
-from randvol.expansion import evaluate_polynomial, parameter_coefficients
+from randvol.expansion import evaluate_polynomial, expansion_order, parameter_coefficients
 from randvol.parametrizations import (
     FlatParams, RandomizerSpec, SabrParams, SliceColumns, SliceParams, hagan_vol, slice_columns,
 )
@@ -18,6 +18,7 @@ from randvol.pricing import (
 )
 from randvol.quadrature import DiscreteGiven, Gamma, LogNormal, SpotLogNormal
 from randvol.randomization import (
+    DEFAULT_M_MAX,
     _coefficients,
     _grid,
     _node_vols,
@@ -693,6 +694,7 @@ class TestStackedGrid:
         # wide enough that the expansion guard escalates some strikes to the exact inversion
         strikes = [100.0 * np.exp(rng.uniform(-0.6, 0.6, n)) for n in counts]
         got = stacked_grid(slices, expiries, strikes, prices, engine)
+        escalations = 0
         for rs, expiry, k, row in zip(slices, expiries, strikes, got):
             if prices and engine == "brent":
                 want = randomized_prices(rs, expiry, k)
@@ -700,7 +702,16 @@ class TestStackedGrid:
                 want = implied_vol_grid(rs, expiry, k, engine)
                 if prices:
                     want = bs_call_values(rs.ctx.s0, *expiry_terms(rs.ctx, expiry)[1:4], k, want)
+                    if rs.rule.size > 1:  # a pair the guard escalates takes the mixture price, never inverted
+                        m = np.log(rs.ctx.s0 / k) + expiry_terms(rs.ctx, expiry)[1]
+                        poly = evaluate_polynomial(rs.expansion_kind, expansion_coefficients(rs, expiry, k), m,
+                                                   expansion_order(rs.expansion_kind, None))
+                        escalated = (np.abs(m) > DEFAULT_M_MAX) | (poly <= 0.0)
+                        want[escalated] = randomized_prices(rs, expiry, k)[escalated]
+                        escalations += escalated.sum()
             assert row.tobytes() == want.tobytes()
+        # an expansion price pass escalates some pairs of every kind but the one-node plain slice
+        assert escalations or not prices or engine == "brent" or kinds == ["plain-sabr"]
 
     @pytest.mark.parametrize("counts,passes", [
         ([250] * 8, [[250] * 8]),
